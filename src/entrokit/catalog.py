@@ -126,17 +126,6 @@ class _EngineBase:
     def sample_nonequilibrium(self, rng: random.Random) -> State:
         raise CapabilityError("model has no nonequilibrium state family")
 
-    def relax_to_ses(self, state: State) -> ProcessRecord:
-        """Zero-work relaxation to the stable state with the same energy and
-        regions."""
-        target = self.ses_with_energy(state.energy, state.region)
-        ds = self._delta_s(state, target)
-        sigma = ds if ds >= REVERSIBLE_DS_TOL else 0.0
-        return ProcessRecord(
-            "weight", state, target, work_done=0.0,
-            reversible=(sigma == 0.0), sigma=sigma,
-        )
-
     def reversible_chain_via_ses(self, a1, a2, r: Reservoir):
         """a1 -> equal-entropy stable state -> (reservoir process) -> stable
         anchor of a2 -> a2; reversible end to end."""

@@ -235,9 +235,6 @@ class ModelSystem:
         if process_engine is not None:
             process_engine.bind(self)
 
-    def owns_space(self, space_id: str) -> bool:
-        return space_id in self.spaces
-
     def register_space(self, space: StateSpace) -> StateSpace:
         # Idempotent: scaled copies are created on demand and cached.
         existing = self.spaces.get(space.id)
@@ -275,8 +272,13 @@ def scale(model: ModelSystem, space: StateSpace, t: float) -> StateSpace:
         return space
     new_scale = t * space.scale
     base_id = space.parent_id or space.id
+    scaled_id = f"{base_id}*{new_scale:.17g}"
+    # Bisection probes ask for the same copies over and over.
+    existing = model.spaces.get(scaled_id)
+    if existing is not None:
+        return existing
     scaled = StateSpace(
-        id=f"{base_id}*{new_scale:.17g}",
+        id=scaled_id,
         coord_names=space.coord_names,
         composition_tag=space.composition_tag,
         scale=new_scale,
@@ -340,23 +342,32 @@ class AccessibilityRelation:
 
     # -- induced-mode internals ----------------------------------------
 
-    def _model_for(self, space_id: str) -> ModelSystem:
+    def _resolve(self, space_id: str) -> tuple[ModelSystem, StateSpace]:
         for m in self.models:
-            if m.owns_space(space_id):
-                return m
+            space = m.spaces.get(space_id)
+            if space is not None:
+                return m, space
         raise DomainError(f"no model in this relation owns space {space_id!r}")
 
-    def _space(self, space_id: str) -> StateSpace:
-        return self._model_for(space_id).spaces[space_id]
+    def _profile(self, state: StateLike) -> tuple[dict[str, float], list[float], float]:
+        """Composition totals, per-part oracle values and entropy atol of a
+        state, read in one pass over its parts.
 
-    def _entropy(self, state: StateLike) -> float:
-        """Oracle entropy as the relation sees it (sum over composite parts).
-
-        Internal: nature's side of the fence.  Construction code must go
-        through leq()/accessible() instead.
+        leq needs all three for both of its states; resolving each part's
+        model and space once here, instead of once per quantity, is what
+        keeps composite queries (the interpolation probes) cheap.
         """
-        parts = parts_of(state)
-        values = [self._model_for(p.space_id).oracle_entropy(p) for p in parts]
+        totals: dict[str, float] = {}
+        values: list[float] = []
+        atol = None
+        for p in parts_of(state):
+            m, sp = self._resolve(p.space_id)
+            totals[sp.composition_tag] = totals.get(sp.composition_tag, 0.0) + sp.scale
+            values.append(m.oracle_entropy(p))
+            atol = m.entropy_atol if atol is None else max(atol, m.entropy_atol)
+        return totals, values, atol
+
+    def _combine(self, values: list[float]) -> float:
         if len(values) == 1:
             return values[0]
         if self.composite_policy == "sum":
@@ -365,26 +376,27 @@ class AccessibilityRelation:
             return max(values)
         raise DomainError(f"unknown composite policy {self.composite_policy!r}")
 
-    def _atol(self, state: StateLike) -> float:
-        return max(
-            self._model_for(p.space_id).entropy_atol for p in parts_of(state)
-        )
+    def _entropy(self, state: StateLike) -> float:
+        """Oracle entropy as the relation sees it (sum over composite parts).
 
-    def _composition_totals(self, state: StateLike) -> dict[str, float]:
-        totals: dict[str, float] = {}
-        for p in parts_of(state):
-            sp = self._space(p.space_id)
-            totals[sp.composition_tag] = totals.get(sp.composition_tag, 0.0) + sp.scale
-        return totals
+        Internal: nature's side of the fence.  Construction code must go
+        through leq()/accessible() instead.
+        """
+        return self._combine(self._profile(state)[1])
+
+    @staticmethod
+    def _totals_match(tx: dict[str, float], ty: dict[str, float]) -> bool:
+        if tx == ty:
+            return True
+        if set(tx) != set(ty):
+            return False
+        return all(math.isclose(tx[k], ty[k], rel_tol=1e-12) for k in tx)
 
     def compatible(self, x: StateLike, y: StateLike) -> bool:
         """Whether x and y live in comparable (possibly composite) spaces."""
         if self.mode == "finite":
             return True
-        tx, ty = self._composition_totals(x), self._composition_totals(y)
-        if set(tx) != set(ty):
-            return False
-        return all(math.isclose(tx[k], ty[k], rel_tol=1e-12) for k in tx)
+        return self._totals_match(self._profile(x)[0], self._profile(y)[0])
 
     # -- queries --------------------------------------------------------
 
@@ -393,7 +405,7 @@ class AccessibilityRelation:
             return x in self._element_set
         try:
             for p in parts_of(x):
-                self._model_for(p.space_id)
+                self._resolve(p.space_id)
             return True
         except DomainError:
             return False
@@ -406,10 +418,12 @@ class AccessibilityRelation:
             if y not in self._element_set:
                 raise DomainError(f"unknown element {y!r}")
             return (x, y) in self.pairs
-        if not self.compatible(x, y):
+        tx, vx, ax = self._profile(x)
+        ty, vy, ay = self._profile(y)
+        if not self._totals_match(tx, ty):
             return False
-        sx, sy = self._entropy(x), self._entropy(y)
-        atol = max(self._atol(x), self._atol(y))
+        sx, sy = self._combine(vx), self._combine(vy)
+        atol = max(ax, ay)
         single = isinstance(x, State) and isinstance(y, State)
         if self.strict_single_space and single:
             # Fault-injection hook: order by strict inequality only, keeping

@@ -199,7 +199,3 @@ def check_energy_additivity(
         - (exact_sum(b2) - exact_sum(b1))
     )
     return float(abs(residual))
-
-
-def _energy(state: StateLike) -> float:
-    return state.energy

@@ -271,7 +271,6 @@ def check_integrating_factor(
 @dataclass(frozen=True)
 class EntropyFromFactorization:
     s_of_x0: Callable[[float], float]
-    t_of_coords: Callable[[np.ndarray], float]
     s_ref: float
     x0_ref: float
 
@@ -281,8 +280,7 @@ def entropy_from_integrating_factor(
     x0_ref: float,
     s_ref: float,
 ) -> EntropyFromFactorization:
-    """Entropy as the integral of alpha/c in the collapsed coordinate, plus
-    the temperature function c*f(tau)."""
+    """Entropy as the integral of alpha/c in the collapsed coordinate."""
 
     def s_of_x0(x0: float) -> float:
         if x0 == x0_ref:
@@ -290,7 +288,7 @@ def entropy_from_integrating_factor(
         r = integrate_scalar(lambda u: m.alpha_fn(u) / m.c, x0_ref, x0)
         return s_ref + r.value
 
-    return EntropyFromFactorization(s_of_x0, m.temperature, s_ref, x0_ref)
+    return EntropyFromFactorization(s_of_x0, s_ref, x0_ref)
 
 
 def factorization_residual(

@@ -7,6 +7,7 @@ fields, so identical configurations reproduce byte-identical reports.
 
 from __future__ import annotations
 
+import inspect
 import io
 import json
 import math
@@ -191,10 +192,15 @@ def build_target(model_spec: dict):
         raise ConfigError("model spec needs a 'kind'")
     kind = model_spec["kind"]
     params = model_spec.get("params", {})
-    if kind == "ideal_gas":
-        target = ideal_gas(**params)
-    elif kind == "two_level_spin":
-        target = two_level_spin(**params)
+    if not isinstance(params, dict):
+        raise ConfigError("model params must be a JSON object")
+    if kind in ("ideal_gas", "two_level_spin"):
+        constructor = ideal_gas if kind == "ideal_gas" else two_level_spin
+        try:
+            inspect.signature(constructor).bind(**params)
+        except TypeError as exc:
+            raise ConfigError(f"bad params for model kind {kind!r}: {exc}") from exc
+        target = constructor(**params)
     elif kind == "fixture":
         if "path" not in params:
             raise ConfigError("fixture model spec needs params.path")
@@ -347,15 +353,34 @@ def _grid_and_refs(model: ModelSystem, config: SuiteConfig):
     return grid, refs
 
 
-def suite_ly(target, config: SuiteConfig) -> tuple[list[CheckResult], dict]:
+def ly_table(model: ModelSystem, config: SuiteConfig, memo: dict | None = None):
+    """The LY grid and its interpolation table, built once per memo.
+
+    The table is most of the cost of the ``ly`` suite, and ``zb``'s
+    cross-construction check needs the same one, so ``run`` hands both
+    suites one memo and whichever runs first builds it.  Without a memo
+    the table is built afresh.
+    """
+    if memo is None:
+        memo = {}
+    if "ly" not in memo:
+        grid, refs = _grid_and_refs(model, config)
+        table = entropy_from_accessibility(
+            model.relation(), refs, grid, tol=config.tol("lambda_tol")
+        )
+        memo["ly"] = grid, table
+    return memo["ly"]
+
+
+def suite_ly(target, config: SuiteConfig, memo: dict | None = None
+             ) -> tuple[list[CheckResult], dict]:
     if isinstance(target, FinitePreorderFixture) or not getattr(
         target, "supports_scaling", False
     ):
         return [_na("ly_oracle_match", "interpolation needs a scalable model")], {}
     model = target
     rel = model.relation()
-    grid, refs = _grid_and_refs(model, config)
-    table = entropy_from_accessibility(rel, refs, grid, tol=config.tol("lambda_tol"))
+    grid, table = ly_table(model, config, memo)
     oracle = [model.oracle_entropy(s) for s in grid if s in table.entries]
     constructed = [table.value(s) for s in grid if s in table.entries]
     fit = affine_match(constructed, oracle)
@@ -410,7 +435,8 @@ def suite_ly(target, config: SuiteConfig) -> tuple[list[CheckResult], dict]:
     return results, summary
 
 
-def suite_zb(target, config: SuiteConfig) -> tuple[list[CheckResult], dict]:
+def suite_zb(target, config: SuiteConfig, memo: dict | None = None
+             ) -> tuple[list[CheckResult], dict]:
     if isinstance(target, FinitePreorderFixture):
         return [_na("zb_oracle_match", "fixtures carry no process engine")], {}
     model = target
@@ -532,12 +558,10 @@ def suite_zb(target, config: SuiteConfig) -> tuple[list[CheckResult], dict]:
 
     # Cross-construction agreement with the interpolation route.
     if getattr(model, "supports_scaling", False):
-        rel = model.relation()
-        grid, refs = _grid_and_refs(model, config)
-        ly_table = entropy_from_accessibility(rel, refs, grid, tol=config.tol("lambda_tol"))
-        common = [s for s in grid if s in ly_table.entries and s in table.entries]
+        grid, ly = ly_table(model, config, memo)
+        common = [s for s in grid if s in ly.entries and s in table.entries]
         fit = affine_match(
-            [ly_table.value(s) for s in common], [table.value(s) for s in common]
+            [ly.value(s) for s in common], [table.value(s) for s in common]
         )
         tol = config.tol("ly_residual")
         ok = fit.max_residual < tol and fit.orientation_ok
@@ -745,11 +769,16 @@ def suite_mutants(target, config: SuiteConfig) -> tuple[list[CheckResult], dict]
 # ---------------------------------------------------------------------------
 
 def run(config: SuiteConfig) -> Report:
-    """Execute the selected suites in dependency order."""
+    """Execute the selected suites in dependency order.
+
+    Artifacts more than one suite needs (the LY table) are built once and
+    shared through a memo that lives for this run only.
+    """
     start = time.perf_counter()
     target = build_target(config.model)
     suite_results: dict[str, list[CheckResult]] = {}
     summaries: dict = {}
+    memo: dict = {}
     ordered = [s for s in SUITES if s in config.suites]
     for name in ordered:
         if name == "axioms":
@@ -757,11 +786,11 @@ def run(config: SuiteConfig) -> Report:
         elif name == "energy":
             suite_results[name] = suite_energy(target, config)
         elif name == "ly":
-            results, extra = suite_ly(target, config)
+            results, extra = suite_ly(target, config, memo)
             suite_results[name] = results
             summaries.update(extra)
         elif name == "zb":
-            results, extra = suite_zb(target, config)
+            results, extra = suite_zb(target, config, memo)
             suite_results[name] = results
             summaries.update(extra)
         elif name == "caratheodory":

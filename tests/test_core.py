@@ -1,3 +1,6 @@
+import math
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +13,7 @@ from entrokit.core import (
     accessible,
     compose,
     composite_state,
+    parts_of,
     scale,
     states_equal,
 )
@@ -175,3 +179,80 @@ def test_states_equal_uses_tolerance(gas):
     c = e.state(1000.1, 0.02)
     assert states_equal(a, b)
     assert not states_equal(a, c)
+
+
+# -- induced leq against its definition --------------------------------------
+
+def _reference_leq(rel, x, y):
+    """Induced leq spelled out one quantity at a time: compatible composition
+    totals, then the combined oracle values within the larger part atol."""
+
+    def owner(p):
+        return next(m for m in rel.models if p.space_id in m.spaces)
+
+    def totals(state):
+        out = {}
+        for p in parts_of(state):
+            sp = owner(p).spaces[p.space_id]
+            out[sp.composition_tag] = out.get(sp.composition_tag, 0.0) + sp.scale
+        return out
+
+    def entropy(state):
+        values = [owner(p).oracle_entropy(p) for p in parts_of(state)]
+        if len(values) == 1:
+            return values[0]
+        return sum(values) if rel.composite_policy == "sum" else max(values)
+
+    tx, ty = totals(x), totals(y)
+    if set(tx) != set(ty) or not all(
+        math.isclose(tx[k], ty[k], rel_tol=1e-12) for k in tx
+    ):
+        return False
+    atol = max(owner(p).entropy_atol for p in parts_of(x) + parts_of(y))
+    sx, sy = entropy(x), entropy(y)
+    if rel.strict_single_space and isinstance(x, State) and isinstance(y, State):
+        return states_equal(x, y) or sx < sy - atol
+    return sx <= sy + atol
+
+
+def _leq_cases(gas, spin, seed):
+    rng = random.Random(seed)
+    e = gas.process_engine
+    cases = []
+    for _ in range(40):
+        x, y = e.sample_state(rng), e.sample_state(rng)
+        lam = rng.random()
+        probe = composite_state([gas.scale_state(x, 1.0 - lam), gas.scale_state(y, lam)])
+        # Equivalent to x up to rounding: only the atol makes it so.
+        split = composite_state([gas.scale_state(x, lam), gas.scale_state(x, 1.0 - lam)])
+        cases += [
+            (x, y), (x, x), (x, probe), (split, x),
+            (composite_state([x, y]), composite_state([y, x])),
+            (composite_state([x, gas.scale_state(y, 2.0)]),
+             composite_state([gas.scale_state(y, 2.0), x])),
+            # Different composition totals: never comparable.
+            (x, composite_state([x, y])),
+            (gas.scale_state(x, 2.0), x),
+            (x, spin.process_engine.sample_state(rng)),
+        ]
+    return cases
+
+
+@pytest.mark.parametrize("mutation", [None, "composite_max", "strict_only_comparison"])
+def test_leq_matches_reference_definition(spin, mutation):
+    from entrokit.catalog import ideal_gas
+    from entrokit.mutants import mutate_model
+
+    gas = ideal_gas()
+    if mutation is not None:
+        gas = mutate_model(gas, mutation)
+    rel = AccessibilityRelation.induced([gas, spin])
+    assert rel.composite_policy == ("max" if mutation == "composite_max" else "sum")
+    assert rel.strict_single_space is (mutation == "strict_only_comparison")
+    outcomes = set()
+    for x, y in _leq_cases(gas, spin, seed=17):
+        for a, b in ((x, y), (y, x)):
+            got, want = rel.leq(a, b), _reference_leq(rel, a, b)
+            assert got is want, (a, b)
+            outcomes.add(got)
+    assert outcomes == {True, False}

@@ -4,9 +4,13 @@ import pytest
 
 from entrokit.cli import main
 from entrokit.errors import ConfigError
+from entrokit.catalog import ideal_gas
+from entrokit.interpolation import entropy_from_accessibility
 from entrokit.report import (
     SuiteConfig,
+    _grid_and_refs,
     emit,
+    ly_table,
     parse_report,
     run,
 )
@@ -82,6 +86,48 @@ def test_fixture_config_runs_axioms(tmp_path):
     )
     report = run(config)
     assert report.aggregate_pass
+
+
+# -- the shared LY table ---------------------------------------------------------------
+
+def test_shared_ly_table_is_bit_equal_to_a_fresh_build():
+    config = SuiteConfig(model={"kind": "ideal_gas"}, suites=("ly", "zb"))
+    model, memo = ideal_gas(), {}
+    _, shared = ly_table(model, config, memo)
+    assert ly_table(model, config, memo)[1] is shared
+
+    model = ideal_gas()
+    grid, refs = _grid_and_refs(model, config)
+    fresh = entropy_from_accessibility(
+        model.relation(), refs, grid, tol=config.tol("lambda_tol")
+    )
+    assert len(shared.entries) == 441
+    assert [(s, v.hex()) for s, v in shared.entries.items()] == [
+        (s, v.hex()) for s, v in fresh.entries.items()
+    ]
+    assert shared.skipped == fresh.skipped
+
+
+def test_ly_and_zb_agree_with_separate_runs():
+    counts = {"grid_nu": 9, "grid_nv": 9}
+
+    def suites(names):
+        report = run(SuiteConfig(model={"kind": "ideal_gas"}, suites=names,
+                                 seed=5, sample_counts=counts))
+        return (
+            {name: [r.to_dict() for r in results]
+             for name, results in report.suite_results.items()},
+            report.summaries,
+        )
+
+    both, both_summaries = suites(("ly", "zb"))
+    ly_only, ly_summaries = suites(("ly",))
+    zb_only, zb_summaries = suites(("zb",))
+    assert both == {**ly_only, **zb_only}
+    assert both_summaries == {**ly_summaries, **zb_summaries}
+    cross = [c for c in zb_only["zb"] if c["check"] == "cross_construction"]
+    assert cross[0]["status"] == "pass"
+    assert cross[0]["samples_used"] == 81
 
 
 # -- emission ---------------------------------------------------------------------------
@@ -160,6 +206,18 @@ def test_cli_malformed_config_exits_two(tmp_path, capsys):
     code = main(["check-axioms", "--config", str(config)])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_bad_model_params_exit_two(tmp_path, capsys):
+    config = tmp_path / "bad-params.json"
+    config.write_text(json.dumps(
+        {"model": {"kind": "ideal_gas", "params": {"bogus": 1}}}
+    ))
+    code = main(["check-axioms", "--config", str(config)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error") and "bogus" in err
+    assert "Traceback" not in err
 
 
 def test_cli_unknown_tolerance_exits_two(capsys):
