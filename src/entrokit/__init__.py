@@ -21,7 +21,6 @@ from .core import (  # noqa: F401
     accessible,
     compose,
     composite_state,
-    scale,
     states_equal,
 )
 from .axioms import CheckResult, CheckStatus  # noqa: F401

@@ -66,15 +66,26 @@ class CheckResult:
         }
 
 
+def verdict(name: str, ok: bool, witnesses: list, **fields) -> CheckResult:
+    """PASS with no witnesses when ``ok`` holds, otherwise FAIL carrying
+    ``witnesses``; ``fields`` are the remaining CheckResult fields."""
+    return CheckResult(
+        name, CheckStatus.PASS if ok else CheckStatus.FAIL, [] if ok else witnesses, **fields
+    )
+
+
 def describe(obj):
     """JSON-friendly rendering of witnesses (states, records, tuples)."""
     if isinstance(obj, State):
-        return {
+        out = {
             "space": obj.space_id,
             "coords": list(obj.coords),
             "energy": obj.energy,
             "kind": obj.kind.value,
         }
+        if obj.scale != 1.0:
+            out["scale"] = obj.scale
+        return out
     if isinstance(obj, CompositeState):
         return {"parts": [describe(p) for p in obj.parts]}
     if isinstance(obj, (tuple, list)):

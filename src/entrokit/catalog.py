@@ -26,7 +26,6 @@ from .core import (
     StateKind,
     StateSpace,
     parts_of,
-    scale as scale_space,
 )
 from .energy import AGAINST, ALONG, WeightPolygonal
 from .errors import CapabilityError, DomainError, EngineError, ParseError
@@ -160,20 +159,21 @@ class IdealGasEngine(_EngineBase):
         return f"{self.model.id}:base"
 
     def n_eff(self, state: State) -> float:
-        return self.n0 * self.model.spaces[state.space_id].scale
+        return self.n0 * state.scale
 
     def state(self, u: float, v: float, deficit: float = 0.0,
-              space_id: Optional[str] = None) -> State:
+              scale: float = 1.0) -> State:
         if u <= 0 or v <= 0:
             raise DomainError(f"ideal gas needs U > 0 and V > 0, got ({u}, {v})")
         if deficit < 0:
             raise DomainError("entropy deficit cannot be negative")
         return State(
-            space_id=space_id or self.base_space_id(),
+            space_id=self.base_space_id(),
             coords=(u, v, deficit),
             energy=u,
             region=("vol", v),
             kind=_state_kind(deficit),
+            scale=scale,
         )
 
     def oracle_entropy(self, state: State) -> float:
@@ -195,16 +195,15 @@ class IdealGasEngine(_EngineBase):
         u, v, _ = state.coords
         return u / (self.cv * v)
 
-    def scale_state(self, model: ModelSystem, state: State, t: float) -> State:
-        space = model.spaces[state.space_id]
-        scaled = scale_space(model, space, t)
+    def scale_state(self, state: State, t: float) -> State:
         u, v, deficit = state.coords
         return State(
-            space_id=scaled.id,
+            space_id=state.space_id,
             coords=(t * u, t * v, t * deficit),
             energy=t * u,
             region=("vol", t * v),
             kind=state.kind,
+            scale=t * state.scale,
         )
 
     # -- sampling --------------------------------------------------------
@@ -247,7 +246,7 @@ class IdealGasEngine(_EngineBase):
         factor = rng.uniform(1.05, 1.3)
         v2 = v * factor
         u2 = u * factor ** (-1.0 / self.cv)
-        return self.state(u2, v2, deficit, space_id=state.space_id)
+        return self.state(u2, v2, deficit, scale=state.scale)
 
     # -- stable-state solvers ---------------------------------------------
 
@@ -350,7 +349,6 @@ def ideal_gas(
         id=f"{model_id}:base",
         coord_names=("U", "V", "d"),
         composition_tag=f"gas:n={n}:cv={c_v_hat}",
-        scale=1.0,
     )
     model = ModelSystem(
         id=model_id,
@@ -484,7 +482,6 @@ def two_level_spin(n_particles: int = 100, eps: float = 1e-21,
         id=f"{model_id}:base",
         coord_names=("E", "d"),
         composition_tag=f"spin:N={n_particles}:eps={eps}",
-        scale=1.0,
     )
     return ModelSystem(
         id=model_id,

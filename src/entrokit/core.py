@@ -33,22 +33,12 @@ class StateKind(str, Enum):
 
 @dataclass(frozen=True)
 class StateSpace:
-    """A state space, possibly a scaled copy of a parent space.
-
-    ``scale`` is the absolute scale factor relative to the unscaled base
-    space; every extensive quantity of a state in this space is ``scale``
-    times the value of the corresponding base state.
-    """
+    """A base state space.  Scaled copies of its states stay in it and carry
+    their factor on the state (``State.scale``)."""
 
     id: str
     coord_names: tuple[str, ...]
     composition_tag: str
-    scale: float = 1.0
-    parent_id: Optional[str] = None
-
-    def __post_init__(self):
-        if not (self.scale > 0 and math.isfinite(self.scale)):
-            raise DomainError(f"state space scale must be positive, got {self.scale!r}")
 
 
 @dataclass(frozen=True)
@@ -58,7 +48,9 @@ class State:
     ``region`` is an opaque, equality-comparable descriptor of the regions of
     space occupied by the constituents; "no net change of the regions" is
     modelled as descriptor equality.  Separability and non-correlation are
-    declared flags, not computed properties.
+    declared flags, not computed properties.  ``scale`` is the factor of a
+    scaled copy: every extensive quantity is ``scale`` times that of the
+    corresponding state of the unscaled base space.
     """
 
     space_id: str
@@ -68,6 +60,7 @@ class State:
     separable: bool = True
     uncorrelated: bool = True
     kind: StateKind = StateKind.STABLE_EQUILIBRIUM
+    scale: float = 1.0
 
     def __post_init__(self):
         if not math.isfinite(self.energy):
@@ -125,7 +118,7 @@ def states_equal(a: StateLike, b: StateLike, atol: float = COORD_ATOL) -> bool:
     if len(pa) != len(pb):
         return False
     for x, y in zip(pa, pb):
-        if x.space_id != y.space_id or x.region != y.region:
+        if x.space_id != y.space_id or x.scale != y.scale or x.region != y.region:
             return False
         if len(x.coords) != len(y.coords):
             return False
@@ -205,7 +198,7 @@ class ModelSystem:
         is_normal: bool = True,
         energy_bounds: Optional[tuple[float, float]] = None,
         supports_scaling: bool = False,
-        scale_state_fn: Optional[Callable[["ModelSystem", State, float], State]] = None,
+        scale_state_fn: Optional[Callable[[State, float], State]] = None,
         entropy_atol: float = 0.0,
         isentropic_partner: Optional[Callable[[State, object], Optional[State]]] = None,
         composite_policy: str = "sum",
@@ -235,56 +228,28 @@ class ModelSystem:
         if process_engine is not None:
             process_engine.bind(self)
 
-    def register_space(self, space: StateSpace) -> StateSpace:
-        # Idempotent: scaled copies are created on demand and cached.
-        existing = self.spaces.get(space.id)
-        if existing is not None:
-            return existing
-        self.spaces[space.id] = space
-        return space
-
     def scale_state(self, state: State, t: float) -> State:
+        """The t-scaled copy of a state: every extensive quantity multiplied
+        by t.  The copy stays in the state's space with scale t * state.scale.
+
+        Raises CapabilityError for models that cannot form scaled copies
+        (field systems, few-particle systems).
+        """
         if not self.supports_scaling or self._scale_state_fn is None:
             raise CapabilityError(f"model {self.id!r} does not support scaled copies")
         if not (t > 0 and math.isfinite(t)):
             raise DomainError(f"scale factor must be positive, got {t!r}")
         if t == 1.0:
             return state
-        return self._scale_state_fn(self, state, t)
+        if state.space_id not in self.spaces:
+            raise DomainError(f"space {state.space_id!r} is not owned by model {self.id!r}")
+        scale = t * state.scale
+        if not (scale > 0 and math.isfinite(scale)):
+            raise DomainError(f"scaled copy needs a positive, finite scale, got {scale!r}")
+        return self._scale_state_fn(state, t)
 
     def relation(self, **kwargs) -> "AccessibilityRelation":
         return AccessibilityRelation.induced([self], **kwargs)
-
-
-def scale(model: ModelSystem, space: StateSpace, t: float) -> StateSpace:
-    """The t-scaled copy of a space: every extensive quantity multiplied by t.
-
-    Raises CapabilityError for models that cannot form scaled copies (field
-    systems, few-particle systems).
-    """
-    if not (t > 0 and math.isfinite(t)):
-        raise DomainError(f"scale factor must be positive, got {t!r}")
-    if not model.supports_scaling:
-        raise CapabilityError(f"model {model.id!r} does not support scaled copies")
-    if space.id not in model.spaces:
-        raise DomainError(f"space {space.id!r} is not owned by model {model.id!r}")
-    if t == 1.0:
-        return space
-    new_scale = t * space.scale
-    base_id = space.parent_id or space.id
-    scaled_id = f"{base_id}*{new_scale:.17g}"
-    # Bisection probes ask for the same copies over and over.
-    existing = model.spaces.get(scaled_id)
-    if existing is not None:
-        return existing
-    scaled = StateSpace(
-        id=scaled_id,
-        coord_names=space.coord_names,
-        composition_tag=space.composition_tag,
-        scale=new_scale,
-        parent_id=base_id,
-    )
-    return model.register_space(scaled)
 
 
 class Access(str, Enum):
@@ -362,7 +327,7 @@ class AccessibilityRelation:
         atol = None
         for p in parts_of(state):
             m, sp = self._resolve(p.space_id)
-            totals[sp.composition_tag] = totals.get(sp.composition_tag, 0.0) + sp.scale
+            totals[sp.composition_tag] = totals.get(sp.composition_tag, 0.0) + p.scale
             values.append(m.oracle_entropy(p))
             atol = m.entropy_atol if atol is None else max(atol, m.entropy_atol)
         return totals, values, atol
@@ -399,16 +364,6 @@ class AccessibilityRelation:
         return self._totals_match(self._profile(x)[0], self._profile(y)[0])
 
     # -- queries --------------------------------------------------------
-
-    def contains(self, x) -> bool:
-        if self.mode == "finite":
-            return x in self._element_set
-        try:
-            for p in parts_of(x):
-                self._resolve(p.space_id)
-            return True
-        except DomainError:
-            return False
 
     def leq(self, x, y) -> bool:
         """X precedes Y: Y is adiabatically accessible from X."""

@@ -74,9 +74,6 @@ class EntropyTable:
         keys = list(self.entries) if states is None else list(states)
         return [self.value(s) for s in keys]
 
-    def with_calibration(self, a: float, b: float) -> "EntropyTable":
-        return EntropyTable(self.space_id, dict(self.entries), (a, b), dict(self.skipped))
-
 
 def _require_induced_scaling(rel: AccessibilityRelation):
     if rel.mode != "induced":

@@ -25,6 +25,7 @@ from .axioms import (
     check_splitting,
     check_stability,
     check_transitivity,
+    verdict,
 )
 from .catalog import FinitePreorderFixture, chain_fixture, ideal_gas
 from .core import ModelSystem
@@ -93,7 +94,6 @@ def mutate_model(target: MutationTarget, mutation: str) -> MutationTarget:
 
     clone = _clone_model(target)
     base_oracle = clone.oracle_entropy
-    spaces = clone.spaces
 
     if mutation == "break_scaling":
         # Order-reversing only on enlarged copies: shrunk copies (splitting,
@@ -101,14 +101,14 @@ def mutate_model(target: MutationTarget, mutation: str) -> MutationTarget:
         # can notice.
         def oracle(state):
             value = base_oracle(state)
-            return -value if spaces[state.space_id].scale > 1.0 + 1e-12 else value
+            return -value if state.scale > 1.0 + 1e-12 else value
 
         clone.oracle_entropy = oracle
     elif mutation == "break_splitting":
         # Superlinear scaling: a t-copy carries t times too much entropy, so
         # the split halves no longer recombine to the whole.
         def oracle(state):
-            return base_oracle(state) * spaces[state.space_id].scale
+            return base_oracle(state) * state.scale
 
         clone.oracle_entropy = oracle
     elif mutation == "composite_max":
@@ -124,13 +124,12 @@ def mutate_model(target: MutationTarget, mutation: str) -> MutationTarget:
 
 
 def _clone_model(model: ModelSystem) -> ModelSystem:
-    engine = copy.copy(model.process_engine)
-    clone = ModelSystem(
+    return ModelSystem(
         id=model.id,
         spaces=model.spaces,
         energy_fn=model.energy_fn,
         oracle_entropy=model.oracle_entropy,
-        process_engine=engine,
+        process_engine=copy.copy(model.process_engine),
         is_normal=model.is_normal,
         energy_bounds=model.energy_bounds,
         supports_scaling=model.supports_scaling,
@@ -140,11 +139,6 @@ def _clone_model(model: ModelSystem) -> ModelSystem:
         composite_policy=model.composite_policy,
         strict_single_space=model.strict_single_space,
     )
-    # Share the space registry: scaled copies registered through either view
-    # must resolve in both, since the clone's inherited callables still look
-    # spaces up through the original.
-    clone.spaces = model.spaces
-    return clone
 
 
 def _break_transitivity(fixture: FinitePreorderFixture) -> FinitePreorderFixture:
@@ -236,13 +230,8 @@ def run_model_checks(
         for _ in range(5)
     )
     results.append(
-        CheckResult(
-            "energy_additivity",
-            CheckStatus.PASS if worst < 1e-12 else CheckStatus.FAIL,
-            [] if worst < 1e-12 else [("residual", worst)],
-            samples_used=5,
-            tolerance_used=1e-12,
-        )
+        verdict("energy_additivity", worst < 1e-12, [("residual", worst)],
+                samples_used=5, tolerance_used=1e-12)
     )
 
     r0 = reference_reservoir()
@@ -250,12 +239,10 @@ def run_model_checks(
     measured = temperature_of(reservoir, r0, probe)
     rel_err = abs(measured - reservoir.temperature) / reservoir.temperature
     results.append(
-        CheckResult(
-            "temperature_agreement",
-            CheckStatus.PASS if rel_err <= 1e-9 else CheckStatus.FAIL,
-            [] if rel_err <= 1e-9 else [("measured", measured, reservoir.temperature)],
-            samples_used=1,
-            tolerance_used=1e-9,
+        verdict(
+            "temperature_agreement", rel_err <= 1e-9,
+            [("measured", measured, reservoir.temperature)],
+            samples_used=1, tolerance_used=1e-9,
         )
     )
 
@@ -283,13 +270,8 @@ def run_model_checks(
         reservoir,
     )
     results.append(
-        CheckResult(
-            "entropy_additivity",
-            CheckStatus.PASS if residual < 1e-9 else CheckStatus.FAIL,
-            [] if residual < 1e-9 else [("residual", residual)],
-            samples_used=1,
-            tolerance_used=1e-9,
-        )
+        verdict("entropy_additivity", residual < 1e-9, [("residual", residual)],
+                samples_used=1, tolerance_used=1e-9)
     )
 
     results.append(
@@ -334,11 +316,14 @@ class MatrixReport:
     outcomes: list[MutantOutcome] = field(default_factory=list)
 
     @property
-    def ok(self) -> bool:
-        baseline_clean = all(
+    def baseline_clean(self) -> bool:
+        return all(
             s is not CheckStatus.FAIL for s in self.baseline_model.values()
         ) and all(s is not CheckStatus.FAIL for s in self.baseline_fixture.values())
-        return baseline_clean and all(o.exact for o in self.outcomes)
+
+    @property
+    def ok(self) -> bool:
+        return self.baseline_clean and all(o.exact for o in self.outcomes)
 
     def to_dict(self) -> dict:
         return {

@@ -14,7 +14,6 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -30,9 +29,12 @@ from .axioms import (
     check_splitting,
     check_stability,
     check_transitivity,
+    verdict,
 )
 from .catalog import (
+    R_GAS,
     FinitePreorderFixture,
+    IdealGasEngine,
     ideal_gas,
     ideal_gas_simple_system,
     load_fixture,
@@ -181,10 +183,6 @@ class SuiteConfig:
         }
 
 
-def default_config(suites: Sequence[str] = SUITES, seed: int = 0) -> SuiteConfig:
-    return SuiteConfig(model={"kind": "ideal_gas"}, suites=tuple(suites), seed=seed)
-
-
 def build_target(model_spec: dict):
     """Instantiate the configured model or fixture, applying a mutation if
     the config plants one."""
@@ -320,12 +318,8 @@ def suite_energy(target, config: SuiteConfig) -> list[CheckResult]:
     )
     tol = config.tol("energy_add")
     results.append(
-        CheckResult(
-            "energy_additivity",
-            CheckStatus.PASS if worst < tol else CheckStatus.FAIL,
-            [] if worst < tol else [("residual", worst)],
-            samples_used=10, tolerance_used=tol,
-        )
+        verdict("energy_additivity", worst < tol, [("residual", worst)],
+                samples_used=10, tolerance_used=tol)
     )
 
     # Reversal sign convention on random polygonals.
@@ -336,11 +330,7 @@ def suite_energy(target, config: SuiteConfig) -> list[CheckResult]:
         if abs(polygonal_work(poly.reversed()) + polygonal_work(poly)) > 1e-9:
             bad.append((a, b))
     results.append(
-        CheckResult(
-            "polygonal_reversal",
-            CheckStatus.FAIL if bad else CheckStatus.PASS,
-            bad, samples_used=20, tolerance_used=1e-9,
-        )
+        verdict("polygonal_reversal", not bad, bad, samples_used=20, tolerance_used=1e-9)
     )
     return results
 
@@ -385,12 +375,11 @@ def suite_ly(target, config: SuiteConfig, memo: dict | None = None
     constructed = [table.value(s) for s in grid if s in table.entries]
     fit = affine_match(constructed, oracle)
     tol = config.tol("ly_residual")
-    ok = fit.max_residual < tol and fit.orientation_ok
     results = [
-        CheckResult(
+        verdict(
             "ly_oracle_match",
-            CheckStatus.PASS if ok else CheckStatus.FAIL,
-            [] if ok else [("fit", fit.a, fit.b, fit.max_residual)],
+            fit.max_residual < tol and fit.orientation_ok,
+            [("fit", fit.a, fit.b, fit.max_residual)],
             samples_used=len(constructed), tolerance_used=tol,
             message=f"affine fit a={fit.a:.6g} b={fit.b:.6g} "
                     f"max residual {fit.max_residual:.3e} J/K",
@@ -415,13 +404,7 @@ def suite_ly(target, config: SuiteConfig, memo: dict | None = None
                 a * bounds.s_minus + b - 1e-6 <= s_x <= a * bounds.s_plus + b + 1e-6
             ):
                 bad.append((x, bounds.s_minus, bounds.s_plus, s_x))
-        results.append(
-            CheckResult(
-                "ly_sandwich_bounds",
-                CheckStatus.FAIL if bad else CheckStatus.PASS,
-                bad, samples_used=tested,
-            )
-        )
+        results.append(verdict("ly_sandwich_bounds", not bad, bad, samples_used=tested))
     except CapabilityError:
         results.append(_na("ly_sandwich_bounds", "model has no nonequilibrium family"))
 
@@ -461,10 +444,8 @@ def suite_zb(target, config: SuiteConfig, memo: dict | None = None
     residual = max(abs(d - mean) for d in diffs)
     tol = config.tol("zb_residual")
     results.append(
-        CheckResult(
-            "zb_oracle_match",
-            CheckStatus.PASS if residual < tol else CheckStatus.FAIL,
-            [] if residual < tol else [("residual", residual)],
+        verdict(
+            "zb_oracle_match", residual < tol, [("residual", residual)],
             samples_used=len(diffs), tolerance_used=tol,
             message=f"shift {mean:.6g} J/K, max residual {residual:.3e} J/K",
         )
@@ -481,10 +462,8 @@ def suite_zb(target, config: SuiteConfig, memo: dict | None = None
         tp_measured - REFERENCE_TEMPERATURE
     ) <= 1e-9 * REFERENCE_TEMPERATURE
     results.append(
-        CheckResult(
-            "kelvin_gauge",
-            CheckStatus.PASS if gauge_ok else CheckStatus.FAIL,
-            [] if gauge_ok else [("reference", gauge), ("triple_point", tp_measured)],
+        verdict(
+            "kelvin_gauge", gauge_ok, [("reference", gauge), ("triple_point", tp_measured)],
             samples_used=2, tolerance_used=config.tol("temp_rel"),
         )
     )
@@ -535,10 +514,8 @@ def suite_zb(target, config: SuiteConfig, memo: dict | None = None
         worst = max(worst, check_entropy_additivity(model, model, pair_a, pair_b2, bench))
     tol = config.tol("zb_additivity")
     results.append(
-        CheckResult(
-            "zb_additivity",
-            CheckStatus.PASS if worst < tol else CheckStatus.FAIL,
-            [] if worst < tol else [("residual", worst)],
+        verdict(
+            "zb_additivity", worst < tol, [("residual", worst)],
             samples_used=2 * config.count("weight_processes"), tolerance_used=tol,
             message=f"max residual {worst:.3e} J/K",
         )
@@ -564,12 +541,11 @@ def suite_zb(target, config: SuiteConfig, memo: dict | None = None
             [ly.value(s) for s in common], [table.value(s) for s in common]
         )
         tol = config.tol("ly_residual")
-        ok = fit.max_residual < tol and fit.orientation_ok
         results.append(
-            CheckResult(
+            verdict(
                 "cross_construction",
-                CheckStatus.PASS if ok else CheckStatus.FAIL,
-                [] if ok else [("fit", fit.a, fit.b, fit.max_residual)],
+                fit.max_residual < tol and fit.orientation_ok,
+                [("fit", fit.a, fit.b, fit.max_residual)],
                 samples_used=len(common), tolerance_used=tol,
                 message=f"affine fit residual {fit.max_residual:.3e} J/K",
             )
@@ -629,26 +605,23 @@ def suite_theorems(target, config: SuiteConfig) -> list[CheckResult]:
 
 
 def suite_caratheodory(target, config: SuiteConfig) -> list[CheckResult]:
-    if isinstance(target, FinitePreorderFixture) or getattr(target, "id", "") == "spin":
+    engine = getattr(target, "process_engine", None)
+    if not isinstance(engine, IdealGasEngine):
         return [_na("integrating_factor", "quasistatic structure needs a simple system")]
     seed = config.seed
     rng = random.Random(seed + 500)
-    simple = ideal_gas_simple_system()
+    simple = ideal_gas_simple_system(engine.n0, engine.cv)
     results = []
 
     # Closed-form anchor: isothermal expansion doubles the volume.
-    from .catalog import R_GAS
-
     tau = 300.0
     path = QuasistaticPath([[tau, 0.01], [tau, 0.02]], interp="linear")
     work = quasistatic_work(simple, path)
-    expected = R_GAS * tau * math.log(2.0)
-    ok = abs(work - expected) < 1e-8 * abs(expected)
+    expected = engine.n0 * R_GAS * tau * math.log(2.0)
     results.append(
-        CheckResult(
+        verdict(
             "quasistatic_work_closed_form",
-            CheckStatus.PASS if ok else CheckStatus.FAIL,
-            [] if ok else [("work", work, expected)],
+            abs(work - expected) < 1e-8 * abs(expected), [("work", work, expected)],
             samples_used=1, tolerance_used=1e-8,
         )
     )
@@ -677,12 +650,9 @@ def suite_caratheodory(target, config: SuiteConfig) -> list[CheckResult]:
     )
     control = loop_integral(simple, rectangle, power=2)
     threshold = config.tol("negative_control_min")
-    ok = abs(control) > threshold
     results.append(
-        CheckResult(
-            "negative_control",
-            CheckStatus.PASS if ok else CheckStatus.FAIL,
-            [] if ok else [("control_value", control)],
+        verdict(
+            "negative_control", abs(control) > threshold, [("control_value", control)],
             samples_used=1, tolerance_used=threshold,
             message=f"loop of (dU+dW)/T^2 = {control:.6g}",
         )
@@ -690,36 +660,27 @@ def suite_caratheodory(target, config: SuiteConfig) -> list[CheckResult]:
 
     coords = sample_box_coords(simple.coord_box, 50, rng)
     res = factorization_residual(simple, coords)
-    ok = res < 1e-10
     results.append(
-        CheckResult(
-            "factorization",
-            CheckStatus.PASS if ok else CheckStatus.FAIL,
-            [] if ok else [("residual", res)],
-            samples_used=50, tolerance_used=1e-10,
-        )
+        verdict("factorization", res < 1e-10, [("residual", res)],
+                samples_used=50, tolerance_used=1e-10)
     )
 
-    # Entropy from the collapsed coordinate matches the gas oracle affinely.
-    gas = ideal_gas()
+    # Entropy from the collapsed coordinate matches the model's oracle affinely.
     entropy = entropy_from_integrating_factor(simple, x0_ref=0.0, s_ref=0.0)
     states = [
         (rng.uniform(320, 580), rng.uniform(0.011, 0.019)) for _ in range(25)
     ]
     built = [entropy.s_of_x0(simple.x0_fn(np.array(c))) for c in states]
     oracle = [
-        gas.oracle_entropy(
-            gas.process_engine.state(simple.u_fn(np.array(c)), c[1])
-        )
+        target.oracle_entropy(engine.state(simple.u_fn(np.array(c)), c[1]))
         for c in states
     ]
     fit = affine_match(built, oracle)
-    ok = fit.max_residual < 1e-8 and fit.orientation_ok
     results.append(
-        CheckResult(
+        verdict(
             "caratheodory_entropy_match",
-            CheckStatus.PASS if ok else CheckStatus.FAIL,
-            [] if ok else [("fit", fit.a, fit.b, fit.max_residual)],
+            fit.max_residual < 1e-8 and fit.orientation_ok,
+            [("fit", fit.a, fit.b, fit.max_residual)],
             samples_used=len(states), tolerance_used=1e-8,
             message=f"affine fit residual {fit.max_residual:.3e}",
         )
@@ -729,32 +690,24 @@ def suite_caratheodory(target, config: SuiteConfig) -> list[CheckResult]:
 
 def suite_mutants(target, config: SuiteConfig) -> tuple[list[CheckResult], dict]:
     matrix = mutation_matrix(seed=config.seed)
-    results = []
-    baseline_ok = all(
-        s is not CheckStatus.FAIL for s in matrix.baseline_model.values()
-    ) and all(s is not CheckStatus.FAIL for s in matrix.baseline_fixture.values())
-    results.append(
-        CheckResult(
+    results = [
+        verdict(
             "matrix_baseline",
-            CheckStatus.PASS if baseline_ok else CheckStatus.FAIL,
-            []
-            if baseline_ok
-            else [
+            matrix.baseline_clean,
+            [
                 (name, status.value)
                 for name, status in {**matrix.baseline_model, **matrix.baseline_fixture}.items()
                 if status is CheckStatus.FAIL
             ],
             samples_used=len(matrix.baseline_model) + len(matrix.baseline_fixture),
         )
-    )
+    ]
     for outcome in matrix.outcomes:
         results.append(
-            CheckResult(
+            verdict(
                 f"mutant_{outcome.mutation}",
-                CheckStatus.PASS if outcome.exact else CheckStatus.FAIL,
-                []
-                if outcome.exact
-                else [
+                outcome.exact,
+                [
                     ("expected", sorted(outcome.expected)),
                     ("newly_failed", sorted(outcome.newly_failed)),
                 ],

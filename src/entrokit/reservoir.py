@@ -106,16 +106,6 @@ class Reservoir:
                 )
         return de
 
-    def with_energy(self, energy: float) -> "Reservoir":
-        if self.window is not None:
-            lo, hi = self.window
-            if not (lo <= energy <= hi):
-                raise EngineError(
-                    f"reservoir {self.id!r} energy {energy:.6g} J outside window",
-                    witness={"target_energy": energy, "window": self.window},
-                )
-        return replace(self, energy=energy)
-
 
 @dataclass(frozen=True)
 class ReferenceReservoir:

@@ -14,7 +14,6 @@ from entrokit.core import (
     compose,
     composite_state,
     parts_of,
-    scale,
     states_equal,
 )
 from entrokit.errors import CapabilityError, DomainError
@@ -92,8 +91,6 @@ def test_compose_flattens_nested(gas, gas_rel):
 
 
 def test_scale_identity(gas):
-    base = gas.spaces[gas.process_engine.base_space_id()]
-    assert scale(gas, base, 1.0) is base
     x = gas.process_engine.state(100.0, 1.0)
     assert gas.scale_state(x, 1.0) is x
 
@@ -109,11 +106,13 @@ def test_scale_doubles_extensive_quantities(gas):
 
 
 def test_scale_unsupported_model_raises(spin):
-    base = spin.spaces[spin.process_engine.base_space_id()]
-    with pytest.raises(CapabilityError):
-        scale(spin, base, 2.0)
     with pytest.raises(CapabilityError):
         spin.scale_state(spin.process_engine.state(1e-20), 2.0)
+
+
+def test_scale_rejects_foreign_state(gas, spin):
+    with pytest.raises(DomainError):
+        gas.scale_state(spin.process_engine.state(1e-20), 2.0)
 
 
 def test_scale_rejects_nonpositive_factor(gas):
@@ -172,6 +171,29 @@ def test_non_normal_model_requires_finite_upper_bound():
         )
 
 
+def test_states_equal_tells_scaled_copy_from_base_state(gas):
+    e = gas.process_engine
+    x = e.state(100.0, 1.0)
+    copy = gas.scale_state(e.state(50.0, 0.5), 2.0)
+    # Same space, same coordinates, energy and region: only the scale differs.
+    assert (copy.space_id, copy.coords, copy.energy, copy.region) == (
+        x.space_id, x.coords, x.energy, x.region
+    )
+    assert copy.scale == 2.0
+    assert not states_equal(x, copy)
+    assert not states_equal(composite_state([x, x]), composite_state([x, copy]))
+    assert states_equal(gas.scale_state(gas.scale_state(x, 0.5), 2.0), x)
+
+
+def test_scaled_copy_needs_finite_positive_scale(gas):
+    # Each factor is valid; their product underflows to zero or overflows.
+    x = gas.process_engine.state(100.0, 1.0)
+    with pytest.raises(DomainError):
+        gas.scale_state(gas.scale_state(x, 1e-200), 1e-200)
+    with pytest.raises(DomainError):
+        gas.scale_state(gas.scale_state(x, 1e300), 1e300)
+
+
 def test_states_equal_uses_tolerance(gas):
     e = gas.process_engine
     a = e.state(1000.0, 0.02)
@@ -193,8 +215,8 @@ def _reference_leq(rel, x, y):
     def totals(state):
         out = {}
         for p in parts_of(state):
-            sp = owner(p).spaces[p.space_id]
-            out[sp.composition_tag] = out.get(sp.composition_tag, 0.0) + sp.scale
+            tag = owner(p).spaces[p.space_id].composition_tag
+            out[tag] = out.get(tag, 0.0) + p.scale
         return out
 
     def entropy(state):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from entrokit import report as report_module
 from entrokit.cli import main
 from entrokit.errors import ConfigError
 from entrokit.catalog import ideal_gas
@@ -128,6 +129,48 @@ def test_ly_and_zb_agree_with_separate_runs():
     cross = [c for c in zb_only["zb"] if c["check"] == "cross_construction"]
     assert cross[0]["status"] == "pass"
     assert cross[0]["samples_used"] == 81
+
+
+def test_runs_leave_the_space_map_unchanged(monkeypatch):
+    # Scaled copies are values: bisection probes and scaling checks must not
+    # add spaces to the model, however many runs share it.
+    gas = ideal_gas()
+    base = dict(gas.spaces)
+    config = SuiteConfig(model={"kind": "ideal_gas"}, suites=("axioms", "ly", "zb"),
+                         seed=4, sample_counts={"grid_nu": 5, "grid_nv": 5,
+                                                "axiom_samples": 40})
+    ly_table(gas, config)
+    assert gas.spaces == base
+    monkeypatch.setattr(report_module, "build_target", lambda spec: gas)
+    first = run(config)
+    assert gas.spaces == base
+    second = run(config)
+    assert gas.spaces == base
+    assert first.aggregate_pass and second.aggregate_pass
+
+
+# -- caratheodory on the configured model ---------------------------------------------
+
+def _caratheodory(model_spec):
+    report = run(SuiteConfig(model=model_spec, suites=("caratheodory",), seed=3))
+    return {r.check_name: r for r in report.suite_results["caratheodory"]}
+
+
+def test_caratheodory_checks_the_configured_gas():
+    default = _caratheodory({"kind": "ideal_gas"})
+    other = _caratheodory({"kind": "ideal_gas", "params": {"n": 2, "c_v_hat": 2.5}})
+    assert list(other) == list(default)
+    assert all(r.passed for r in other.values())
+    # The rectangle loop of (dU + p dV)/T^2 scales with the amount n.
+    assert default["negative_control"].message == "loop of (dU+dW)/T^2 = -0.00960524"
+    assert other["negative_control"].message == "loop of (dU+dW)/T^2 = -0.0192105"
+
+
+def test_caratheodory_not_applicable_to_a_renamed_spin():
+    results = _caratheodory({"kind": "two_level_spin", "params": {"model_id": "s2"}})
+    assert [(name, r.status.value) for name, r in results.items()] == [
+        ("integrating_factor", "not_applicable")
+    ]
 
 
 # -- emission ---------------------------------------------------------------------------
