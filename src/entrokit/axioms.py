@@ -74,6 +74,11 @@ def verdict(name: str, ok: bool, witnesses: list, **fields) -> CheckResult:
     )
 
 
+def not_applicable(name: str, message: str) -> CheckResult:
+    """A check whose premise the target does not meet; ``message`` says why."""
+    return CheckResult(name, CheckStatus.NOT_APPLICABLE, [], message=message)
+
+
 def describe(obj):
     """JSON-friendly rendering of witnesses (states, records, tuples)."""
     if isinstance(obj, State):
@@ -121,9 +126,7 @@ def check_reflexivity(rel, *, samples: int = DEFAULT_SAMPLES, seed=0) -> CheckRe
     rng = _rng(seed)
     states = _universe(rel, samples, rng)
     bad = [x for x in states if not rel.equivalent(x, x)]
-    if bad:
-        return CheckResult("reflexivity", CheckStatus.FAIL, bad, len(states))
-    return CheckResult("reflexivity", CheckStatus.PASS, [], len(states))
+    return verdict("reflexivity", not bad, bad, samples_used=len(states))
 
 
 # ---------------------------------------------------------------------------
@@ -135,34 +138,34 @@ def check_transitivity(
 ) -> CheckResult:
     rng = _rng(seed)
     if rel.mode == "finite":
-        n = rel.universe_size()
-        if n > cap:
-            return CheckResult(
-                "transitivity",
-                CheckStatus.NOT_APPLICABLE,
-                [],
-                0,
-                message=f"universe size {n} exceeds exhaustive-scan cap {cap}",
-            )
         elems = rel.elements
-        for x in elems:
-            for y in elems:
-                if not rel.leq(x, y):
-                    continue
-                for z in elems:
-                    if rel.leq(y, z) and not rel.leq(x, z):
-                        return CheckResult(
-                            "transitivity", CheckStatus.FAIL, [(x, y, z)], n ** 3
-                        )
-        return CheckResult("transitivity", CheckStatus.PASS, [], n ** 3)
+        n = len(elems)
+        if n > cap:
+            return not_applicable(
+                "transitivity", f"universe size {n} exceeds exhaustive-scan cap {cap}"
+            )
+        witness = next(
+            (
+                (x, y, z)
+                for x in elems
+                for y in elems
+                if rel.leq(x, y)
+                for z in elems
+                if rel.leq(y, z) and not rel.leq(x, z)
+            ),
+            None,
+        )
+        return verdict("transitivity", witness is None, [witness], samples_used=n ** 3)
 
+    witnesses = []
     count = 0
     for _ in range(samples):
         x, y, z = rel.sample(rng, 3)
         count += 1
         if rel.leq(x, y) and rel.leq(y, z) and not rel.leq(x, z):
-            return CheckResult("transitivity", CheckStatus.FAIL, [(x, y, z)], count)
-    return CheckResult("transitivity", CheckStatus.PASS, [], count)
+            witnesses.append((x, y, z))
+            break
+    return verdict("transitivity", not witnesses, witnesses, samples_used=count)
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +216,7 @@ def check_consistency(
             if accessible(rel_comp, cx, cy) is not Access.FORWARD:
                 witnesses.append((x, z, y, z))
                 break
-    if witnesses:
-        return CheckResult("consistency", CheckStatus.FAIL, witnesses, used)
-    return CheckResult("consistency", CheckStatus.PASS, [], used)
+    return verdict("consistency", not witnesses, witnesses, samples_used=used)
 
 
 # ---------------------------------------------------------------------------
@@ -228,15 +229,11 @@ def check_scaling_invariance(
 ) -> CheckResult:
     rng = _rng(seed)
     if rel.mode == "finite":
-        return CheckResult(
-            "scaling_invariance", CheckStatus.NOT_APPLICABLE, [],
-            message="finite fixture declares no scaling support",
-        )
+        return not_applicable("scaling_invariance", "finite fixture declares no scaling support")
     model = rel.models[0]
     if not model.supports_scaling:
-        return CheckResult(
-            "scaling_invariance", CheckStatus.NOT_APPLICABLE, [],
-            message=f"model {model.id!r} cannot form scaled copies",
+        return not_applicable(
+            "scaling_invariance", f"model {model.id!r} cannot form scaled copies"
         )
     used = 0
     for t in t_samples:
@@ -247,10 +244,8 @@ def check_scaling_invariance(
             used += 1
             tx, ty = model.scale_state(x, t), model.scale_state(y, t)
             if not rel.leq(tx, ty):
-                return CheckResult(
-                    "scaling_invariance", CheckStatus.FAIL, [(x, y, t)], used
-                )
-    return CheckResult("scaling_invariance", CheckStatus.PASS, [], used)
+                return verdict("scaling_invariance", False, [(x, y, t)], samples_used=used)
+    return verdict("scaling_invariance", True, [], samples_used=used)
 
 
 # ---------------------------------------------------------------------------
@@ -264,18 +259,18 @@ def check_splitting(
         raise DomainError(f"splitting fraction must lie strictly in (0, 1), got {t!r}")
     rng = _rng(seed)
     if rel.mode == "finite" or not rel.models[0].supports_scaling:
-        return CheckResult(
-            "splitting", CheckStatus.NOT_APPLICABLE, [],
-            message="scaling unsupported",
-        )
+        return not_applicable("splitting", "scaling unsupported")
     model = rel.models[0]
-    for i in range(samples):
+    witnesses = []
+    used = 0
+    for _ in range(samples):
         x = rel.sample(rng, 1)[0]
+        used += 1
         split = composite_state([model.scale_state(x, t), model.scale_state(x, 1.0 - t)])
         if not (rel.leq(x, split) and rel.leq(split, x)):
-            return CheckResult("splitting", CheckStatus.FAIL, [(x, t)], i + 1,
-                               tolerance_used=t)
-    return CheckResult("splitting", CheckStatus.PASS, [], samples, tolerance_used=t)
+            witnesses.append((x, t))
+            break
+    return verdict("splitting", not witnesses, witnesses, samples_used=used, tolerance_used=t)
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +292,7 @@ def check_stability(
         raise DomainError("eps sequence must be decreasing and positive")
     rng = _rng(seed)
     if rel.mode == "finite" or not rel.models[0].supports_scaling:
-        return CheckResult(
-            "stability", CheckStatus.NOT_APPLICABLE, [],
-            message="scaling unsupported",
-        )
+        return not_applicable("stability", "scaling unsupported")
     model = rel.models[0]
     min_eps = eps_sequence[-1]
 
@@ -312,7 +304,6 @@ def check_stability(
                 return False
         return True
 
-    used = 0
     tuples = []
     for _ in range(samples):
         x, y, z0, z1 = rel.sample(rng, 4)
@@ -326,14 +317,16 @@ def check_stability(
             z0, z1 = _sample_ordered_pair(rel, rng, strict=True)
             tuples.append((x, y, z0, z1))
 
+    witnesses = []
+    used = 0
     for x, y, z0, z1 in tuples:
         used += 1
         if premise_holds(x, y, z0, z1) and not rel.leq(x, y):
-            return CheckResult(
-                "stability", CheckStatus.FAIL, [(x, y, z0, z1)], used,
-                tolerance_used=min_eps,
-            )
-    return CheckResult("stability", CheckStatus.PASS, [], used, tolerance_used=min_eps)
+            witnesses.append((x, y, z0, z1))
+            break
+    return verdict(
+        "stability", not witnesses, witnesses, samples_used=used, tolerance_used=min_eps
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -344,20 +337,17 @@ def check_comparison(rel, *, samples: int = DEFAULT_SAMPLES, seed=0) -> CheckRes
     rng = _rng(seed)
     if rel.mode == "finite":
         elems = rel.elements
-        used = 0
-        for i, x in enumerate(elems):
-            for y in elems[i:]:
-                used += 1
-                if accessible(rel, x, y) is Access.INCOMPARABLE:
-                    return CheckResult("comparison", CheckStatus.FAIL, [(x, y)], used)
-        return CheckResult("comparison", CheckStatus.PASS, [], used)
-    for i in range(samples):
-        x, y = rel.sample(rng, 2)
-        if not rel.compatible(x, y):
-            continue
-        if accessible(rel, x, y) is Access.INCOMPARABLE:
-            return CheckResult("comparison", CheckStatus.FAIL, [(x, y)], i + 1)
-    return CheckResult("comparison", CheckStatus.PASS, [], samples)
+        pairs = ((x, y) for i, x in enumerate(elems) for y in elems[i:])
+    else:
+        pairs = (rel.sample(rng, 2) for _ in range(samples))
+    witnesses = []
+    used = 0
+    for x, y in pairs:
+        used += 1
+        if rel.compatible(x, y) and accessible(rel, x, y) is Access.INCOMPARABLE:
+            witnesses.append((x, y))
+            break
+    return verdict("comparison", not witnesses, witnesses, samples_used=used)
 
 
 # ---------------------------------------------------------------------------
@@ -378,10 +368,7 @@ def check_n1_n2(
     rng = _rng(seed)
     gamma = list(equilibrium_states)
     if not gamma:
-        return CheckResult(
-            "n1_n2", CheckStatus.NOT_APPLICABLE, [],
-            message="no equilibrium subset declared",
-        )
+        return not_applicable("n1_n2", "no equilibrium subset declared")
     hat = gamma + list(nonequilibrium_states)
     used = 0
     witnesses = []
@@ -440,9 +427,7 @@ def check_n1_n2(
         if not (below and above):
             witnesses.append(("sandwich", x))
 
-    if witnesses:
-        return CheckResult("n1_n2", CheckStatus.FAIL, witnesses, used)
-    return CheckResult("n1_n2", CheckStatus.PASS, [], used)
+    return verdict("n1_n2", not witnesses, witnesses, samples_used=used)
 
 
 def is_total_preorder(rel, *, samples: int = DEFAULT_SAMPLES, seed=0) -> bool:

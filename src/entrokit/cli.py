@@ -14,13 +14,7 @@ import os
 import sys
 
 from .errors import ConfigError, EntrokitError, ParseError
-from .report import (
-    DEFAULT_TOLERANCES,
-    SUITES,
-    SuiteConfig,
-    emit,
-    run,
-)
+from .report import SUITES, SuiteConfig, emit, run
 
 SUBCOMMAND_SUITES = {
     "check-axioms": ("axioms",),
@@ -66,6 +60,7 @@ def _load_config(args) -> SuiteConfig:
             candidate = os.path.join(cfg_dir, "default.json")
             if os.path.exists(candidate):
                 path = candidate
+    raw = {}
     if path is not None:
         try:
             with open(path) as fh:
@@ -76,30 +71,25 @@ def _load_config(args) -> SuiteConfig:
             ) from exc
         except OSError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
-        config = SuiteConfig.from_dict(raw)
-    else:
-        config = SuiteConfig(model={"kind": "ideal_gas"}, suites=SUITES)
+        if not isinstance(raw, dict):
+            raise ConfigError("config must be a JSON object")
 
-    suites = SUBCOMMAND_SUITES[args.command]
-    config = SuiteConfig(
-        model=config.model,
-        suites=tuple(suites),
-        seed=config.seed if args.seed is None else args.seed,
-        tolerances=dict(config.tolerances),
-        sample_counts=dict(config.sample_counts),
-    )
+    # Overrides are merged before the config is built, so SuiteConfig
+    # validates them exactly as it validates the file's own values.
+    tolerances = dict(raw.get("tolerances", {}))
     for override in args.tolerance:
         if "=" not in override:
             raise ConfigError(f"tolerance override must look like NAME=VALUE: {override!r}")
         name, _, value = override.partition("=")
-        if name not in DEFAULT_TOLERANCES:
-            raise ConfigError(f"unknown tolerance {name!r}")
         try:
-            config.tolerances[name] = float(value)
+            tolerances[name] = float(value)
         except ValueError as exc:
             raise ConfigError(f"tolerance {name!r} needs a number, got {value!r}") from exc
-        if config.tolerances[name] <= 0:
-            raise ConfigError(f"tolerance {name!r} must be positive")
+    raw = {**raw, "tolerances": tolerances}
+    if args.seed is not None:
+        raw["seed"] = args.seed
+    config = SuiteConfig.from_dict(raw)
+    config.suites = SUBCOMMAND_SUITES[args.command]
     return config
 
 

@@ -201,8 +201,6 @@ class ModelSystem:
         scale_state_fn: Optional[Callable[[State, float], State]] = None,
         entropy_atol: float = 0.0,
         isentropic_partner: Optional[Callable[[State, object], Optional[State]]] = None,
-        composite_policy: str = "sum",
-        strict_single_space: bool = False,
     ):
         if not is_normal:
             if energy_bounds is None or not math.isfinite(energy_bounds[1]):
@@ -221,8 +219,8 @@ class ModelSystem:
         self.entropy_atol = entropy_atol
         self.isentropic_partner = isentropic_partner
         # Relation-behaviour hooks; altered only by fault injection.
-        self.composite_policy = composite_policy
-        self.strict_single_space = strict_single_space
+        self.composite_policy = "sum"
+        self.strict_single_space = False
         self.mutation = None
         self.expected_failures: frozenset[str] = frozenset()
         if process_engine is not None:
@@ -248,8 +246,8 @@ class ModelSystem:
             raise DomainError(f"scaled copy needs a positive, finite scale, got {scale!r}")
         return self._scale_state_fn(state, t)
 
-    def relation(self, **kwargs) -> "AccessibilityRelation":
-        return AccessibilityRelation.induced([self], **kwargs)
+    def relation(self) -> "AccessibilityRelation":
+        return AccessibilityRelation.induced([self])
 
 
 class Access(str, Enum):
@@ -268,9 +266,7 @@ class AccessibilityRelation:
     an absolute equivalence tolerance taken from the owning model.
     """
 
-    def __init__(self, mode, *, elements=None, pairs=None, models=None,
-                 composite_policy=None, strict_single_space=None,
-                 sampler=None):
+    def __init__(self, mode, *, elements=None, pairs=None, models=None):
         self.mode = mode
         if mode == "finite":
             self.elements = list(elements)
@@ -281,17 +277,8 @@ class AccessibilityRelation:
             self.models = list(models)
             if not self.models:
                 raise DomainError("induced relation needs at least one model")
-            self.composite_policy = (
-                composite_policy
-                if composite_policy is not None
-                else self.models[0].composite_policy
-            )
-            self.strict_single_space = (
-                strict_single_space
-                if strict_single_space is not None
-                else self.models[0].strict_single_space
-            )
-            self._sampler = sampler
+            self.composite_policy = self.models[0].composite_policy
+            self.strict_single_space = self.models[0].strict_single_space
         else:
             raise DomainError(f"unknown relation mode {mode!r}")
 
@@ -302,8 +289,8 @@ class AccessibilityRelation:
         return cls("finite", elements=elements, pairs=pairs)
 
     @classmethod
-    def induced(cls, models: Sequence[ModelSystem], **kwargs) -> "AccessibilityRelation":
-        return cls("induced", models=models, **kwargs)
+    def induced(cls, models: Sequence[ModelSystem]) -> "AccessibilityRelation":
+        return cls("induced", models=models)
 
     # -- induced-mode internals ----------------------------------------
 
@@ -395,13 +382,8 @@ class AccessibilityRelation:
             if not self.elements:
                 return []
             return [self.elements[rng.randrange(len(self.elements))] for _ in range(n)]
-        if self._sampler is not None:
-            return [self._sampler(rng) for _ in range(n)]
         engine = self.models[0].process_engine
         return [engine.sample_state(rng) for _ in range(n)]
-
-    def universe_size(self) -> Optional[int]:
-        return len(self.elements) if self.mode == "finite" else None
 
 
 def accessible(rel: AccessibilityRelation, x, y) -> Access:
@@ -417,21 +399,16 @@ def accessible(rel: AccessibilityRelation, x, y) -> Access:
     return Access.INCOMPARABLE
 
 
-def composite_relation(
-    rels: Sequence[AccessibilityRelation], **kwargs
-) -> AccessibilityRelation:
-    """Relation over composites whose parts come from the given relations."""
+def composite_relation(rels: Sequence[AccessibilityRelation]) -> AccessibilityRelation:
+    """Relation over composites whose parts come from the given relations.
+
+    Its relation-behaviour hooks are those of the first relation's model.
+    """
     models: list[ModelSystem] = []
-    policy = None
-    strict = None
     for r in rels:
         if r.mode != "induced":
             raise CapabilityError("composite relations require induced mode")
         for m in r.models:
             if m not in models:
                 models.append(m)
-        policy = r.composite_policy if policy is None else policy
-        strict = r.strict_single_space if strict is None else strict
-    kwargs.setdefault("composite_policy", policy)
-    kwargs.setdefault("strict_single_space", strict)
-    return AccessibilityRelation.induced(models, **kwargs)
+    return AccessibilityRelation.induced(models)

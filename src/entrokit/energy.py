@@ -8,13 +8,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .axioms import CheckResult, CheckStatus
+from .axioms import CheckResult, not_applicable, verdict
 from .core import (
-    CompositeState,
     ModelSystem,
     ProcessRecord,
     StateLike,
     composite_state,
+    parts_of,
     states_equal,
 )
 from .errors import DomainError, EngineError, StructuralError
@@ -44,7 +44,7 @@ class WeightPolygonal:
             if direction not in (ALONG, AGAINST):
                 raise StructuralError(f"unknown leg direction {direction!r}")
             for s in (rec.initial, rec.final):
-                if not all(p.separable for p in _atoms(s)):
+                if not all(p.separable for p in parts_of(s)):
                     raise StructuralError("polygonal end states must be separable")
         chain = self.chain_points()
         if not states_equal(chain[0], self.endpoints[0]) or not states_equal(
@@ -74,12 +74,6 @@ class WeightPolygonal:
         return WeightPolygonal(flipped, (self.endpoints[1], self.endpoints[0]))
 
 
-def _atoms(state: StateLike):
-    if isinstance(state, CompositeState):
-        return state.parts
-    return (state,)
-
-
 def polygonal_work(p: WeightPolygonal) -> float:
     """Signed work done by the system in traversing the polygonal: along-leg
     works count positive, against-leg works negative."""
@@ -102,7 +96,7 @@ def energy_of(
     if not states_equal(p.endpoints[0], ref) or not states_equal(p.endpoints[1], target):
         raise DomainError("polygonal endpoints do not match (ref, target)")
     for s in (ref, target):
-        if not all(part.separable for part in _atoms(s)):
+        if not all(part.separable for part in parts_of(s)):
             raise DomainError("energy is defined only for separable states")
     return e0 - polygonal_work(p)
 
@@ -149,23 +143,14 @@ def check_path_independence(
         worst = max(worst, spread)
         if spread > tol:
             witnesses.append((a, b, works))
-    message = ""
-    if skipped:
-        message = f"{len(skipped)} pair(s) not connectable by the engine"
-    if witnesses:
-        return CheckResult(
-            "path_independence", CheckStatus.FAIL, witnesses,
-            samples_used=len(pairs) * k, tolerance_used=rel_tol, message=message,
-        )
-    if skipped and not witnesses and len(skipped) == len(pairs):
-        return CheckResult(
-            "path_independence", CheckStatus.NOT_APPLICABLE, [],
-            samples_used=0, message=message,
-        )
-    return CheckResult(
-        "path_independence", CheckStatus.PASS, [],
-        samples_used=len(pairs) * k, tolerance_used=rel_tol,
-        message=message or f"max spread {worst:.3e} J",
+    message = f"{len(skipped)} pair(s) not connectable by the engine" if skipped else ""
+    if skipped and len(skipped) == len(pairs):
+        return not_applicable("path_independence", message)
+    if not (witnesses or message):
+        message = f"max spread {worst:.3e} J"
+    return verdict(
+        "path_independence", not witnesses, witnesses,
+        samples_used=len(pairs) * k, tolerance_used=rel_tol, message=message,
     )
 
 
@@ -185,13 +170,13 @@ def check_energy_additivity(
     a1, a2 = a_pair
     b1, b2 = b_pair
     for s in (a1, a2, b1, b2):
-        if not all(p.separable for p in _atoms(s)):
+        if not all(p.separable for p in parts_of(s)):
             raise DomainError("energy additivity requires separable states")
     comp1 = composite_state([a1, b1])
     comp2 = composite_state([a2, b2])
 
     def exact_sum(state: StateLike) -> Fraction:
-        return sum((Fraction(p.energy) for p in _atoms(state)), Fraction(0))
+        return sum((Fraction(p.energy) for p in parts_of(state)), Fraction(0))
 
     residual = (
         (exact_sum(comp2) - exact_sum(comp1))

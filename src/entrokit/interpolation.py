@@ -51,28 +51,15 @@ class ReferencePair:
 
 @dataclass
 class EntropyTable:
-    """Constructed entropy values on a set of states, plus the affine
-    calibration (a > 0, b) that places the table on a common gauge."""
+    """Constructed entropy values on a set of states, and the states the
+    construction skipped, with the reason."""
 
     space_id: str
     entries: dict[State, float] = field(default_factory=dict)
-    calibration: tuple[float, float] = (1.0, 0.0)
     skipped: dict[State, str] = field(default_factory=dict)
 
-    def __post_init__(self):
-        if not self.calibration[0] > 0:
-            raise DomainError("calibration slope must be positive")
-
-    def raw(self, state: State) -> float:
-        return self.entries[state]
-
     def value(self, state: State) -> float:
-        a, b = self.calibration
-        return a * self.entries[state] + b
-
-    def values(self, states: Optional[Sequence[State]] = None) -> list[float]:
-        keys = list(self.entries) if states is None else list(states)
-        return [self.value(s) for s in keys]
+        return self.entries[state]
 
 
 def _require_induced_scaling(rel: AccessibilityRelation):
@@ -241,7 +228,7 @@ def calibrate_multispace(
         for idx, state, coeff in ident.terms:
             if not 0 <= idx < m:
                 raise DomainError(f"identity references unknown table {idx}")
-            v = tables[idx].raw(state)
+            v = tables[idx].value(state)
             touched.add(idx)
             if idx == 0:
                 r -= coeff * v  # a=1, b=0

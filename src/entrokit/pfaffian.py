@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .axioms import CheckResult, CheckStatus
+from .axioms import CheckResult, verdict
 from .errors import DomainError
 from .quadrature import REL_TARGET, integrate_scalar, line_integral
 
@@ -214,14 +214,10 @@ def check_pfaffian_form(
         worst = max(worst, diff)
         if diff > rel_tol:
             witnesses.append((path.points.tolist(), lhs, rhs))
-    if witnesses:
-        return CheckResult(
-            "pfaffian_form", CheckStatus.FAIL, witnesses,
-            samples_used=len(paths), tolerance_used=rel_tol,
-        )
-    return CheckResult(
-        "pfaffian_form", CheckStatus.PASS, [], len(paths), tolerance_used=rel_tol,
-        message=f"worst relative mismatch {worst:.3e}",
+    return verdict(
+        "pfaffian_form", not witnesses, witnesses,
+        samples_used=len(paths), tolerance_used=rel_tol,
+        message="" if witnesses else f"worst relative mismatch {worst:.3e}",
     )
 
 
@@ -257,14 +253,10 @@ def check_integrating_factor(
         worst = max(worst, abs(value))
         if abs(value) > abs_tol:
             witnesses.append((loop.points.tolist(), value))
-    if witnesses:
-        return CheckResult(
-            "integrating_factor", CheckStatus.FAIL, witnesses,
-            samples_used=len(loops), tolerance_used=abs_tol,
-        )
-    return CheckResult(
-        "integrating_factor", CheckStatus.PASS, [], len(loops),
-        tolerance_used=abs_tol, message=f"worst |loop| {worst:.3e}",
+    return verdict(
+        "integrating_factor", not witnesses, witnesses,
+        samples_used=len(loops), tolerance_used=abs_tol,
+        message="" if witnesses else f"worst |loop| {worst:.3e}",
     )
 
 

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from .axioms import CheckResult, CheckStatus
+from .axioms import CheckResult, CheckStatus, not_applicable, verdict
 from .core import (
     ModelSystem,
     ProcessRecord,
@@ -210,7 +210,8 @@ def temperature_of(
     probe: tuple[ModelSystem, StateLike, StateLike],
 ) -> float:
     """Measured temperature: the reservoir-drain ratio against the reference,
-    scaled to 273.16 K."""
+    scaled to 273.16 K.  The ratio is taken first, so the reference reads
+    exactly 273.16 K on any probe."""
     model, a1, a2 = probe
     rec_r = run_reversible_swp(model, a1, a2, r)
     rec_0 = run_reversible_swp(model, a1, a2, r0.reservoir)
@@ -218,7 +219,7 @@ def temperature_of(
         raise DegenerateProbeError(
             "probe pair has zero entropy difference; temperature ratio is 0/0"
         )
-    return REFERENCE_TEMPERATURE * rec_r.delta_e_r / rec_0.delta_e_r
+    return REFERENCE_TEMPERATURE * (rec_r.delta_e_r / rec_0.delta_e_r)
 
 
 def temperature_ratio_independence(
@@ -244,24 +245,17 @@ def temperature_ratio_independence(
         if ratio <= 0:
             witnesses.append((model.id, a1, a2, ratio))
         ratios.append(ratio)
-    message = f"{skipped} degenerate probe(s) skipped" if skipped else ""
     if not ratios:
-        return CheckResult(
-            "temperature_ratio_independence", CheckStatus.NOT_APPLICABLE, [],
-            message="all probes degenerate",
-        )
+        return not_applicable("temperature_ratio_independence", "all probes degenerate")
     spread = (max(ratios) - min(ratios)) / abs(ratios[0])
-    if witnesses or spread > rel_tol:
-        if not witnesses:
-            witnesses = [("ratio_spread", spread, ratios)]
-        return CheckResult(
-            "temperature_ratio_independence", CheckStatus.FAIL, witnesses,
-            samples_used=len(ratios), tolerance_used=rel_tol, message=message,
-        )
-    return CheckResult(
-        "temperature_ratio_independence", CheckStatus.PASS, [],
-        samples_used=len(ratios), tolerance_used=rel_tol,
-        message=message or f"ratio {ratios[0]:.12g}, spread {spread:.3e}",
+    ok = not (witnesses or spread > rel_tol)
+    message = f"{skipped} degenerate probe(s) skipped" if skipped else ""
+    if ok and not message:
+        message = f"ratio {ratios[0]:.12g}, spread {spread:.3e}"
+    return verdict(
+        "temperature_ratio_independence", ok,
+        witnesses or [("ratio_spread", spread, ratios)],
+        samples_used=len(ratios), tolerance_used=rel_tol, message=message,
     )
 
 
@@ -304,19 +298,11 @@ def check_reservoir_independence(
         values.append(rec.delta_e_r / r.temperature)
     scale = max(abs(v) for v in values)
     if scale == 0.0:
-        return CheckResult(
-            "reservoir_independence", CheckStatus.NOT_APPLICABLE, [],
-            message="degenerate probe pair",
-        )
+        return not_applicable("reservoir_independence", "degenerate probe pair")
     spread = (max(values) - min(values)) / scale
-    if spread > rel_tol:
-        return CheckResult(
-            "reservoir_independence", CheckStatus.FAIL,
-            [(pair, [r.id for r in reservoirs], values)],
-            samples_used=len(reservoirs), tolerance_used=rel_tol,
-        )
-    return CheckResult(
-        "reservoir_independence", CheckStatus.PASS, [],
+    return verdict(
+        "reservoir_independence", not spread > rel_tol,
+        [(pair, [r.id for r in reservoirs], values)],
         samples_used=len(reservoirs), tolerance_used=rel_tol,
     )
 
@@ -363,15 +349,10 @@ def check_carnot_agreement(
         worst = max(worst, diff)
         if diff > rel_tol:
             witnesses.append((a1, a2, rec.delta_e_r, rec.carnot_delta_e_r))
-    if witnesses:
-        return CheckResult(
-            "carnot_agreement", CheckStatus.FAIL, witnesses,
-            samples_used=len(pairs), tolerance_used=rel_tol,
-        )
-    return CheckResult(
-        "carnot_agreement", CheckStatus.PASS, [],
+    return verdict(
+        "carnot_agreement", not witnesses, witnesses,
         samples_used=len(pairs), tolerance_used=rel_tol,
-        message=f"max relative difference {worst:.3e}",
+        message="" if witnesses else f"max relative difference {worst:.3e}",
     )
 
 
@@ -381,24 +362,19 @@ def check_pmm2(
     """No weight process from a stable equilibrium state of a normal system
     lowers its energy at fixed regions of space."""
     if not model.is_normal:
-        return CheckResult(
-            "pmm2", CheckStatus.NOT_APPLICABLE, [],
-            message=f"model {model.id!r} is not normal (bounded energy)",
-        )
+        return not_applicable("pmm2", f"model {model.id!r} is not normal (bounded energy)")
     if ses.kind is not StateKind.STABLE_EQUILIBRIUM:
-        return CheckResult(
-            "pmm2", CheckStatus.NOT_APPLICABLE, [],
-            message="initial state is not a stable equilibrium state",
-        )
+        return not_applicable("pmm2", "initial state is not a stable equilibrium state")
     rng = random.Random(seed)
-    for i in range(attempts):
+    witnesses = []
+    used = 0
+    for _ in range(attempts):
         rec = model.process_engine.attempt_process_at_fixed_region(ses, rng)
-        if rec is None:
-            continue
-        final_energy = rec.final.energy
-        if final_energy < ses.energy - 1e-12:
-            return CheckResult("pmm2", CheckStatus.FAIL, [rec], i + 1)
-    return CheckResult("pmm2", CheckStatus.PASS, [], attempts)
+        used += 1
+        if rec is not None and rec.final.energy < ses.energy - 1e-12:
+            witnesses.append(rec)
+            break
+    return verdict("pmm2", not witnesses, witnesses, samples_used=used)
 
 
 def check_lower_bound(
@@ -430,9 +406,7 @@ def check_lower_bound(
     again = run_reversible_swp(model, a1, a2, r)
     if again.delta_e_r != rev.delta_e_r:
         witnesses.append(("reversible_not_reproducible", again.delta_e_r, rev.delta_e_r))
-    if witnesses:
-        return CheckResult("lower_bound", CheckStatus.FAIL, witnesses, n_irr + 2)
-    return CheckResult("lower_bound", CheckStatus.PASS, [], n_irr + 2)
+    return verdict("lower_bound", not witnesses, witnesses, samples_used=n_irr + 2)
 
 
 def check_entropy_nondecrease(
@@ -455,13 +429,8 @@ def check_entropy_nondecrease(
             witnesses.append(("zero_but_irreversible", rec, ds))
         elif not is_zero and rec.reversible:
             witnesses.append(("positive_but_reversible", rec, ds))
-    if witnesses:
-        return CheckResult(
-            "entropy_nondecrease", CheckStatus.FAIL, witnesses,
-            samples_used=len(weight_processes), tolerance_used=zero_tol,
-        )
-    return CheckResult(
-        "entropy_nondecrease", CheckStatus.PASS, [],
+    return verdict(
+        "entropy_nondecrease", not witnesses, witnesses,
         samples_used=len(weight_processes), tolerance_used=zero_tol,
     )
 
@@ -490,13 +459,9 @@ def check_mutual_equilibrium(
         e1 = rng.uniform(lo, hi)
         totals.append(r.entropy_at(e1) + rd.entropy_at(e_tot - e1))
     spread = max(totals) - min(totals)
-    if spread > tol:
-        return CheckResult(
-            "mutual_equilibrium", CheckStatus.FAIL,
-            [("total_entropy_spread", spread)], splits, tolerance_used=tol,
-        )
-    return CheckResult(
-        "mutual_equilibrium", CheckStatus.PASS, [], splits, tolerance_used=tol,
+    return verdict(
+        "mutual_equilibrium", not spread > tol, [("total_entropy_spread", spread)],
+        samples_used=splits, tolerance_used=tol,
     )
 
 
@@ -581,22 +546,14 @@ def check_interconnect(
     """Reservoir bookkeeping closes on every pair the bridge handles."""
     results = [interconnect_by_weight_process(model, a1, a2, r) for a1, a2 in pairs]
     if all(res.status is CheckStatus.NOT_APPLICABLE for res in results):
-        return CheckResult(
-            "interconnect", CheckStatus.NOT_APPLICABLE, [],
-            message=results[0].message if results else "no pairs",
-        )
+        return not_applicable("interconnect", results[0].message if results else "no pairs")
     witnesses = [
         (pair, res.reservoir_net_delta)
         for pair, res in zip(pairs, results)
         if res.status is CheckStatus.PASS and abs(res.reservoir_net_delta) > tol
     ]
-    if witnesses:
-        return CheckResult(
-            "interconnect", CheckStatus.FAIL, witnesses, len(pairs),
-            tolerance_used=tol,
-        )
-    return CheckResult(
-        "interconnect", CheckStatus.PASS, [], len(pairs), tolerance_used=tol,
+    return verdict(
+        "interconnect", not witnesses, witnesses, samples_used=len(pairs), tolerance_used=tol
     )
 
 
@@ -645,11 +602,7 @@ def derive_assumptions_from_comparability(
         if not states_equal(first.initial, a1) or not states_equal(last.final, a2):
             witnesses.append(("chain_endpoints", a1, a2))
 
-    if witnesses:
-        return CheckResult(
-            "derive_assumptions", CheckStatus.FAIL, witnesses, used,
-            tolerance_used=sigma_tol,
-        )
-    return CheckResult(
-        "derive_assumptions", CheckStatus.PASS, [], used, tolerance_used=sigma_tol,
+    return verdict(
+        "derive_assumptions", not witnesses, witnesses, samples_used=used,
+        tolerance_used=sigma_tol,
     )

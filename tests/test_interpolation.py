@@ -242,8 +242,8 @@ def test_calibrate_scaled_copy_extensivity():
     assert residual < 1e-9
     a1, b1 = constants[1]
     for s, ts in zip(base_states, scaled_states):
-        lhs = a1 * scaled_table.raw(ts) + b1
-        assert lhs == pytest.approx(2.0 * base_table.raw(s), abs=1e-9)
+        lhs = a1 * scaled_table.value(ts) + b1
+        assert lhs == pytest.approx(2.0 * base_table.value(s), abs=1e-9)
 
 
 def test_calibrate_splitting_additivity():
@@ -274,8 +274,8 @@ def test_calibrate_splitting_additivity():
     for _ in range(100):
         s = base_states[rng.randrange(len(base_states))]
         h = halves[base_states.index(s)]
-        whole = base_table.raw(s)
-        part = a1 * half_table.raw(h) + b1
+        whole = base_table.value(s)
+        part = a1 * half_table.value(h) + b1
         worst = max(worst, abs(whole - 2 * part))
     assert worst < 1e-9
 

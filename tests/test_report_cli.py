@@ -1,13 +1,17 @@
 import json
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
+from entrokit import mutants as mutants_module
 from entrokit import report as report_module
 from entrokit.cli import main
 from entrokit.errors import ConfigError
-from entrokit.catalog import ideal_gas
+from entrokit.catalog import ideal_gas, triple_point_reservoir
 from entrokit.interpolation import entropy_from_accessibility
 from entrokit.report import (
+    SUITES,
     SuiteConfig,
     _grid_and_refs,
     emit,
@@ -15,6 +19,8 @@ from entrokit.report import (
     parse_report,
     run,
 )
+
+SMALL_COUNTS = {"grid_nu": 5, "grid_nv": 5, "axiom_samples": 40}
 
 
 # -- config validation -----------------------------------------------------------
@@ -149,6 +155,75 @@ def test_runs_leave_the_space_map_unchanged(monkeypatch):
     assert first.aggregate_pass and second.aggregate_pass
 
 
+def test_run_calls_every_suite_through_its_module_attribute(monkeypatch):
+    # Profilers wrap report.suite_<name> and mutants.run_model_checks; run
+    # must go through those attributes, once per suite.
+    calls = Counter()
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for suite in SUITES:
+        name = f"suite_{suite}"
+        monkeypatch.setattr(report_module, name, counting(name, getattr(report_module, name)))
+    monkeypatch.setattr(mutants_module, "run_model_checks",
+                        counting("batteries", mutants_module.run_model_checks))
+    report = run(SuiteConfig(model={"kind": "ideal_gas"}, suites=SUITES, seed=1,
+                             sample_counts=SMALL_COUNTS))
+    assert report.aggregate_pass
+    assert list(report.suite_results) == list(SUITES)
+    assert calls == {**{f"suite_{s}": 1 for s in SUITES}, "batteries": 7}
+
+
+# -- the zb suite ------------------------------------------------------------------------
+
+def _zb(model_spec, seed=3, **fields):
+    report = run(SuiteConfig(model=model_spec, suites=("zb",), seed=seed,
+                             sample_counts=SMALL_COUNTS, **fields))
+    return {r.check_name: r for r in report.suite_results["zb"]}
+
+
+def _zb_dicts(model_spec):
+    # carnot_agreement is not applicable to the spin, with the id in its message.
+    return [r.to_dict() for name, r in _zb(model_spec).items() if name != "carnot_agreement"]
+
+
+def test_zb_auxiliary_system_follows_the_engine_type():
+    spin = _zb_dicts({"kind": "two_level_spin"})
+    assert all(c["status"] != "fail" for c in spin)
+    # A renamed spin is still probed against the gas, and a spin that takes
+    # the gas's id gets a gas under another id, not a DomainError.
+    for model_id in ("s2", "idealgas"):
+        assert _zb_dicts({"kind": "two_level_spin", "params": {"model_id": model_id}}) == spin
+    gas = _zb_dicts({"kind": "ideal_gas"})
+    assert _zb_dicts({"kind": "ideal_gas", "params": {"model_id": "spin"}}) == gas
+
+
+def test_kelvin_gauge_decides_with_temp_rel(monkeypatch):
+    # A triple-point cell 1e-12 (relative) off 273.16 K: inside the default
+    # temp_rel of 1e-9, outside 1e-13.
+    def off_cell(capacity):
+        cell = triple_point_reservoir(capacity)
+        return replace(cell, temperature=cell.temperature * (1.0 + 1e-12))
+
+    monkeypatch.setattr(report_module, "triple_point_reservoir", off_cell)
+    spin = {"kind": "two_level_spin"}
+    assert _zb(spin)["kelvin_gauge"].passed
+    tight = _zb(spin, tolerances={"temp_rel": 1e-13})["kelvin_gauge"]
+    assert tight.failed
+    assert tight.tolerance_used == 1e-13
+
+
+def test_kelvin_gauge_passes_where_the_reading_used_to_round():
+    # Seed 40 draws a spin probe on which 273.16 * d / d is 273.1600000000001.
+    report = run(SuiteConfig(model={"kind": "two_level_spin"}, suites=("zb",), seed=40))
+    assert report.aggregate_pass
+
+
 # -- caratheodory on the configured model ---------------------------------------------
 
 def _caratheodory(model_spec):
@@ -266,6 +341,22 @@ def test_cli_bad_model_params_exit_two(tmp_path, capsys):
 def test_cli_unknown_tolerance_exits_two(capsys):
     code = main(["check-axioms", "--tolerance", "bogus=1"])
     assert code == 2
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_cli_nan_tolerance_exits_two(tmp_path, capsys, source):
+    out_path = tmp_path / "r.json"
+    args = ["check-axioms", "--out", str(out_path)]
+    if source == "flag":
+        args += ["--tolerance", "zb_residual=nan"]
+    else:
+        config = tmp_path / "nan.json"
+        config.write_text(json.dumps({"tolerances": {"zb_residual": float("nan")}}))
+        args += ["--config", str(config)]
+    code = main(args)
+    assert code == 2
+    assert "zb_residual" in capsys.readouterr().err
+    assert not out_path.exists()
 
 
 def test_cli_unwritable_out_exits_three(tmp_path, capsys):

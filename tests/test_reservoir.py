@@ -153,6 +153,17 @@ def test_temperature_of_reference_is_exact(gas, r0, rng):
     assert temperature_of(r0.reservoir, r0, probe) == 273.16
 
 
+def test_temperature_of_reference_is_exact_on_every_probe(gas, spin, r0, rng):
+    # 273.16 * d / d rounds off 273.16 on a few probes in a thousand; the
+    # ratio d / d does not.
+    for model in (gas, spin):
+        e = model.process_engine
+        for _ in range(2000):
+            a, b = e.sample_state(rng), e.sample_state(rng)
+            if run_reversible_swp(model, a, b, r0.reservoir).delta_e_r != 0.0:
+                assert temperature_of(r0.reservoir, r0, (model, a, b)) == 273.16
+
+
 def test_temperature_of_doubled_reservoir(gas, r0, rng):
     e = gas.process_engine
     r = Reservoir(id="hot", temperature=546.32)
