@@ -187,7 +187,7 @@ def _sample_ordered_pair(rel, rng, strict=False, tries=200):
 
 
 def check_consistency(
-    rel_a, rel_b, rel_comp=None, *, samples: int = DEFAULT_SAMPLES, seed=0
+    rel_a, rel_b, *, samples: int = DEFAULT_SAMPLES, seed=0
 ) -> CheckResult:
     """Composition preserves the order, including the strict part.
 
@@ -196,8 +196,7 @@ def check_consistency(
     is what exposes composites that merge their parts instead of adding them.
     """
     rng = _rng(seed)
-    if rel_comp is None:
-        rel_comp = composite_relation([rel_a, rel_b])
+    rel_comp = composite_relation([rel_a, rel_b])
     witnesses = []
     used = 0
     for _ in range(samples):
@@ -279,7 +278,7 @@ def check_splitting(
 
 def check_stability(
     rel, eps_sequence: Sequence[float] = STABILITY_EPS, *,
-    samples: int = 100, seed=0, boundary_cases: bool = True,
+    samples: int = 100, seed=0,
 ) -> CheckResult:
     """Perturbations by vanishing scaled copies cannot flip accessibility.
 
@@ -308,7 +307,7 @@ def check_stability(
     for _ in range(samples):
         x, y, z0, z1 = rel.sample(rng, 4)
         tuples.append((x, y, z0, z1))
-    if boundary_cases and model.isentropic_partner is not None:
+    if model.isentropic_partner is not None:
         for _ in range(10):
             x = rel.sample(rng, 1)[0]
             y = model.isentropic_partner(x, rng)

@@ -47,7 +47,6 @@ class _EngineBase:
 
     def __init__(self):
         self.model: Optional[ModelSystem] = None
-        self.polygonal_work_noise = 0.0
 
     def bind(self, model: ModelSystem):
         self.model = model
@@ -93,12 +92,6 @@ class _EngineBase:
                 rec, direction = self.weight_process(p, q), ALONG
             else:
                 rec, direction = self.weight_process(q, p), AGAINST
-            if self.polygonal_work_noise:
-                rec = ProcessRecord(
-                    rec.kind, rec.initial, rec.final,
-                    rec.work_done + self.polygonal_work_noise,
-                    reversible=rec.reversible, sigma=rec.sigma,
-                )
             leg_records.append((rec, direction))
         return WeightPolygonal(tuple(leg_records), (a, b))
 

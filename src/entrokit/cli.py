@@ -74,21 +74,20 @@ def _load_config(args) -> SuiteConfig:
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
 
-    # Overrides are merged before the config is built, so SuiteConfig
+    # Overrides are merged while the config is built, so SuiteConfig
     # validates them exactly as it validates the file's own values.
-    tolerances = dict(raw.get("tolerances", {}))
+    overrides = {}
     for override in args.tolerance:
         if "=" not in override:
             raise ConfigError(f"tolerance override must look like NAME=VALUE: {override!r}")
         name, _, value = override.partition("=")
         try:
-            tolerances[name] = float(value)
+            overrides[name] = float(value)
         except ValueError as exc:
             raise ConfigError(f"tolerance {name!r} needs a number, got {value!r}") from exc
-    raw = {**raw, "tolerances": tolerances}
     if args.seed is not None:
         raw["seed"] = args.seed
-    config = SuiteConfig.from_dict(raw)
+    config = SuiteConfig.from_dict(raw, overrides)
     config.suites = SUBCOMMAND_SUITES[args.command]
     return config
 

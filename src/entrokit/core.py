@@ -218,11 +218,6 @@ class ModelSystem:
         self._scale_state_fn = scale_state_fn
         self.entropy_atol = entropy_atol
         self.isentropic_partner = isentropic_partner
-        # Relation-behaviour hooks; altered only by fault injection.
-        self.composite_policy = "sum"
-        self.strict_single_space = False
-        self.mutation = None
-        self.expected_failures: frozenset[str] = frozenset()
         if process_engine is not None:
             process_engine.bind(self)
 
@@ -277,8 +272,6 @@ class AccessibilityRelation:
             self.models = list(models)
             if not self.models:
                 raise DomainError("induced relation needs at least one model")
-            self.composite_policy = self.models[0].composite_policy
-            self.strict_single_space = self.models[0].strict_single_space
         else:
             raise DomainError(f"unknown relation mode {mode!r}")
 
@@ -320,13 +313,7 @@ class AccessibilityRelation:
         return totals, values, atol
 
     def _combine(self, values: list[float]) -> float:
-        if len(values) == 1:
-            return values[0]
-        if self.composite_policy == "sum":
-            return sum(values)
-        if self.composite_policy == "max":
-            return max(values)
-        raise DomainError(f"unknown composite policy {self.composite_policy!r}")
+        return sum(values)
 
     def _entropy(self, state: StateLike) -> float:
         """Oracle entropy as the relation sees it (sum over composite parts).
@@ -364,14 +351,7 @@ class AccessibilityRelation:
         ty, vy, ay = self._profile(y)
         if not self._totals_match(tx, ty):
             return False
-        sx, sy = self._combine(vx), self._combine(vy)
-        atol = max(ax, ay)
-        single = isinstance(x, State) and isinstance(y, State)
-        if self.strict_single_space and single:
-            # Fault-injection hook: order by strict inequality only, keeping
-            # the diagonal so identity remains related to itself.
-            return states_equal(x, y) or sx < sy - atol
-        return sx <= sy + atol
+        return self._combine(vx) <= self._combine(vy) + max(ax, ay)
 
     def equivalent(self, x, y) -> bool:
         return self.leq(x, y) and self.leq(y, x)
@@ -402,7 +382,8 @@ def accessible(rel: AccessibilityRelation, x, y) -> Access:
 def composite_relation(rels: Sequence[AccessibilityRelation]) -> AccessibilityRelation:
     """Relation over composites whose parts come from the given relations.
 
-    Its relation-behaviour hooks are those of the first relation's model.
+    It has the class of the first relation, so a defect planted by
+    overriding the relation's methods carries over to the composite.
     """
     models: list[ModelSystem] = []
     for r in rels:
@@ -411,4 +392,4 @@ def composite_relation(rels: Sequence[AccessibilityRelation]) -> AccessibilityRe
         for m in r.models:
             if m not in models:
                 models.append(m)
-    return AccessibilityRelation.induced(models)
+    return type(rels[0]).induced(models)

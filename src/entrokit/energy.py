@@ -114,7 +114,6 @@ def check_path_independence(
     *,
     seed=0,
     rel_tol: float = PATH_INDEP_REL_TOL,
-    abs_floor: float = PATH_INDEP_ABS_FLOOR,
 ) -> CheckResult:
     """Works of k engine-generated polygonals per pair agree within tolerance.
 
@@ -139,7 +138,7 @@ def check_path_independence(
             skipped.append((a, b, str(exc)))
             continue
         spread = max(works) - min(works)
-        tol = max(rel_tol * max(abs(w) for w in works), abs_floor)
+        tol = max(rel_tol * max(abs(w) for w in works), PATH_INDEP_ABS_FLOOR)
         worst = max(worst, spread)
         if spread > tol:
             witnesses.append((a, b, works))

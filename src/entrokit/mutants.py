@@ -1,7 +1,9 @@
 """Targeted fault injection and the mutation coverage matrix.
 
 Each mutation plants one defect and declares exactly which checks must fail
-because of it.  The matrix runs the full check battery on the intact catalog
+because of it.  Every defect is planted here, on a copy of its target; the
+modules that define models, relations and reservoirs carry no hooks for
+them.  The matrix runs the full check battery on the intact catalog
 and on every mutant, then compares the set of newly failing checks against
 the declaration; any difference, in either direction, is a finding about the
 checks themselves.
@@ -11,7 +13,7 @@ from __future__ import annotations
 
 import copy
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Union
 
 from .axioms import (
@@ -28,7 +30,7 @@ from .axioms import (
     verdict,
 )
 from .catalog import FinitePreorderFixture, chain_fixture, ideal_gas
-from .core import ModelSystem
+from .core import AccessibilityRelation, ModelSystem, State, states_equal
 from .energy import check_energy_additivity, check_path_independence
 from .errors import CapabilityError, DomainError
 from .reservoir import (
@@ -68,12 +70,40 @@ EXPECTED_FAILURES = {
 MutationTarget = Union[ModelSystem, FinitePreorderFixture, Reservoir]
 
 
+class _MaxComposite(AccessibilityRelation):
+    """A composite's entropy is the largest of its parts' instead of their sum."""
+
+    def _combine(self, values: list[float]) -> float:
+        return max(values)
+
+
+class _StrictOnly(AccessibilityRelation):
+    """Two single states are ordered by strict inequality only; the diagonal
+    is kept, so every state still precedes itself."""
+
+    def leq(self, x, y) -> bool:
+        if not (isinstance(x, State) and isinstance(y, State)):
+            return super().leq(x, y)
+        tx, (sx,), ax = self._profile(x)
+        ty, (sy,), ay = self._profile(y)
+        if not self._totals_match(tx, ty):
+            return False
+        return states_equal(x, y) or sx < sy - max(ax, ay)
+
+
+class _MiscalibratedReservoir(Reservoir):
+    """Its physics runs 10 % hotter than its declared temperature."""
+
+    @property
+    def t_eff(self) -> float:
+        return 1.1 * self.temperature
+
+
 def mutate_model(target: MutationTarget, mutation: str) -> MutationTarget:
-    """A copy of the target with one planted defect; its metadata names the
-    checks that must now fail."""
+    """A copy of the target with one planted defect; ``EXPECTED_FAILURES``
+    names the checks that must now fail.  The target itself is unchanged."""
     if mutation not in MUTATIONS:
         raise DomainError(f"unknown mutation {mutation!r}")
-    expected = EXPECTED_FAILURES[mutation]
 
     if mutation == "break_transitivity":
         if not isinstance(target, FinitePreorderFixture):
@@ -83,8 +113,7 @@ def mutate_model(target: MutationTarget, mutation: str) -> MutationTarget:
     if mutation == "wrong_reservoir_temperature":
         if not isinstance(target, Reservoir):
             raise CapabilityError("wrong_reservoir_temperature applies to reservoirs")
-        from dataclasses import replace
-        return replace(target, behavior_temperature=1.1 * target.temperature)
+        return _MiscalibratedReservoir(**vars(target))
 
     if not isinstance(target, ModelSystem):
         raise CapabilityError(f"mutation {mutation!r} applies to model systems")
@@ -111,15 +140,21 @@ def mutate_model(target: MutationTarget, mutation: str) -> MutationTarget:
             return base_oracle(state) * state.scale
 
         clone.oracle_entropy = oracle
-    elif mutation == "composite_max":
-        clone.composite_policy = "max"
-    elif mutation == "strict_only_comparison":
-        clone.strict_single_space = True
+    elif mutation in ("composite_max", "strict_only_comparison"):
+        relation = _MaxComposite if mutation == "composite_max" else _StrictOnly
+        clone.relation = lambda: relation.induced([clone])
     elif mutation == "noisy_work":
-        clone.process_engine.polygonal_work_noise = 0.1
+        connect = clone.process_engine.connect_polygonal
 
-    clone.mutation = mutation
-    clone.expected_failures = expected
+        def noisy(a, b, rng, legs=None):
+            # Every leg reports 0.1 J more work than it did.
+            poly = connect(a, b, rng, legs)
+            return replace(poly, legs=tuple(
+                (replace(rec, work_done=rec.work_done + 0.1), direction)
+                for rec, direction in poly.legs
+            ))
+
+        clone.process_engine.connect_polygonal = noisy
     return clone
 
 
@@ -145,10 +180,7 @@ def _break_transitivity(fixture: FinitePreorderFixture) -> FinitePreorderFixture
                 pairs = set(fixture.pairs)
                 pairs.discard((a, c))
                 pairs.add((c, a))
-                mutated = FinitePreorderFixture(list(fixture.ids), pairs, dict(fixture.kinds))
-                mutated.mutation = "break_transitivity"
-                mutated.expected_failures = EXPECTED_FAILURES["break_transitivity"]
-                return mutated
+                return FinitePreorderFixture(list(fixture.ids), pairs, dict(fixture.kinds))
     raise CapabilityError("fixture has no transitive triple to break")
 
 
@@ -223,12 +255,7 @@ def run_model_checks(
         )
     )
 
-    copy_res = Reservoir(
-        id=reservoir.id + "-copy",
-        temperature=reservoir.temperature,
-        energy=reservoir.energy + 7.0,
-        behavior_temperature=reservoir.behavior_temperature,
-    )
+    copy_res = replace(reservoir, id=reservoir.id + "-copy", energy=reservoir.energy + 7.0)
     results.append(check_mutual_equilibrium(reservoir, copy_res, seed=seed + 9))
 
     residual = check_entropy_additivity(

@@ -34,8 +34,8 @@ class SimpleSystemModel:
     ``p_fns`` are the conjugate forces of the deformation coordinates, so the
     quasistatic work form is sum(p_i dx_i).  ``m_fn`` and ``x0_fn`` give the
     single-form collapse of dU + dW; ``tau_fn``, ``f_fn``, ``alpha_fn``, ``c``
-    carry its factorization.  Analytic gradients are optional; central
-    differences stand in when they are absent.
+    carry its factorization; ``u_grad_fn`` and ``x0_grad_fn`` are the
+    analytic gradients of ``u_fn`` and ``x0_fn``.
     """
 
     coord_names: tuple[str, ...]
@@ -48,8 +48,8 @@ class SimpleSystemModel:
     alpha_fn: Callable[[float], float]
     c: float
     coord_box: tuple[tuple[float, float], ...]
-    u_grad_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    x0_grad_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    u_grad_fn: Callable[[np.ndarray], np.ndarray]
+    x0_grad_fn: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
         if len(self.coord_names) < 2:
@@ -63,32 +63,16 @@ class SimpleSystemModel:
         return self.c * self.f_fn(self.tau_fn(coords))
 
     def u_grad(self, coords: np.ndarray) -> np.ndarray:
-        if self.u_grad_fn is not None:
-            return np.asarray(self.u_grad_fn(coords), dtype=float)
-        return _central_gradient(self.u_fn, coords)
+        return np.asarray(self.u_grad_fn(coords), dtype=float)
 
     def x0_grad(self, coords: np.ndarray) -> np.ndarray:
-        if self.x0_grad_fn is not None:
-            return np.asarray(self.x0_grad_fn(coords), dtype=float)
-        return _central_gradient(self.x0_fn, coords)
+        return np.asarray(self.x0_grad_fn(coords), dtype=float)
 
     def work_form(self, coords: np.ndarray) -> np.ndarray:
         w = np.zeros(len(self.coord_names))
         for i, p in enumerate(self.p_fns):
             w[i + 1] = p(coords)
         return w
-
-
-def _central_gradient(f: Callable[[np.ndarray], float], coords: np.ndarray) -> np.ndarray:
-    coords = np.asarray(coords, dtype=float)
-    grad = np.zeros_like(coords)
-    for i in range(coords.size):
-        h = 1e-6 * max(1.0, abs(coords[i]))
-        up, dn = coords.copy(), coords.copy()
-        up[i] += h
-        dn[i] -= h
-        grad[i] = (f(up) - f(dn)) / (2 * h)
-    return grad
 
 
 class QuasistaticPath:

@@ -64,14 +64,13 @@ def line_integral(
     segments: Sequence[Callable[[float], tuple[np.ndarray, np.ndarray]]],
     *,
     rel_tol: float = REL_TARGET,
-    max_evals: int = MAX_EVALS_PER_PATH,
 ) -> QuadResult:
     """Integral of a one-form along a path given as parameterized segments.
 
     Each segment maps s in [0, 1] to (point, velocity); the integrand is the
     pairing one_form(point) . velocity.
     """
-    budget = EvalBudget(max_evals)
+    budget = EvalBudget(MAX_EVALS_PER_PATH)
     total = 0.0
     err = 0.0
     for seg in segments:

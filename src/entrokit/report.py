@@ -137,16 +137,18 @@ class SuiteConfig:
         for name, value in self.tolerances.items():
             if name not in DEFAULT_TOLERANCES:
                 raise ConfigError(f"unknown tolerance {name!r}")
-            if not (isinstance(value, (int, float)) and value > 0):
-                raise ConfigError(f"tolerance {name!r} must be positive, got {value!r}")
+            if not (_is_a(value, (int, float)) and math.isfinite(value) and value > 0):
+                raise ConfigError(
+                    f"tolerance {name!r} must be positive and finite, got {value!r}"
+                )
         for name, value in self.sample_counts.items():
             if name not in DEFAULT_SAMPLE_COUNTS:
                 raise ConfigError(f"unknown sample count {name!r}")
-            if not (isinstance(value, int) and value > 0):
+            if not (_is_a(value, int) and value > 0):
                 raise ConfigError(f"sample count {name!r} must be a positive int")
             if name in ("grid_nu", "grid_nv") and value < 2:
                 raise ConfigError(f"{name} must be at least 2 for a usable grid")
-        if not isinstance(self.seed, int):
+        if not _is_a(self.seed, int):
             raise ConfigError("seed must be an integer")
 
     def tol(self, name: str) -> float:
@@ -156,7 +158,9 @@ class SuiteConfig:
         return self.sample_counts.get(name, DEFAULT_SAMPLE_COUNTS[name])
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "SuiteConfig":
+    def from_dict(cls, raw: dict, tolerance_overrides: dict = None) -> "SuiteConfig":
+        """Build a config from its JSON form; ``tolerance_overrides`` take
+        precedence over the file's tolerances."""
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
         unknown = set(raw) - {"model", "suites", "seed", "tolerances", "sample_counts"}
@@ -166,12 +170,14 @@ class SuiteConfig:
         suites = raw.get("suites", list(SUITES))
         if suites == "all":
             suites = list(SUITES)
+        if not isinstance(suites, list):
+            raise ConfigError(f'suites must be a list of suite names or "all", got {suites!r}')
         return cls(
             model=model,
             suites=tuple(suites),
             seed=raw.get("seed", 0),
-            tolerances=dict(raw.get("tolerances", {})),
-            sample_counts=dict(raw.get("sample_counts", {})),
+            tolerances={**_json_object(raw, "tolerances"), **(tolerance_overrides or {})},
+            sample_counts=_json_object(raw, "sample_counts"),
         )
 
     def to_dict(self) -> dict:
@@ -182,6 +188,18 @@ class SuiteConfig:
             "tolerances": dict(self.tolerances),
             "sample_counts": dict(self.sample_counts),
         }
+
+
+def _is_a(value, types) -> bool:
+    """isinstance, except that JSON's true and false are not numbers."""
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
+def _json_object(raw: dict, key: str) -> dict:
+    value = raw.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be a JSON object, got {value!r}")
+    return dict(value)
 
 
 def build_target(model_spec: dict):
@@ -201,8 +219,8 @@ def build_target(model_spec: dict):
             raise ConfigError(f"bad params for model kind {kind!r}: {exc}") from exc
         target = constructor(**params)
     elif kind == "fixture":
-        if "path" not in params:
-            raise ConfigError("fixture model spec needs params.path")
+        if not isinstance(params.get("path"), str):
+            raise ConfigError("fixture model spec needs params.path, a file name")
         target = load_fixture(params["path"])
     else:
         raise ConfigError(f"unknown model kind {kind!r}")

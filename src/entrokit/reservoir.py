@@ -50,9 +50,9 @@ class Reservoir:
 
     ``window`` restricts the affine behaviour to an energy interval for
     finite-capacity realizations; leaving it is an engine error, never a
-    silent extrapolation.  ``behavior_temperature`` is the slope the physics
-    actually uses and normally equals the declared temperature; fault
-    injection may separate the two.
+    silent extrapolation.  ``t_eff`` is the temperature the physics
+    uses; only a planted defect (see ``mutants``) makes it differ from the
+    declared one.
     """
 
     id: str
@@ -62,7 +62,6 @@ class Reservoir:
     ref_entropy: float = 0.0
     region: object = "reservoir-region"
     window: Optional[tuple[float, float]] = None
-    behavior_temperature: Optional[float] = None
     outside_temperatures: Optional[tuple[float, float]] = None
 
     def __post_init__(self):
@@ -73,11 +72,7 @@ class Reservoir:
 
     @property
     def t_eff(self) -> float:
-        return (
-            self.behavior_temperature
-            if self.behavior_temperature is not None
-            else self.temperature
-        )
+        return self.temperature
 
     def entropy_at(self, energy: float) -> float:
         if self.window is not None and self.outside_temperatures is not None:

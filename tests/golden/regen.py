@@ -1,0 +1,82 @@
+"""Golden canonical reports: the runs, how to render them, and how to
+rewrite the committed files.
+
+Each ``<name>.json`` in this directory is the canonical JSON report that
+``entrokit`` prints for one run in ``RUNS``; ``tests/test_golden.py``
+renders every run again and compares the bytes.  After a change that moves
+a report on purpose, rewrite the files from the repository root with
+
+    PYTHONPATH=src python tests/golden/regen.py
+
+and name the files and the reason in CHANGES.md.
+
+None of these runs reaches ``np.linalg.lstsq`` or scipy's ``quad``, so the
+bytes do not depend on the installed numpy or scipy.  Fixture paths are
+relative to this directory, which is the working directory of every run.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+from entrokit.cli import main
+
+GOLDEN_DIR = Path(__file__).resolve().parent
+
+
+def _gas(mutation=None) -> dict:
+    model = {"kind": "ideal_gas"}
+    if mutation:
+        model["mutation"] = mutation
+    return {"model": model}
+
+
+# name -> (command line, config file contents)
+RUNS = {
+    "all-spin-seed3": (["all", "--seed", "3"], {"model": {"kind": "two_level_spin"}}),
+    "check-axioms-gas-seed2": (["check-axioms", "--seed", "2"], _gas()),
+    **{
+        f"check-axioms-{m}-seed2": (["check-axioms", "--seed", "2"], _gas(m))
+        for m in ("composite_max", "strict_only_comparison", "break_scaling", "break_splitting")
+    },
+    "verify-theorems-gas-seed2": (["verify-theorems", "--seed", "2"], _gas()),
+    "verify-theorems-noisy_work-seed2": (["verify-theorems", "--seed", "2"], _gas("noisy_work")),
+    "all-fixture-seed1": (
+        ["all", "--seed", "1"],
+        {"model": {"kind": "fixture", "params": {"path": "fixture.json"}}},
+    ),
+}
+
+
+def render(name: str) -> str:
+    """The canonical JSON report of one run, as the CLI prints it."""
+    argv, config = RUNS[name]
+    out = io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        config_path = os.path.join(tmp, "config.json")
+        with open(config_path, "w") as fh:
+            json.dump(config, fh)
+        os.chdir(GOLDEN_DIR)
+        try:
+            with contextlib.redirect_stdout(out):
+                main([*argv, "--config", config_path])
+        finally:
+            os.chdir(cwd)
+    return out.getvalue()
+
+
+def golden_path(name: str) -> Path:
+    return GOLDEN_DIR / f"{name}.json"
+
+
+if __name__ == "__main__":
+    for name in RUNS:
+        golden_path(name).write_text(render(name))
+        print(f"wrote {golden_path(name).name}", file=sys.stderr)

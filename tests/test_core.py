@@ -12,6 +12,7 @@ from entrokit.core import (
     StateKind,
     accessible,
     compose,
+    composite_relation,
     composite_state,
     parts_of,
     states_equal,
@@ -205,9 +206,10 @@ def test_states_equal_uses_tolerance(gas):
 
 # -- induced leq against its definition --------------------------------------
 
-def _reference_leq(rel, x, y):
+def _reference_leq(rel, x, y, mutation=None):
     """Induced leq spelled out one quantity at a time: compatible composition
-    totals, then the combined oracle values within the larger part atol."""
+    totals, then the combined oracle values within the larger part atol.
+    ``mutation`` names the relation defect planted in ``rel``, if any."""
 
     def owner(p):
         return next(m for m in rel.models if p.space_id in m.spaces)
@@ -223,7 +225,7 @@ def _reference_leq(rel, x, y):
         values = [owner(p).oracle_entropy(p) for p in parts_of(state)]
         if len(values) == 1:
             return values[0]
-        return sum(values) if rel.composite_policy == "sum" else max(values)
+        return max(values) if mutation == "composite_max" else sum(values)
 
     tx, ty = totals(x), totals(y)
     if set(tx) != set(ty) or not all(
@@ -232,7 +234,8 @@ def _reference_leq(rel, x, y):
         return False
     atol = max(owner(p).entropy_atol for p in parts_of(x) + parts_of(y))
     sx, sy = entropy(x), entropy(y)
-    if rel.strict_single_space and isinstance(x, State) and isinstance(y, State):
+    single = isinstance(x, State) and isinstance(y, State)
+    if mutation == "strict_only_comparison" and single:
         return states_equal(x, y) or sx < sy - atol
     return sx <= sy + atol
 
@@ -268,13 +271,11 @@ def test_leq_matches_reference_definition(spin, mutation):
     gas = ideal_gas()
     if mutation is not None:
         gas = mutate_model(gas, mutation)
-    rel = AccessibilityRelation.induced([gas, spin])
-    assert rel.composite_policy == ("max" if mutation == "composite_max" else "sum")
-    assert rel.strict_single_space is (mutation == "strict_only_comparison")
+    rel = composite_relation([gas.relation(), spin.relation()])
     outcomes = set()
     for x, y in _leq_cases(gas, spin, seed=17):
         for a, b in ((x, y), (y, x)):
-            got, want = rel.leq(a, b), _reference_leq(rel, a, b)
+            got, want = rel.leq(a, b), _reference_leq(rel, a, b, mutation)
             assert got is want, (a, b)
             outcomes.add(got)
     assert outcomes == {True, False}

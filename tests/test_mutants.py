@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from entrokit.axioms import (
@@ -8,14 +10,11 @@ from entrokit.axioms import (
     check_transitivity,
 )
 from entrokit.catalog import chain_fixture, ideal_gas
+from entrokit.core import composite_relation
+from entrokit.energy import check_path_independence
 from entrokit.errors import CapabilityError, DomainError
-from entrokit.mutants import (
-    EXPECTED_FAILURES,
-    MUTATIONS,
-    mutate_model,
-    mutation_matrix,
-)
-from entrokit.reservoir import Reservoir
+from entrokit.mutants import MUTATIONS, mutate_model, mutation_matrix
+from entrokit.reservoir import Reservoir, reference_reservoir, temperature_of
 
 
 def test_unknown_mutation_rejected(gas):
@@ -23,19 +22,68 @@ def test_unknown_mutation_rejected(gas):
         mutate_model(gas, "no_such_defect")
 
 
-def test_mutation_metadata_recorded(gas):
-    mutant = mutate_model(gas, "break_splitting")
-    assert mutant.mutation == "break_splitting"
-    assert mutant.expected_failures == EXPECTED_FAILURES["break_splitting"]
+MOVED_DEFECTS = ("composite_max", "strict_only_comparison", "noisy_work",
+                 "wrong_reservoir_temperature")
+
+
+def _pairs(model, n=5, seed=3):
+    rng = random.Random(seed)
+    e = model.process_engine
+    return [(e.sample_state(rng), e.sample_state(rng)) for _ in range(n)]
+
+
+def _behaviour(model, reservoir):
+    """What the checks see of a model's relation and engine and of a
+    reservoir; each moved defect changes one part of it."""
+    rel = model.relation()
+    pairs = _pairs(model)
+    return (
+        check_consistency(rel, rel, samples=60, seed=1).status,
+        check_stability(rel, samples=40, seed=1).status,
+        check_path_independence(model, pairs, k=4, seed=1).status,
+        temperature_of(reservoir, reference_reservoir(), (model, *pairs[0])),
+    )
+
+
+@pytest.mark.parametrize("mutation", MOVED_DEFECTS)
+def test_planting_leaves_original_behaviour_unchanged(mutation):
+    gas, reservoir = ideal_gas(), Reservoir(id="r", temperature=300.0)
+    before = _behaviour(gas, reservoir)
+    if mutation == "wrong_reservoir_temperature":
+        mutant = _behaviour(gas, mutate_model(reservoir, mutation))
+    else:
+        mutant = _behaviour(mutate_model(gas, mutation), reservoir)
+    assert mutant != before
+    assert _behaviour(gas, reservoir) == before
+
+
+def test_wrong_reservoir_temperature_leaves_original_calibrated(gas, r0, rng):
+    reservoir = Reservoir(id="r", temperature=300.0)
+    bad = mutate_model(reservoir, "wrong_reservoir_temperature")
+    e = gas.process_engine
+    probe = (gas, e.sample_state(rng), e.sample_state(rng))
+    assert temperature_of(bad, r0, probe) == pytest.approx(1.1 * 300.0, rel=1e-12)
+    assert temperature_of(reservoir, r0, probe) == pytest.approx(300.0, rel=1e-12)
+    assert bad.temperature == reservoir.temperature == 300.0
 
 
 def test_mutations_leave_original_intact(gas):
-    mutant = mutate_model(gas, "composite_max")
-    assert gas.composite_policy == "sum"
-    assert mutant.composite_policy == "max"
+    max_rel = mutate_model(gas, "composite_max").relation()
+    assert check_consistency(max_rel, max_rel, samples=100, seed=1).failed
+    assert check_consistency(gas.relation(), gas.relation(), samples=100, seed=1).passed
     noisy = mutate_model(gas, "noisy_work")
-    assert gas.process_engine.polygonal_work_noise == 0.0
-    assert noisy.process_engine.polygonal_work_noise == 0.1
+    assert check_path_independence(noisy, _pairs(noisy), k=4, seed=1).failed
+    assert check_path_independence(gas, _pairs(gas), k=4, seed=1).passed
+
+
+def test_composite_relation_keeps_the_planted_relation(spin):
+    mutant = mutate_model(ideal_gas(), "strict_only_comparison")
+    rel = composite_relation([mutant.relation(), spin.relation()])
+    assert type(rel) is type(mutant.relation())
+    assert rel.models == [mutant, spin]
+    assert check_stability(rel, samples=40, seed=1).failed
+    intact = composite_relation([ideal_gas().relation(), spin.relation()])
+    assert check_stability(intact, samples=40, seed=1).passed
 
 
 def test_break_transitivity_needs_fixture(gas):
@@ -87,8 +135,6 @@ def test_composite_max_breaks_consistency_and_splitting():
 
 
 def test_wrong_temperature_reservoir_behaves_hotter(gas, r0, rng):
-    from entrokit.reservoir import temperature_of
-
     bad = mutate_model(Reservoir(id="bad", temperature=300.0),
                        "wrong_reservoir_temperature")
     e = gas.process_engine

@@ -359,6 +359,27 @@ def test_cli_nan_tolerance_exits_two(tmp_path, capsys, source):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("config, flags", [
+    ({"tolerances": 5}, []),
+    ({"sample_counts": [1]}, []),
+    ({"suites": 5}, []),
+    ({"seed": True}, []),
+    ({"tolerances": {"lambda_tol": True}}, []),
+    ({"sample_counts": {"axiom_samples": True}}, []),
+    ({"tolerances": {"zb_residual": float("inf")}}, []),
+    ({}, ["--tolerance", "zb_residual=inf"]),
+    ({"model": {"kind": "fixture", "params": {"path": 0}}}, []),
+])
+def test_cli_mistyped_config_exits_two(tmp_path, capsys, config, flags):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out_path = tmp_path / "r.json"
+    code = main(["check-axioms", "--config", str(path), "--out", str(out_path), *flags])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out_path.exists()
+
+
 def test_cli_unwritable_out_exits_three(tmp_path, capsys):
     code = main([
         "check-axioms", "--out", str(tmp_path / "missing-dir" / "report.json"),
