@@ -315,14 +315,6 @@ class AccessibilityRelation:
     def _combine(self, values: list[float]) -> float:
         return sum(values)
 
-    def _entropy(self, state: StateLike) -> float:
-        """Oracle entropy as the relation sees it (sum over composite parts).
-
-        Internal: nature's side of the fence.  Construction code must go
-        through leq()/accessible() instead.
-        """
-        return self._combine(self._profile(state)[1])
-
     @staticmethod
     def _totals_match(tx: dict[str, float], ty: dict[str, float]) -> bool:
         if tx == ty:

@@ -202,6 +202,25 @@ def _json_object(raw: dict, key: str) -> dict:
     return dict(value)
 
 
+def _like_default(value, default) -> bool:
+    """Whether a JSON param value has the type of its constructor default:
+    a string for a string, a finite non-bool number for a number, and a list
+    of the same shape for a tuple."""
+    if isinstance(default, str):
+        return isinstance(value, str)
+    if isinstance(default, tuple):
+        return (
+            isinstance(value, list)
+            and len(value) == len(default)
+            and all(_like_default(v, d) for v, d in zip(value, default))
+        )
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
 def build_target(model_spec: dict):
     """Instantiate the configured model or fixture, applying a mutation if
     the config plants one."""
@@ -213,10 +232,18 @@ def build_target(model_spec: dict):
         raise ConfigError("model params must be a JSON object")
     if kind in ("ideal_gas", "two_level_spin"):
         constructor = ideal_gas if kind == "ideal_gas" else two_level_spin
+        signature = inspect.signature(constructor)
         try:
-            inspect.signature(constructor).bind(**params)
+            signature.bind(**params)
         except TypeError as exc:
             raise ConfigError(f"bad params for model kind {kind!r}: {exc}") from exc
+        for name, value in params.items():
+            default = signature.parameters[name].default
+            if not _like_default(value, default):
+                raise ConfigError(
+                    f"bad params for model kind {kind!r}: {name!r} must match "
+                    f"the type of its default {json.dumps(default)}, got {json.dumps(value)}"
+                )
         target = constructor(**params)
     elif kind == "fixture":
         if not isinstance(params.get("path"), str):

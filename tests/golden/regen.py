@@ -10,9 +10,10 @@ a report on purpose, rewrite the files from the repository root with
 
 and name the files and the reason in CHANGES.md.
 
-None of these runs reaches ``np.linalg.lstsq`` or scipy's ``quad``, so the
-bytes do not depend on the installed numpy or scipy.  Fixture paths are
-relative to this directory, which is the working directory of every run.
+None of these runs reaches ``np.linalg.lstsq``.  The two ``caratheodory``
+runs reach the in-repo quadrature rule, so they gate its bytes.  Fixture
+paths are relative to this directory, which is the working directory of
+every run.
 """
 
 from __future__ import annotations
@@ -30,8 +31,10 @@ from entrokit.cli import main
 GOLDEN_DIR = Path(__file__).resolve().parent
 
 
-def _gas(mutation=None) -> dict:
+def _gas(mutation=None, **params) -> dict:
     model = {"kind": "ideal_gas"}
+    if params:
+        model["params"] = params
     if mutation:
         model["mutation"] = mutation
     return {"model": model}
@@ -47,6 +50,10 @@ RUNS = {
     },
     "verify-theorems-gas-seed2": (["verify-theorems", "--seed", "2"], _gas()),
     "verify-theorems-noisy_work-seed2": (["verify-theorems", "--seed", "2"], _gas("noisy_work")),
+    "caratheodory-gas-seed3": (["caratheodory", "--seed", "3"], _gas()),
+    "caratheodory-gas-n2-cv2.5-seed3": (
+        ["caratheodory", "--seed", "3"], _gas(n=2, c_v_hat=2.5),
+    ),
     "all-fixture-seed1": (
         ["all", "--seed", "1"],
         {"model": {"kind": "fixture", "params": {"path": "fixture.json"}}},

@@ -71,7 +71,7 @@ def test_compose_additivity_of_oracle(gas, gas_rel):
     x = e.state(1000.0, 0.01)
     y = e.state(2000.0, 0.03)
     both = composite_state([x, y])
-    assert gas_rel._entropy(both) == pytest.approx(
+    assert gas_rel._combine(gas_rel._profile(both)[1]) == pytest.approx(
         gas.oracle_entropy(x) + gas.oracle_entropy(y), abs=1e-12
     )
 

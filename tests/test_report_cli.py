@@ -369,6 +369,12 @@ def test_cli_nan_tolerance_exits_two(tmp_path, capsys, source):
     ({"tolerances": {"zb_residual": float("inf")}}, []),
     ({}, ["--tolerance", "zb_residual=inf"]),
     ({"model": {"kind": "fixture", "params": {"path": 0}}}, []),
+    ({"model": {"kind": "ideal_gas", "params": {"n": "x"}}}, []),
+    ({"model": {"kind": "ideal_gas", "params": {"c_v_hat": "x"}}}, []),
+    ({"model": {"kind": "ideal_gas", "params": {"box": 5}}}, []),
+    ({"model": {"kind": "ideal_gas", "params": {"n": True}}}, []),
+    ({"model": {"kind": "ideal_gas", "params": {"model_id": 3}}}, []),
+    ({"model": {"kind": "two_level_spin", "params": {"n_particles": "x"}}}, []),
 ])
 def test_cli_mistyped_config_exits_two(tmp_path, capsys, config, flags):
     path = tmp_path / "config.json"
