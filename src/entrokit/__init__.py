@@ -19,17 +19,15 @@ from .core import (  # noqa: F401
     StateKind,
     StateSpace,
     accessible,
-    compose,
     composite_state,
     states_equal,
 )
 from .axioms import CheckResult, CheckStatus  # noqa: F401
-from .energy import WeightPolygonal, energy_of, polygonal_work  # noqa: F401
+from .energy import WeightPolygonal, polygonal_work  # noqa: F401
 from .interpolation import (  # noqa: F401
     EntropyTable,
     ReferencePair,
     affine_match,
-    calibrate_multispace,
     entropy_from_accessibility,
     find_lambda,
     sandwich_bounds,

@@ -37,6 +37,15 @@ K_BOLTZMANN = 1.380649e-23  # J/K
 
 REVERSIBLE_DS_TOL = 1e-12  # below this, a process counts as entropy-preserving
 
+# Model parameters are kept to these magnitudes, so that every product and
+# quotient the oracles and engines form stays a finite, nonzero float.
+PARAM_MIN, PARAM_MAX = 1e-100, 1e100
+
+
+def _check_param(name: str, value: float, low: float = PARAM_MIN):
+    if not low <= value <= PARAM_MAX:
+        raise DomainError(f"{name} must lie in [{low:g}, {PARAM_MAX:g}], got {value!r}")
+
 
 def _state_kind(deficit: float) -> StateKind:
     return StateKind.NONEQUILIBRIUM if deficit > 0 else StateKind.STABLE_EQUILIBRIUM
@@ -51,7 +60,7 @@ class _EngineBase:
     def bind(self, model: ModelSystem):
         self.model = model
 
-    # subclasses: oracle_entropy, energy_fn, sample_state, state constructors
+    # subclasses: oracle_entropy, sample_state, state constructors
 
     def _delta_s(self, a, b) -> float:
         sa = sum(self.oracle_entropy(p) for p in parts_of(a))
@@ -101,13 +110,7 @@ class _EngineBase:
         ds_system = self._delta_s(a, b)
         delta = r.delta_energy_for_delta_entropy(-ds_system)
         return StandardWeightProcessRecord(
-            system_pair=(a, b),
-            reservoir_id=r.id,
-            delta_e_r=delta,
-            reversible=True,
-            sigma=0.0,
-            reservoir_energy_before=r.energy,
-            reservoir_energy_after=r.energy + delta,
+            system_pair=(a, b), delta_e_r=delta, reversible=True, sigma=0.0,
         )
 
     def carnot_reservoir_delta(self, a, b, r: Reservoir) -> float:
@@ -177,16 +180,6 @@ class IdealGasEngine(_EngineBase):
             + math.log(v / (n * self.v_star))
         ) + n * self.s_star
         return s_eq - deficit
-
-    def energy_fn(self, state: State) -> float:
-        return state.coords[0]
-
-    def temperature(self, state: State) -> float:
-        return state.coords[0] / (self.cv * self.n_eff(state) * R_GAS)
-
-    def pressure(self, state: State) -> float:
-        u, v, _ = state.coords
-        return u / (self.cv * v)
 
     def scale_state(self, state: State, t: float) -> State:
         u, v, deficit = state.coords
@@ -335,8 +328,19 @@ def ideal_gas(
 ) -> ModelSystem:
     """Monatomic-by-default ideal gas with scaling support and both reservoir
     routes."""
-    if n <= 0:
-        raise DomainError("amount of substance must be positive")
+    _check_param("n", n)
+    _check_param("c_v_hat", c_v_hat)
+    u_star, v_star, s_star = gauge
+    _check_param("gauge u_star", u_star)
+    _check_param("gauge v_star", v_star)
+    _check_param("gauge |s_star|", abs(s_star), low=0.0)
+    for axis, (lo, hi) in zip("UV", box):
+        _check_param(f"box {axis} lower bound", lo)
+        _check_param(f"box {axis} upper bound", hi)
+        if not lo < hi:
+            raise DomainError(f"box {axis} bounds must satisfy lower < upper, got {[lo, hi]}")
+    # As floats: numpy cannot take an integer bound beyond 64 bits.
+    box = tuple((float(lo), float(hi)) for lo, hi in box)
     engine = IdealGasEngine(n, c_v_hat, gauge, box)
     base = StateSpace(
         id=f"{model_id}:base",
@@ -346,12 +350,10 @@ def ideal_gas(
     model = ModelSystem(
         id=model_id,
         spaces={base.id: base},
-        energy_fn=engine.energy_fn,
         oracle_entropy=engine.oracle_entropy,
         process_engine=engine,
         is_normal=True,
         energy_bounds=None,
-        supports_scaling=True,
         scale_state_fn=engine.scale_state,
         entropy_atol=1e-10,
         isentropic_partner=engine.isentropic_partner,
@@ -396,9 +398,6 @@ class TwoLevelSpinEngine(_EngineBase):
         e, deficit = state.coords
         return self.equilibrium_entropy(e) - deficit
 
-    def energy_fn(self, state: State) -> float:
-        return state.coords[0]
-
     def sample_state(self, rng: random.Random) -> State:
         return self.state(rng.uniform(*self.box))
 
@@ -433,24 +432,6 @@ class TwoLevelSpinEngine(_EngineBase):
                 hi = mid
         return self.state(0.5 * (lo + hi))
 
-    def raise_energy(self, state: State, de: float) -> ProcessRecord:
-        if de <= 0:
-            raise DomainError("stirring must raise the energy")
-        e, _ = state.coords
-        if e + de > self.e_max:
-            raise EngineError(
-                f"spin energy bound {self.e_max:.3e} J exceeded", witness=state
-            )
-        return self.weight_process(state, self.state(e + de))
-
-    def attempt_process_at_fixed_region(self, start: State, rng: random.Random):
-        e2 = rng.uniform(*self.box)
-        deficit = 0.0 if rng.random() < 0.5 else rng.uniform(0.0, 2.0) * K_BOLTZMANN
-        try:
-            return self.weight_process(start, self.state(e2, deficit))
-        except EngineError:
-            return None
-
     def random_weight_processes(self, n: int, rng: random.Random) -> list[ProcessRecord]:
         records = []
         while len(records) < n:
@@ -468,8 +449,11 @@ class TwoLevelSpinEngine(_EngineBase):
 def two_level_spin(n_particles: int = 100, eps: float = 1e-21,
                    model_id: str = "spin") -> ModelSystem:
     """Bounded-energy spin bath; not normal, no scaled copies."""
-    if n_particles < 2:
-        raise DomainError("need at least two particles")
+    if not (isinstance(n_particles, int) and 2 <= n_particles <= PARAM_MAX):
+        raise DomainError(
+            f"n_particles must be an integer in [2, {PARAM_MAX:g}], got {n_particles!r}"
+        )
+    _check_param("eps", eps)
     engine = TwoLevelSpinEngine(n_particles, eps)
     base = StateSpace(
         id=f"{model_id}:base",
@@ -479,12 +463,10 @@ def two_level_spin(n_particles: int = 100, eps: float = 1e-21,
     return ModelSystem(
         id=model_id,
         spaces={base.id: base},
-        energy_fn=engine.energy_fn,
         oracle_entropy=engine.oracle_entropy,
         process_engine=engine,
         is_normal=False,
         energy_bounds=(0.0, engine.e_max),
-        supports_scaling=False,
         entropy_atol=K_BOLTZMANN * n_particles * 1e-13,
     )
 
@@ -610,11 +592,11 @@ def random_closed_dag_fixture(n: int, seed: int = 0, density: float = 0.05) -> F
 # Simple-system view of the ideal gas (for the quasistatic structure checks)
 # ---------------------------------------------------------------------------
 
-def ideal_gas_simple_system(n: float = 1.0, c_v_hat: float = 1.5,
-                            box=((300.0, 600.0), (0.01, 0.02))):
+def ideal_gas_simple_system(n: float = 1.0, c_v_hat: float = 1.5):
     """The gas in (tau, V) coordinates with its quasistatic structure spelled
     out analytically: work form p dV, collapse M dx0 with M = n R tau and
-    x0 = cv ln(tau) + ln(V), factorization f(tau) = tau, alpha = n R, c = 1."""
+    x0 = cv ln(tau) + ln(V), factorization f(tau) = tau, alpha = n R, c = 1.
+    Its coordinate box is tau in [300, 600] K and V in [0.01, 0.02] m^3."""
     from .pfaffian import SimpleSystemModel
 
     nr = n * R_GAS
@@ -655,7 +637,7 @@ def ideal_gas_simple_system(n: float = 1.0, c_v_hat: float = 1.5,
         f_fn=lambda tau: tau,
         alpha_fn=lambda x0: nr,
         c=1.0,
-        coord_box=box,
+        coord_box=((300.0, 600.0), (0.01, 0.02)),
         u_grad_fn=u_grad,
         x0_grad_fn=x0_grad,
     )

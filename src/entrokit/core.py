@@ -1,14 +1,15 @@
 """Shared domain types: states, state spaces, composition, scaling, and the
 adiabatic-accessibility preorder.
 
-States are immutable values.  A model system bundles the functions that give
-them physical meaning (energy, a ground-truth entropy oracle, a process
-engine that plays nature).  The accessibility relation is either an explicit
-finite pair set or induced from a model's oracle: within one space or between
-compatible composites, X precedes Y exactly when the oracle entropy of X does
-not exceed that of Y.  Construction code elsewhere in the package is required
-to interact with models only through relation queries and engine calls, never
-by reading the oracle directly.
+States are immutable values that carry their own energy.  A model system
+bundles the functions that give them physical meaning (a ground-truth
+entropy oracle, a process engine that plays nature).  The accessibility
+relation is either an explicit finite pair set or induced from a model's
+oracle: within one space or between compatible composites, X precedes Y
+exactly when the oracle entropy of X does not exceed that of Y.
+Construction code elsewhere in the package is required to interact with
+models only through relation queries and engine calls, never by reading the
+oracle directly.
 """
 
 from __future__ import annotations
@@ -83,37 +84,12 @@ class CompositeState:
         if not self.parts:
             raise DomainError("composite state needs at least one part")
 
-    @property
-    def energy(self) -> float:
-        if not all(p.separable for p in self.parts):
-            raise DomainError("composite energy undefined: a part is not separable")
-        return sum(p.energy for p in self.parts)
-
-    @property
-    def separable(self) -> bool:
-        return all(p.separable for p in self.parts)
-
-    @property
-    def uncorrelated(self) -> bool:
-        return all(p.uncorrelated for p in self.parts)
-
 
 StateLike = Union[State, CompositeState]
 
 
-@dataclass(frozen=True)
-class CompositeSpace:
-    """The product of several state spaces; its states are CompositeStates."""
-
-    parts: tuple[StateSpace, ...]
-
-    @property
-    def id(self) -> str:
-        return "(" + ",".join(p.id for p in self.parts) + ")"
-
-
-def states_equal(a: StateLike, b: StateLike, atol: float = COORD_ATOL) -> bool:
-    """Coordinate-wise identity of two states within an absolute tolerance."""
+def states_equal(a: StateLike, b: StateLike) -> bool:
+    """Coordinate-wise identity of two states within ``COORD_ATOL``."""
     pa, pb = parts_of(a), parts_of(b)
     if len(pa) != len(pb):
         return False
@@ -122,7 +98,7 @@ def states_equal(a: StateLike, b: StateLike, atol: float = COORD_ATOL) -> bool:
             return False
         if len(x.coords) != len(y.coords):
             return False
-        if any(abs(u - v) > atol for u, v in zip(x.coords, y.coords)):
+        if any(abs(u - v) > COORD_ATOL for u, v in zip(x.coords, y.coords)):
             return False
     return True
 
@@ -140,19 +116,6 @@ def composite_state(parts: Sequence[StateLike]) -> CompositeState:
     for p in parts:
         flat.extend(parts_of(p))
     return CompositeState(tuple(flat))
-
-
-def compose(spaces: Sequence[Union[StateSpace, CompositeSpace]]) -> CompositeSpace:
-    """Product of state spaces; nested composites are flattened."""
-    if not spaces:
-        raise DomainError("compose needs a non-empty list of spaces")
-    flat: list[StateSpace] = []
-    for s in spaces:
-        if isinstance(s, CompositeSpace):
-            flat.extend(s.parts)
-        else:
-            flat.append(s)
-    return CompositeSpace(tuple(flat))
 
 
 @dataclass(frozen=True)
@@ -180,7 +143,7 @@ class ProcessRecord:
 
 
 class ModelSystem:
-    """A concrete physical model: spaces, energy, oracle entropy, and an engine.
+    """A concrete physical model: spaces, oracle entropy, and an engine.
 
     The oracle entropy is ground truth used by the engine ("nature") and by
     verification code; entropy-construction algorithms must not call it.
@@ -192,12 +155,10 @@ class ModelSystem:
         self,
         id: str,
         spaces: dict[str, StateSpace],
-        energy_fn: Callable[[State], float],
         oracle_entropy: Callable[[State], float],
         process_engine,
         is_normal: bool = True,
         energy_bounds: Optional[tuple[float, float]] = None,
-        supports_scaling: bool = False,
         scale_state_fn: Optional[Callable[[State, float], State]] = None,
         entropy_atol: float = 0.0,
         isentropic_partner: Optional[Callable[[State, object], Optional[State]]] = None,
@@ -209,17 +170,19 @@ class ModelSystem:
                 )
         self.id = id
         self.spaces = dict(spaces)
-        self.energy_fn = energy_fn
         self.oracle_entropy = oracle_entropy
         self.process_engine = process_engine
         self.is_normal = is_normal
         self.energy_bounds = energy_bounds
-        self.supports_scaling = supports_scaling
         self._scale_state_fn = scale_state_fn
         self.entropy_atol = entropy_atol
         self.isentropic_partner = isentropic_partner
         if process_engine is not None:
             process_engine.bind(self)
+
+    @property
+    def supports_scaling(self) -> bool:
+        return self._scale_state_fn is not None
 
     def scale_state(self, state: State, t: float) -> State:
         """The t-scaled copy of a state: every extensive quantity multiplied
@@ -228,7 +191,7 @@ class ModelSystem:
         Raises CapabilityError for models that cannot form scaled copies
         (field systems, few-particle systems).
         """
-        if not self.supports_scaling or self._scale_state_fn is None:
+        if not self.supports_scaling:
             raise CapabilityError(f"model {self.id!r} does not support scaled copies")
         if not (t > 0 and math.isfinite(t)):
             raise DomainError(f"scale factor must be positive, got {t!r}")

@@ -1,5 +1,5 @@
-"""Energy from weight polygonals: signed work sums, energy assignment from a
-reference state, and path-independence / additivity verification."""
+"""Energy from weight polygonals: signed work sums, and the verification
+that they are path independent and additive over composites."""
 
 from __future__ import annotations
 
@@ -24,7 +24,6 @@ AGAINST = "against"
 
 PATH_INDEP_REL_TOL = 1e-10
 PATH_INDEP_ABS_FLOOR = 1e-12
-ENERGY_ADD_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -84,29 +83,6 @@ def polygonal_work(p: WeightPolygonal) -> float:
     return total
 
 
-def energy_of(
-    model: ModelSystem,
-    target: StateLike,
-    ref: StateLike,
-    e0: float,
-    p: WeightPolygonal,
-) -> float:
-    """Energy assigned to ``target`` from reference energy ``e0``: the work
-    received in any polygonal from the reference, i.e. e0 minus the work done."""
-    if not states_equal(p.endpoints[0], ref) or not states_equal(p.endpoints[1], target):
-        raise DomainError("polygonal endpoints do not match (ref, target)")
-    for s in (ref, target):
-        if not all(part.separable for part in parts_of(s)):
-            raise DomainError("energy is defined only for separable states")
-    return e0 - polygonal_work(p)
-
-
-def trivial_polygonal(state: StateLike) -> WeightPolygonal:
-    """The zero-leg stand-in: a single identity weight process with no work."""
-    rec = ProcessRecord("weight", state, state, 0.0, reversible=True, sigma=0.0)
-    return WeightPolygonal(((rec, ALONG),), (state, state))
-
-
 def check_path_independence(
     model: ModelSystem,
     pairs: Sequence[tuple[StateLike, StateLike]],
@@ -156,8 +132,6 @@ def check_path_independence(
 def check_energy_additivity(
     a_pair: tuple[StateLike, StateLike],
     b_pair: tuple[StateLike, StateLike],
-    *,
-    tol: float = ENERGY_ADD_TOL,
 ) -> float:
     """Residual of composite-vs-parts energy differences, evaluated exactly
     over the stored values.

@@ -44,14 +44,6 @@ class DegenerateFitError(DomainError):
     """An affine fit is requested against constant or insufficient data."""
 
 
-class RankDeficiencyError(EntrokitError):
-    """A calibration system is underdetermined; names the missing constraints."""
-
-    def __init__(self, message, missing=()):
-        super().__init__(message)
-        self.missing = tuple(missing)
-
-
 class ParseError(EntrokitError):
     """A fixture or config file does not match the expected schema."""
 

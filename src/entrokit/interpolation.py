@@ -4,10 +4,10 @@ states.
 Given references X0 strictly below X1, the unique fraction lam with
 X equivalent to the pair ((1-lam)X0, lam X1) is located by bisection using
 nothing but accessibility queries; the entropy of X is then the lam-weighted
-mix of the reference values.  Tables built this way on different spaces are
-stitched together by an affine calibration that enforces additivity and
-extensivity, and certified against ground truth up to the affine gauge any
-valid entropy carries.
+mix of the reference values.  A table built this way is certified against
+ground truth up to the affine gauge any valid entropy carries, and the
+tightest equilibrium values around a nonequilibrium state bound its entropy
+from both sides.
 """
 
 from __future__ import annotations
@@ -23,13 +23,7 @@ from .core import (
     StateLike,
     composite_state,
 )
-from .errors import (
-    CapabilityError,
-    DegenerateFitError,
-    DomainError,
-    NumericError,
-    RankDeficiencyError,
-)
+from .errors import CapabilityError, DegenerateFitError, DomainError, NumericError
 
 LAMBDA_TOL = 1e-9
 LAMBDA_MAX_ITER = 200
@@ -178,89 +172,6 @@ def affine_match(f: Sequence[float], g: Sequence[float]) -> AffineFit:
     (a, b), *_ = np.linalg.lstsq(design, g, rcond=None)
     residuals = np.abs(a * f + b - g)
     return AffineFit(float(a), float(b), float(residuals.max()))
-
-
-# ---------------------------------------------------------------------------
-# Multi-space calibration
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CalibrationIdentity:
-    """One linear identity sum(coeff * S_global(table_index, state)) = 0."""
-
-    terms: tuple[tuple[int, State, float], ...]
-
-
-def split_identity(
-    whole: tuple[int, State], parts: Sequence[tuple[int, State]]
-) -> CalibrationIdentity:
-    terms = [(whole[0], whole[1], 1.0)]
-    terms += [(i, s, -1.0) for i, s in parts]
-    return CalibrationIdentity(tuple(terms))
-
-
-def extensivity_identity(
-    scaled: tuple[int, State], base: tuple[int, State], t: float
-) -> CalibrationIdentity:
-    return CalibrationIdentity(((scaled[0], scaled[1], 1.0), (base[0], base[1], -t)))
-
-
-def calibrate_multispace(
-    tables: Sequence[EntropyTable],
-    identities: Sequence[CalibrationIdentity],
-) -> tuple[list[tuple[float, float]], float]:
-    """Solve for per-table constants (a, b) making the identities hold.
-
-    The first table fixes the gauge (a=1, b=0).  Returns the constants and
-    the largest identity residual after calibration; an underdetermined
-    system raises and names the tables lacking constraints.
-    """
-    m = len(tables)
-    if m == 0:
-        raise DomainError("no tables to calibrate")
-    n_unknowns = 2 * (m - 1)  # (a_i, b_i) for i >= 1; table 0 pinned to (1, 0)
-    rows = []
-    rhs = []
-    touched = set()
-    for ident in identities:
-        row = np.zeros(n_unknowns)
-        r = 0.0
-        for idx, state, coeff in ident.terms:
-            if not 0 <= idx < m:
-                raise DomainError(f"identity references unknown table {idx}")
-            v = tables[idx].value(state)
-            touched.add(idx)
-            if idx == 0:
-                r -= coeff * v  # a=1, b=0
-            else:
-                row[2 * (idx - 1)] += coeff * v
-                row[2 * (idx - 1) + 1] += coeff
-        rows.append(row)
-        rhs.append(r)
-    missing = [tables[i].space_id for i in range(1, m) if i not in touched]
-    if missing:
-        raise RankDeficiencyError(
-            f"no identities constrain table(s) {missing}", missing=missing
-        )
-    if n_unknowns == 0:
-        constants = [(1.0, 0.0)]
-        res = max(abs(r) for r in rhs) if rhs else 0.0
-        return constants, res
-    a_mat = np.vstack(rows)
-    b_vec = np.asarray(rhs)
-    rank = np.linalg.matrix_rank(a_mat, tol=1e-9 * max(1.0, np.abs(a_mat).max()))
-    if rank < n_unknowns:
-        raise RankDeficiencyError(
-            f"calibration system has rank {rank} < {n_unknowns} unknowns; "
-            "add splitting or extensivity identities",
-            missing=[t.space_id for t in tables[1:]],
-        )
-    sol, *_ = np.linalg.lstsq(a_mat, b_vec, rcond=None)
-    constants = [(1.0, 0.0)]
-    for i in range(m - 1):
-        constants.append((float(sol[2 * i]), float(sol[2 * i + 1])))
-    residual = float(np.abs(a_mat @ sol - b_vec).max()) if rows else 0.0
-    return constants, residual
 
 
 # ---------------------------------------------------------------------------

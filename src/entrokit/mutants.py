@@ -197,9 +197,9 @@ def run_model_checks(
     reservoir: Reservoir,
     *,
     seed: int = 0,
-    samples: int = 120,
 ) -> list[CheckResult]:
     """The full battery used by the coverage matrix for parametric models."""
+    samples = 120  # shared out among the sampled checks
     rng = random.Random(seed)
     rel = model.relation()
     engine = model.process_engine

@@ -6,20 +6,22 @@ concrete models: that energy change plus work collapses onto a single
 M dx0 form, that 1/T is an integrating factor (closed-loop integrals of
 (dU + dW)/T vanish), and that the factorization M = f(tau) alpha(x0)
 reproduces an entropy function matching the model's ground truth up to
-the affine gauge.
+the affine gauge.  Paths run through way-points, cubic or linear, and every
+path integral is taken to the quadrature module's relative target
+``REL_TARGET``.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .axioms import CheckResult, verdict
 from .errors import DomainError
-from .quadrature import REL_TARGET, integrate_scalar, line_integral
+from .quadrature import integrate_scalar, line_integral
 
 LOOP_ABS_TOL = 1e-8
 PFAFFIAN_REL_TOL = 1e-8
@@ -79,9 +81,7 @@ class QuasistaticPath:
     """A piecewise path through way-points, cubic (Catmull-Rom) or linear.
 
     Cubic interpolation keeps the curve smooth between way-points; corners
-    are honoured by the segment split at every way-point.  ``speed_warp``
-    reparameterizes each segment without moving the curve, for invariance
-    tests.
+    are honoured by the segment split at every way-point.
     """
 
     def __init__(
@@ -89,7 +89,6 @@ class QuasistaticPath:
         waypoints: Sequence[Sequence[float]],
         closed: bool = False,
         interp: str = "cubic",
-        speed_warp: Optional[Callable[[float], tuple[float, float]]] = None,
     ):
         pts = np.asarray(waypoints, dtype=float)
         if pts.ndim != 2 or pts.shape[0] < 2:
@@ -101,7 +100,6 @@ class QuasistaticPath:
         self.points = pts
         self.closed = closed
         self.interp = interp
-        self.speed_warp = speed_warp
 
     def _point(self, i: int) -> np.ndarray:
         n = len(self.points)
@@ -124,16 +122,10 @@ class QuasistaticPath:
         p2 = self._point(i + 1)
         p3 = self._point(i + 2)
         linear = self.interp == "linear"
-        warp = self.speed_warp
 
         def seg(s: float) -> tuple[np.ndarray, np.ndarray]:
-            rate = 1.0
-            if warp is not None:
-                s, rate = warp(s)
             if linear:
-                point = p1 + s * (p2 - p1)
-                velocity = (p2 - p1) * rate
-                return point, velocity
+                return p1 + s * (p2 - p1), p2 - p1
             # Catmull-Rom with tangents from the neighbouring way-points.
             m1 = 0.5 * (p2 - p0)
             m2 = 0.5 * (p3 - p1)
@@ -147,7 +139,7 @@ class QuasistaticPath:
             d10 = 3 * s2 - 4 * s + 1
             d01 = -6 * s2 + 6 * s
             d11 = 3 * s2 - 2 * s
-            velocity = (d00 * p1 + d10 * m1 + d01 * p2 + d11 * m2) * rate
+            velocity = d00 * p1 + d10 * m1 + d01 * p2 + d11 * m2
             return point, velocity
 
         return seg
@@ -159,20 +151,13 @@ class QuasistaticPath:
         return self.points[0] if self.closed else self.points[-1]
 
     def reversed(self) -> "QuasistaticPath":
-        return QuasistaticPath(self.points[::-1], closed=self.closed,
-                               interp=self.interp, speed_warp=self.speed_warp)
-
-    def with_speed_warp(self, warp: Callable[[float], tuple[float, float]]) -> "QuasistaticPath":
-        return QuasistaticPath(self.points, self.closed, self.interp, warp)
+        return QuasistaticPath(self.points[::-1], closed=self.closed, interp=self.interp)
 
 
-def quasistatic_work(
-    m: SimpleSystemModel, path: QuasistaticPath, *, rel_tol: float = REL_TARGET
-) -> float:
+def quasistatic_work(m: SimpleSystemModel, path: QuasistaticPath) -> float:
     """Work done by the system along the path: the integral of the
     quasistatic work form over the deformation coordinates."""
-    r = line_integral(m.work_form, path.segments(), rel_tol=rel_tol)
-    return r.value
+    return line_integral(m.work_form, path.segments()).value
 
 
 def check_pfaffian_form(
@@ -205,13 +190,7 @@ def check_pfaffian_form(
     )
 
 
-def loop_integral(
-    m: SimpleSystemModel,
-    loop: QuasistaticPath,
-    *,
-    power: int = 1,
-    rel_tol: float = REL_TARGET,
-) -> float:
+def loop_integral(m: SimpleSystemModel, loop: QuasistaticPath, *, power: int = 1) -> float:
     """Closed-loop integral of (dU + dW) / T**power."""
     if not loop.closed:
         raise DomainError("loop integrals need a closed path")
@@ -220,7 +199,7 @@ def loop_integral(
         t = m.temperature(coords)
         return (m.u_grad(coords) + m.work_form(coords)) / t ** power
 
-    return line_integral(integrand, loop.segments(), rel_tol=rel_tol).value
+    return line_integral(integrand, loop.segments()).value
 
 
 def check_integrating_factor(
@@ -291,18 +270,16 @@ def sample_box_coords(
 
 
 def random_closed_loop(
-    box: tuple[tuple[float, float], ...],
-    rng: random.Random,
-    n_points: int = 5,
-    margin: float = 0.25,
+    box: tuple[tuple[float, float], ...], rng: random.Random
 ) -> QuasistaticPath:
-    """A smooth random loop kept inside the box by an interior margin, so
-    the cubic interpolant's overshoot cannot leave the valid region."""
+    """A smooth random loop through five way-points kept inside the box by a
+    margin of a quarter of each side, so the cubic interpolant's overshoot
+    cannot leave the valid region."""
     pts = []
-    for _ in range(n_points):
+    for _ in range(5):
         pt = []
         for lo, hi in box:
             span = hi - lo
-            pt.append(rng.uniform(lo + margin * span, hi - margin * span))
+            pt.append(rng.uniform(lo + 0.25 * span, hi - 0.25 * span))
         pts.append(pt)
     return QuasistaticPath(pts, closed=True, interp="cubic")

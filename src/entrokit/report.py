@@ -29,6 +29,7 @@ from .axioms import (
     check_splitting,
     check_stability,
     check_transitivity,
+    describe,
     not_applicable,
     verdict,
 )
@@ -244,7 +245,10 @@ def build_target(model_spec: dict):
                     f"bad params for model kind {kind!r}: {name!r} must match "
                     f"the type of its default {json.dumps(default)}, got {json.dumps(value)}"
                 )
-        target = constructor(**params)
+        try:
+            target = constructor(**params)
+        except DomainError as exc:
+            raise ConfigError(f"bad params for model kind {kind!r}: {exc}") from exc
     elif kind == "fixture":
         if not isinstance(params.get("path"), str):
             raise ConfigError("fixture model spec needs params.path, a file name")
@@ -392,16 +396,13 @@ def _grid_and_refs(model: ModelSystem, config: SuiteConfig):
     return grid, refs
 
 
-def ly_table(model: ModelSystem, config: SuiteConfig, memo: dict | None = None):
+def ly_table(model: ModelSystem, config: SuiteConfig, memo: dict):
     """The LY grid and its interpolation table, built once per memo.
 
     The table is most of the cost of the ``ly`` suite, and ``zb``'s
     cross-construction check needs the same one, so ``run`` hands both
-    suites one memo and whichever runs first builds it.  Without a memo
-    the table is built afresh.
+    suites one memo and whichever runs first builds it.
     """
-    if memo is None:
-        memo = {}
     if "ly" not in memo:
         grid, refs = _grid_and_refs(model, config)
         table = entropy_from_accessibility(
@@ -827,20 +828,10 @@ def emit(report: Report, fmt: str = "json") -> str:
                 lines.append(f"  {r.check_name:32s} {r.status.value:>14s}{tol}  {r.message}")
                 if r.failed:
                     for w in r.witnesses[:5]:
-                        lines.append(f"    witness: {json.dumps(_short(w), default=str)}")
+                        lines.append(f"    witness: {json.dumps(describe(w), default=str)}")
         lines.append(
             f"\naggregate: {'PASS' if report.aggregate_pass else 'FAIL'}"
             f"  (wall time {report.wall_time_s:.2f} s)"
         )
         return "\n".join(lines) + "\n"
     raise ConfigError(f"unknown output format {fmt!r}")
-
-
-def _short(witness):
-    from .axioms import describe
-
-    return describe(witness)
-
-
-def parse_report(text: str) -> dict:
-    return json.loads(text)

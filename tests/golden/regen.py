@@ -2,7 +2,8 @@
 rewrite the committed files.
 
 Each ``<name>.json`` in this directory is the canonical JSON report that
-``entrokit`` prints for one run in ``RUNS``; ``tests/test_golden.py``
+``entrokit`` prints for one run in ``RUNS`` (``<name>.csv`` for a run with
+``--format csv``); ``tests/test_golden.py``
 renders every run again and compares the bytes.  After a change that moves
 a report on purpose, rewrite the files from the repository root with
 
@@ -31,6 +32,13 @@ from entrokit.cli import main
 GOLDEN_DIR = Path(__file__).resolve().parent
 
 
+def _spin(**tolerances) -> dict:
+    config = {"model": {"kind": "two_level_spin"}}
+    if tolerances:
+        config["tolerances"] = tolerances
+    return config
+
+
 def _gas(mutation=None, **params) -> dict:
     model = {"kind": "ideal_gas"}
     if params:
@@ -42,7 +50,12 @@ def _gas(mutation=None, **params) -> dict:
 
 # name -> (command line, config file contents)
 RUNS = {
-    "all-spin-seed3": (["all", "--seed", "3"], {"model": {"kind": "two_level_spin"}}),
+    "all-spin-seed3": (["all", "--seed", "3"], _spin()),
+    "all-spin-seed3-csv": (["all", "--seed", "3", "--format", "csv"], _spin()),
+    # Tolerances far below rounding noise: three checks fail with witnesses.
+    "all-spin-tight-seed4": (
+        ["all", "--seed", "4"], _spin(zb_residual=1e-40, zb_additivity=1e-60, mutual_eq=1e-40),
+    ),
     "check-axioms-gas-seed2": (["check-axioms", "--seed", "2"], _gas()),
     **{
         f"check-axioms-{m}-seed2": (["check-axioms", "--seed", "2"], _gas(m))
@@ -80,7 +93,9 @@ def render(name: str) -> str:
 
 
 def golden_path(name: str) -> Path:
-    return GOLDEN_DIR / f"{name}.json"
+    argv = RUNS[name][0]
+    fmt = argv[argv.index("--format") + 1] if "--format" in argv else "json"
+    return GOLDEN_DIR / f"{name}.{fmt}"
 
 
 if __name__ == "__main__":

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entrokit.catalog import (
-    R_GAS,
     chain_fixture,
     ideal_gas,
     load_fixture,
@@ -18,14 +17,6 @@ from entrokit.errors import DomainError, ParseError
 
 
 # -- ideal gas -----------------------------------------------------------------
-
-def test_gas_temperature_inversion(gas):
-    e = gas.process_engine
-    u = 1.5 * R_GAS * 300.0
-    state = e.state(u, 0.02)
-    assert u == pytest.approx(3741.51, abs=0.01)
-    assert e.temperature(state) == pytest.approx(300.0, rel=1e-12)
-
 
 def test_gas_scaling_doubles_entropy(gas):
     x = gas.process_engine.state(100.0, 1.0)
@@ -54,14 +45,6 @@ def test_gas_oracle_homogeneous_degree_one(t):
     x = gas.process_engine.state(2000.0, 0.03)
     assert gas.oracle_entropy(gas.scale_state(x, t)) == pytest.approx(
         t * gas.oracle_entropy(x), rel=1e-11
-    )
-
-
-def test_gas_pressure_equation_of_state(gas):
-    e = gas.process_engine
-    s = e.state(3000.0, 0.02)
-    assert e.pressure(s) == pytest.approx(
-        R_GAS * e.temperature(s) / 0.02, rel=1e-12
     )
 
 
@@ -143,7 +126,7 @@ def test_random_dag_closure_passes_reflexivity_and_transitivity():
     fixture = random_closed_dag_fixture(200, seed=1)
     rel = fixture.relation()
     assert check_reflexivity(rel).passed
-    assert check_transitivity(rel, cap=200).passed
+    assert check_transitivity(rel).passed
 
 
 def test_load_fixture_roundtrip(tmp_path):

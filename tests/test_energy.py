@@ -7,9 +7,7 @@ from entrokit.energy import (
     WeightPolygonal,
     check_energy_additivity,
     check_path_independence,
-    energy_of,
     polygonal_work,
-    trivial_polygonal,
 )
 from entrokit.errors import DomainError, StructuralError
 from entrokit.mutants import mutate_model
@@ -57,42 +55,6 @@ def test_broken_chain_raises(gas):
         )
 
 
-def test_energy_of_arithmetic(gas):
-    a1, a2 = _states(gas, (1000, 0.01), (1100, 0.01))
-    poly = WeightPolygonal(((_leg(a1, a2, -10.0), ALONG),), (a1, a2))
-    assert energy_of(gas, a2, a1, 0.0, poly) == 10.0
-
-
-def test_energy_of_trivial_polygonal_returns_reference(gas):
-    (a1,) = _states(gas, (1000, 0.01))
-    assert energy_of(gas, a1, a1, 42.0, trivial_polygonal(a1)) == 42.0
-
-
-def test_energy_of_endpoint_mismatch_raises(gas):
-    a1, a2, a3 = _states(gas, (1000, 0.01), (1100, 0.01), (1200, 0.01))
-    poly = WeightPolygonal(((_leg(a1, a2, -10.0), ALONG),), (a1, a2))
-    with pytest.raises(DomainError):
-        energy_of(gas, a3, a1, 0.0, poly)
-
-
-def test_energy_of_engine_polygonal_matches_energy_difference(gas, rng):
-    e = gas.process_engine
-    ref, target = e.sample_state(rng), e.sample_state(rng)
-    poly = e.connect_polygonal(ref, target, rng, legs=3)
-    value = energy_of(gas, target, ref, 5.0, poly)
-    expected = gas.energy_fn(target) - gas.energy_fn(ref) + 5.0
-    assert value == pytest.approx(expected, abs=1e-9)
-
-
-def test_energy_reference_translation(gas, rng):
-    e = gas.process_engine
-    ref, target = e.sample_state(rng), e.sample_state(rng)
-    poly = e.connect_polygonal(ref, target, rng, legs=2)
-    base = energy_of(gas, target, ref, 0.0, poly)
-    shifted = energy_of(gas, target, ref, 100.0, poly)
-    assert shifted - base == pytest.approx(100.0, abs=1e-12)
-
-
 def test_path_independence_on_gas(gas, rng):
     e = gas.process_engine
     pairs = [(e.sample_state(rng), e.sample_state(rng)) for _ in range(10)]
@@ -113,15 +75,6 @@ def test_noisy_engine_fails_path_independence(gas, rng):
     result = check_path_independence(noisy, pairs, k=5, seed=7)
     assert result.failed
     assert result.witnesses
-
-
-def test_noisy_engine_biases_energy_of(gas, rng):
-    noisy = mutate_model(gas, "noisy_work")
-    e = noisy.process_engine
-    ref, target = e.sample_state(rng), e.sample_state(rng)
-    poly = e.connect_polygonal(ref, target, rng, legs=3)
-    truth = gas.energy_fn(target) - gas.energy_fn(ref)
-    assert abs(energy_of(noisy, target, ref, 0.0, poly) - truth) > 0.05
 
 
 def test_engine_rejects_zero_leg_request(gas, rng):

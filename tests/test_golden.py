@@ -26,7 +26,7 @@ def test_report_matches_golden(name):
     if actual != expected:
         diff = difflib.unified_diff(
             expected.splitlines(), actual.splitlines(),
-            f"golden/{name}.json", "this run", lineterm="",
+            f"golden/{regen.golden_path(name).name}", "this run", lineterm="",
         )
         shown = "\n".join(list(diff)[:SHOWN_DIFF_LINES])
         pytest.fail(f"{name} differs from its golden report:\n{shown}")

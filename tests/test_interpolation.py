@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from entrokit.catalog import ideal_gas
@@ -8,18 +6,14 @@ from entrokit.errors import (
     DegenerateFitError,
     DomainError,
     NumericError,
-    RankDeficiencyError,
 )
 from entrokit.interpolation import (
     EntropyTable,
     ReferencePair,
     affine_match,
-    calibrate_multispace,
     entropy_from_accessibility,
-    extensivity_identity,
     find_lambda,
     sandwich_bounds,
-    split_identity,
 )
 
 
@@ -194,99 +188,6 @@ def test_affine_match_needs_three_states():
 
 
 # -- calibration ------------------------------------------------------------------
-
-def test_calibrate_single_space_is_gauge():
-    table = EntropyTable("a", entries={})
-    constants, residual = calibrate_multispace([table], [])
-    assert constants == [(1.0, 0.0)]
-    assert residual == 0.0
-
-
-def test_calibrate_shifted_copy():
-    gas = ideal_gas()
-    e = gas.process_engine
-    states = [e.state(1000.0 + 100 * k, 0.02) for k in range(4)]
-    values = [gas.oracle_entropy(s) for s in states]
-    t1 = EntropyTable("a", entries=dict(zip(states, values)))
-    t2 = EntropyTable("b", entries={s: v + 5.0 for s, v in zip(states, values)})
-    identities = [
-        split_identity((0, s), [(1, s)]) for s in states
-    ]
-    constants, residual = calibrate_multispace([t1, t2], identities)
-    a, b = constants[1]
-    assert a == pytest.approx(1.0, rel=1e-9)
-    assert b == pytest.approx(-5.0, abs=1e-9)
-    assert residual < 1e-9
-
-
-def test_calibrate_scaled_copy_extensivity():
-    gas = ideal_gas()
-    e = gas.process_engine
-    rel = gas.relation()
-    base_states = e.grid(4, 4)
-    by = sorted(base_states, key=gas.oracle_entropy)
-    refs = ReferencePair(by[0], by[-1], s0=0.0, s1=10.0)
-    base_table = entropy_from_accessibility(rel, refs, base_states, tol=1e-12)
-
-    scaled_states = [gas.scale_state(s, 2.0) for s in base_states]
-    srefs = ReferencePair(
-        gas.scale_state(by[0], 2.0), gas.scale_state(by[-1], 2.0), s0=0.0, s1=10.0
-    )
-    scaled_table = entropy_from_accessibility(rel, srefs, scaled_states, tol=1e-12)
-
-    identities = [
-        extensivity_identity((1, ts), (0, s), 2.0)
-        for s, ts in zip(base_states, scaled_states)
-    ]
-    constants, residual = calibrate_multispace([base_table, scaled_table], identities)
-    assert residual < 1e-9
-    a1, b1 = constants[1]
-    for s, ts in zip(base_states, scaled_states):
-        lhs = a1 * scaled_table.value(ts) + b1
-        assert lhs == pytest.approx(2.0 * base_table.value(s), abs=1e-9)
-
-
-def test_calibrate_splitting_additivity():
-    gas = ideal_gas()
-    e = gas.process_engine
-    rel = gas.relation()
-    rng = random.Random(9)
-    base_states = e.grid(4, 4)
-    by = sorted(base_states, key=gas.oracle_entropy)
-    refs = ReferencePair(by[0], by[-1], s0=0.0, s1=10.0)
-    base_table = entropy_from_accessibility(rel, refs, base_states, tol=1e-12)
-
-    halves = [gas.scale_state(s, 0.5) for s in base_states]
-    hrefs = ReferencePair(
-        gas.scale_state(by[0], 0.5), gas.scale_state(by[-1], 0.5), s0=0.0, s1=10.0
-    )
-    half_table = entropy_from_accessibility(rel, hrefs, halves, tol=1e-12)
-
-    identities = [
-        split_identity((0, s), [(1, h), (1, h)])
-        for s, h in zip(base_states, halves)
-    ]
-    constants, residual = calibrate_multispace([base_table, half_table], identities)
-    assert residual < 1e-9
-    # Additivity of the calibrated entropy over 100 sampled split composites.
-    a1, b1 = constants[1]
-    worst = 0.0
-    for _ in range(100):
-        s = base_states[rng.randrange(len(base_states))]
-        h = halves[base_states.index(s)]
-        whole = base_table.value(s)
-        part = a1 * half_table.value(h) + b1
-        worst = max(worst, abs(whole - 2 * part))
-    assert worst < 1e-9
-
-
-def test_calibrate_underdetermined_names_missing():
-    t1 = EntropyTable("a", entries={})
-    t2 = EntropyTable("orphan", entries={})
-    with pytest.raises(RankDeficiencyError) as err:
-        calibrate_multispace([t1, t2], [])
-    assert "orphan" in str(err.value)
-
 
 # -- sandwich bounds -------------------------------------------------------------
 

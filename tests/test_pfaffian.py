@@ -8,6 +8,7 @@ import pytest
 from entrokit.catalog import R_GAS, ideal_gas, ideal_gas_simple_system
 from entrokit.errors import DomainError
 from entrokit.interpolation import affine_match
+from entrokit.quadrature import line_integral
 from entrokit.pfaffian import (
     QuasistaticPath,
     check_integrating_factor,
@@ -120,11 +121,19 @@ def test_loop_reparameterization_invariance(simple):
     rng = random.Random(5)
     loop = random_closed_loop(simple.coord_box, rng)
 
-    def quadratic_warp(s):
-        return s * s, 2.0 * s
+    def integrand(coords):
+        return (simple.u_grad(coords) + simple.work_form(coords)) / simple.temperature(coords)
 
-    warped = loop.with_speed_warp(quadratic_warp)
-    assert loop_integral(simple, warped) == pytest.approx(
+    def quadratic_warp(seg):
+        # The same curve traversed at parameter s^2, so at speed 2s.
+        def warped(s):
+            point, velocity = seg(s * s)
+            return point, 2.0 * s * velocity
+
+        return warped
+
+    warped = [quadratic_warp(seg) for seg in loop.segments()]
+    assert line_integral(integrand, warped).value == pytest.approx(
         loop_integral(simple, loop), abs=1e-10
     )
 

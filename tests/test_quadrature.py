@@ -47,7 +47,7 @@ def test_log_closed_form():
 
 def test_isothermal_work_of_the_gas():
     n, tau, v = 2.0, 400.0, 0.01
-    simple = ideal_gas_simple_system(n=n, box=((300.0, 600.0), (0.01, 0.02)))
+    simple = ideal_gas_simple_system(n=n)
     path = QuasistaticPath([(tau, v), (tau, 2.0 * v)], interp="linear")
     r = line_integral(simple.work_form, path.segments())
     assert r.value == pytest.approx(n * R_GAS * tau * math.log(2.0), rel=REL_TARGET, abs=0.0)

@@ -1,14 +1,21 @@
+import contextlib
+import inspect
+import io
 import json
+import os
+import tempfile
 from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entrokit import mutants as mutants_module
 from entrokit import report as report_module
 from entrokit.cli import main
 from entrokit.errors import ConfigError
-from entrokit.catalog import ideal_gas, triple_point_reservoir
+from entrokit.catalog import ideal_gas, triple_point_reservoir, two_level_spin
 from entrokit.interpolation import entropy_from_accessibility
 from entrokit.report import (
     SUITES,
@@ -16,7 +23,6 @@ from entrokit.report import (
     _grid_and_refs,
     emit,
     ly_table,
-    parse_report,
     run,
 )
 
@@ -145,7 +151,7 @@ def test_runs_leave_the_space_map_unchanged(monkeypatch):
     config = SuiteConfig(model={"kind": "ideal_gas"}, suites=("axioms", "ly", "zb"),
                          seed=4, sample_counts={"grid_nu": 5, "grid_nv": 5,
                                                 "axiom_samples": 40})
-    ly_table(gas, config)
+    ly_table(gas, config, {})
     assert gas.spaces == base
     monkeypatch.setattr(report_module, "build_target", lambda spec: gas)
     first = run(config)
@@ -252,7 +258,7 @@ def test_caratheodory_not_applicable_to_a_renamed_spin():
 
 def test_json_roundtrip(axioms_report):
     payload = emit(axioms_report, "json")
-    parsed = parse_report(payload)
+    parsed = json.loads(payload)
     assert parsed["schema"] == "report_v1"
     assert parsed["aggregate_pass"] is True
     assert emit(axioms_report, "json") == payload
@@ -279,7 +285,7 @@ def test_unknown_format_rejected(axioms_report):
 
 
 def test_reports_embed_tolerances(axioms_report):
-    parsed = parse_report(emit(axioms_report, "json"))
+    parsed = json.loads(emit(axioms_report, "json"))
     stability = [
         c for c in parsed["suites"]["axioms"] if c["check"] == "stability"
     ][0]
@@ -359,6 +365,71 @@ def test_cli_nan_tolerance_exits_two(tmp_path, capsys, source):
     assert not out_path.exists()
 
 
+# Params of the right type but outside the model's domain, and the name the
+# error message must give.
+OUT_OF_RANGE = [
+    ("ideal_gas", {"c_v_hat": 0}, "c_v_hat"),
+    ("ideal_gas", {"c_v_hat": -1.5}, "c_v_hat"),
+    ("ideal_gas", {"gauge": [0, 1, 0]}, "gauge"),
+    ("ideal_gas", {"box": [[10000.0, 500.0], [0.005, 0.1]]}, "box"),
+    ("two_level_spin", {"eps": 0}, "eps"),
+    ("two_level_spin", {"n_particles": 2.5}, "n_particles"),
+]
+
+
+@pytest.mark.parametrize("kind, params, name", OUT_OF_RANGE)
+def test_cli_out_of_range_param_is_named(tmp_path, capsys, kind, params, name):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"model": {"kind": kind, "params": params}}))
+    assert main(["check-axioms", "--config", str(path)]) == 2
+    assert name in capsys.readouterr().err
+
+
+_SCALARS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.sampled_from([0, -1, 0.0, -0.0]),
+)
+_ANY_VALUE = st.one_of(
+    _SCALARS, st.text(max_size=4), st.lists(_SCALARS, max_size=4),
+    st.lists(st.lists(_SCALARS, max_size=3), max_size=3),
+)
+
+
+def _shaped_like(default):
+    """Values of the type and shape of a constructor default."""
+    if isinstance(default, str):
+        return st.text(max_size=4)
+    if isinstance(default, tuple):
+        return st.tuples(*map(_shaped_like, default)).map(list)
+    return _SCALARS
+
+
+_MODEL_SPECS = st.one_of(*(
+    st.fixed_dictionaries({
+        "kind": st.just(kind),
+        "params": st.fixed_dictionaries({}, optional={
+            name: st.one_of(_shaped_like(p.default), _ANY_VALUE)
+            for name, p in inspect.signature(constructor).parameters.items()
+        }),
+    })
+    for kind, constructor in (("ideal_gas", ideal_gas), ("two_level_spin", two_level_spin))
+))
+
+
+@given(model=_MODEL_SPECS)
+@settings(max_examples=200, deadline=None)
+def test_cli_survives_any_model_params(model):
+    config = {"model": model, "sample_counts": {"axiom_samples": 5}}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fh:
+            json.dump(config, fh)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["check-axioms", "--config", path])
+    assert code in (0, 1, 2)
+
+
 @pytest.mark.parametrize("config, flags", [
     ({"tolerances": 5}, []),
     ({"sample_counts": [1]}, []),
@@ -375,6 +446,7 @@ def test_cli_nan_tolerance_exits_two(tmp_path, capsys, source):
     ({"model": {"kind": "ideal_gas", "params": {"n": True}}}, []),
     ({"model": {"kind": "ideal_gas", "params": {"model_id": 3}}}, []),
     ({"model": {"kind": "two_level_spin", "params": {"n_particles": "x"}}}, []),
+    *(({"model": {"kind": kind, "params": params}}, []) for kind, params, _ in OUT_OF_RANGE),
 ])
 def test_cli_mistyped_config_exits_two(tmp_path, capsys, config, flags):
     path = tmp_path / "config.json"

@@ -73,11 +73,12 @@ def test_swp_two_routes_agree_on_reference_pair(gas):
     a1 = e.state(3000.0, 0.02)
     a2 = e.state(4500.0, 0.03)
     r = Reservoir(id="r", temperature=300.0)
-    rec = run_reversible_swp(gas, a1, a2, r, cross_check=True)
+    rec = run_reversible_swp(gas, a1, a2, r)
+    carnot = gas.process_engine.carnot_reservoir_delta(a1, a2, r)
     # Closed-form oracle route for this pair.
     ds = gas.oracle_entropy(a2) - gas.oracle_entropy(a1)
     assert rec.delta_e_r == pytest.approx(-300.0 * ds, rel=1e-12)
-    assert rec.carnot_delta_e_r == pytest.approx(rec.delta_e_r, rel=1e-7)
+    assert carnot == pytest.approx(rec.delta_e_r, rel=1e-7)
 
 
 def test_swp_rejects_correlated_states(gas, r300):
@@ -424,7 +425,7 @@ def test_nondecrease_rejects_mislabelled_reversibility(gas):
 
 def test_mutual_equilibrium_affine_reservoirs(r300):
     rd = Reservoir(id="copy", temperature=300.0, energy=123.0)
-    result = check_mutual_equilibrium(r300, rd, splits=50, seed=2)
+    result = check_mutual_equilibrium(r300, rd, seed=2)
     assert result.passed
 
 
@@ -436,7 +437,7 @@ def test_mutual_equilibrium_same_energy_copy(r300):
 def test_mutual_equilibrium_nonaffine_fails():
     r = NonAffineReservoir(id="curvy", temperature=300.0)
     rd = NonAffineReservoir(id="curvy-copy", temperature=300.0, energy=5.0)
-    result = check_mutual_equilibrium(r, rd, splits=50, seed=2)
+    result = check_mutual_equilibrium(r, rd, seed=2)
     assert result.failed
 
 
@@ -493,7 +494,7 @@ def test_mutual_equilibrium_degrades_outside_triple_point_window():
     # the degradation is reported as a failure, never silently accepted.
     tp = triple_point_reservoir(capacity=5.0)
     copy = triple_point_reservoir(capacity=5.0, energy=30.0, reservoir_id="tp-copy")
-    result = check_mutual_equilibrium(tp, copy, splits=50, seed=3)
+    result = check_mutual_equilibrium(tp, copy, seed=3)
     assert result.failed
 
 
