@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import lgamma
 from typing import Optional
 
@@ -344,7 +344,6 @@ def ideal_gas(
     engine = IdealGasEngine(n, c_v_hat, gauge, box)
     base = StateSpace(
         id=f"{model_id}:base",
-        coord_names=("U", "V", "d"),
         composition_tag=f"gas:n={n}:cv={c_v_hat}",
     )
     model = ModelSystem(
@@ -457,7 +456,6 @@ def two_level_spin(n_particles: int = 100, eps: float = 1e-21,
     engine = TwoLevelSpinEngine(n_particles, eps)
     base = StateSpace(
         id=f"{model_id}:base",
-        coord_names=("E", "d"),
         composition_tag=f"spin:N={n_particles}:eps={eps}",
     )
     return ModelSystem(
@@ -488,7 +486,6 @@ def triple_point_reservoir(
         energy=energy,
         ref_energy=energy,
         ref_entropy=0.0,
-        region=("three-phase-cell", capacity),
         window=(energy - capacity, energy + capacity),
         outside_temperatures=(273.16 / 2.0, 273.16 * 2.0),
     )
@@ -504,7 +501,6 @@ class FinitePreorderFixture:
 
     ids: list
     pairs: set
-    kinds: dict = field(default_factory=dict)
 
     def relation(self) -> AccessibilityRelation:
         return AccessibilityRelation.finite(self.ids, self.pairs)
@@ -526,13 +522,11 @@ def load_fixture(path) -> FinitePreorderFixture:
     if not isinstance(raw["states"], list) or not isinstance(raw["pairs"], list):
         raise ParseError(f"{path}: 'states' and 'pairs' must be lists")
     ids = []
-    kinds = {}
     for entry in raw["states"]:
         if isinstance(entry, dict):
             if "id" not in entry:
                 raise ParseError(f"{path}: state entry missing 'id': {entry!r}")
             sid = entry["id"]
-            kinds[sid] = entry.get("kind", "stable_equilibrium")
         else:
             sid = entry
         if sid in ids:
@@ -547,7 +541,7 @@ def load_fixture(path) -> FinitePreorderFixture:
         if a not in known or b not in known:
             raise ParseError(f"{path}: pair #{i} references unknown state: {pair!r}")
         pairs.add((a, b))
-    return FinitePreorderFixture(ids, pairs, kinds)
+    return FinitePreorderFixture(ids, pairs)
 
 
 def chain_fixture(n: int) -> FinitePreorderFixture:

@@ -87,9 +87,7 @@ def _load_config(args) -> SuiteConfig:
             raise ConfigError(f"tolerance {name!r} needs a number, got {value!r}") from exc
     if args.seed is not None:
         raw["seed"] = args.seed
-    config = SuiteConfig.from_dict(raw, overrides)
-    config.suites = SUBCOMMAND_SUITES[args.command]
-    return config
+    return SuiteConfig.from_dict(raw, SUBCOMMAND_SUITES[args.command], overrides)
 
 
 def main(argv=None) -> int:

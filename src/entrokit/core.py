@@ -38,7 +38,6 @@ class StateSpace:
     their factor on the state (``State.scale``)."""
 
     id: str
-    coord_names: tuple[str, ...]
     composition_tag: str
 
 
@@ -131,7 +130,6 @@ class ProcessRecord:
     initial: StateLike
     final: StateLike
     work_done: float
-    reservoir_delta: Optional[float] = None
     reversible: bool = True
     sigma: float = 0.0
 

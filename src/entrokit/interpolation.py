@@ -48,7 +48,6 @@ class EntropyTable:
     """Constructed entropy values on a set of states, and the states the
     construction skipped, with the reason."""
 
-    space_id: str
     entries: dict[State, float] = field(default_factory=dict)
     skipped: dict[State, str] = field(default_factory=dict)
 
@@ -126,7 +125,7 @@ def entropy_from_accessibility(
     States outside the reference bracket are recorded as skipped rather than
     failing the whole table.
     """
-    table = EntropyTable(space_id=refs.x0.space_id)
+    table = EntropyTable()
     for s in states:
         try:
             lam = find_lambda(rel, s, refs, tol=tol)

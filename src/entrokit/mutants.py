@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import copy
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from typing import Union
 
 from .axioms import (
@@ -45,17 +45,9 @@ from .reservoir import (
     temperature_of,
 )
 
-MUTATIONS = (
-    "break_transitivity",
-    "break_scaling",
-    "break_splitting",
-    "composite_max",
-    "noisy_work",
-    "wrong_reservoir_temperature",
-    "strict_only_comparison",
-)
-
-EXPECTED_FAILURES = {
+# Each mutation, in the order the matrix runs them, and exactly the checks it
+# must newly fail.
+MUTATIONS = {
     "break_transitivity": frozenset({"transitivity"}),
     "break_scaling": frozenset({"scaling_invariance"}),
     "break_splitting": frozenset({"splitting"}),
@@ -100,8 +92,8 @@ class _MiscalibratedReservoir(Reservoir):
 
 
 def mutate_model(target: MutationTarget, mutation: str) -> MutationTarget:
-    """A copy of the target with one planted defect; ``EXPECTED_FAILURES``
-    names the checks that must now fail.  The target itself is unchanged."""
+    """A copy of the target with one planted defect; ``MUTATIONS`` names the
+    checks that must now fail.  The target itself is unchanged."""
     if mutation not in MUTATIONS:
         raise DomainError(f"unknown mutation {mutation!r}")
 
@@ -180,17 +172,13 @@ def _break_transitivity(fixture: FinitePreorderFixture) -> FinitePreorderFixture
                 pairs = set(fixture.pairs)
                 pairs.discard((a, c))
                 pairs.add((c, a))
-                return FinitePreorderFixture(list(fixture.ids), pairs, dict(fixture.kinds))
+                return FinitePreorderFixture(list(fixture.ids), pairs)
     raise CapabilityError("fixture has no transitive triple to break")
 
 
 # ---------------------------------------------------------------------------
 # The coverage matrix
 # ---------------------------------------------------------------------------
-
-def _status_map(results: list[CheckResult]) -> dict[str, CheckStatus]:
-    return {r.check_name: r.status for r in results}
-
 
 def run_model_checks(
     model: ModelSystem,
@@ -295,86 +283,48 @@ def run_fixture_checks(fixture: FinitePreorderFixture) -> list[CheckResult]:
     ]
 
 
-@dataclass
-class MutantOutcome:
-    mutation: str
-    expected: frozenset
-    newly_failed: frozenset
-    statuses: dict
-    exact: bool
+def _statuses(results: list[CheckResult]) -> dict[str, str]:
+    return {r.check_name: r.status.value for r in results}
 
 
-@dataclass
-class MatrixReport:
-    baseline_model: dict
-    baseline_fixture: dict
-    outcomes: list[MutantOutcome] = field(default_factory=list)
-
-    @property
-    def baseline_clean(self) -> bool:
-        return all(
-            s is not CheckStatus.FAIL for s in self.baseline_model.values()
-        ) and all(s is not CheckStatus.FAIL for s in self.baseline_fixture.values())
-
-    @property
-    def ok(self) -> bool:
-        return self.baseline_clean and all(o.exact for o in self.outcomes)
-
-    def to_dict(self) -> dict:
-        return {
-            "baseline_model": {k: v.value for k, v in self.baseline_model.items()},
-            "baseline_fixture": {k: v.value for k, v in self.baseline_fixture.items()},
-            "mutants": [
-                {
-                    "mutation": o.mutation,
-                    "expected_failures": sorted(o.expected),
-                    "newly_failed": sorted(o.newly_failed),
-                    "statuses": {k: v.value for k, v in o.statuses.items()},
-                    "exact": o.exact,
-                }
-                for o in self.outcomes
-            ],
-            "ok": self.ok,
-        }
-
-
-def mutation_matrix(*, seed: int = 0) -> MatrixReport:
-    """Run every mutation against the intact baseline and compare newly
-    failing checks with each mutation's declaration."""
+def mutation_matrix(*, seed: int = 0) -> dict:
+    """Run every mutation against the intact baseline and compare the newly
+    failing checks with its entry in ``MUTATIONS``.  The result is plain
+    data: the report's ``mutation_matrix`` summary, statuses as strings."""
     base_model = ideal_gas()
     base_reservoir = Reservoir(id="bench-300", temperature=300.0)
     base_fixture = chain_fixture(6)
 
-    baseline_model = _status_map(run_model_checks(base_model, base_reservoir, seed=seed))
-    baseline_fixture = _status_map(run_fixture_checks(base_fixture))
-    report = MatrixReport(baseline_model, baseline_fixture)
-
-    for mutation in MUTATIONS:
+    baseline_model = _statuses(run_model_checks(base_model, base_reservoir, seed=seed))
+    baseline_fixture = _statuses(run_fixture_checks(base_fixture))
+    mutants = []
+    for mutation, expected in MUTATIONS.items():
         if mutation == "break_transitivity":
-            mutant = mutate_model(base_fixture, mutation)
-            statuses = _status_map(run_fixture_checks(mutant))
+            statuses = _statuses(run_fixture_checks(mutate_model(base_fixture, mutation)))
             baseline = baseline_fixture
         elif mutation == "wrong_reservoir_temperature":
             bad_reservoir = mutate_model(base_reservoir, mutation)
-            statuses = _status_map(run_model_checks(base_model, bad_reservoir, seed=seed))
+            statuses = _statuses(run_model_checks(base_model, bad_reservoir, seed=seed))
             baseline = baseline_model
         else:
             mutant = mutate_model(base_model, mutation)
-            statuses = _status_map(run_model_checks(mutant, base_reservoir, seed=seed))
+            statuses = _statuses(run_model_checks(mutant, base_reservoir, seed=seed))
             baseline = baseline_model
-        newly_failed = frozenset(
-            name
-            for name, status in statuses.items()
-            if status is CheckStatus.FAIL and baseline[name] is not CheckStatus.FAIL
+        newly_failed = sorted(
+            name for name, status in statuses.items()
+            if status == CheckStatus.FAIL and baseline[name] != CheckStatus.FAIL
         )
-        expected = EXPECTED_FAILURES[mutation]
-        report.outcomes.append(
-            MutantOutcome(
-                mutation=mutation,
-                expected=expected,
-                newly_failed=newly_failed,
-                statuses=statuses,
-                exact=newly_failed == expected,
-            )
-        )
-    return report
+        mutants.append({
+            "mutation": mutation,
+            "expected_failures": sorted(expected),
+            "newly_failed": newly_failed,
+            "statuses": statuses,
+            "exact": newly_failed == sorted(expected),
+        })
+    baseline_clean = CheckStatus.FAIL not in [*baseline_model.values(), *baseline_fixture.values()]
+    return {
+        "baseline_model": baseline_model,
+        "baseline_fixture": baseline_fixture,
+        "mutants": mutants,
+        "ok": baseline_clean and all(m["exact"] for m in mutants),
+    }

@@ -25,7 +25,6 @@ from .quadrature import integrate_scalar, line_integral
 
 LOOP_ABS_TOL = 1e-8
 PFAFFIAN_REL_TOL = 1e-8
-FACTORIZATION_TOL = 1e-10
 
 
 @dataclass(frozen=True)

@@ -159,23 +159,19 @@ class SuiteConfig:
         return self.sample_counts.get(name, DEFAULT_SAMPLE_COUNTS[name])
 
     @classmethod
-    def from_dict(cls, raw: dict, tolerance_overrides: dict = None) -> "SuiteConfig":
-        """Build a config from its JSON form; ``tolerance_overrides`` take
-        precedence over the file's tolerances."""
+    def from_dict(
+        cls, raw: dict, suites: tuple[str, ...] = SUITES, tolerance_overrides: dict = None
+    ) -> "SuiteConfig":
+        """Build a config for ``suites`` from its JSON form;
+        ``tolerance_overrides`` take precedence over the file's tolerances."""
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = set(raw) - {"model", "suites", "seed", "tolerances", "sample_counts"}
+        unknown = set(raw) - {"model", "seed", "tolerances", "sample_counts"}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        model = raw.get("model", {"kind": "ideal_gas"})
-        suites = raw.get("suites", list(SUITES))
-        if suites == "all":
-            suites = list(SUITES)
-        if not isinstance(suites, list):
-            raise ConfigError(f'suites must be a list of suite names or "all", got {suites!r}')
         return cls(
-            model=model,
-            suites=tuple(suites),
+            model=raw.get("model", {"kind": "ideal_gas"}),
+            suites=suites,
             seed=raw.get("seed", 0),
             tolerances={**_json_object(raw, "tolerances"), **(tolerance_overrides or {})},
             sample_counts=_json_object(raw, "sample_counts"),
@@ -751,31 +747,29 @@ def suite_caratheodory(target, config: SuiteConfig, memo: dict) -> SuiteOutput:
 
 def suite_mutants(target, config: SuiteConfig, memo: dict) -> SuiteOutput:
     matrix = mutation_matrix(seed=config.seed)
+    model, fixture = matrix["baseline_model"], matrix["baseline_fixture"]
     results = [
         verdict(
             "matrix_baseline",
-            matrix.baseline_clean,
+            CheckStatus.FAIL not in [*model.values(), *fixture.values()],
             [
-                (name, status.value)
-                for name, status in {**matrix.baseline_model, **matrix.baseline_fixture}.items()
-                if status is CheckStatus.FAIL
+                (name, status)
+                for name, status in {**model, **fixture}.items()
+                if status == CheckStatus.FAIL
             ],
-            samples_used=len(matrix.baseline_model) + len(matrix.baseline_fixture),
+            samples_used=len(model) + len(fixture),
         )
     ]
-    for outcome in matrix.outcomes:
-        results.append(
-            verdict(
-                f"mutant_{outcome.mutation}",
-                outcome.exact,
-                [
-                    ("expected", sorted(outcome.expected)),
-                    ("newly_failed", sorted(outcome.newly_failed)),
-                ],
-                samples_used=len(outcome.statuses),
-            )
+    results += [
+        verdict(
+            f"mutant_{m['mutation']}",
+            m["exact"],
+            [("expected", m["expected_failures"]), ("newly_failed", m["newly_failed"])],
+            samples_used=len(m["statuses"]),
         )
-    return results, {"mutation_matrix": matrix.to_dict()}
+        for m in matrix["mutants"]
+    ]
+    return results, {"mutation_matrix": matrix}
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,6 @@ class Reservoir:
     energy: float = 0.0
     ref_energy: float = 0.0
     ref_entropy: float = 0.0
-    region: object = "reservoir-region"
     window: Optional[tuple[float, float]] = None
     outside_temperatures: Optional[tuple[float, float]] = None
 
@@ -115,9 +114,7 @@ class ReferenceReservoir:
 
 
 def reference_reservoir() -> ReferenceReservoir:
-    return ReferenceReservoir(
-        Reservoir(id="reference", temperature=REFERENCE_TEMPERATURE, region="reference-region")
-    )
+    return ReferenceReservoir(Reservoir(id="reference", temperature=REFERENCE_TEMPERATURE))
 
 
 @dataclass(frozen=True)
@@ -240,8 +237,7 @@ def entropy_from_reservoir(
     """Entropy table anchored at (a0, s0): each entry is s0 minus the
     reversible reservoir drain divided by the reservoir temperature."""
     _require_separable_uncorrelated(a0)
-    space_id = parts_of(a0)[0].space_id
-    table = EntropyTable(space_id=space_id)
+    table = EntropyTable()
     for x in states:
         try:
             rec = run_reversible_swp(model, a0, x, r)

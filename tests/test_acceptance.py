@@ -244,11 +244,11 @@ def test_criterion_09_axioms_and_mutation_matrix(gas, spin):
         ]
     axioms_ok = all(not r.failed for r in results)
     matrix = mutation_matrix(seed=209)
-    ok = axioms_ok and matrix.ok
+    ok = axioms_ok and matrix["ok"]
     _verdict(
         9,
         f"axiom battery clean on catalog models; mutation matrix exact "
-        f"({len(matrix.outcomes)} mutants)",
+        f"({len(matrix['mutants'])} mutants)",
         ok,
     )
 

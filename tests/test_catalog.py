@@ -139,6 +139,17 @@ def test_load_fixture_roundtrip(tmp_path):
     assert check_transitivity(fixture.relation()).passed
 
 
+def test_load_fixture_accepts_state_objects(tmp_path):
+    path = tmp_path / "objects.json"
+    path.write_text(json.dumps({
+        "states": [{"id": 1, "kind": "equilibrium"}, {"id": 2}],
+        "pairs": [[1, 1], [2, 2], [1, 2]],
+    }))
+    fixture = load_fixture(path)
+    assert fixture.ids == [1, 2]
+    assert check_transitivity(fixture.relation()).passed
+
+
 def test_load_fixture_reports_json_position(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"states": [1, 2\n')

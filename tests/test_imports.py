@@ -1,9 +1,12 @@
-"""Every module-level import in the package is used by its module.
+"""Every module-level import and constant in the package is used.
 
-A stdlib-only stand-in for a linter's unused-import rule: each
-``src/entrokit/*.py`` except ``__init__.py`` (whose imports are the package's
-re-exports) is parsed with ``ast``, and every name a top-level ``import`` binds
-must be read somewhere in the module.
+A stdlib-only stand-in for a linter's unused-name rules, on modules parsed
+with ``ast``:
+
+- each ``src/entrokit/*.py`` except ``__init__.py`` (whose imports are the
+  package's re-exports) must read every name a top-level ``import`` binds;
+- every module-level UPPER_CASE name assigned in ``src/entrokit/*.py`` must
+  be read by some module of the package, by name or as an attribute.
 """
 
 import ast
@@ -12,7 +15,8 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "entrokit"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(PACKAGE.glob("*.py"))
+MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -45,3 +49,49 @@ def test_future_imports_and_attribute_roots_count():
 def test_module_has_no_unused_imports(path):
     unused = unused_imports(path.read_text())
     assert not unused, "\n".join(f"{path.stem}: {name}" for name in unused)
+
+
+def constants(tree: ast.Module) -> list[str]:
+    """UPPER_CASE names the module's top-level statements assign."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        names += [t.id for t in targets if isinstance(t, ast.Name) and t.id.isupper()]
+    return names
+
+
+def loaded_names(tree: ast.Module) -> set[str]:
+    """Names the module reads, bare or as an attribute of something else."""
+    return {
+        n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    } | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+
+
+def unused_constants(sources: dict[str, str]) -> list[str]:
+    """``module: NAME`` for each module constant no module reads."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set().union(*map(loaded_names, trees.values()))
+    return [
+        f"{module}: {name}"
+        for module, tree in trees.items()
+        for name in constants(tree)
+        if name not in read
+    ]
+
+
+def test_unused_constants_are_found():
+    sources = {
+        "a": "LIMIT = 3\nSPARE: int = 4\nSHARED = 5\nlower = 6\nprint(LIMIT)\n",
+        "b": "from . import a\nTOTAL = a.SHARED\nprint(TOTAL)\n",
+    }
+    assert unused_constants(sources) == ["a: SPARE"]
+
+
+def test_package_has_no_unused_constants():
+    unused = unused_constants({p.stem: p.read_text() for p in ALL_MODULES})
+    assert not unused, "\n".join(unused)

@@ -116,7 +116,7 @@ def test_table_reproduces_reference_values(setup):
 
 
 def test_table_midpoint_arithmetic():
-    table = EntropyTable("s")
+    table = EntropyTable()
     lam, s0, s1 = 0.5, 0.0, 2.0
     assert (1 - lam) * s0 + lam * s1 == 1.0
 

@@ -144,12 +144,12 @@ def test_wrong_temperature_reservoir_behaves_hotter(gas, r0, rng):
 
 def test_matrix_is_exact_for_every_mutation():
     report = mutation_matrix(seed=0)
-    assert report.ok
-    assert {o.mutation for o in report.outcomes} == set(MUTATIONS)
-    for outcome in report.outcomes:
-        assert outcome.exact, (
-            f"{outcome.mutation}: expected {sorted(outcome.expected)}, "
-            f"got {sorted(outcome.newly_failed)}"
+    assert report["ok"]
+    assert [m["mutation"] for m in report["mutants"]] == list(MUTATIONS)
+    for outcome in report["mutants"]:
+        assert outcome["exact"], (
+            f"{outcome['mutation']}: expected {outcome['expected_failures']}, "
+            f"got {outcome['newly_failed']}"
         )
 
 
@@ -157,7 +157,8 @@ def test_matrix_serializes(tmp_path):
     import json
 
     report = mutation_matrix(seed=0)
-    payload = json.dumps(report.to_dict(), sort_keys=True)
+    payload = json.dumps(report, sort_keys=True)
     parsed = json.loads(payload)
+    assert parsed == report
     assert parsed["ok"] is True
     assert len(parsed["mutants"]) == len(MUTATIONS)

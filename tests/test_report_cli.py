@@ -458,6 +458,18 @@ def test_cli_mistyped_config_exits_two(tmp_path, capsys, config, flags):
     assert not out_path.exists()
 
 
+def test_cli_config_suites_key_exits_two(tmp_path, capsys):
+    # Suites come from the subcommand alone; a config file cannot name them.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"suites": ["ly"]}))
+    out_path = tmp_path / "r.json"
+    code = main(["check-axioms", "--config", str(path), "--out", str(out_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "suites" in err
+    assert not out_path.exists()
+
+
 def test_cli_unwritable_out_exits_three(tmp_path, capsys):
     code = main([
         "check-axioms", "--out", str(tmp_path / "missing-dir" / "report.json"),
