@@ -11,8 +11,11 @@ a report on purpose, rewrite the files from the repository root with
 
 and name the files and the reason in CHANGES.md.
 
-None of these runs reaches ``np.linalg.lstsq``.  The two ``caratheodory``
-runs reach the in-repo quadrature rule, so they gate its bytes.  Fixture
+The gas ``all`` and ``construct-ly`` runs reach ``np.linalg.lstsq`` (the
+affine fits of ``ly_oracle_match`` and ``cross_construction``), and the
+gas ``all`` and ``caratheodory`` runs reach the in-repo quadrature rule, so
+these files gate the bytes of both.  The files were rendered with numpy
+2.4.6; an ``lstsq`` from another numpy build may round differently.  Fixture
 paths are relative to this directory, which is the working directory of
 every run.
 """
@@ -66,6 +69,13 @@ RUNS = {
     "caratheodory-gas-seed3": (["caratheodory", "--seed", "3"], _gas()),
     "caratheodory-gas-n2-cv2.5-seed3": (
         ["caratheodory", "--seed", "3"], _gas(n=2, c_v_hat=2.5),
+    ),
+    "all-gas-seed1": (["all", "--seed", "1"], _gas()),
+    "all-gas-n2-cv2.5-seed7": (["all", "--seed", "7"], _gas(n=2, c_v_hat=2.5)),
+    # The mutated oracle's entropies no longer match the intact oracle's:
+    # ly_oracle_match fails, so this file breaks if the table skips the mutant.
+    "construct-ly-break_splitting-seed2": (
+        ["construct-ly", "--seed", "2"], _gas("break_splitting"),
     ),
     "all-fixture-seed1": (
         ["all", "--seed", "1"],
