@@ -37,6 +37,10 @@ K_BOLTZMANN = 1.380649e-23  # J/K
 
 REVERSIBLE_DS_TOL = 1e-12  # below this, a process counts as entropy-preserving
 
+# The gas's isentropic partner of a state grows its volume by a factor of at
+# most this, and so shrinks its energy by up to this ** (1 / c_v_hat).
+ISENTROPIC_FACTOR_MAX = 1.3
+
 # Model parameters are kept to these magnitudes, so that every product and
 # quotient the oracles and engines form stays a finite, nonzero float.
 PARAM_MIN, PARAM_MAX = 1e-100, 1e100
@@ -181,6 +185,18 @@ class IdealGasEngine(_EngineBase):
         ) + n * self.s_star
         return s_eq - deficit
 
+    def scaled_entropies(self, state: State, ts: np.ndarray) -> np.ndarray:
+        """``oracle_entropy(scale_state(state, t))`` for every t in ``ts``,
+        bit for bit: the same float operations in the same order, with each
+        log taken by ``math.log``, since ``np.log`` may round differently."""
+        u, v, deficit = state.coords
+        scale = ts * state.scale
+        n = float(self.n0) * scale
+        log_u = _logs(ts * u / (n * float(self.u_star)))
+        log_v = _logs(ts * v / (n * float(self.v_star)))
+        s_eq = n * R_GAS * (float(self.cv) * log_u + log_v) + n * float(self.s_star)
+        return s_eq - ts * deficit
+
     def scale_state(self, state: State, t: float) -> State:
         u, v, deficit = state.coords
         return State(
@@ -229,7 +245,7 @@ class IdealGasEngine(_EngineBase):
     def isentropic_partner(self, state: State, rng: random.Random) -> Optional[State]:
         """A distinct state on the same entropy level set."""
         u, v, deficit = state.coords
-        factor = rng.uniform(1.05, 1.3)
+        factor = rng.uniform(1.05, ISENTROPIC_FACTOR_MAX)
         v2 = v * factor
         u2 = u * factor ** (-1.0 / self.cv)
         return self.state(u2, v2, deficit, scale=state.scale)
@@ -319,6 +335,10 @@ class IdealGasEngine(_EngineBase):
         return r.delta_energy_for_delta_entropy(-ds_system)
 
 
+def _logs(values: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.log, values.tolist()), dtype=float, count=len(values))
+
+
 def ideal_gas(
     n: float = 1.0,
     c_v_hat: float = 1.5,
@@ -341,6 +361,12 @@ def ideal_gas(
             raise DomainError(f"box {axis} bounds must satisfy lower < upper, got {[lo, hi]}")
     # As floats: numpy cannot take an integer bound beyond 64 bits.
     box = tuple((float(lo), float(hi)) for lo, hi in box)
+    if not box[0][0] * ISENTROPIC_FACTOR_MAX ** (-1.0 / c_v_hat) > 0:
+        raise DomainError(
+            f"c_v_hat is too small for the box: an isentropic partner of a state "
+            f"at the lower U bound would have U = {box[0][0]:g} * "
+            f"{ISENTROPIC_FACTOR_MAX} ** (-1/c_v_hat) = 0, got c_v_hat={c_v_hat!r}"
+        )
     engine = IdealGasEngine(n, c_v_hat, gauge, box)
     base = StateSpace(
         id=f"{model_id}:base",
@@ -356,6 +382,7 @@ def ideal_gas(
         scale_state_fn=engine.scale_state,
         entropy_atol=1e-10,
         isentropic_partner=engine.isentropic_partner,
+        scaled_entropies=engine.scaled_entropies,
     )
     return model
 

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Hashable, Iterable, Optional, Sequence, Union
 
+import numpy as np
+
 from .errors import CapabilityError, DomainError
 
 # Absolute per-coordinate tolerance for deciding that two states are the same
@@ -146,7 +148,10 @@ class ModelSystem:
     The oracle entropy is ground truth used by the engine ("nature") and by
     verification code; entropy-construction algorithms must not call it.
     ``entropy_atol`` is the absolute tolerance the induced relation uses to
-    decide equivalence of near-equal oracle values.
+    decide equivalence of near-equal oracle values.  ``scaled_entropies``,
+    when given, maps a state and an array of factors t to the oracle entropy
+    of each t-scaled copy, bit for bit as ``oracle_entropy(scale_state(s, t))``
+    gives it; the relation answers batched mixture queries with it.
     """
 
     def __init__(
@@ -160,6 +165,7 @@ class ModelSystem:
         scale_state_fn: Optional[Callable[[State, float], State]] = None,
         entropy_atol: float = 0.0,
         isentropic_partner: Optional[Callable[[State, object], Optional[State]]] = None,
+        scaled_entropies: Optional[Callable[[State, np.ndarray], np.ndarray]] = None,
     ):
         if not is_normal:
             if energy_bounds is None or not math.isfinite(energy_bounds[1]):
@@ -175,6 +181,7 @@ class ModelSystem:
         self._scale_state_fn = scale_state_fn
         self.entropy_atol = entropy_atol
         self.isentropic_partner = isentropic_partner
+        self.scaled_entropies = scaled_entropies
         if process_engine is not None:
             process_engine.bind(self)
 
@@ -233,6 +240,7 @@ class AccessibilityRelation:
             self.models = list(models)
             if not self.models:
                 raise DomainError("induced relation needs at least one model")
+            self._last_targets = (None, None)
         else:
             raise DomainError(f"unknown relation mode {mode!r}")
 
@@ -261,7 +269,8 @@ class AccessibilityRelation:
 
         leq needs all three for both of its states; resolving each part's
         model and space once here, instead of once per quantity, is what
-        keeps composite queries (the interpolation probes) cheap.
+        keeps composite queries (such as the consistency and splitting
+        checks' pairs) cheap.
         """
         totals: dict[str, float] = {}
         values: list[float] = []
@@ -308,6 +317,90 @@ class AccessibilityRelation:
 
     def equivalent(self, x, y) -> bool:
         return self.leq(x, y) and self.leq(y, x)
+
+    def leq_mixtures(self, x0: State, x1: State, lams, ys: Sequence[StateLike]):
+        """Each y_i against the mixture ((1-lam_i) x0, lam_i x1).
+
+        Returns two boolean arrays: ``fwd[i]`` is whether the mixture
+        precedes y_i and ``bwd[i]`` whether y_i precedes it, each exactly
+        what ``leq`` answers for that pair.  A plain induced relation whose
+        models supply ``scaled_entropies`` answers the whole batch in one
+        pass, and reads the states of ``ys`` once for as long as it is handed
+        the same tuple, as a bisection does; any other relation (a subclass
+        may define another order) asks ``leq`` twice per mixture.
+        """
+        if self.mode != "induced":
+            raise CapabilityError("mixtures need an induced relation")
+        lams = np.asarray(lams, dtype=float)
+        if lams.shape != (len(ys),):
+            raise DomainError("leq_mixtures needs one fraction per state")
+        if type(self) is AccessibilityRelation:
+            batch = self._leq_mixtures_batched(x0, x1, lams, ys)
+            if batch is not None:
+                return batch
+        fwd = np.zeros(len(ys), dtype=bool)
+        bwd = np.zeros(len(ys), dtype=bool)
+        m0, m1 = self._resolve(x0.space_id)[0], self._resolve(x1.space_id)[0]
+        for i, (lam, y) in enumerate(zip(lams.tolist(), ys)):
+            probe = composite_state([m0.scale_state(x0, 1.0 - lam), m1.scale_state(x1, lam)])
+            fwd[i] = self.leq(probe, y)
+            bwd[i] = self.leq(y, probe)
+        return fwd, bwd
+
+    def _leq_mixtures_batched(self, x0, x1, lams, ys):
+        """``leq_mixtures`` from the models' ``scaled_entropies``, with
+        ``leq``'s arithmetic step for step; None where it does not apply or a
+        value is not finite, and the caller asks ``leq`` instead."""
+        (m0, sp0), (m1, sp1) = self._resolve(x0.space_id), self._resolve(x1.space_id)
+        if (
+            m0.scaled_entropies is None
+            or m1.scaled_entropies is None
+            or sp0.composition_tag != sp1.composition_tag
+        ):
+            return None
+        targets = self._mixture_targets(ys)
+        if targets is None:
+            return None
+        s_y, amount_y, atol_y, tags = targets
+        with np.errstate(all="ignore"):
+            t0 = 1.0 - lams
+            mixed = m0.scaled_entropies(x0, t0) + m1.scaled_entropies(x1, lams)
+            amount = t0 * x0.scale + lams * x1.scale
+        if not (np.isfinite(mixed).all() and np.isfinite(amount).all()):
+            return None
+        atol = np.maximum(max(m0.entropy_atol, m1.entropy_atol), atol_y)
+        # _totals_match: equal amounts, or equal within math.isclose's 1e-12.
+        gap = np.abs(amount_y - amount)
+        match = np.array([tag == sp0.composition_tag for tag in tags], dtype=bool) & (
+            (amount == amount_y)
+            | (gap <= np.abs(1e-12 * amount_y))
+            | (gap <= np.abs(1e-12 * amount))
+        )
+        return match & (mixed <= s_y + atol), match & (s_y <= mixed + atol)
+
+    def _mixture_targets(self, ys):
+        """Oracle entropy, amount, entropy atol and composition tag of each
+        of ``ys``; None unless all are single states with finite values.
+        The answer for the last tuple is kept: a tuple of frozen states
+        cannot change."""
+        if self._last_targets[0] is ys:
+            return self._last_targets[1]
+        if not all(isinstance(y, State) for y in ys):
+            return None
+        owners = [self._resolve(y.space_id) for y in ys]
+        s_y = np.array([m.oracle_entropy(y) for y, (m, _) in zip(ys, owners)], dtype=float)
+        amount_y = np.array([y.scale for y in ys], dtype=float)
+        if not (np.isfinite(s_y).all() and np.isfinite(amount_y).all()):
+            return None
+        targets = (
+            s_y,
+            amount_y,
+            np.array([m.entropy_atol for m, _ in owners], dtype=float),
+            [sp.composition_tag for _, sp in owners],
+        )
+        if isinstance(ys, tuple):
+            self._last_targets = (ys, targets)
+        return targets
 
     def sample(self, rng, n: int) -> list:
         """Draw n universe elements (finite: with replacement from the list)."""

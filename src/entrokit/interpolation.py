@@ -4,7 +4,9 @@ states.
 Given references X0 strictly below X1, the unique fraction lam with
 X equivalent to the pair ((1-lam)X0, lam X1) is located by bisection using
 nothing but accessibility queries; the entropy of X is then the lam-weighted
-mix of the reference values.  A table built this way is certified against
+mix of the reference values.  A table bisects all its states in lockstep:
+each step asks the relation once, through ``leq_mixtures``, about every
+state still open.  A table built this way is certified against
 ground truth up to the affine gauge any valid entropy carries, and the
 tightest equilibrium values around a nonequilibrium state bound its entropy
 from both sides.
@@ -13,16 +15,11 @@ from both sides.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import (
-    AccessibilityRelation,
-    State,
-    StateLike,
-    composite_state,
-)
+from .core import AccessibilityRelation, State
 from .errors import CapabilityError, DegenerateFitError, DomainError, NumericError
 
 LAMBDA_TOL = 1e-9
@@ -61,57 +58,69 @@ def _require_induced_scaling(rel: AccessibilityRelation):
     model = rel.models[0]
     if not model.supports_scaling:
         raise CapabilityError(f"model {model.id!r} cannot form scaled copies")
-    return model
 
 
 def find_lambda(
     rel: AccessibilityRelation,
-    x: State,
+    states: Sequence[State],
     refs: ReferencePair,
     tol: float = LAMBDA_TOL,
     max_iter: int = LAMBDA_MAX_ITER,
-) -> float:
-    """Bisect for the fraction lam with x ~ ((1-lam) x0, lam x1).
+) -> list[Union[float, str]]:
+    """Bisect, for all states in lockstep, for the fraction lam with
+    x ~ ((1-lam) x0, lam x1).
 
-    Only accessibility queries are used.  Ties inside the bracket resolve
-    toward equivalence so the search terminates even when the interpolant
-    lands exactly on x.
+    Returns, in order, each state's lam, or the reason a state outside the
+    reference bracket is skipped.  Only accessibility queries are used:
+    ``leq`` to place each state against the references, then one
+    ``leq_mixtures`` per bisection step for every state still open.  Ties
+    inside the bracket resolve toward equivalence so the search terminates
+    even when the interpolant lands exactly on x.
     """
-    model = _require_induced_scaling(rel)
+    _require_induced_scaling(rel)
     x0, x1 = refs.x0, refs.x1
     if not (rel.leq(x0, x1) and not rel.leq(x1, x0)):
-        raise DomainError("reference states must be strictly ordered")
-    if not rel.leq(x0, x):
-        raise DomainError("state lies below the lower reference")
-    if not rel.leq(x, x1):
-        raise DomainError("state lies above the upper reference")
-    if rel.equivalent(x, x0):
-        return 0.0
-    if rel.equivalent(x, x1):
-        return 1.0
+        return ["reference states must be strictly ordered"] * len(states)
+    out: list[Union[float, str, None]] = []
+    for x in states:
+        try:
+            if not rel.leq(x0, x):
+                out.append("state lies below the lower reference")
+            elif not rel.leq(x, x1):
+                out.append("state lies above the upper reference")
+            elif rel.equivalent(x, x0):
+                out.append(0.0)
+            elif rel.equivalent(x, x1):
+                out.append(1.0)
+            else:
+                out.append(None)
+        except DomainError as exc:
+            out.append(str(exc))
 
-    def interpolant(lam: float) -> StateLike:
-        return composite_state(
-            [model.scale_state(x0, 1.0 - lam), model.scale_state(x1, lam)]
-        )
-
-    lo, hi = 0.0, 1.0
+    # Every step hands leq_mixtures the same tuple of states, so the relation
+    # reads each of them once; a state whose lam is found bisects on, unread,
+    # until the last one's is.
+    todo = [i for i, lam in enumerate(out) if lam is None]
+    ys = tuple(states[i] for i in todo)
+    lo, hi, lams = np.zeros(len(ys)), np.ones(len(ys)), np.zeros(len(ys))
+    open_ = np.ones(len(ys), dtype=bool)
     for _ in range(max_iter):
+        if not open_.any():
+            break
         mid = 0.5 * (lo + hi)
-        probe = interpolant(mid)
-        fwd = rel.leq(probe, x)
-        bwd = rel.leq(x, probe)
-        if fwd and bwd:
-            return mid
-        if fwd:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol:
-            return 0.5 * (lo + hi)
-    raise NumericError(
-        f"bisection did not reach tolerance {tol} in {max_iter} iterations"
-    )
+        fwd, bwd = rel.leq_mixtures(x0, x1, mid, ys)
+        lo, hi = np.where(fwd, mid, lo), np.where(fwd, hi, mid)
+        tie = open_ & fwd & bwd
+        close = open_ & ~tie & (hi - lo <= tol)
+        lams = np.where(tie, mid, np.where(close, 0.5 * (lo + hi), lams))
+        open_ &= ~(tie | close)
+    if open_.any():
+        raise NumericError(
+            f"bisection did not reach tolerance {tol} in {max_iter} iterations"
+        )
+    for i, lam in zip(todo, lams.tolist()):
+        out[i] = lam
+    return out
 
 
 def entropy_from_accessibility(
@@ -126,13 +135,11 @@ def entropy_from_accessibility(
     failing the whole table.
     """
     table = EntropyTable()
-    for s in states:
-        try:
-            lam = find_lambda(rel, s, refs, tol=tol)
-        except DomainError as exc:
-            table.skipped[s] = str(exc)
-            continue
-        table.entries[s] = (1.0 - lam) * refs.s0 + lam * refs.s1
+    for s, lam in zip(states, find_lambda(rel, states, refs, tol=tol)):
+        if isinstance(lam, str):
+            table.skipped[s] = lam
+        else:
+            table.entries[s] = (1.0 - lam) * refs.s0 + lam * refs.s1
     return table
 
 

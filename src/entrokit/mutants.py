@@ -115,6 +115,9 @@ def mutate_model(target: MutationTarget, mutation: str) -> MutationTarget:
 
     clone = _clone_model(target)
     base_oracle = clone.oracle_entropy
+    if mutation in ("break_scaling", "break_splitting"):
+        # The batched entropies would still follow the intact oracle.
+        clone.scaled_entropies = None
 
     if mutation == "break_scaling":
         # Order-reversing only on enlarged copies: shrunk copies (splitting,

@@ -747,17 +747,21 @@ def suite_caratheodory(target, config: SuiteConfig, memo: dict) -> SuiteOutput:
 
 def suite_mutants(target, config: SuiteConfig, memo: dict) -> SuiteOutput:
     matrix = mutation_matrix(seed=config.seed)
-    model, fixture = matrix["baseline_model"], matrix["baseline_fixture"]
+    # Both batteries run checks of the same names, so each failure is named
+    # with its battery.
+    batteries = {"model": matrix["baseline_model"], "fixture": matrix["baseline_fixture"]}
+    failures = [
+        (battery, name, status)
+        for battery, statuses in batteries.items()
+        for name, status in statuses.items()
+        if status == CheckStatus.FAIL
+    ]
     results = [
         verdict(
             "matrix_baseline",
-            CheckStatus.FAIL not in [*model.values(), *fixture.values()],
-            [
-                (name, status)
-                for name, status in {**model, **fixture}.items()
-                if status == CheckStatus.FAIL
-            ],
-            samples_used=len(model) + len(fixture),
+            not failures,
+            failures,
+            samples_used=sum(map(len, batteries.values())),
         )
     ]
     results += [

@@ -1,6 +1,8 @@
 import json
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,6 +38,47 @@ def test_gas_rejects_nonpositive_coordinates(gas):
 def test_gas_requires_positive_amount():
     with pytest.raises(DomainError):
         ideal_gas(n=0.0)
+
+
+def test_gas_rejects_c_v_hat_whose_isentropic_partners_lose_all_energy():
+    with pytest.raises(DomainError, match="c_v_hat is too small"):
+        ideal_gas(c_v_hat=1e-100)
+    gas = ideal_gas(c_v_hat=0.01)
+    e = gas.process_engine
+    low = e.state(e.box[0][0], e.box[1][0])
+    assert e.isentropic_partner(low, random.Random(0)).coords[0] > 0
+
+
+@given(
+    u=st.floats(500.0, 10000.0),
+    v=st.floats(0.005, 0.1),
+    deficit=st.floats(0.0, 5.0),
+    scale=st.floats(0.2, 5.0),
+    ts=st.lists(st.floats(1e-6, 10.0), min_size=1, max_size=6),
+    c_v_hat=st.one_of(st.floats(0.5, 5.0), st.just(3)),
+)
+@settings(max_examples=60, deadline=None)
+def test_gas_scaled_entropies_equal_oracle_bit_for_bit(u, v, deficit, scale, ts, c_v_hat):
+    gas = ideal_gas(n=2, c_v_hat=c_v_hat, gauge=(1.5, 0.5, 3.0))
+    x = gas.process_engine.state(u, v, deficit, scale=scale)
+    batch = gas.scaled_entropies(x, np.array(ts))
+    assert [s.hex() for s in batch.tolist()] == [
+        gas.oracle_entropy(gas.scale_state(x, t)).hex() for t in ts
+    ]
+
+
+def test_gas_scaled_entropies_take_scalar_logs():
+    # np.log and math.log disagree in the last bit on a few arguments in
+    # 10^5 on some CPUs.  A scaled copy's log arguments are intensive, the
+    # same for every factor, so it takes this many states to meet one there.
+    gas = ideal_gas()
+    e = gas.process_engine
+    rng = random.Random(5)
+    ts = np.array([0.5])
+    for _ in range(20_000):
+        x = e.sample_state(rng)
+        expected = gas.oracle_entropy(gas.scale_state(x, 0.5))
+        assert gas.scaled_entropies(x, ts)[0].hex() == expected.hex()
 
 
 @given(t=st.floats(min_value=0.1, max_value=10.0))

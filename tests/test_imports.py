@@ -95,3 +95,48 @@ def test_unused_constants_are_found():
 def test_package_has_no_unused_constants():
     unused = unused_constants({p.stem: p.read_text() for p in ALL_MODULES})
     assert not unused, "\n".join(unused)
+
+
+# The construction fence: the interpolation route reads a model only through
+# the relation's order queries, never through its entropies.
+RELATION_QUERIES = {"leq", "equivalent", "leq_mixtures"}
+FENCED = {"oracle_entropy", "scaled_entropies", "process_engine", "_profile", "_combine"}
+
+
+def fence_breaches(source: str, relation: str = "rel") -> list[str]:
+    """Fenced names the source mentions (bare, as an attribute or as a
+    string), and calls on ``relation`` other than its order queries."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        name = (
+            node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute)
+            else node.value if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            else None
+        )
+        if name in FENCED:
+            found.append(name)
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == relation
+            and node.func.attr not in RELATION_QUERIES
+        ):
+            found.append(f"{relation}.{node.func.attr}()")
+    return found
+
+
+def test_fence_breaches_are_found():
+    source = (
+        "def f(rel, model, x):\n"
+        "    rel.leq(x, x) and rel.leq_mixtures(x, x, [0.5], [x])\n"
+        "    rel.sample(None, 3)\n"
+        "    return model.oracle_entropy(x) + getattr(model, 'scaled_entropies')(x, [1])\n"
+    )
+    assert fence_breaches(source) == ["rel.sample()", "oracle_entropy", "scaled_entropies"]
+
+
+def test_interpolation_reads_models_only_through_relation_queries():
+    breaches = fence_breaches((PACKAGE / "interpolation.py").read_text())
+    assert not breaches, "\n".join(breaches)

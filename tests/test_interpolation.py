@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entrokit.catalog import ideal_gas
+from entrokit.core import AccessibilityRelation, composite_state
 from entrokit.errors import (
     CapabilityError,
     DegenerateFitError,
@@ -8,6 +11,8 @@ from entrokit.errors import (
     NumericError,
 )
 from entrokit.interpolation import (
+    LAMBDA_MAX_ITER,
+    LAMBDA_TOL,
     EntropyTable,
     ReferencePair,
     affine_match,
@@ -15,6 +20,61 @@ from entrokit.interpolation import (
     find_lambda,
     sandwich_bounds,
 )
+from entrokit.mutants import mutate_model
+from entrokit.report import SuiteConfig, ly_table
+
+
+def scalar_find_lambda(rel, x, refs, tol=LAMBDA_TOL, max_iter=LAMBDA_MAX_ITER):
+    """The one-state bisection, kept as the reference for the lockstep
+    ``find_lambda``: it builds each probe and asks ``leq`` twice per step."""
+    model = rel.models[0]
+    if not model.supports_scaling:
+        raise CapabilityError(f"model {model.id!r} cannot form scaled copies")
+    x0, x1 = refs.x0, refs.x1
+    if not (rel.leq(x0, x1) and not rel.leq(x1, x0)):
+        raise DomainError("reference states must be strictly ordered")
+    if not rel.leq(x0, x):
+        raise DomainError("state lies below the lower reference")
+    if not rel.leq(x, x1):
+        raise DomainError("state lies above the upper reference")
+    if rel.equivalent(x, x0):
+        return 0.0
+    if rel.equivalent(x, x1):
+        return 1.0
+
+    def interpolant(lam):
+        return composite_state(
+            [model.scale_state(x0, 1.0 - lam), model.scale_state(x1, lam)]
+        )
+
+    lo, hi = 0.0, 1.0
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        probe = interpolant(mid)
+        fwd = rel.leq(probe, x)
+        bwd = rel.leq(x, probe)
+        if fwd and bwd:
+            return mid
+        if fwd:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= tol:
+            return 0.5 * (lo + hi)
+    raise NumericError(
+        f"bisection did not reach tolerance {tol} in {max_iter} iterations"
+    )
+
+
+def scalar_lambdas(rel, states, refs, tol=LAMBDA_TOL):
+    """The reference's answer in ``find_lambda``'s form: lam, or the reason."""
+    out = []
+    for x in states:
+        try:
+            out.append(scalar_find_lambda(rel, x, refs, tol=tol))
+        except DomainError as exc:
+            out.append(str(exc))
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -32,12 +92,12 @@ def setup():
 
 def test_lambda_at_lower_reference_is_zero(setup):
     gas, rel, grid, refs = setup
-    assert find_lambda(rel, refs.x0, refs) == 0.0
+    assert find_lambda(rel, [refs.x0], refs) == [0.0]
 
 
 def test_lambda_at_upper_reference_is_one(setup):
     gas, rel, grid, refs = setup
-    assert find_lambda(rel, refs.x1, refs) == 1.0
+    assert find_lambda(rel, [refs.x1], refs) == [1.0]
 
 
 def test_lambda_quarter_point():
@@ -49,20 +109,26 @@ def test_lambda_quarter_point():
     x1 = e.ses_with_entropy(1.0, region)
     x = e.ses_with_entropy(0.25, region)
     refs = ReferencePair(x0, x1, s0=0.0, s1=1.0)
-    lam = find_lambda(rel, x, refs, tol=1e-9)
+    (lam,) = find_lambda(rel, [x], refs, tol=1e-9)
     # Independent route: the oracle gives the interpolation fraction directly.
     s0, s1, sx = (gas.oracle_entropy(s) for s in (x0, x1, x))
     assert lam == pytest.approx((sx - s0) / (s1 - s0), abs=2e-9)
     assert lam == pytest.approx(0.25, abs=1e-6)
 
 
-def test_lambda_outside_bracket_raises(setup):
+def test_lambda_outside_bracket_gives_reason(setup):
     gas, rel, grid, refs = setup
     e = gas.process_engine
     below = e.state(refs.x0.coords[0] * 0.5, refs.x0.coords[1] * 0.5)
+    above = e.state(refs.x1.coords[0] * 2.0, refs.x1.coords[1] * 2.0)
     assert gas.oracle_entropy(below) < gas.oracle_entropy(refs.x0)
+    assert find_lambda(rel, [below, refs.x0, above], refs) == [
+        "state lies below the lower reference",
+        0.0,
+        "state lies above the upper reference",
+    ]
     with pytest.raises(DomainError):
-        find_lambda(rel, below, refs)
+        scalar_find_lambda(rel, below, refs)
 
 
 def test_lambda_needs_scaling_support(spin):
@@ -70,18 +136,14 @@ def test_lambda_needs_scaling_support(spin):
     e = spin.process_engine
     refs = ReferencePair(e.state(1e-20), e.state(4e-20), s0=0.0, s1=1.0)
     with pytest.raises(CapabilityError):
-        find_lambda(rel, e.state(2e-20), refs)
+        find_lambda(rel, [e.state(2e-20)], refs)
 
 
 def test_lambda_nonconvergence_raises(setup):
     gas, rel, grid, refs = setup
     mid = grid[len(grid) // 2]
     with pytest.raises(NumericError):
-        find_lambda(rel, mid, refs, tol=1e-30, max_iter=10)
-
-
-from hypothesis import given, settings
-from hypothesis import strategies as st
+        find_lambda(rel, [mid], refs, tol=1e-30, max_iter=10)
 
 
 @given(s_target=st.floats(min_value=41.0, max_value=79.0))
@@ -94,14 +156,14 @@ def test_lambda_tracks_oracle_fraction(s_target):
     x0 = e.ses_with_entropy(40.0, region)
     x1 = e.ses_with_entropy(80.0, region)
     refs = ReferencePair(x0, x1, s0=0.0, s1=1.0)
-    lam = find_lambda(rel, e.ses_with_entropy(s_target, region), refs, tol=1e-9)
+    (lam,) = find_lambda(rel, [e.ses_with_entropy(s_target, region)], refs, tol=1e-9)
     assert lam == pytest.approx((s_target - 40.0) / 40.0, abs=5e-9)
 
 
 def test_lambda_monotone_along_entropy_chain(setup):
     gas, rel, grid, refs = setup
     chain = sorted(grid, key=gas.oracle_entropy)[1:-1:10]
-    lams = [find_lambda(rel, s, refs) for s in chain]
+    lams = find_lambda(rel, chain, refs)
     for a, b in zip(lams, lams[1:]):
         assert b >= a - 2e-9
 
@@ -232,3 +294,161 @@ def test_sandwich_violation_reported_not_raised(setup):
     bounds = sandwich_bounds(rel, stranded, grid, table)
     assert not bounds.ok
     assert "lower" in bounds.message
+
+
+# -- lockstep bisection and batched mixture queries --------------------------------
+
+_GAS_PARAMS = st.fixed_dictionaries({
+    "n": st.one_of(st.floats(0.1, 10.0), st.sampled_from([1, 2])),
+    "c_v_hat": st.one_of(st.floats(0.5, 5.0), st.sampled_from([1.5, 2.5, 3])),
+    "gauge": st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0), st.floats(-50.0, 50.0)),
+})
+_U = st.floats(500.0, 10000.0)
+_V = st.floats(0.005, 0.1)
+# Fractions the bisection can reach, dyadic midpoints among them.
+_FRACTION = st.one_of(
+    st.floats(2.0**-50, 1.0 - 2.0**-50),
+    st.integers(1, 2**30 - 1).map(lambda k: k / 2**30),
+)
+# Offsets of a drawn state's entropy from a mixture's, around the gas's
+# 1e-10 J/K equivalence tolerance.
+_TIE_OFFSETS = st.sampled_from([-2e-10, -1e-10, -5e-11, 0.0, 5e-11, 1e-10, 2e-10])
+
+
+@st.composite
+def _mixture_queries(draw, gas):
+    """x0, x1, fractions and states y: equilibrium, nonequilibrium, scaled
+    copies, and states within a few tolerances of their mixture."""
+    e = gas.process_engine
+
+    def state():
+        deficit = draw(st.one_of(st.just(0.0), st.floats(0.01, 5.0)))
+        s = e.state(draw(_U), draw(_V), deficit)
+        return gas.scale_state(s, draw(st.floats(0.2, 5.0))) if draw(st.booleans()) else s
+
+    x0, x1 = e.state(draw(_U), draw(_V)), e.state(draw(_U), draw(_V))
+    lams = draw(st.lists(_FRACTION, min_size=1, max_size=8))
+    ys = []
+    for lam in lams:
+        if draw(st.booleans()):
+            ys.append(state())
+            continue
+        mixed = gas.oracle_entropy(gas.scale_state(x0, 1.0 - lam)) + gas.oracle_entropy(
+            gas.scale_state(x1, lam)
+        )
+        ys.append(e.ses_with_entropy(mixed + draw(_TIE_OFFSETS), ("vol", draw(_V))))
+    return x0, x1, lams, ys
+
+
+def _per_element(rel, model, x0, x1, lams, ys):
+    fwd, bwd = [], []
+    for lam, y in zip(lams, ys):
+        probe = composite_state([model.scale_state(x0, 1.0 - lam), model.scale_state(x1, lam)])
+        fwd.append(rel.leq(probe, y))
+        bwd.append(rel.leq(y, probe))
+    return fwd, bwd
+
+
+def _outcome(fn, *args):
+    """The call's answer as lists, or the type of what it raised."""
+    try:
+        fwd, bwd = fn(*args)
+    except Exception as exc:  # the two paths must fail alike too
+        return type(exc)
+    return list(map(bool, fwd)), list(map(bool, bwd))
+
+
+def _count_hook_calls(model) -> list:
+    calls = []
+    hook = model.scaled_entropies
+    if hook is not None:
+        model.scaled_entropies = lambda state, ts: calls.append(len(ts)) or hook(state, ts)
+    return calls
+
+
+@given(data=st.data(), params=_GAS_PARAMS)
+@settings(max_examples=60, deadline=None)
+def test_leq_mixtures_matches_leq(data, params):
+    gas = ideal_gas(**params)
+    rel = gas.relation()
+    queries = []
+    for x0, x1, lams, ys in (data.draw(_mixture_queries(gas)) for _ in range(2)):
+        # The states as a list, then as one tuple handed over again with
+        # other fractions, as find_lambda does.
+        ys = tuple(ys)
+        queries += [(x0, x1, lams, list(ys)), (x0, x1, lams, ys), (x0, x1, lams[::-1], ys)]
+    expected = [_outcome(_per_element, rel, gas, *query) for query in queries]
+    calls = _count_hook_calls(gas)
+    for i in [0, 1, 2, 3, 4, 5, 1, 2]:
+        assert _outcome(rel.leq_mixtures, *queries[i]) == expected[i]
+    assert calls  # the batched path ran
+
+
+def test_leq_mixtures_keeps_compositions_apart():
+    gas, other = ideal_gas(), ideal_gas(n=2.0, model_id="other")
+    rel = AccessibilityRelation.induced([gas, other])
+    e = gas.process_engine
+    x0, x1 = e.state(600.0, 0.006), e.state(9000.0, 0.09)
+    ys = (other.process_engine.state(3000.0, 0.03), e.state(3000.0, 0.03))
+    expected = _per_element(rel, gas, x0, x1, [0.5, 0.5], ys)
+    calls = _count_hook_calls(gas)
+    assert _outcome(rel.leq_mixtures, x0, x1, [0.5, 0.5], ys) == expected
+    assert expected[0][0] is expected[1][0] is False  # two gases never compare
+    assert calls
+
+
+@pytest.mark.parametrize(
+    "mutation", ["break_scaling", "break_splitting", "composite_max", "strict_only_comparison"]
+)
+@given(data=st.data(), params=_GAS_PARAMS)
+@settings(max_examples=20, deadline=None)
+def test_leq_mixtures_keeps_planted_defects(mutation, data, params):
+    mutant = mutate_model(ideal_gas(**params), mutation)
+    query = data.draw(_mixture_queries(mutant))
+    rel = mutant.relation()
+    expected = _outcome(_per_element, rel, mutant, *query)
+    calls = _count_hook_calls(mutant)
+    assert _outcome(rel.leq_mixtures, *query) == expected
+    assert not calls  # the mutant's own leq answered
+
+
+def _bits(lams):
+    return [lam.hex() if isinstance(lam, float) else lam for lam in lams]
+
+
+@given(
+    params=_GAS_PARAMS,
+    shape=st.tuples(st.integers(2, 5), st.integers(2, 5)),
+    refs_at=st.tuples(st.integers(0, 24), st.integers(0, 24)),
+    extra=st.lists(st.tuples(_U, _V, st.floats(0.0, 3.0)), max_size=4),
+    tol=st.sampled_from([LAMBDA_TOL, 1e-6, 1e-12]),
+)
+@settings(max_examples=50, deadline=None)
+def test_lockstep_matches_scalar_bisection(params, shape, refs_at, extra, tol):
+    gas = ideal_gas(**params)
+    e = gas.process_engine
+    grid = e.grid(*shape)
+    by_oracle = sorted(grid, key=gas.oracle_entropy)
+    i0, i1 = sorted(i % len(grid) for i in refs_at)
+    refs = ReferencePair(by_oracle[i0], by_oracle[i1], s0=0.0, s1=100.0)
+    states = grid + [e.state(u, v, deficit) for u, v, deficit in extra]
+    rel = gas.relation()
+    lockstep = find_lambda(rel, states, refs, tol=tol)
+    assert _bits(lockstep) == _bits(scalar_lambdas(rel, states, refs, tol=tol))
+
+
+def test_default_table_asks_few_scalar_queries(monkeypatch):
+    gas = ideal_gas()
+    hook_calls = _count_hook_calls(gas)
+    leq_calls = []
+    leq = AccessibilityRelation.leq
+
+    def counting_leq(rel, x, y):
+        leq_calls.append(1)
+        return leq(rel, x, y)
+
+    monkeypatch.setattr(AccessibilityRelation, "leq", counting_leq)
+    grid, table = ly_table(gas, SuiteConfig.from_dict({}), {})
+    assert len(grid) == len(table.entries) == 441
+    assert len(leq_calls) <= 6 * len(grid)
+    assert hook_calls

@@ -87,6 +87,23 @@ def test_mutant_config_fails_exactly_splitting():
     assert failed == ["splitting"]
 
 
+def test_matrix_baseline_names_the_failing_battery(monkeypatch):
+    # Both batteries run a check named transitivity; only the gas's fails.
+    passing = {"reflexivity": "pass", "transitivity": "pass", "comparison": "pass"}
+    matrix = {
+        "baseline_model": {**passing, "transitivity": "fail"},
+        "baseline_fixture": dict(passing),
+        "mutants": [],
+        "ok": False,
+    }
+    monkeypatch.setattr(report_module, "mutation_matrix", lambda *, seed: matrix)
+    config = SuiteConfig(model={"kind": "ideal_gas"}, suites=("mutants",))
+    (baseline,), summary = report_module.suite_mutants(ideal_gas(), config, {})
+    assert baseline.failed
+    assert baseline.witnesses == [("model", "transitivity", "fail")]
+    assert summary == {"mutation_matrix": matrix}
+
+
 def test_fixture_config_runs_axioms(tmp_path):
     path = tmp_path / "chain.json"
     path.write_text(json.dumps({
@@ -374,6 +391,8 @@ OUT_OF_RANGE = [
     ("ideal_gas", {"box": [[10000.0, 500.0], [0.005, 0.1]]}, "box"),
     ("two_level_spin", {"eps": 0}, "eps"),
     ("two_level_spin", {"n_particles": 2.5}, "n_particles"),
+    # In range, but 1.3 ** (-1/c_v_hat) underflows: isentropic partners get U = 0.
+    ("ideal_gas", {"c_v_hat": 1e-100}, "c_v_hat is too small"),
 ]
 
 
