@@ -11,9 +11,10 @@ a report on purpose, rewrite the files from the repository root with
 
 and name the files and the reason in CHANGES.md.
 
-The gas ``all`` and ``construct-ly`` runs reach ``np.linalg.lstsq`` (the
-affine fits of ``ly_oracle_match`` and ``cross_construction``), and the
-gas ``all`` and ``caratheodory`` runs reach the in-repo quadrature rule, so
+The gas ``all``, ``construct-ly`` and ``caratheodory`` runs reach
+``np.linalg.lstsq`` (the affine fits of ``ly_oracle_match``,
+``cross_construction`` and ``caratheodory_entropy_match``), and the gas
+``all`` and ``caratheodory`` runs reach the in-repo quadrature rule, so
 these files gate the bytes of both.  The files were rendered with numpy
 2.4.6; an ``lstsq`` from another numpy build may round differently.  Fixture
 paths are relative to this directory, which is the working directory of
