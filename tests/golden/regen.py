@@ -82,6 +82,13 @@ RUNS = {
         ["all", "--seed", "1"],
         {"model": {"kind": "fixture", "params": {"path": "fixture.json"}}},
     ),
+    # One closure pair reversed: the exhaustive transitivity scan fails with
+    # the lexicographically first witness.
+    "check-axioms-fixture-break_transitivity-seed1": (
+        ["check-axioms", "--seed", "1"],
+        {"model": {"kind": "fixture", "params": {"path": "fixture.json"},
+                   "mutation": "break_transitivity"}},
+    ),
 }
 
 
