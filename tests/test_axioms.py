@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entrokit.axioms import (
     TRANSITIVITY_CAP,
@@ -60,6 +64,101 @@ def test_transitivity_cap_reports_not_applicable():
     fixture = chain_fixture(TRANSITIVITY_CAP + 1)
     result = check_transitivity(fixture.relation())
     assert result.status is CheckStatus.NOT_APPLICABLE
+
+
+def cubic_transitivity_witness(rel):
+    """The first (x, y, z) in element order with x ≼ y ≼ z but not x ≼ z, by
+    the cubic scan; kept as the reference for ``check_transitivity``."""
+    elems = rel.elements
+    return next(
+        (
+            (x, y, z)
+            for x in elems
+            for y in elems
+            if rel.leq(x, y)
+            for z in elems
+            if rel.leq(y, z) and not rel.leq(x, z)
+        ),
+        None,
+    )
+
+
+def _closure(ids, pairs):
+    """The reflexive-transitive closure of ``pairs`` over ``ids``."""
+    reach = {x: {x} | {b for a, b in pairs if a == x} for x in ids}
+    for k in ids:
+        for x in ids:
+            if k in reach[x]:
+                reach[x] |= reach[k]
+    return {(x, y) for x in ids for y in reach[x]}
+
+
+@st.composite
+def _finite_relations(draw):
+    """Relations on up to 24 shuffled int and str ids: random pairs at a
+    random density (reflexive or not), or a closed preorder with one implied
+    pair dropped or reversed."""
+    n = draw(st.integers(0, 24))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    ids = rng.sample([*range(n), *map(str, range(n))], n)
+    density = draw(st.floats(0.0, 1.0))
+    pairs = {(x, y) for x in ids for y in ids if rng.random() < density}
+    if draw(st.booleans()):
+        pairs = _closure(ids, pairs)
+        implied = sorted(
+            {(a, c) for a, b in pairs for c in ids
+             if len({a, b, c}) == 3 and (b, c) in pairs and (a, c) in pairs},
+            key=repr,
+        )
+        if implied:
+            a, c = draw(st.sampled_from(implied))
+            pairs.discard((a, c))
+            if draw(st.booleans()):
+                pairs.add((c, a))
+    return AccessibilityRelation.finite(ids, pairs)
+
+
+@given(rel=_finite_relations())
+@settings(max_examples=300, deadline=None)
+def test_transitivity_scan_matches_cubic_reference(rel):
+    result = check_transitivity(rel)
+    expected = cubic_transitivity_witness(rel)
+    assert result.status is (CheckStatus.PASS if expected is None else CheckStatus.FAIL)
+    assert result.witnesses == ([] if expected is None else [expected])
+    assert result.samples_used == len(rel.elements) ** 3
+    for x, y, z in result.witnesses:
+        assert rel.leq(x, y) and rel.leq(y, z) and not rel.leq(x, z)
+
+
+def test_transitivity_scan_asks_at_most_n_squared_queries(monkeypatch):
+    rel = chain_fixture(TRANSITIVITY_CAP).relation()
+    calls = []
+    leq = AccessibilityRelation.leq
+
+    def counting_leq(self, x, y):
+        calls.append(1)
+        return leq(self, x, y)
+
+    monkeypatch.setattr(AccessibilityRelation, "leq", counting_leq)
+    result = check_transitivity(rel)
+    assert result.passed
+    assert result.samples_used == TRANSITIVITY_CAP ** 3
+    assert 0 < len(calls) <= TRANSITIVITY_CAP ** 2
+
+
+class _DropsClosurePair(AccessibilityRelation):
+    """A finite relation whose ``leq`` denies one pair that ``pairs`` holds."""
+
+    def leq(self, x, y):
+        return (x, y) != (0, 2) and super().leq(x, y)
+
+
+def test_transitivity_scan_asks_overriding_leq():
+    rel = _DropsClosurePair.finite([0, 1, 2], chain_fixture(3).pairs)
+    assert (0, 2) in rel.pairs
+    result = check_transitivity(rel)
+    assert result.failed
+    assert result.witnesses == [(0, 1, 2)]
 
 
 def test_transitivity_induced_sampled(gas_rel):
