@@ -199,13 +199,20 @@ class IdealGasEngine(_EngineBase):
 
     def scale_state(self, state: State, t: float) -> State:
         u, v, deficit = state.coords
+        u, v, scale = t * u, t * v, t * state.scale
+        n = self.n0 * scale
+        if not (u > 0 and v > 0 and n * self.u_star > 0 and n * self.v_star > 0):
+            raise DomainError(
+                f"scale factor {t!r} underflows the scaled copy: its U, V, "
+                f"n * u_star and n * v_star must stay > 0"
+            )
         return State(
             space_id=state.space_id,
-            coords=(t * u, t * v, t * deficit),
-            energy=t * u,
-            region=("vol", t * v),
+            coords=(u, v, t * deficit),
+            energy=u,
+            region=("vol", v),
             kind=state.kind,
-            scale=t * state.scale,
+            scale=scale,
         )
 
     # -- sampling --------------------------------------------------------

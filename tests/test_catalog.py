@@ -27,6 +27,23 @@ def test_gas_scaling_doubles_entropy(gas):
     )
 
 
+def test_gas_scale_rejects_factor_whose_coordinates_underflow(gas):
+    # 0.02 * 5e-324 rounds to 0: the copy's log(V / ...) would be undefined.
+    x = gas.process_engine.state(1000.0, 0.02)
+    with pytest.raises(DomainError, match="5e-324"):
+        gas.scale_state(x, 5e-324)
+    assert math.isfinite(gas.oracle_entropy(gas.scale_state(x, 1e-300)))
+
+
+def test_gas_scale_rejects_factor_whose_gauge_product_underflows():
+    # U and V stay positive, but n * u_star = 5e-324 * 0.5 rounds to 0.
+    gas = ideal_gas(gauge=(0.5, 1.0, 0.0))
+    x = gas.process_engine.state(1000.0, 10.0)
+    assert 5e-324 * 10.0 > 0 and 5e-324 * 0.5 == 0
+    with pytest.raises(DomainError, match="5e-324"):
+        gas.scale_state(x, 5e-324)
+
+
 def test_gas_rejects_nonpositive_coordinates(gas):
     e = gas.process_engine
     with pytest.raises(DomainError):
