@@ -41,6 +41,10 @@ REVERSIBLE_DS_TOL = 1e-12  # below this, a process counts as entropy-preserving
 # most this, and so shrinks its energy by up to this ** (1 / c_v_hat).
 ISENTROPIC_FACTOR_MAX = 1.3
 
+# The gas keeps sampled nonequilibrium entropies this far inside the box's
+# entropy range at each end, so the range must be wider than twice this.
+NONEQ_ENTROPY_MARGIN = 1.0  # J/K
+
 # Model parameters are kept to these magnitudes, so that every product and
 # quotient the oracles and engines form stays a finite, nonzero float.
 PARAM_MIN, PARAM_MAX = 1e-100, 1e100
@@ -227,7 +231,7 @@ class IdealGasEngine(_EngineBase):
             base = self.sample_state(rng)
             deficit = rng.uniform(0.05, 1.5)
             s = self.oracle_entropy(base) - deficit
-            if lo + 1.0 < s < hi - 1.0:
+            if lo + NONEQ_ENTROPY_MARGIN < s < hi - NONEQ_ENTROPY_MARGIN:
                 return self.state(base.coords[0], base.coords[1], deficit)
         raise EngineError("could not sample a bracketed nonequilibrium state")
 
@@ -373,6 +377,15 @@ def ideal_gas(
             f"c_v_hat is too small for the box: an isentropic partner of a state "
             f"at the lower U bound would have U = {box[0][0]:g} * "
             f"{ISENTROPIC_FACTOR_MAX} ** (-1/c_v_hat) = 0, got c_v_hat={c_v_hat!r}"
+        )
+    (ulo, uhi), (vlo, vhi) = box
+    width = n * R_GAS * (c_v_hat * math.log(uhi / ulo) + math.log(vhi / vlo))
+    if not width > 2 * NONEQ_ENTROPY_MARGIN:
+        raise DomainError(
+            f"n={n!r}, c_v_hat={c_v_hat!r} and box={[list(b) for b in box]} span "
+            f"n R (c_v_hat ln(U_hi/U_lo) + ln(V_hi/V_lo)) = {width:.3g} J/K of "
+            f"entropy; nonequilibrium states need more than "
+            f"{2 * NONEQ_ENTROPY_MARGIN:g} J/K"
         )
     engine = IdealGasEngine(n, c_v_hat, gauge, box)
     base = StateSpace(

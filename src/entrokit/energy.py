@@ -1,11 +1,10 @@
 """Energy from weight polygonals: signed work sums, and the verification
-that they are path independent and additive over composites."""
+that they are path independent."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .axioms import CheckResult, not_applicable, verdict
@@ -13,7 +12,6 @@ from .core import (
     ModelSystem,
     ProcessRecord,
     StateLike,
-    composite_state,
     parts_of,
     states_equal,
 )
@@ -65,13 +63,6 @@ class WeightPolygonal:
             points.append(end)
         return points
 
-    def reversed(self) -> "WeightPolygonal":
-        flipped = tuple(
-            (rec, AGAINST if direction == ALONG else ALONG)
-            for rec, direction in reversed(self.legs)
-        )
-        return WeightPolygonal(flipped, (self.endpoints[1], self.endpoints[0]))
-
 
 def polygonal_work(p: WeightPolygonal) -> float:
     """Signed work done by the system in traversing the polygonal: along-leg
@@ -94,7 +85,7 @@ def check_path_independence(
     """Works of k engine-generated polygonals per pair agree within tolerance.
 
     Pairs the engine cannot connect are reported, not raised: they witness
-    the limits of interconnectability rather than a defect.
+    the limits of the engine's reach rather than a defect.
     """
     if k < 2:
         raise DomainError(f"need at least two polygonals per pair, got k={k}")
@@ -128,32 +119,3 @@ def check_path_independence(
         samples_used=len(pairs) * k, tolerance_used=rel_tol, message=message,
     )
 
-
-def check_energy_additivity(
-    a_pair: tuple[StateLike, StateLike],
-    b_pair: tuple[StateLike, StateLike],
-) -> float:
-    """Residual of composite-vs-parts energy differences, evaluated exactly
-    over the stored values.
-
-    Exact rational arithmetic keeps summation-order rounding out of the
-    verdict: the residual is zero precisely when the composite energy is the
-    sum of the part energies, which is the structural claim being guarded.
-    """
-    a1, a2 = a_pair
-    b1, b2 = b_pair
-    for s in (a1, a2, b1, b2):
-        if not all(p.separable for p in parts_of(s)):
-            raise DomainError("energy additivity requires separable states")
-    comp1 = composite_state([a1, b1])
-    comp2 = composite_state([a2, b2])
-
-    def exact_sum(state: StateLike) -> Fraction:
-        return sum((Fraction(p.energy) for p in parts_of(state)), Fraction(0))
-
-    residual = (
-        (exact_sum(comp2) - exact_sum(comp1))
-        - (exact_sum(a2) - exact_sum(a1))
-        - (exact_sum(b2) - exact_sum(b1))
-    )
-    return float(abs(residual))

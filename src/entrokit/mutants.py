@@ -31,7 +31,7 @@ from .axioms import (
 )
 from .catalog import FinitePreorderFixture, chain_fixture, ideal_gas
 from .core import AccessibilityRelation, ModelSystem, State, states_equal
-from .energy import check_energy_additivity, check_path_independence
+from .energy import check_path_independence
 from .errors import CapabilityError, DomainError
 from .reservoir import (
     Reservoir,
@@ -212,18 +212,6 @@ def run_model_checks(
 
     pairs = [(engine.sample_state(rng), engine.sample_state(rng)) for _ in range(5)]
     results.append(check_path_independence(model, pairs, k=4, seed=seed + 8))
-
-    worst = max(
-        check_energy_additivity(
-            (engine.sample_state(rng), engine.sample_state(rng)),
-            (engine.sample_state(rng), engine.sample_state(rng)),
-        )
-        for _ in range(5)
-    )
-    results.append(
-        verdict("energy_additivity", worst < 1e-12, [("residual", worst)],
-                samples_used=5, tolerance_used=1e-12)
-    )
 
     r0 = reference_reservoir()
     probe = (model, engine.sample_state(rng), engine.sample_state(rng))

@@ -44,7 +44,7 @@ from .catalog import (
     two_level_spin,
 )
 from .core import ModelSystem
-from .energy import check_energy_additivity, check_path_independence, polygonal_work
+from .energy import check_path_independence
 from .errors import (
     CapabilityError,
     ConfigError,
@@ -75,7 +75,6 @@ from .reservoir import (
     check_carnot_agreement,
     check_entropy_additivity,
     check_entropy_nondecrease,
-    check_interconnect,
     check_lower_bound,
     check_mutual_equilibrium,
     check_pmm2,
@@ -102,7 +101,6 @@ DEFAULT_TOLERANCES = {
     "loop_abs": 1e-8,
     "pfaffian_rel": 1e-8,
     "path_indep_rel": 1e-10,
-    "energy_add": 1e-12,
     "bookkeeping": 1e-12,
     "negative_control_min": 1e-3,
 }
@@ -115,7 +113,6 @@ DEFAULT_SAMPLE_COUNTS = {
     "carnot_pairs": 50,
     "irr_draws": 100,
     "weight_processes": 100,
-    "interconnect_pairs": 25,
     "pmm2_attempts": 1000,
     "loops": 10,
     "path_pairs": 10,
@@ -351,37 +348,12 @@ def suite_energy(target, config: SuiteConfig, memo: dict) -> SuiteOutput:
         (engine.sample_state(rng), engine.sample_state(rng))
         for _ in range(config.count("path_pairs"))
     ]
-    results = [
+    return [
         check_path_independence(
             model, pairs, k=config.count("polygonals_per_pair"),
             seed=seed + 101, rel_tol=config.tol("path_indep_rel"),
         )
-    ]
-
-    worst = max(
-        check_energy_additivity(
-            (engine.sample_state(rng), engine.sample_state(rng)),
-            (engine.sample_state(rng), engine.sample_state(rng)),
-        )
-        for _ in range(10)
-    )
-    tol = config.tol("energy_add")
-    results.append(
-        verdict("energy_additivity", worst < tol, [("residual", worst)],
-                samples_used=10, tolerance_used=tol)
-    )
-
-    # Reversal sign convention on random polygonals.
-    bad = []
-    for _ in range(20):
-        a, b = engine.sample_state(rng), engine.sample_state(rng)
-        poly = engine.connect_polygonal(a, b, rng)
-        if abs(polygonal_work(poly.reversed()) + polygonal_work(poly)) > 1e-9:
-            bad.append((a, b))
-    results.append(
-        verdict("polygonal_reversal", not bad, bad, samples_used=20, tolerance_used=1e-9)
-    )
-    return results, {}
+    ], {}
 
 
 def _grid_and_refs(model: ModelSystem, config: SuiteConfig):
@@ -636,15 +608,6 @@ def suite_theorems(target, config: SuiteConfig, memo: dict) -> SuiteOutput:
         check_pmm2(
             model, engine.sample_state(rng),
             attempts=config.count("pmm2_attempts"), seed=seed + 402,
-        ),
-        check_interconnect(
-            model,
-            [
-                (engine.sample_state(rng), engine.sample_state(rng))
-                for _ in range(config.count("interconnect_pairs"))
-            ],
-            bench,
-            tol=config.tol("bookkeeping"),
         ),
     ]
     try:

@@ -7,8 +7,8 @@ against a reference reservoir pinned at 273.16 K; entropy differences are
 reservoir energy changes divided by that temperature.  The checks in this
 module replay the construction's structural claims on concrete models:
 minimality of the reversible reservoir drain, universality of temperature
-ratios, additivity, entropy nondecrease, and the bridge between reservoir
-interconnectability and plain weight-process comparability.
+ratios, additivity, entropy nondecrease, and the bridge from plain
+weight-process comparability to reversible reservoir connection.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .axioms import CheckResult, CheckStatus, not_applicable, verdict
+from .axioms import CheckResult, not_applicable, verdict
 from .core import (
     ModelSystem,
     ProcessRecord,
@@ -432,96 +432,8 @@ def check_mutual_equilibrium(
 
 
 # ---------------------------------------------------------------------------
-# Bridge: reservoir interconnection <-> plain weight processes
+# Bridge: comparability -> the structural assumptions
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class InterconnectResult:
-    status: CheckStatus
-    branch: str = ""
-    process: Optional[ProcessRecord] = None
-    reservoir_net_delta: float = 0.0
-    reversed_direction: bool = False
-    message: str = ""
-
-
-def interconnect_by_weight_process(
-    model: ModelSystem,
-    a1: StateLike,
-    a2: StateLike,
-    r: Reservoir,
-) -> InterconnectResult:
-    """Turn a reversible standard weight process into a weight process for the
-    system alone by restoring the reservoir, following the three cases of the
-    drain's sign.  A positive drain restores by stirring first and running the
-    process backwards, so the resulting weight process runs from a2 to a1.
-    """
-    if not model.is_normal:
-        return InterconnectResult(
-            CheckStatus.NOT_APPLICABLE,
-            message=f"model {model.id!r} has bounded energy; "
-                    "the restoration step is unavailable",
-        )
-    rec = run_reversible_swp(model, a1, a2, r)
-    de = rec.delta_e_r
-    if de == 0.0:
-        process = ProcessRecord(
-            "weight", a1, a2, work_done=-(a2.energy - a1.energy),
-            reversible=True, sigma=0.0,
-        )
-        return InterconnectResult(
-            CheckStatus.PASS, branch="zero_drain", process=process,
-            reservoir_net_delta=0.0,
-        )
-    if de < 0.0:
-        # Reservoir lost energy: stir it back up to its initial state.  The
-        # restoration work cancels the reservoir term, so the composite's net
-        # work is the system's energy drop alone.
-        restore = -de
-        net = de + restore
-        sigma = restore / r.t_eff
-        process = ProcessRecord(
-            "weight", a1, a2, work_done=-(a2.energy - a1.energy),
-            reversible=False, sigma=sigma,
-        )
-        return InterconnectResult(
-            CheckStatus.PASS, branch="negative_drain", process=process,
-            reservoir_net_delta=net,
-        )
-    # Positive drain: raise the reservoir first, then run the reverse process.
-    stir = de
-    net = stir - de
-    sigma = stir / r.t_eff
-    process = ProcessRecord(
-        "weight", a2, a1, work_done=-(a1.energy - a2.energy),
-        reversible=False, sigma=sigma,
-    )
-    return InterconnectResult(
-        CheckStatus.PASS, branch="positive_drain", process=process,
-        reservoir_net_delta=net, reversed_direction=True,
-    )
-
-
-def check_interconnect(
-    model: ModelSystem,
-    pairs: Sequence[tuple[StateLike, StateLike]],
-    r: Reservoir,
-    *,
-    tol: float = BOOKKEEPING_TOL,
-) -> CheckResult:
-    """Reservoir bookkeeping closes on every pair the bridge handles."""
-    results = [interconnect_by_weight_process(model, a1, a2, r) for a1, a2 in pairs]
-    if all(res.status is CheckStatus.NOT_APPLICABLE for res in results):
-        return not_applicable("interconnect", results[0].message if results else "no pairs")
-    witnesses = [
-        (pair, res.reservoir_net_delta)
-        for pair, res in zip(pairs, results)
-        if res.status is CheckStatus.PASS and abs(res.reservoir_net_delta) > tol
-    ]
-    return verdict(
-        "interconnect", not witnesses, witnesses, samples_used=len(pairs), tolerance_used=tol
-    )
-
 
 def derive_assumptions_from_comparability(
     model: ModelSystem,
@@ -532,8 +444,8 @@ def derive_assumptions_from_comparability(
     sigma_tol: float = BOOKKEEPING_TOL,
 ) -> CheckResult:
     """From comparability and the order axioms, recover the two structural
-    assumptions: relaxation to the equal-energy stable state, and reversible
-    reservoir interconnection of arbitrary pairs via equal-entropy stable
+    assumptions: relaxation to the equal-energy stable state, and a reversible
+    reservoir connection between arbitrary pairs via equal-entropy stable
     anchors."""
     rng = random.Random(seed)
     engine = model.process_engine

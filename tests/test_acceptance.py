@@ -25,7 +25,7 @@ from entrokit.catalog import (
     triple_point_reservoir,
     two_level_spin,
 )
-from entrokit.energy import check_energy_additivity, check_path_independence
+from entrokit.energy import check_path_independence
 from entrokit.interpolation import (
     ReferencePair,
     affine_match,
@@ -43,10 +43,9 @@ from entrokit.reservoir import (
     check_carnot_agreement,
     check_entropy_additivity,
     check_entropy_nondecrease,
-    check_interconnect,
+    check_pmm2,
     derive_assumptions_from_comparability,
     entropy_from_reservoir,
-    interconnect_by_weight_process,
     reference_reservoir,
     run_irreversible_swp,
     run_reversible_swp,
@@ -287,43 +286,25 @@ def test_criterion_11_energy_kernel(gas):
             for i in range(5)
         ]
         worst_spread = max(worst_spread, max(works) - min(works))
-    worst = max(
-        check_energy_additivity(
-            (e.sample_state(rng), e.sample_state(rng)),
-            (e.sample_state(rng), e.sample_state(rng)),
-        )
-        for _ in range(10)
-    )
-    ok = paths.passed and worst_spread < 1e-10 and worst < 1e-12
+    ok = paths.passed and worst_spread < 1e-10
     _verdict(
         11,
         f"polygonal work path-independent (k=5, 10 pairs, worst spread "
-        f"{worst_spread:.2e} J); additivity residual {worst:.2e} J",
+        f"{worst_spread:.2e} J)",
         ok,
     )
 
 
 def test_criterion_12_bridge_theorems(gas, spin):
-    rng = random.Random(212)
-    e = gas.process_engine
     r = Reservoir(id="R300", temperature=300.0)
-    pairs = [(e.sample_state(rng), e.sample_state(rng)) for _ in range(25)]
-    closes = check_interconnect(gas, pairs, r, tol=1e-12)
-    se = spin.process_engine
-    spin_result = interconnect_by_weight_process(
-        spin, se.state(1e-20), se.state(3e-20), r
-    )
+    spin_result = check_pmm2(spin, spin.process_engine.state(1e-20), attempts=10)
     derive = derive_assumptions_from_comparability(gas, r, samples=25, seed=212,
                                                    sigma_tol=1e-12)
-    ok = (
-        closes.passed
-        and spin_result.status is CheckStatus.NOT_APPLICABLE
-        and derive.passed
-    )
+    ok = spin_result.status is CheckStatus.NOT_APPLICABLE and derive.passed
     _verdict(
         12,
-        "reservoir bookkeeping closes on 25 pairs; bounded model reports "
-        "not_applicable; reversible anchor chain generates < 1e-12 J/K",
+        "bounded model reports not_applicable; reversible anchor chain "
+        "generates < 1e-12 J/K",
         ok,
     )
 

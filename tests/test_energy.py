@@ -5,7 +5,6 @@ from entrokit.energy import (
     AGAINST,
     ALONG,
     WeightPolygonal,
-    check_energy_additivity,
     check_path_independence,
     polygonal_work,
 )
@@ -35,15 +34,6 @@ def test_single_leg_polygonal_work(gas):
     a1, a3 = _states(gas, (1000, 0.01), (900, 0.02))
     poly = WeightPolygonal(((_leg(a1, a3, 7.0), ALONG),), (a1, a3))
     assert polygonal_work(poly) == 7.0
-
-
-def test_reversed_polygonal_negates_work(gas):
-    a1, a2, a3 = _states(gas, (1000, 0.01), (1100, 0.01), (900, 0.02))
-    poly = WeightPolygonal(
-        ((_leg(a1, a3, 5.0), ALONG), (_leg(a2, a3, 3.0), AGAINST)),
-        (a1, a2),
-    )
-    assert polygonal_work(poly.reversed()) == -2.0
 
 
 def test_broken_chain_raises(gas):
@@ -90,19 +80,3 @@ def test_identical_polygonals_have_zero_spread(gas, rng):
     poly = e.connect_polygonal(a, b, rng, legs=2)
     w = polygonal_work(poly)
     assert w - polygonal_work(poly) == 0.0
-
-
-def test_energy_additivity_examples(gas):
-    a1, a2, b1, b2 = _states(gas, (1000, 0.01), (1003, 0.01), (500, 0.02), (504, 0.02))
-    assert check_energy_additivity((a1, a2), (b1, b2)) == 0.0
-    assert check_energy_additivity((a1, a1), (b1, b1)) == 0.0
-
-
-def test_energy_additivity_random_draws(gas, rng):
-    e = gas.process_engine
-    for _ in range(20):
-        residual = check_energy_additivity(
-            (e.sample_state(rng), e.sample_state(rng)),
-            (e.sample_state(rng), e.sample_state(rng)),
-        )
-        assert residual < 1e-12

@@ -393,6 +393,11 @@ OUT_OF_RANGE = [
     ("two_level_spin", {"n_particles": 2.5}, "n_particles"),
     # In range, but 1.3 ** (-1/c_v_hat) underflows: isentropic partners get U = 0.
     ("ideal_gas", {"c_v_hat": 1e-100}, "c_v_hat is too small"),
+    # In range, but the box spans at most 2 J/K of entropy: the gas sampler's
+    # 1 J/K margins at each end leave no room for a nonequilibrium state.
+    ("ideal_gas", {"n": 0.03}, "n=0.03"),
+    ("ideal_gas", {"n": 1e-20}, "n=1e-20"),
+    ("ideal_gas", {"box": [[500.0, 510.0], [0.005, 0.0051]]}, "box=[[500.0, 510.0]"),
 ]
 
 
@@ -402,6 +407,15 @@ def test_cli_out_of_range_param_is_named(tmp_path, capsys, kind, params, name):
     path.write_text(json.dumps({"model": {"kind": kind, "params": params}}))
     assert main(["check-axioms", "--config", str(path)]) == 2
     assert name in capsys.readouterr().err
+
+
+def test_cli_gas_with_entropy_range_above_two_exits_zero(tmp_path):
+    # n = 0.04 spans 2.49 J/K of entropy on the default box, against 1.87 J/K
+    # for n = 0.03.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"model": {"kind": "ideal_gas", "params": {"n": 0.04}}}))
+    out = tmp_path / "r.json"
+    assert main(["check-axioms", "--config", str(path), "--out", str(out)]) == 0
 
 
 _SCALARS = st.one_of(
@@ -457,6 +471,8 @@ def test_cli_survives_any_model_params(model):
     ({"tolerances": {"lambda_tol": True}}, []),
     ({"sample_counts": {"axiom_samples": True}}, []),
     ({"tolerances": {"zb_residual": float("inf")}}, []),
+    ({"tolerances": {"energy_add": 1e-12}}, []),
+    ({"sample_counts": {"interconnect_pairs": 5}}, []),
     ({}, ["--tolerance", "zb_residual=inf"]),
     ({"model": {"kind": "fixture", "params": {"path": 0}}}, []),
     ({"model": {"kind": "ideal_gas", "params": {"n": "x"}}}, []),

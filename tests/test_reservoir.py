@@ -18,14 +18,12 @@ from entrokit.reservoir import (
     check_carnot_agreement,
     check_entropy_additivity,
     check_entropy_nondecrease,
-    check_interconnect,
     check_lower_bound,
     check_mutual_equilibrium,
     check_pmm2,
     check_reservoir_independence,
     derive_assumptions_from_comparability,
     entropy_from_reservoir,
-    interconnect_by_weight_process,
     reference_reservoir,
     run_irreversible_swp,
     run_reversible_swp,
@@ -496,49 +494,6 @@ def test_mutual_equilibrium_degrades_outside_triple_point_window():
     copy = triple_point_reservoir(capacity=5.0, energy=30.0, reservoir_id="tp-copy")
     result = check_mutual_equilibrium(tp, copy, seed=3)
     assert result.failed
-
-
-# -- bridge: theorem-style interconnection ------------------------------------------------------
-
-def test_interconnect_zero_drain_branch(gas, r300):
-    s = gas.process_engine.state(2000.0, 0.02)
-    res = interconnect_by_weight_process(gas, s, s, r300)
-    assert res.status is CheckStatus.PASS
-    assert res.branch == "zero_drain"
-    assert res.reservoir_net_delta == 0.0
-
-
-def test_interconnect_negative_drain_restores_reservoir(gas, r300):
-    e = gas.process_engine
-    a1, a2 = e.state(2000.0, 0.02), e.state(2600.0, 0.03)
-    res = interconnect_by_weight_process(gas, a1, a2, r300)
-    assert res.branch == "negative_drain"
-    assert abs(res.reservoir_net_delta) <= 1e-12
-    assert not res.reversed_direction
-    assert states_equal(res.process.initial, a1)
-
-
-def test_interconnect_positive_drain_reverses_direction(gas, r300):
-    e = gas.process_engine
-    a1, a2 = e.state(2600.0, 0.03), e.state(2000.0, 0.02)
-    res = interconnect_by_weight_process(gas, a1, a2, r300)
-    assert res.branch == "positive_drain"
-    assert res.reversed_direction
-    assert abs(res.reservoir_net_delta) <= 1e-12
-    assert states_equal(res.process.initial, a2)
-    assert states_equal(res.process.final, a1)
-
-
-def test_interconnect_not_applicable_for_bounded_model(spin, r300):
-    e = spin.process_engine
-    res = interconnect_by_weight_process(spin, e.state(1e-20), e.state(3e-20), r300)
-    assert res.status is CheckStatus.NOT_APPLICABLE
-
-
-def test_interconnect_bookkeeping_closes_on_many_pairs(gas, r300, rng):
-    e = gas.process_engine
-    pairs = [(e.sample_state(rng), e.sample_state(rng)) for _ in range(25)]
-    assert check_interconnect(gas, pairs, r300).passed
 
 
 # -- bridge: recovering the structural assumptions ----------------------------------------------
