@@ -47,7 +47,6 @@ from .catalog import (  # noqa: F401
     FinitePreorderFixture,
     ideal_gas,
     load_fixture,
-    triple_point_reservoir,
     two_level_spin,
 )
 from .mutants import MUTATIONS, mutate_model, mutation_matrix  # noqa: F401

@@ -517,28 +517,6 @@ def two_level_spin(n_particles: int = 100, eps: float = 1e-21,
 
 
 # ---------------------------------------------------------------------------
-# Triple-point reservoir
-# ---------------------------------------------------------------------------
-
-def triple_point_reservoir(
-    capacity: float, energy: float = 0.0, reservoir_id: str = "triple-point"
-) -> Reservoir:
-    """Finite-capacity three-phase reservoir: exactly affine at 273.16 K
-    inside its energy window, different phase slopes outside."""
-    if capacity <= 0:
-        raise DomainError("capacity window must be non-empty")
-    return Reservoir(
-        id=reservoir_id,
-        temperature=273.16,
-        energy=energy,
-        ref_energy=energy,
-        ref_entropy=0.0,
-        window=(energy - capacity, energy + capacity),
-        outside_temperatures=(273.16 / 2.0, 273.16 * 2.0),
-    )
-
-
-# ---------------------------------------------------------------------------
 # Finite preorder fixtures
 # ---------------------------------------------------------------------------
 

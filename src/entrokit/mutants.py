@@ -38,7 +38,6 @@ from .reservoir import (
     check_entropy_additivity,
     check_entropy_nondecrease,
     check_lower_bound,
-    check_mutual_equilibrium,
     check_pmm2,
     check_reservoir_independence,
     reference_reservoir,
@@ -233,9 +232,6 @@ def run_model_checks(
             [reservoir, honest, r0.reservoir],
         )
     )
-
-    copy_res = replace(reservoir, id=reservoir.id + "-copy", energy=reservoir.energy + 7.0)
-    results.append(check_mutual_equilibrium(reservoir, copy_res, seed=seed + 9))
 
     residual = check_entropy_additivity(
         model, model,

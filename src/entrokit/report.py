@@ -40,7 +40,6 @@ from .catalog import (
     ideal_gas,
     ideal_gas_simple_system,
     load_fixture,
-    triple_point_reservoir,
     two_level_spin,
 )
 from .core import ModelSystem
@@ -70,19 +69,16 @@ from .pfaffian import (
     sample_box_coords,
 )
 from .reservoir import (
-    REFERENCE_TEMPERATURE,
     Reservoir,
     check_carnot_agreement,
     check_entropy_additivity,
     check_entropy_nondecrease,
     check_lower_bound,
-    check_mutual_equilibrium,
     check_pmm2,
     check_reservoir_independence,
     derive_assumptions_from_comparability,
     entropy_from_reservoir,
     reference_reservoir,
-    temperature_of,
     temperature_ratio_independence,
 )
 
@@ -93,11 +89,9 @@ DEFAULT_TOLERANCES = {
     "ly_residual": 1e-6,
     "zb_residual": 1e-6,
     "carnot_rel": 1e-7,
-    "temp_rel": 1e-9,
     "ratio_rel": 1e-9,
     "zb_additivity": 1e-9,
     "nondecrease_zero": 1e-12,
-    "mutual_eq": 1e-12,
     "loop_abs": 1e-8,
     "pfaffian_rel": 1e-8,
     "path_indep_rel": 1e-10,
@@ -118,6 +112,10 @@ DEFAULT_SAMPLE_COUNTS = {
     "path_pairs": 10,
     "polygonals_per_pair": 5,
 }
+
+# Counts whose checks need two of something: two grid points per axis, two
+# probes over two systems, two polygonals to compare.
+PAIRED_COUNTS = ("grid_nu", "grid_nv", "probe_pairs", "polygonals_per_pair")
 
 
 @dataclass
@@ -144,8 +142,8 @@ class SuiteConfig:
                 raise ConfigError(f"unknown sample count {name!r}")
             if not (_is_a(value, int) and value > 0):
                 raise ConfigError(f"sample count {name!r} must be a positive int")
-            if name in ("grid_nu", "grid_nv") and value < 2:
-                raise ConfigError(f"{name} must be at least 2 for a usable grid")
+            if name in PAIRED_COUNTS and value < 2:
+                raise ConfigError(f"sample count {name!r} must be at least 2, got {value}")
         if not _is_a(self.seed, int):
             raise ConfigError("seed must be an integer")
 
@@ -450,8 +448,7 @@ def suite_zb(target, config: SuiteConfig, memo: dict) -> SuiteOutput:
         return [not_applicable("zb_oracle_match", "fixtures carry no process engine")], {}
     model = target
     engine = model.process_engine
-    seed = config.seed
-    rng = random.Random(seed + 300)
+    rng = random.Random(config.seed + 300)
     r0 = reference_reservoir()
     bench = Reservoir(id="bench-300", temperature=300.0)
     results = []
@@ -477,23 +474,6 @@ def suite_zb(target, config: SuiteConfig, memo: dict) -> SuiteOutput:
         )
     )
     summary["zb"] = {"states": len(diffs), "max_residual": residual}
-
-    # Kelvin gauge: the reference measures itself exactly; the triple-point
-    # realization agrees inside its window.
-    probe = (model, engine.sample_state(rng), engine.sample_state(rng))
-    gauge = temperature_of(r0.reservoir, r0, probe)
-    tp = triple_point_reservoir(capacity=1e6)
-    tp_measured = temperature_of(tp, r0, probe)
-    tol = config.tol("temp_rel")
-    gauge_ok = gauge == REFERENCE_TEMPERATURE and abs(
-        tp_measured - REFERENCE_TEMPERATURE
-    ) <= tol * REFERENCE_TEMPERATURE
-    results.append(
-        verdict(
-            "kelvin_gauge", gauge_ok, [("reference", gauge), ("triple_point", tp_measured)],
-            samples_used=2, tolerance_used=tol,
-        )
-    )
 
     # Temperature universality across two distinct systems.
     aux = _auxiliary_system(model)
@@ -523,12 +503,6 @@ def suite_zb(target, config: SuiteConfig, memo: dict) -> SuiteOutput:
             ],
             rel_tol=config.tol("ratio_rel"),
         )
-    )
-
-    copy_res = Reservoir(id="bench-300-copy", temperature=300.0, energy=11.0)
-    results.append(
-        check_mutual_equilibrium(bench, copy_res, seed=seed + 301,
-                                 tol=config.tol("mutual_eq"))
     )
 
     # Additivity over composite processes, including mixed-system composites.

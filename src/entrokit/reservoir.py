@@ -1,11 +1,12 @@
 """Entropy from thermal reservoirs and standard weight processes.
 
 A thermal reservoir here is the exact idealization: fixed regions of space
-and an exactly affine entropy-energy relation with slope 1/T.  Temperature is
-the ratio of reservoir energy changes in reversible standard weight processes
-against a reference reservoir pinned at 273.16 K; entropy differences are
-reservoir energy changes divided by that temperature.  The checks in this
-module replay the construction's structural claims on concrete models:
+and an entropy-energy relation that is affine with slope 1/T at every
+energy.  Temperature is the ratio of reservoir energy changes in reversible
+standard weight processes against a reference reservoir, whose 273.16 K is
+a convention; entropy differences are reservoir energy changes divided by
+that temperature.  The checks in this module replay the construction's
+structural claims on concrete models:
 minimality of the reversible reservoir drain, universality of temperature
 ratios, additivity, entropy nondecrease, and the bridge from plain
 weight-process comparability to reversible reservoir connection.
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .axioms import CheckResult, not_applicable, verdict
 from .core import (
@@ -39,65 +40,32 @@ from .interpolation import EntropyTable
 REFERENCE_TEMPERATURE = 273.16  # kelvin, by convention
 RATIO_REL_TOL = 1e-9
 NONDECREASE_ZERO = 1e-12
-MUTUAL_EQ_TOL = 1e-12
 BOOKKEEPING_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class Reservoir:
-    """A thermal reservoir: affine entropy-energy relation at fixed regions.
-
-    ``window`` restricts the affine behaviour to an energy interval for
-    finite-capacity realizations; leaving it is an engine error, never a
-    silent extrapolation.  ``t_eff`` is the temperature the physics
-    uses; only a planted defect (see ``mutants``) makes it differ from the
-    declared one.
+    """A thermal reservoir: fixed regions of space and an exactly affine
+    entropy-energy relation with slope 1/T, so any reservoir entropy change
+    dS is realized by the energy change T dS.  ``t_eff`` is the temperature
+    the physics uses; only a planted defect (see ``mutants``) makes it
+    differ from the declared one.
     """
 
     id: str
     temperature: float
-    energy: float = 0.0
-    ref_energy: float = 0.0
-    ref_entropy: float = 0.0
-    window: Optional[tuple[float, float]] = None
-    outside_temperatures: Optional[tuple[float, float]] = None
 
     def __post_init__(self):
         if not (self.temperature > 0 and math.isfinite(self.temperature)):
             raise DomainError("reservoir temperature must be positive")
-        if self.window is not None and not self.window[0] < self.window[1]:
-            raise DomainError("reservoir window must be a non-empty interval")
 
     @property
     def t_eff(self) -> float:
         return self.temperature
 
-    def entropy_at(self, energy: float) -> float:
-        if self.window is not None and self.outside_temperatures is not None:
-            lo, hi = self.window
-            t_below, t_above = self.outside_temperatures
-            if energy < lo:
-                return self._affine(lo) + (energy - lo) / t_below
-            if energy > hi:
-                return self._affine(hi) + (energy - hi) / t_above
-        return self._affine(energy)
-
-    def _affine(self, energy: float) -> float:
-        return self.ref_entropy + (energy - self.ref_energy) / self.t_eff
-
     def delta_energy_for_delta_entropy(self, d_entropy: float) -> float:
         """Energy change realizing a given reservoir entropy change."""
-        de = self.t_eff * d_entropy
-        if self.window is not None:
-            target = self.energy + de
-            lo, hi = self.window
-            if not (lo <= target <= hi):
-                raise EngineError(
-                    f"reservoir {self.id!r} driven to {target:.6g} J, outside "
-                    f"its affine window [{lo:.6g}, {hi:.6g}] J",
-                    witness={"target_energy": target, "window": self.window},
-                )
-        return de
+        return self.t_eff * d_entropy
 
 
 @dataclass(frozen=True)
@@ -406,29 +374,6 @@ def _oracle_delta(model: ModelSystem, rec: ProcessRecord) -> float:
     s_initial = sum(model.oracle_entropy(p) for p in parts_of(rec.initial))
     s_final = sum(model.oracle_entropy(p) for p in parts_of(rec.final))
     return s_final - s_initial
-
-
-def check_mutual_equilibrium(
-    r: Reservoir, rd: Reservoir, *, seed=0, tol: float = MUTUAL_EQ_TOL,
-) -> CheckResult:
-    """Any energy split between a reservoir and its copy carries the same
-    total entropy, so every pair of their stable states is a mutual
-    equilibrium.  Fifty random splits are tried."""
-    if rd.temperature != r.temperature:
-        raise DomainError("mutual-equilibrium check needs an identical copy")
-    rng = random.Random(seed)
-    e_tot = r.energy + rd.energy
-    lo = min(r.energy, rd.energy) - abs(e_tot) - 1.0
-    hi = max(r.energy, rd.energy) + abs(e_tot) + 1.0
-    totals = []
-    for _ in range(50):
-        e1 = rng.uniform(lo, hi)
-        totals.append(r.entropy_at(e1) + rd.entropy_at(e_tot - e1))
-    spread = max(totals) - min(totals)
-    return verdict(
-        "mutual_equilibrium", not spread > tol, [("total_entropy_spread", spread)],
-        samples_used=50, tolerance_used=tol,
-    )
 
 
 # ---------------------------------------------------------------------------

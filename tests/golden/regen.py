@@ -56,9 +56,10 @@ def _gas(mutation=None, **params) -> dict:
 RUNS = {
     "all-spin-seed3": (["all", "--seed", "3"], _spin()),
     "all-spin-seed3-csv": (["all", "--seed", "3", "--format", "csv"], _spin()),
-    # Tolerances far below rounding noise: three checks fail with witnesses.
+    # Tolerances far below rounding noise: zb_oracle_match and zb_additivity
+    # fail with witnesses.
     "all-spin-tight-seed4": (
-        ["all", "--seed", "4"], _spin(zb_residual=1e-40, zb_additivity=1e-60, mutual_eq=1e-40),
+        ["all", "--seed", "4"], _spin(zb_residual=1e-40, zb_additivity=1e-60),
     ),
     "check-axioms-gas-seed2": (["check-axioms", "--seed", "2"], _gas()),
     **{

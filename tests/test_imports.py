@@ -6,7 +6,9 @@ with ``ast``:
 - each ``src/entrokit/*.py`` except ``__init__.py`` (whose imports are the
   package's re-exports) must read every name a top-level ``import`` binds;
 - every module-level UPPER_CASE name assigned in ``src/entrokit/*.py`` must
-  be read by some module of the package, by name or as an attribute.
+  be read by some module of the package, by name or as an attribute;
+- ``report.py`` must read every key of its default tolerance and sample
+  count tables through ``config.tol`` and ``config.count``.
 """
 
 import ast
@@ -140,3 +142,55 @@ def test_fence_breaches_are_found():
 def test_interpolation_reads_models_only_through_relation_queries():
     breaches = fence_breaches((PACKAGE / "interpolation.py").read_text())
     assert not breaches, "\n".join(breaches)
+
+
+# Every knob a user can set is read: each default tolerance through
+# ``config.tol("<key>")`` and each default sample count through
+# ``config.count("<key>")`` in the report's suites.
+KNOBS = {"DEFAULT_TOLERANCES": "tol", "DEFAULT_SAMPLE_COUNTS": "count"}
+
+
+def unread_knobs(source: str) -> list[str]:
+    """``TABLE: key`` for each key of a ``KNOBS`` table that the source never
+    reads through ``config.<reader>("<key>")``."""
+    tree = ast.parse(source)
+    read = {
+        (node.func.attr, node.args[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "config"
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+    }
+    unread = []
+    for node in tree.body:
+        if (
+            isinstance(node, ast.Assign)
+            and isinstance(node.targets[0], ast.Name)
+            and node.targets[0].id in KNOBS
+        ):
+            table = node.targets[0].id
+            unread += [
+                f"{table}: {key.value}" for key in node.value.keys
+                if (KNOBS[table], key.value) not in read
+            ]
+    return unread
+
+
+def test_unread_knobs_are_found():
+    source = (
+        'DEFAULT_TOLERANCES = {"a": 1.0, "b": 2.0}\n'
+        'DEFAULT_SAMPLE_COUNTS = {"n": 3, "m": 4}\n'
+        'def suite(config, other):\n'
+        '    return config.tol("a"), config.count("b"), config.tol("n"), other.count("m")\n'
+    )
+    assert unread_knobs(source) == [
+        "DEFAULT_TOLERANCES: b", "DEFAULT_SAMPLE_COUNTS: n", "DEFAULT_SAMPLE_COUNTS: m",
+    ]
+
+
+def test_report_reads_every_tolerance_and_sample_count():
+    unread = unread_knobs((PACKAGE / "report.py").read_text())
+    assert not unread, "\n".join(unread)

@@ -5,7 +5,6 @@ import json
 import os
 import tempfile
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +14,7 @@ from entrokit import mutants as mutants_module
 from entrokit import report as report_module
 from entrokit.cli import main
 from entrokit.errors import ConfigError
-from entrokit.catalog import ideal_gas, triple_point_reservoir, two_level_spin
+from entrokit.catalog import ideal_gas, two_level_spin
 from entrokit.interpolation import entropy_from_accessibility
 from entrokit.report import (
     SUITES,
@@ -224,27 +223,6 @@ def test_zb_auxiliary_system_follows_the_engine_type():
         assert _zb_dicts({"kind": "two_level_spin", "params": {"model_id": model_id}}) == spin
     gas = _zb_dicts({"kind": "ideal_gas"})
     assert _zb_dicts({"kind": "ideal_gas", "params": {"model_id": "spin"}}) == gas
-
-
-def test_kelvin_gauge_decides_with_temp_rel(monkeypatch):
-    # A triple-point cell 1e-12 (relative) off 273.16 K: inside the default
-    # temp_rel of 1e-9, outside 1e-13.
-    def off_cell(capacity):
-        cell = triple_point_reservoir(capacity)
-        return replace(cell, temperature=cell.temperature * (1.0 + 1e-12))
-
-    monkeypatch.setattr(report_module, "triple_point_reservoir", off_cell)
-    spin = {"kind": "two_level_spin"}
-    assert _zb(spin)["kelvin_gauge"].passed
-    tight = _zb(spin, tolerances={"temp_rel": 1e-13})["kelvin_gauge"]
-    assert tight.failed
-    assert tight.tolerance_used == 1e-13
-
-
-def test_kelvin_gauge_passes_where_the_reading_used_to_round():
-    # Seed 40 draws a spin probe on which 273.16 * d / d is 273.1600000000001.
-    report = run(SuiteConfig(model={"kind": "two_level_spin"}, suites=("zb",), seed=40))
-    assert report.aggregate_pass
 
 
 # -- caratheodory on the configured model ---------------------------------------------
@@ -473,6 +451,8 @@ def test_cli_survives_any_model_params(model):
     ({"tolerances": {"zb_residual": float("inf")}}, []),
     ({"tolerances": {"energy_add": 1e-12}}, []),
     ({"sample_counts": {"interconnect_pairs": 5}}, []),
+    ({"tolerances": {"temp_rel": 1e-9}}, []),
+    ({"tolerances": {"mutual_eq": 1e-12}}, []),
     ({}, ["--tolerance", "zb_residual=inf"]),
     ({"model": {"kind": "fixture", "params": {"path": 0}}}, []),
     ({"model": {"kind": "ideal_gas", "params": {"n": "x"}}}, []),
@@ -491,6 +471,33 @@ def test_cli_mistyped_config_exits_two(tmp_path, capsys, config, flags):
     assert code == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("grid_nu", ["construct-ly"]),
+    ("grid_nv", ["construct-ly"]),
+    ("probe_pairs", ["construct-zb"]),
+    ("polygonals_per_pair", ["verify-theorems"]),
+])
+def test_cli_count_below_two_exits_two_naming_it(tmp_path, capsys, name, argv):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"sample_counts": {name: 1}}))
+    code = main([*argv, "--config", str(path), "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and repr(name) in err
+
+
+def test_cli_large_gas_construct_zb_exits_zero(tmp_path):
+    # The loosened ly_residual is an input: with n = 1000 the LY resolution
+    # is about lambda_tol times the entropy span, some 6e-5 J/K.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"model": {"kind": "ideal_gas", "params": {"n": 1000}}}))
+    code = main([
+        "construct-zb", "--seed", "2", "--tolerance", "ly_residual=1e-3",
+        "--config", str(path), "--out", str(tmp_path / "r.json"),
+    ])
+    assert code == 0
 
 
 def test_cli_config_suites_key_exits_two(tmp_path, capsys):

@@ -3,12 +3,11 @@ from dataclasses import replace
 import pytest
 
 from entrokit.axioms import CheckStatus
-from entrokit.catalog import ideal_gas, triple_point_reservoir, two_level_spin
+from entrokit.catalog import ideal_gas, two_level_spin
 from entrokit.core import ProcessRecord, StateKind, states_equal
 from entrokit.errors import (
     DegenerateProbeError,
     DomainError,
-    EngineError,
     PreconditionError,
 )
 from entrokit.mutants import mutate_model
@@ -19,7 +18,6 @@ from entrokit.reservoir import (
     check_entropy_additivity,
     check_entropy_nondecrease,
     check_lower_bound,
-    check_mutual_equilibrium,
     check_pmm2,
     check_reservoir_independence,
     derive_assumptions_from_comparability,
@@ -30,14 +28,6 @@ from entrokit.reservoir import (
     temperature_of,
     temperature_ratio_independence,
 )
-
-
-class NonAffineReservoir(Reservoir):
-    """Test double whose entropy curves quadratically in energy."""
-
-    def entropy_at(self, energy):
-        base = super().entropy_at(energy)
-        return base + 1e-4 * (energy - self.ref_energy) ** 2
 
 
 # -- reference reservoir ----------------------------------------------------
@@ -416,83 +406,6 @@ def test_nondecrease_rejects_mislabelled_reversibility(gas):
     mislabelled = ProcessRecord("weight", a, b, a.energy - b.energy,
                                 reversible=True, sigma=0.0)
     result = check_entropy_nondecrease(gas, [mislabelled])
-    assert result.failed
-
-
-# -- mutual equilibrium ------------------------------------------------------------------------
-
-def test_mutual_equilibrium_affine_reservoirs(r300):
-    rd = Reservoir(id="copy", temperature=300.0, energy=123.0)
-    result = check_mutual_equilibrium(r300, rd, seed=2)
-    assert result.passed
-
-
-def test_mutual_equilibrium_same_energy_copy(r300):
-    result = check_mutual_equilibrium(r300, replace(r300, id="twin"), seed=2)
-    assert result.passed
-
-
-def test_mutual_equilibrium_nonaffine_fails():
-    r = NonAffineReservoir(id="curvy", temperature=300.0)
-    rd = NonAffineReservoir(id="curvy-copy", temperature=300.0, energy=5.0)
-    result = check_mutual_equilibrium(r, rd, seed=2)
-    assert result.failed
-
-
-def test_mutual_equilibrium_requires_equal_temperature(r300):
-    with pytest.raises(DomainError):
-        check_mutual_equilibrium(r300, Reservoir(id="other", temperature=400.0))
-
-
-# -- triple-point realization ----------------------------------------------------------------
-
-def test_triple_point_measures_reference_inside_window(gas, r0, rng):
-    tp = triple_point_reservoir(capacity=1e6)
-    e = gas.process_engine
-    probe = (gas, e.sample_state(rng), e.sample_state(rng))
-    measured = temperature_of(tp, r0, probe)
-    assert abs(measured - 273.16) <= 1e-9 * 273.16
-
-
-def test_triple_point_probe_outside_window_errors(gas):
-    tp = triple_point_reservoir(capacity=10.0)
-    e = gas.process_engine
-    a1 = e.state(600.0, 0.006)
-    a2 = e.state(9000.0, 0.09)
-    with pytest.raises(EngineError) as err:
-        run_reversible_swp(gas, a1, a2, tp)
-    assert err.value.witness is not None
-
-
-def test_triple_point_matches_ideal_inside_window(gas, rng):
-    tp = triple_point_reservoir(capacity=1e6)
-    ideal = Reservoir(id="ideal-tp", temperature=273.16)
-    e = gas.process_engine
-    for _ in range(10):
-        a, b = e.sample_state(rng), e.sample_state(rng)
-        assert run_reversible_swp(gas, a, b, tp).delta_e_r == \
-            run_reversible_swp(gas, a, b, ideal).delta_e_r
-
-
-def test_triple_point_outside_window_departs_from_affine():
-    tp = triple_point_reservoir(capacity=100.0)
-    inside = tp.entropy_at(50.0)
-    assert inside == pytest.approx(50.0 / 273.16, rel=1e-12)
-    outside = tp.entropy_at(200.0)
-    assert outside != pytest.approx(200.0 / 273.16, rel=1e-6)
-
-
-def test_triple_point_capacity_must_be_positive():
-    with pytest.raises(DomainError):
-        triple_point_reservoir(capacity=0.0)
-
-
-def test_mutual_equilibrium_degrades_outside_triple_point_window():
-    # Splits that wander outside the affine window expose the approximation;
-    # the degradation is reported as a failure, never silently accepted.
-    tp = triple_point_reservoir(capacity=5.0)
-    copy = triple_point_reservoir(capacity=5.0, energy=30.0, reservoir_id="tp-copy")
-    result = check_mutual_equilibrium(tp, copy, seed=3)
     assert result.failed
 
 
