@@ -79,6 +79,19 @@ RUNS = {
     "construct-ly-break_splitting-seed2": (
         ["construct-ly", "--seed", "2"], _gas("break_splitting"),
     ),
+    # Only enlarged copies reverse their order, and every mixture the table
+    # bisects with is made of shrunk copies: ly passes on the mutated oracle.
+    "construct-ly-break_scaling-seed2": (
+        ["construct-ly", "--seed", "2"], _gas("break_scaling"),
+    ),
+    "all-gas-seed1-csv": (["all", "--seed", "1", "--format", "csv"], _gas()),
+    # A stability-heavy run on a gauged gas: 200 stability tuples of 20
+    # epsilons each, and 100 N1 stability tuples.
+    "check-axioms-gas-n3-cv2.5-gauge-seed5": (
+        ["check-axioms", "--seed", "5"],
+        {**_gas(n=3, c_v_hat=2.5, gauge=[1.5, 0.5, 3.0]),
+         "sample_counts": {"axiom_samples": 400}},
+    ),
     "all-fixture-seed1": (
         ["all", "--seed", "1"],
         {"model": {"kind": "fixture", "params": {"path": "fixture.json"}}},
