@@ -295,14 +295,6 @@ def check_stability(rel, *, samples: int = 100, seed=0) -> CheckResult:
         return not_applicable("stability", "scaling unsupported")
     model = rel.models[0]
 
-    def premise_holds(x, y, z0, z1) -> bool:
-        for eps in STABILITY_EPS:
-            lhs = composite_state([x, model.scale_state(z0, eps)])
-            rhs = composite_state([y, model.scale_state(z1, eps)])
-            if not rel.leq(lhs, rhs):
-                return False
-        return True
-
     tuples = []
     for _ in range(samples):
         x, y, z0, z1 = rel.sample(rng, 4)
@@ -316,17 +308,44 @@ def check_stability(rel, *, samples: int = 100, seed=0) -> CheckResult:
             z0, z1 = _sample_ordered_pair(rel, rng, strict=True)
             tuples.append((x, y, z0, z1))
 
-    witnesses = []
-    used = 0
-    for x, y, z0, z1 in tuples:
-        used += 1
-        if premise_holds(x, y, z0, z1) and not rel.leq(x, y):
-            witnesses.append((x, y, z0, z1))
-            break
+    witness, used = _stability_witness(rel, tuples)
     return verdict(
-        "stability", not witnesses, witnesses, samples_used=used,
+        "stability", witness is None, [witness], samples_used=used,
         tolerance_used=STABILITY_EPS[-1],
     )
+
+
+def _stability_witness(rel, tuples: list) -> tuple[Optional[tuple], int]:
+    """The first (x, y, z0, z1) whose perturbed comparison (x, eps z0) ≼
+    (y, eps z1) holds for every eps in ``STABILITY_EPS`` while x ≼ y does
+    not, and how many tuples were scanned to find it.
+
+    Three ``leq_many`` queries, each over the tuples the one before kept:
+    x ≼ y (a tuple where it holds is no witness), then the premise at the
+    largest epsilon, then at the other 19.  Each rejects most of what is
+    left, so a relation that answers row by row is asked less often than by
+    a loop over the epsilons that stops at the first failure.
+    """
+
+    def premises(group, eps):
+        k = len(eps)
+
+        def rows(j):
+            return [t[j] for t in group for _ in range(k)]
+
+        ts = eps * len(group)
+        fwd, _ = rel.leq_many(
+            [(rows(0), 1.0), (rows(2), ts)], [(rows(1), 1.0), (rows(3), ts)], converse=False
+        )
+        return fwd.reshape(len(group), k).all(axis=1).tolist()
+
+    ordered, _ = rel.leq_many(
+        [([t[0] for t in tuples], 1.0)], [([t[1] for t in tuples], 1.0)], converse=False
+    )
+    kept = [i for i, ok in enumerate(ordered.tolist()) if not ok]
+    for eps in (STABILITY_EPS[:1], STABILITY_EPS[1:]):
+        kept = [i for i, ok in zip(kept, premises([tuples[i] for i in kept], eps)) if ok]
+    return (tuples[kept[0]], kept[0] + 1) if kept else (None, len(tuples))
 
 
 # ---------------------------------------------------------------------------
@@ -402,22 +421,16 @@ def check_n1_n2(
                 witnesses.append(("consistency", (x, xp, y, yp)))
                 break
 
-    # N1(c): stability, premise-sampled only.
+    # N1(c): stability, premise-sampled only.  No draw depends on an answer,
+    # and nothing draws after this clause, so all tuples are drawn at once.
     if rel.mode == "induced" and rel.models[0].supports_scaling:
-        model = rel.models[0]
-        for _ in range(samples // 4):
-            x, y, z0, z1 = pick(hat), pick(hat), pick(gamma), pick(gamma)
-            used += 1
-            ok = True
-            for eps in STABILITY_EPS:
-                lhs = composite_state([x, model.scale_state(z0, eps)])
-                rhs = composite_state([y, model.scale_state(z1, eps)])
-                if not rel.leq(lhs, rhs):
-                    ok = False
-                    break
-            if ok and not rel.leq(x, y):
-                witnesses.append(("stability", (x, y, z0, z1)))
-                break
+        tuples = [
+            (pick(hat), pick(hat), pick(gamma), pick(gamma)) for _ in range(samples // 4)
+        ]
+        witness, scanned = _stability_witness(rel, tuples)
+        used += scanned
+        if witness is not None:
+            witnesses.append(("stability", witness))
 
     # N2: equilibrium sandwich for each nonequilibrium state.
     for x in nonequilibrium_states:

@@ -45,6 +45,10 @@ ISENTROPIC_FACTOR_MAX = 1.3
 # entropy range at each end, so the range must be wider than twice this.
 NONEQ_ENTROPY_MARGIN = 1.0  # J/K
 
+# The gas's equivalence tolerance: oracle entropies this close compare as
+# equal.
+GAS_ENTROPY_ATOL = 1e-10  # J/K
+
 # Model parameters are kept to these magnitudes, so that every product and
 # quotient the oracles and engines form stays a finite, nonzero float.
 PARAM_MIN, PARAM_MAX = 1e-100, 1e100
@@ -189,12 +193,16 @@ class IdealGasEngine(_EngineBase):
         ) + n * self.s_star
         return s_eq - deficit
 
-    def scaled_entropies(self, state: State, ts: np.ndarray) -> np.ndarray:
-        """``oracle_entropy(scale_state(state, t))`` for every t in ``ts``,
-        bit for bit: the same float operations in the same order, with each
-        log taken by ``math.log``, since ``np.log`` may round differently."""
-        u, v, deficit = state.coords
-        scale = ts * state.scale
+    def scaled_entropies(self, states: list[State], index: np.ndarray,
+                         ts: np.ndarray) -> np.ndarray:
+        """``oracle_entropy(scale_state(states[index[i]], ts[i]))`` for every
+        i, bit for bit: the same float operations in the same order, with
+        each log taken by ``math.log``, since ``np.log`` may round
+        differently.  A copy that ``scale_state`` refuses gets a value that
+        is not finite."""
+        columns = np.array([(*s.coords, s.scale) for s in states], dtype=float).reshape(-1, 4)
+        u, v, deficit, scale = columns.T.take(index, axis=1)
+        scale = ts * scale
         n = float(self.n0) * scale
         log_u = _logs(ts * u / (n * float(self.u_star)))
         log_v = _logs(ts * v / (n * float(self.v_star)))
@@ -347,7 +355,13 @@ class IdealGasEngine(_EngineBase):
 
 
 def _logs(values: np.ndarray) -> np.ndarray:
-    return np.fromiter(map(math.log, values.tolist()), dtype=float, count=len(values))
+    """``math.log`` of each value, and NaN where it is not positive (the log
+    argument of a copy ``scale_state`` refuses), where ``math.log`` raises."""
+    values = values.tolist()
+    try:
+        return np.fromiter(map(math.log, values), dtype=float, count=len(values))
+    except ValueError:
+        return np.array([math.log(v) if v > 0 else math.nan for v in values], dtype=float)
 
 
 def ideal_gas(
@@ -365,6 +379,16 @@ def ideal_gas(
     _check_param("gauge u_star", u_star)
     _check_param("gauge v_star", v_star)
     _check_param("gauge |s_star|", abs(s_star), low=0.0)
+    offset = n * s_star
+    if math.ulp(offset) > GAS_ENTROPY_ATOL:
+        # Floats below this power of two lie at most the tolerance apart.
+        limit = 2.0 ** (math.floor(math.log2(GAS_ENTROPY_ATOL)) + 53)
+        raise DomainError(
+            f"gauge s_star={s_star!r} with n={n!r} adds n * s_star = {offset:.3g} J/K "
+            f"to every entropy, where floats lie {math.ulp(offset):.3g} J/K apart, "
+            f"coarser than the gas's {GAS_ENTROPY_ATOL:g} J/K equivalence tolerance, "
+            f"so entropy differences round away; |n * s_star| must stay below {limit:g} J/K"
+        )
     for axis, (lo, hi) in zip("UV", box):
         _check_param(f"box {axis} lower bound", lo)
         _check_param(f"box {axis} upper bound", hi)
@@ -400,7 +424,7 @@ def ideal_gas(
         is_normal=True,
         energy_bounds=None,
         scale_state_fn=engine.scale_state,
-        entropy_atol=1e-10,
+        entropy_atol=GAS_ENTROPY_ATOL,
         isentropic_partner=engine.isentropic_partner,
         scaled_entropies=engine.scaled_entropies,
     )

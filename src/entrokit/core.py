@@ -149,9 +149,11 @@ class ModelSystem:
     verification code; entropy-construction algorithms must not call it.
     ``entropy_atol`` is the absolute tolerance the induced relation uses to
     decide equivalence of near-equal oracle values.  ``scaled_entropies``,
-    when given, maps a state and an array of factors t to the oracle entropy
-    of each t-scaled copy, bit for bit as ``oracle_entropy(scale_state(s, t))``
-    gives it; the relation answers batched mixture queries with it.
+    when given, maps a list of the model's states, an index array and an
+    array of factors to the oracle entropy of each ``ts[i]``-scaled copy of
+    ``states[index[i]]``, bit for bit as ``oracle_entropy(scale_state(s, t))``
+    gives it, and to a value that is not finite for a copy ``scale_state``
+    refuses; the relation answers batched order queries with it.
     """
 
     def __init__(
@@ -165,7 +167,9 @@ class ModelSystem:
         scale_state_fn: Optional[Callable[[State, float], State]] = None,
         entropy_atol: float = 0.0,
         isentropic_partner: Optional[Callable[[State, object], Optional[State]]] = None,
-        scaled_entropies: Optional[Callable[[State, np.ndarray], np.ndarray]] = None,
+        scaled_entropies: Optional[
+            Callable[[list[State], np.ndarray, np.ndarray], np.ndarray]
+        ] = None,
     ):
         if not is_normal:
             if energy_bounds is None or not math.isfinite(energy_bounds[1]):
@@ -240,7 +244,8 @@ class AccessibilityRelation:
             self.models = list(models)
             if not self.models:
                 raise DomainError("induced relation needs at least one model")
-            self._last_targets = (None, None)
+            self._last_unit = (None, None)
+            self._tag_ids: dict[str, int] = {}
         else:
             raise DomainError(f"unknown relation mode {mode!r}")
 
@@ -319,88 +324,170 @@ class AccessibilityRelation:
         return self.leq(x, y) and self.leq(y, x)
 
     def leq_mixtures(self, x0: State, x1: State, lams, ys: Sequence[StateLike]):
-        """Each y_i against the mixture ((1-lam_i) x0, lam_i x1).
-
-        Returns two boolean arrays: ``fwd[i]`` is whether the mixture
-        precedes y_i and ``bwd[i]`` whether y_i precedes it, each exactly
-        what ``leq`` answers for that pair.  A plain induced relation whose
-        models supply ``scaled_entropies`` answers the whole batch in one
-        pass, and reads the states of ``ys`` once for as long as it is handed
-        the same tuple, as a bisection does; any other relation (a subclass
-        may define another order) asks ``leq`` twice per mixture.
-        """
-        if self.mode != "induced":
-            raise CapabilityError("mixtures need an induced relation")
+        """Each y_i against the mixture ((1-lam_i) x0, lam_i x1): ``leq_many``
+        with those two parts on one side and y_i on the other."""
         lams = np.asarray(lams, dtype=float)
         if lams.shape != (len(ys),):
             raise DomainError("leq_mixtures needs one fraction per state")
-        if type(self) is AccessibilityRelation:
-            batch = self._leq_mixtures_batched(x0, x1, lams, ys)
-            if batch is not None:
-                return batch
-        fwd = np.zeros(len(ys), dtype=bool)
-        bwd = np.zeros(len(ys), dtype=bool)
-        m0, m1 = self._resolve(x0.space_id)[0], self._resolve(x1.space_id)[0]
-        for i, (lam, y) in enumerate(zip(lams.tolist(), ys)):
-            probe = composite_state([m0.scale_state(x0, 1.0 - lam), m1.scale_state(x1, lam)])
-            fwd[i] = self.leq(probe, y)
-            bwd[i] = self.leq(y, probe)
-        return fwd, bwd
+        return self.leq_many([(x0, 1.0 - lams), (x1, lams)], [(ys, 1.0)])
 
-    def _leq_mixtures_batched(self, x0, x1, lams, ys):
-        """``leq_mixtures`` from the models' ``scaled_entropies``, with
-        ``leq``'s arithmetic step for step; None where it does not apply or a
-        value is not finite, and the caller asks ``leq`` instead."""
-        (m0, sp0), (m1, sp1) = self._resolve(x0.space_id), self._resolve(x1.space_id)
-        if (
-            m0.scaled_entropies is None
-            or m1.scaled_entropies is None
-            or sp0.composition_tag != sp1.composition_tag
-        ):
-            return None
-        targets = self._mixture_targets(ys)
-        if targets is None:
-            return None
-        s_y, amount_y, atol_y, tags = targets
+    def leq_many(self, xs: Sequence[tuple], ys: Sequence[tuple], *, converse: bool = True):
+        """Row by row, the composite of the parts ``xs`` against that of the
+        parts ``ys``.
+
+        A part is a pair ``(states, ts)``: ``states`` is one State or a
+        sequence of one per row, ``ts`` one factor or a sequence of one per
+        row, and row i holds the ts[i]-scaled copy of states[i] (the state
+        itself where the factor is 1).  A side of one part is that copy, not
+        a composite of it.  Returns two boolean arrays: ``fwd[i]`` is whether
+        row i's ``xs`` side precedes its ``ys`` side and ``bwd[i]`` the
+        converse, each exactly what ``leq`` answers for that pair; never an
+        entropy.  ``converse=False`` leaves ``bwd`` None, which halves the
+        ``leq`` calls of a relation that answers row by row.
+
+        A plain induced relation answers from the oracle values of each
+        distinct state, read once per query (through the model's
+        ``scaled_entropies`` where a factor is not 1), and keeps those of a
+        tuple of states with unit factors for as long as it is handed an
+        equal tuple, as a bisection or a run of sandwich bounds does.  A relation subclass (which may
+        define another order), a part with factors other than 1 whose states'
+        model has no ``scaled_entropies`` (or that spans several models), and
+        a row whose values are not finite or whose copies the model refuses
+        are asked through ``leq``, so an error surfaces as ``leq`` raises it.
+        """
+        if self.mode != "induced":
+            raise CapabilityError("batched queries need an induced relation")
+        xs = [(states, np.asarray(ts, dtype=float)) for states, ts in xs]
+        ys = [(states, np.asarray(ts, dtype=float)) for states, ts in ys]
+        rows = {len(states) for states, _ in xs + ys if not isinstance(states, State)}
+        rows |= {len(ts) for _, ts in xs + ys if ts.ndim}
+        if len(rows) != 1:
+            raise DomainError("leq_many needs the same number of rows in every part")
+        (n,) = rows
+        batch = self._leq_many_batched(xs, ys, n) if type(self) is AccessibilityRelation else None
+        if batch is None:
+            batch = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool), np.ones(n, dtype=bool)
+        fwd, bwd, scalar = batch
+        for i in np.flatnonzero(scalar).tolist():
+            x, y = self._row(xs, i), self._row(ys, i)
+            fwd[i] = self.leq(x, y)
+            if converse:
+                bwd[i] = self.leq(y, x)
+        return fwd, bwd if converse else None
+
+    def _row(self, parts, i: int) -> StateLike:
+        """Row i of one side of ``leq_many``, built as ``leq`` is asked it."""
+        copies = []
+        for states, ts in parts:
+            state = states if isinstance(states, State) else states[i]
+            t = float(ts[i] if ts.ndim else ts)
+            copies.append(
+                state if t == 1.0 else self._resolve(state.space_id)[0].scale_state(state, t)
+            )
+        return copies[0] if len(copies) == 1 else composite_state(copies)
+
+    def _leq_many_batched(self, xs, ys, n: int):
+        """``leq_many`` with ``leq``'s arithmetic step for step: fwd, bwd and
+        the rows ``leq`` must answer instead; None where the batch does not
+        apply at all."""
         with np.errstate(all="ignore"):
-            t0 = 1.0 - lams
-            mixed = m0.scaled_entropies(x0, t0) + m1.scaled_entropies(x1, lams)
-            amount = t0 * x0.scale + lams * x1.scale
-        if not (np.isfinite(mixed).all() and np.isfinite(amount).all()):
-            return None
-        atol = np.maximum(max(m0.entropy_atol, m1.entropy_atol), atol_y)
-        # _totals_match: equal amounts, or equal within math.isclose's 1e-12.
-        gap = np.abs(amount_y - amount)
-        match = np.array([tag == sp0.composition_tag for tag in tags], dtype=bool) & (
-            (amount == amount_y)
-            | (gap <= np.abs(1e-12 * amount_y))
-            | (gap <= np.abs(1e-12 * amount))
-        )
-        return match & (mixed <= s_y + atol), match & (s_y <= mixed + atol)
+            sides = []
+            for parts in (xs, ys):
+                columns = [self._part_columns(states, ts, n) for states, ts in parts]
+                if None in columns:
+                    return None
+                sides.append(columns)
+            cx, cy = sides
+            # leq sums the parts' values in order, as sum() does, and takes
+            # the largest entropy atol of all parts.
+            s_x, s_y, atol = cx[0][0], cy[0][0], cx[0][2]
+            for column in cx[1:]:
+                s_x = s_x + column[0]
+            for column in cy[1:]:
+                s_y = s_y + column[0]
+            for column in cx[1:] + cy:
+                atol = np.maximum(atol, column[2])
+            scalar = ~(np.isfinite(s_x) & np.isfinite(s_y))
+            for column in cx + cy:
+                scalar |= column[4]
+            # _totals_match: the same tags on both sides, each with equal
+            # amounts or amounts within math.isclose's 1e-12.
+            match = np.ones(n, dtype=bool)
+            for tag in range(len(self._tag_ids)):
+                (tx, px), (ty, py) = (self._tag_total(columns, tag) for columns in sides)
+                gap = np.abs(tx - ty)
+                close = (tx == ty) | (gap <= np.abs(1e-12 * ty)) | (gap <= np.abs(1e-12 * tx))
+                match &= (px == py) & (np.logical_not(px) | close)
+            return match & (s_x <= s_y + atol), match & (s_y <= s_x + atol), scalar
 
-    def _mixture_targets(self, ys):
-        """Oracle entropy, amount, entropy atol and composition tag of each
-        of ``ys``; None unless all are single states with finite values.
-        The answer for the last tuple is kept: a tuple of frozen states
-        cannot change."""
-        if self._last_targets[0] is ys:
-            return self._last_targets[1]
-        if not all(isinstance(y, State) for y in ys):
+    @staticmethod
+    def _tag_total(columns, tag: int):
+        """Per row, the amount of one side's parts with a composition tag,
+        summed in part order from 0.0 as ``_profile`` sums it, and whether
+        any part has it; one value for all rows where the parts' tags do
+        not vary by row."""
+        total, present = 0.0, False
+        for _, amount, _, tag_id, _ in columns:
+            if np.ndim(tag_id):
+                hit = tag_id == tag
+                total, present = total + np.where(hit, amount, 0.0), present | hit
+            elif tag_id == tag:
+                total, present = total + amount, True
+        return total, present
+
+    def _part_columns(self, states, ts, n: int):
+        """Per row of one part: oracle value, amount, entropy atol,
+        composition tag's id and whether ``leq`` must answer the row, each
+        an array or one value for all rows; None unless the part is made of
+        single states whose owners can evaluate its copies in a batch.  A
+        unit factor reads ``oracle_entropy``, since the copy is the state
+        itself."""
+        unit = bool((ts == 1.0).all())
+        if unit and isinstance(states, tuple) and self._last_unit[0] == states:
+            return self._last_unit[1]
+        if isinstance(states, State):
+            distinct, inv = [states], np.zeros(n, dtype=np.intp)
+        else:
+            # Distinct by identity: the rows of a query repeat state objects.
+            # (np.unique is faster, but its first use costs about 0.4 MiB of
+            # peak RSS.)
+            first = {id(state): state for state in states}
+            position = {key: k for k, key in enumerate(first)}
+            distinct = list(first.values())
+            inv = np.fromiter(map(position.__getitem__, map(id, states)), dtype=np.intp, count=n)
+        if not all(isinstance(state, State) for state in distinct):
             return None
-        owners = [self._resolve(y.space_id) for y in ys]
-        s_y = np.array([m.oracle_entropy(y) for y, (m, _) in zip(ys, owners)], dtype=float)
-        amount_y = np.array([y.scale for y in ys], dtype=float)
-        if not (np.isfinite(s_y).all() and np.isfinite(amount_y).all()):
+        try:
+            owners = [self._resolve(state.space_id) for state in distinct]
+        except DomainError:
             return None
-        targets = (
-            s_y,
-            amount_y,
-            np.array([m.entropy_atol for m, _ in owners], dtype=float),
-            [sp.composition_tag for _, sp in owners],
-        )
-        if isinstance(ys, tuple):
-            self._last_targets = (ys, targets)
-        return targets
+        models = [m for m, _ in owners]
+        ts = np.broadcast_to(ts, (n,))
+        if unit:
+            values = np.array([m.oracle_entropy(x) for x, m in zip(distinct, models)])[inv]
+        elif models[0].scaled_entropies is None or len(set(map(id, models))) > 1:
+            return None
+        else:
+            values = models[0].scaled_entropies(distinct, inv, ts)
+        tag_ids = [
+            self._tag_ids.setdefault(space.composition_tag, len(self._tag_ids))
+            for _, space in owners
+        ]
+        if len(distinct) == 1:
+            amounts = ts * distinct[0].scale
+            atol, tag_id = models[0].entropy_atol, tag_ids[0]
+        else:
+            amounts = ts * np.array([state.scale for state in distinct])[inv]
+            atol = np.array([m.entropy_atol for m in models])[inv]
+            tag_id = np.array(tag_ids)[inv]
+        # scale_state refuses a copy whose scale is not positive and finite
+        # (states carry positive scales, so neither is its factor); leq
+        # raises for such a row, and answers a row with a non-finite value.
+        refused = ~((amounts > 0) & np.isfinite(amounts))
+        columns = (values, amounts, atol, tag_id, refused)
+        if unit and isinstance(states, tuple):
+            self._last_unit = (states, columns)
+        return columns
 
     def sample(self, rng, n: int) -> list:
         """Draw n universe elements (finite: with replacement from the list)."""

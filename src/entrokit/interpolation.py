@@ -198,15 +198,18 @@ def sandwich_bounds(
     gamma: Sequence[State],
     table: EntropyTable,
 ) -> SandwichBounds:
-    """Tightest equilibrium entropy bracket around x over the sampled grid.
+    """Tightest equilibrium entropy bracket around x over the sampled grid,
+    from one ``leq_many`` query of x against the grid's tabled states.
 
     A missing side is reported as a violation of the sandwich requirement,
     not raised: that outcome is itself a finding.
     """
     if not gamma:
         raise DomainError("sandwich bounds need a non-empty equilibrium grid")
-    below = [table.value(g) for g in gamma if g in table.entries and rel.leq(g, x)]
-    above = [table.value(g) for g in gamma if g in table.entries and rel.leq(x, g)]
+    members = tuple(g for g in gamma if g in table.entries)
+    x_to_g, g_to_x = rel.leq_many([(x, 1.0)], [(members, 1.0)])
+    below = [table.value(g) for g, ok in zip(members, g_to_x.tolist()) if ok]
+    above = [table.value(g) for g, ok in zip(members, x_to_g.tolist()) if ok]
     s_minus = max(below) if below else None
     s_plus = min(above) if above else None
     if s_minus is None or s_plus is None:

@@ -16,6 +16,8 @@ import random
 from dataclasses import replace
 from typing import Union
 
+import numpy as np
+
 from .axioms import (
     CheckResult,
     CheckStatus,
@@ -113,10 +115,12 @@ def mutate_model(target: MutationTarget, mutation: str) -> MutationTarget:
         raise CapabilityError(f"mutation {mutation!r} needs a scalable model")
 
     clone = _clone_model(target)
-    base_oracle = clone.oracle_entropy
-    if mutation in ("break_scaling", "break_splitting"):
-        # The batched entropies would still follow the intact oracle.
-        clone.scaled_entropies = None
+    base_oracle, base_scaled = clone.oracle_entropy, clone.scaled_entropies
+
+    # Each oracle defect is applied to the batched entropies too, bit for
+    # bit: the t-copy of a state has scale t * state.scale.
+    def copy_scales(states, index, ts):
+        return ts * np.array([s.scale for s in states], dtype=float)[index]
 
     if mutation == "break_scaling":
         # Order-reversing only on enlarged copies: shrunk copies (splitting,
@@ -126,14 +130,23 @@ def mutate_model(target: MutationTarget, mutation: str) -> MutationTarget:
             value = base_oracle(state)
             return -value if state.scale > 1.0 + 1e-12 else value
 
+        def scaled(states, index, ts):
+            values = base_scaled(states, index, ts)
+            return np.where(copy_scales(states, index, ts) > 1.0 + 1e-12, -values, values)
+
         clone.oracle_entropy = oracle
+        clone.scaled_entropies = scaled if base_scaled else None
     elif mutation == "break_splitting":
         # Superlinear scaling: a t-copy carries t times too much entropy, so
         # the split halves no longer recombine to the whole.
         def oracle(state):
             return base_oracle(state) * state.scale
 
+        def scaled(states, index, ts):
+            return base_scaled(states, index, ts) * copy_scales(states, index, ts)
+
         clone.oracle_entropy = oracle
+        clone.scaled_entropies = scaled if base_scaled else None
     elif mutation in ("composite_max", "strict_only_comparison"):
         relation = _MaxComposite if mutation == "composite_max" else _StrictOnly
         clone.relation = lambda: relation.induced([clone])

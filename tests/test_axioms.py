@@ -5,9 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entrokit.axioms import (
+    STABILITY_EPS,
     TRANSITIVITY_CAP,
     CheckResult,
     CheckStatus,
+    _sample_ordered_pair,
     check_comparison,
     check_consistency,
     check_n1_n2,
@@ -16,11 +18,14 @@ from entrokit.axioms import (
     check_splitting,
     check_stability,
     check_transitivity,
+    not_applicable,
+    verdict,
 )
 from entrokit.catalog import chain_fixture, ideal_gas
-from entrokit.core import AccessibilityRelation
+from entrokit.core import AccessibilityRelation, State, StateKind, composite_state
 from entrokit.errors import DomainError
 from entrokit.mutants import mutate_model
+from test_interpolation import _GAS_PARAMS, ScalarRelation, state_pools
 
 
 def test_check_result_fail_needs_witnesses():
@@ -248,6 +253,114 @@ def test_stability_strict_only_mutant_fails_at_equality():
     mutant = mutate_model(ideal_gas(), "strict_only_comparison")
     result = check_stability(mutant.relation(), samples=60, seed=6)
     assert result.failed
+
+
+def scalar_check_stability(rel, *, samples=100, seed=0):
+    """``check_stability`` with each premise asked by ``leq``, one epsilon
+    at a time, stopping at the first that fails; kept as the reference for
+    the batched premise queries."""
+    rng = random.Random(seed)
+    if rel.mode == "finite" or not rel.models[0].supports_scaling:
+        return not_applicable("stability", "scaling unsupported")
+    model = rel.models[0]
+
+    def premise_holds(x, y, z0, z1) -> bool:
+        for eps in STABILITY_EPS:
+            lhs = composite_state([x, model.scale_state(z0, eps)])
+            rhs = composite_state([y, model.scale_state(z1, eps)])
+            if not rel.leq(lhs, rhs):
+                return False
+        return True
+
+    tuples = []
+    for _ in range(samples):
+        x, y, z0, z1 = rel.sample(rng, 4)
+        tuples.append((x, y, z0, z1))
+    if model.isentropic_partner is not None:
+        for _ in range(10):
+            x = rel.sample(rng, 1)[0]
+            y = model.isentropic_partner(x, rng)
+            if y is None:
+                continue
+            z0, z1 = _sample_ordered_pair(rel, rng, strict=True)
+            tuples.append((x, y, z0, z1))
+
+    witnesses = []
+    used = 0
+    for x, y, z0, z1 in tuples:
+        used += 1
+        if premise_holds(x, y, z0, z1) and not rel.leq(x, y):
+            witnesses.append((x, y, z0, z1))
+            break
+    return verdict(
+        "stability", not witnesses, witnesses, samples_used=used,
+        tolerance_used=STABILITY_EPS[-1],
+    )
+
+
+def _outcome(check, *args, **kwargs):
+    """The check's result, or the type of what it raised."""
+    try:
+        return check(*args, **kwargs)
+    except Exception as exc:  # the paths must fail alike too
+        return type(exc)
+
+
+@st.composite
+def _pooled_gases(draw):
+    """A gas from ``_GAS_PARAMS``, and a pool of its states that its sampler
+    draws from (or, at times, the box sampler kept)."""
+    gas = ideal_gas(**draw(_GAS_PARAMS))
+    pool = draw(state_pools(gas))
+    if draw(st.booleans()):
+        gas.process_engine.sample_state = lambda rng: pool[rng.randrange(len(pool))]
+    return gas, pool
+
+
+@given(gas_pool=_pooled_gases(), samples=st.integers(0, 25), seed=st.integers(0, 2**16))
+@settings(max_examples=40, deadline=None)
+def test_batched_stability_matches_scalar_reference(gas_pool, samples, seed):
+    gas, _ = gas_pool
+    expected = _outcome(scalar_check_stability, gas.relation(), samples=samples, seed=seed)
+    for rel in (gas.relation(), ScalarRelation.induced([gas])):
+        assert _outcome(check_stability, rel, samples=samples, seed=seed) == expected
+
+
+@pytest.mark.parametrize("mutation", ["break_scaling", "break_splitting", "strict_only_comparison"])
+def test_batched_stability_matches_scalar_reference_on_mutants(mutation):
+    rel = mutate_model(ideal_gas(), mutation).relation()
+    for seed in range(3):
+        expected = scalar_check_stability(rel, samples=40, seed=seed)
+        assert check_stability(rel, samples=40, seed=seed) == expected
+
+
+@given(gas_pool=_pooled_gases(), samples=st.integers(0, 60), seed=st.integers(0, 2**16))
+@settings(max_examples=40, deadline=None)
+def test_batched_n1_n2_matches_scalar_path(gas_pool, samples, seed):
+    gas, pool = gas_pool
+    gamma = gas.process_engine.grid(3, 3) + [
+        s for s in pool if s.kind is not StateKind.NONEQUILIBRIUM
+    ]
+    noneq = [s for s in pool if s.kind is StateKind.NONEQUILIBRIUM]
+    args = (gamma, noneq)
+    expected = _outcome(
+        check_n1_n2, ScalarRelation.induced([gas]), *args, samples=samples, seed=seed
+    )
+    assert _outcome(check_n1_n2, gas.relation(), *args, samples=samples, seed=seed) == expected
+
+
+def test_stability_asks_scalar_leq_only_of_plain_pairs(monkeypatch):
+    rel = ideal_gas().relation()
+    asked = []
+    leq = AccessibilityRelation.leq
+    monkeypatch.setattr(
+        AccessibilityRelation, "leq", lambda r, x, y: asked.append((x, y)) or leq(r, x, y)
+    )
+    assert check_stability(rel, samples=100, seed=5).passed
+    # x ≼ y and the premises' composites went to leq_many; what is left is
+    # drawing the strict pairs of the isentropic tuples.
+    assert asked
+    assert all(isinstance(x, State) and isinstance(y, State) for x, y in asked)
 
 
 # -- comparison ---------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -44,12 +45,31 @@ def test_gas_scale_rejects_factor_whose_gauge_product_underflows():
         gas.scale_state(x, 5e-324)
 
 
+def test_gas_scaled_entropies_are_not_finite_for_refused_copies():
+    # Both underflows above: the batch marks the copies instead of raising.
+    gas = ideal_gas(gauge=(0.5, 1.0, 0.0))
+    e = gas.process_engine
+    states = [e.state(1000.0, 0.02), e.state(1000.0, 10.0)]
+    values = gas.scaled_entropies(states, np.array([0, 1, 1]), np.array([5e-324, 5e-324, 0.5]))
+    assert [math.isfinite(s) for s in values.tolist()] == [False, False, True]
+
+
 def test_gas_rejects_nonpositive_coordinates(gas):
     e = gas.process_engine
     with pytest.raises(DomainError):
         e.state(-1.0, 0.02)
     with pytest.raises(DomainError):
         e.state(1000.0, 0.0)
+
+
+def test_gas_rejects_gauge_offset_coarser_than_its_tolerance():
+    # Floats near 2**19 = 524288 lie 2**-33 = 1.2e-10 J/K apart, above the
+    # gas's 1e-10 J/K equivalence tolerance; just below it, 5.8e-11 J/K.
+    for n, s_star in ((1, 6e5), (1000, -600.0), (1, 1e20)):
+        with pytest.raises(DomainError, match=re.escape(f"s_star={s_star!r}")):
+            ideal_gas(n=n, gauge=(1.0, 1.0, s_star))
+    for n, s_star in ((1, 5e5), (10, -50.0), (1000, 0.0), (1000, 500.0)):
+        ideal_gas(n=n, gauge=(1.0, 1.0, s_star))
 
 
 def test_gas_requires_positive_amount():
@@ -77,10 +97,13 @@ def test_gas_rejects_c_v_hat_whose_isentropic_partners_lose_all_energy():
 @settings(max_examples=60, deadline=None)
 def test_gas_scaled_entropies_equal_oracle_bit_for_bit(u, v, deficit, scale, ts, c_v_hat):
     gas = ideal_gas(n=2, c_v_hat=c_v_hat, gauge=(1.5, 0.5, 3.0))
-    x = gas.process_engine.state(u, v, deficit, scale=scale)
-    batch = gas.scaled_entropies(x, np.array(ts))
+    e = gas.process_engine
+    # The drawn state, and one other indexed by every second factor.
+    states = [e.state(u, v, deficit, scale=scale), e.state(0.5 * u, 2.0 * v)]
+    index = np.arange(len(ts)) % 2
+    batch = gas.scaled_entropies(states, index, np.array(ts))
     assert [s.hex() for s in batch.tolist()] == [
-        gas.oracle_entropy(gas.scale_state(x, t)).hex() for t in ts
+        gas.oracle_entropy(gas.scale_state(states[i], t)).hex() for i, t in zip(index, ts)
     ]
 
 
@@ -91,11 +114,11 @@ def test_gas_scaled_entropies_take_scalar_logs():
     gas = ideal_gas()
     e = gas.process_engine
     rng = random.Random(5)
-    ts = np.array([0.5])
+    ts, index = np.array([0.5]), np.array([0])
     for _ in range(20_000):
         x = e.sample_state(rng)
         expected = gas.oracle_entropy(gas.scale_state(x, 0.5))
-        assert gas.scaled_entropies(x, ts)[0].hex() == expected.hex()
+        assert gas.scaled_entropies([x], index, ts)[0].hex() == expected.hex()
 
 
 @given(t=st.floats(min_value=0.1, max_value=10.0))

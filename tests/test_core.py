@@ -275,3 +275,39 @@ def test_leq_matches_reference_definition(spin, mutation):
             assert got is want, (a, b)
             outcomes.add(got)
     assert outcomes == {True, False}
+
+
+# -- batched order queries ------------------------------------------------------
+
+def test_leq_many_asks_leq_for_a_copy_scale_state_refuses(gas, gas_rel):
+    # 0.02 * 5e-324 rounds to 0: the batch cannot evaluate the copy, and the
+    # row raises as building it for leq does.
+    e = gas.process_engine
+    x, y = e.state(1000.0, 0.02), e.state(2000.0, 0.03)
+    fwd, bwd = gas_rel.leq_many([(x, [0.5, 0.5])], [(y, 0.5)])
+    assert fwd.tolist() == [True, True] and bwd.tolist() == [False, False]
+    with pytest.raises(DomainError, match="5e-324"):
+        gas_rel.leq_many([(x, [0.5, 5e-324])], [(y, 0.5)])
+
+
+def test_leq_many_shapes(gas, gas_rel):
+    x = gas.process_engine.state(1000.0, 0.02)
+    fwd, bwd = gas_rel.leq_many([([], 1.0)], [(x, [])])
+    assert fwd.shape == bwd.shape == (0,)
+    fwd, bwd = gas_rel.leq_many([([x, x], 1.0)], [([x, x], 1.0)], converse=False)
+    assert fwd.tolist() == [True, True] and bwd is None
+    with pytest.raises(DomainError, match="same number of rows"):
+        gas_rel.leq_many([([x, x], 1.0)], [(x, [1.0, 1.0, 1.0])])
+    with pytest.raises(CapabilityError):
+        AccessibilityRelation.finite([1], [(1, 1)]).leq_many([([1], 1.0)], [([1], 1.0)])
+
+
+def test_leq_many_matches_amounts_within_rounding(gas, gas_rel):
+    # 0.1 + 0.2 is 0.30000000000000004: leq matches the totals within 1e-12.
+    e = gas.process_engine
+    x, y = e.state(1000.0, 0.02), e.state(9000.0, 0.09)
+    fwd, bwd = gas_rel.leq_many([(x, [0.1]), (x, [0.2])], [(y, [0.3])])
+    lhs = composite_state([gas.scale_state(x, 0.1), gas.scale_state(x, 0.2)])
+    rhs = gas.scale_state(y, 0.3)
+    assert 0.1 + 0.2 != 0.3
+    assert (fwd[0], bwd[0]) == (gas_rel.leq(lhs, rhs), gas_rel.leq(rhs, lhs)) == (True, False)

@@ -296,7 +296,25 @@ def test_sandwich_violation_reported_not_raised(setup):
     assert "lower" in bounds.message
 
 
-# -- lockstep bisection and batched mixture queries --------------------------------
+def test_sandwich_bounds_ask_no_scalar_leq(setup, monkeypatch):
+    gas, rel, grid, refs = setup
+    table = entropy_from_accessibility(rel, refs, grid, tol=1e-9)
+    x = gas.process_engine.state(3000.0, 0.02, deficit=0.8)
+    asked = []
+    leq = AccessibilityRelation.leq
+    monkeypatch.setattr(
+        AccessibilityRelation, "leq", lambda r, a, b: asked.append((a, b)) or leq(r, a, b)
+    )
+    assert sandwich_bounds(rel, x, grid, table).ok
+    assert not asked
+
+
+# -- lockstep bisection and batched order queries ----------------------------------
+
+class ScalarRelation(AccessibilityRelation):
+    """The induced order unchanged; as a subclass it answers ``leq_many``
+    through ``leq`` row by row, the scalar path the batch must reproduce."""
+
 
 _GAS_PARAMS = st.fixed_dictionaries({
     "n": st.one_of(st.floats(0.1, 10.0), st.sampled_from([1, 2])),
@@ -340,6 +358,42 @@ def _mixture_queries(draw, gas):
     return x0, x1, lams, ys
 
 
+@st.composite
+def state_pools(draw, gas):
+    """States of the gas: equilibrium and nonequilibrium ones, scaled
+    copies, and equilibrium states within a few tolerances of an unscaled
+    state's entropy (isentropic near-ties)."""
+    e = gas.process_engine
+    pool = []
+    for _ in range(draw(st.integers(2, 8))):
+        s = e.state(draw(_U), draw(_V), draw(st.one_of(st.just(0.0), st.floats(0.01, 5.0))))
+        pool.append(gas.scale_state(s, draw(st.floats(0.2, 5.0))) if draw(st.booleans()) else s)
+    for s in list(pool):
+        if s.scale == 1.0 and draw(st.booleans()):
+            target = gas.oracle_entropy(s) + draw(_TIE_OFFSETS)
+            pool.append(e.ses_with_entropy(target, ("vol", draw(_V))))
+    return pool
+
+
+@given(data=st.data(), params=_GAS_PARAMS)
+@settings(max_examples=30, deadline=None)
+def test_sandwich_bounds_batched_match_scalar(data, params):
+    gas = ideal_gas(**params)
+    e = gas.process_engine
+    pool = data.draw(state_pools(gas))
+    grid = e.grid(4, 4)
+    by_oracle = sorted(grid, key=gas.oracle_entropy)
+    # The lowest and highest grid states fall outside the references and are
+    # skipped, and the pool's states are not in the table at all.
+    refs = ReferencePair(by_oracle[1], by_oracle[-2], s0=0.0, s1=100.0)
+    rel = gas.relation()
+    table = entropy_from_accessibility(rel, refs, grid)
+    gamma = grid + pool
+    scalar = ScalarRelation.induced([gas])
+    for x in pool:
+        assert sandwich_bounds(rel, x, gamma, table) == sandwich_bounds(scalar, x, gamma, table)
+
+
 def _per_element(rel, model, x0, x1, lams, ys):
     fwd, bwd = [], []
     for lam, y in zip(lams, ys):
@@ -362,7 +416,7 @@ def _count_hook_calls(model) -> list:
     calls = []
     hook = model.scaled_entropies
     if hook is not None:
-        model.scaled_entropies = lambda state, ts: calls.append(len(ts)) or hook(state, ts)
+        model.scaled_entropies = lambda *args: calls.append(len(args[-1])) or hook(*args)
     return calls
 
 
@@ -409,7 +463,8 @@ def test_leq_mixtures_keeps_planted_defects(mutation, data, params):
     expected = _outcome(_per_element, rel, mutant, *query)
     calls = _count_hook_calls(mutant)
     assert _outcome(rel.leq_mixtures, *query) == expected
-    assert not calls  # the mutant's own leq answered
+    if mutation in ("composite_max", "strict_only_comparison"):
+        assert not calls  # the mutant relation's own leq answered
 
 
 def _bits(lams):

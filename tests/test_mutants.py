@@ -1,6 +1,9 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entrokit.axioms import (
     check_consistency,
@@ -15,6 +18,7 @@ from entrokit.energy import check_path_independence
 from entrokit.errors import CapabilityError, DomainError
 from entrokit.mutants import MUTATIONS, mutate_model, mutation_matrix
 from entrokit.reservoir import Reservoir, reference_reservoir, temperature_of
+from test_interpolation import _GAS_PARAMS, _U, _V
 
 
 def test_unknown_mutation_rejected(gas):
@@ -162,3 +166,39 @@ def test_matrix_serializes(tmp_path):
     assert parsed == report
     assert parsed["ok"] is True
     assert len(parsed["mutants"]) == len(MUTATIONS)
+
+
+@st.composite
+def _copies(draw, gas):
+    """States (some scaled copies) and, per copy, an index into them and a
+    factor; some factors put the copy's scale within a few ulps of
+    break_scaling's 1 + 1e-12 threshold."""
+    e = gas.process_engine
+    states = [
+        e.state(draw(_U), draw(_V), draw(st.floats(0.0, 5.0)),
+                scale=draw(st.one_of(st.just(1.0), st.floats(0.2, 5.0))))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    index = draw(st.lists(st.integers(0, len(states) - 1), min_size=1, max_size=8))
+    ts = [
+        draw(st.one_of(
+            st.floats(1e-3, 10.0),
+            st.sampled_from([0.5, 1.0, 2.0]),
+            st.integers(-3, 3).map(lambda k, i=i: (1.0 + 1e-12 + k * 2.0**-52) / states[i].scale),
+        ))
+        for i in index
+    ]
+    return states, np.array(index), np.array(ts)
+
+
+@pytest.mark.parametrize("mutation", ["break_scaling", "break_splitting"])
+@given(data=st.data(), params=_GAS_PARAMS)
+@settings(max_examples=40, deadline=None)
+def test_mutant_batched_entropies_are_the_mutated_oracle_bit_for_bit(mutation, data, params):
+    mutant = mutate_model(ideal_gas(**params), mutation)
+    states, index, ts = data.draw(_copies(mutant))
+    batch = mutant.scaled_entropies(states, index, ts)
+    assert [s.hex() for s in batch.tolist()] == [
+        mutant.oracle_entropy(mutant.scale_state(states[i], t)).hex()
+        for i, t in zip(index.tolist(), ts.tolist())
+    ]

@@ -376,6 +376,9 @@ OUT_OF_RANGE = [
     ("ideal_gas", {"n": 0.03}, "n=0.03"),
     ("ideal_gas", {"n": 1e-20}, "n=1e-20"),
     ("ideal_gas", {"box": [[500.0, 510.0], [0.005, 0.0051]]}, "box=[[500.0, 510.0]"),
+    # In range, but at 1e20 J/K floats lie 16,384 J/K apart: the box's 62 J/K
+    # of entropy differences round away.
+    ("ideal_gas", {"gauge": [1, 1, 1e20]}, "s_star=1e+20"),
 ]
 
 
