@@ -349,11 +349,12 @@ class AccessibilityRelation:
         distinct state, read once per query (through the model's
         ``scaled_entropies`` where a factor is not 1), and keeps those of a
         tuple of states with unit factors for as long as it is handed an
-        equal tuple, as a bisection or a run of sandwich bounds does.  A relation subclass (which may
-        define another order), a part with factors other than 1 whose states'
-        model has no ``scaled_entropies`` (or that spans several models), and
-        a row whose values are not finite or whose copies the model refuses
-        are asked through ``leq``, so an error surfaces as ``leq`` raises it.
+        equal tuple, as a bisection or a run of sandwich bounds does.  A
+        relation subclass (which may define another order), a part with
+        factors other than 1 whose states' model has no ``scaled_entropies``
+        (or that spans several models), and a row whose values are not
+        finite or whose copies the model refuses are asked through ``leq``,
+        so an error surfaces as ``leq`` raises it.
         """
         if self.mode != "induced":
             raise CapabilityError("batched queries need an induced relation")
@@ -480,10 +481,10 @@ class AccessibilityRelation:
             amounts = ts * np.array([state.scale for state in distinct])[inv]
             atol = np.array([m.entropy_atol for m in models])[inv]
             tag_id = np.array(tag_ids)[inv]
-        # scale_state refuses a copy whose scale is not positive and finite
-        # (states carry positive scales, so neither is its factor); leq
-        # raises for such a row, and answers a row with a non-finite value.
-        refused = ~((amounts > 0) & np.isfinite(amounts))
+        # scale_state refuses a factor or a copy scale that is not positive
+        # and finite; leq raises for such a row, and answers a row with a
+        # non-finite value.
+        refused = ~((ts > 0) & (amounts > 0) & np.isfinite(amounts))
         columns = (values, amounts, atol, tag_id, refused)
         if unit and isinstance(states, tuple):
             self._last_unit = (states, columns)
