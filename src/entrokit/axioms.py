@@ -337,12 +337,12 @@ def _stability_witness(rel, tuples: list) -> tuple[Optional[tuple], int]:
         fwd, _ = rel.leq_many(
             [(rows(0), 1.0), (rows(2), ts)], [(rows(1), 1.0), (rows(3), ts)], converse=False
         )
-        return fwd.reshape(len(group), k).all(axis=1).tolist()
+        return [all(fwd[j:j + k]) for j in range(0, len(fwd), k)]
 
     ordered, _ = rel.leq_many(
         [([t[0] for t in tuples], 1.0)], [([t[1] for t in tuples], 1.0)], converse=False
     )
-    kept = [i for i, ok in enumerate(ordered.tolist()) if not ok]
+    kept = [i for i, ok in enumerate(ordered) if not ok]
     for eps in (STABILITY_EPS[:1], STABILITY_EPS[1:]):
         kept = [i for i, ok in zip(kept, premises([tuples[i] for i in kept], eps)) if ok]
     return (tuples[kept[0]], kept[0] + 1) if kept else (None, len(tuples))

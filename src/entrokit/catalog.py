@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from math import lgamma
 from typing import Optional
 
-import numpy as np
-
 from .core import (
     AccessibilityRelation,
     ModelSystem,
@@ -193,21 +191,33 @@ class IdealGasEngine(_EngineBase):
         ) + n * self.s_star
         return s_eq - deficit
 
-    def scaled_entropies(self, states: list[State], index: np.ndarray,
-                         ts: np.ndarray) -> np.ndarray:
+    def scaled_entropies(self, states: list[State], index: list[int],
+                         ts: list[float]) -> list[float]:
         """``oracle_entropy(scale_state(states[index[i]], ts[i]))`` for every
-        i, bit for bit: the same float operations in the same order, with
-        each log taken by ``math.log``, since ``np.log`` may round
-        differently.  A copy that ``scale_state`` refuses gets a value that
-        is not finite."""
-        columns = np.array([(*s.coords, s.scale) for s in states], dtype=float).reshape(-1, 4)
-        u, v, deficit, scale = columns.T.take(index, axis=1)
-        scale = ts * scale
-        n = float(self.n0) * scale
-        log_u = _logs(ts * u / (n * float(self.u_star)))
-        log_v = _logs(ts * v / (n * float(self.v_star)))
-        s_eq = n * R_GAS * (float(self.cv) * log_u + log_v) + n * float(self.s_star)
-        return s_eq - ts * deficit
+        i, bit for bit: the same float operations in the same order.  A copy
+        that ``scale_state`` refuses, or whose log argument is not positive,
+        gets NaN."""
+        n0, u_star, v_star, s_star, cv = self.n0, self.u_star, self.v_star, self.s_star, self.cv
+        columns = [(*s.coords, s.scale) for s in states]
+        out = []
+        # A copy's log arguments are intensive, so the copies of a state repeat
+        # them up to rounding: a log is taken when its argument changes.
+        last_u = last_v = log_u = log_v = math.nan
+        for (u, v, deficit, scale), t in zip(map(columns.__getitem__, index), ts):
+            n = n0 * (t * scale)
+            nu = n * u_star
+            nv = n * v_star
+            # Each divisor and log argument is tested before it is used, where
+            # oracle_entropy or scale_state would raise.
+            if nu > 0 and nv > 0 and (lu := t * u / nu) > 0 and (lv := t * v / nv) > 0:
+                if lu != last_u:
+                    last_u, log_u = lu, math.log(lu)
+                if lv != last_v:
+                    last_v, log_v = lv, math.log(lv)
+                out.append(n * R_GAS * (cv * log_u + log_v) + n * s_star - t * deficit)
+            else:
+                out.append(math.nan)
+        return out
 
     def scale_state(self, state: State, t: float) -> State:
         u, v, deficit = state.coords
@@ -252,9 +262,8 @@ class IdealGasEngine(_EngineBase):
 
     def grid(self, nu: int = 21, nv: int = 21) -> list[State]:
         (ulo, uhi), (vlo, vhi) = self.box
-        us = np.linspace(ulo, uhi, nu)
-        vs = np.linspace(vlo, vhi, nv)
-        return [self.state(float(u), float(v)) for u in us for v in vs]
+        vs = _linspace(vlo, vhi, nv)
+        return [self.state(u, v) for u in _linspace(ulo, uhi, nu) for v in vs]
 
     def gamma_grid(self) -> list[State]:
         # Deterministic equilibrium covering of the box, corners included,
@@ -339,29 +348,26 @@ class IdealGasEngine(_EngineBase):
             raise CapabilityError("end states must carry the same amount")
         cv = self.cv
 
-        def one_form(coords: np.ndarray) -> np.ndarray:
+        def one_form(coords: tuple[float, float]) -> tuple[float, float]:
             u, v = coords
             # (dU + p dV)/T with p = U/(cv V) and T = U/(cv n R)
-            return np.array([cv * n_a * R_GAS / u, n_a * R_GAS / v])
+            return cv * n_a * R_GAS / u, n_a * R_GAS / v
 
-        p0 = np.array([a.coords[0], a.coords[1]])
-        p1 = np.array([b.coords[0], b.coords[1]])
+        (u0, v0, _), (u1, v1, _) = a.coords, b.coords
+        du, dv = u1 - u0, v1 - v0
 
         def segment(s: float):
-            return p0 + s * (p1 - p0), p1 - p0
+            return (u0 + s * du, v0 + s * dv), (du, dv)
 
         ds_system = line_integral(one_form, [segment]).value
         return r.delta_energy_for_delta_entropy(-ds_system)
 
 
-def _logs(values: np.ndarray) -> np.ndarray:
-    """``math.log`` of each value, and NaN where it is not positive (the log
-    argument of a copy ``scale_state`` refuses), where ``math.log`` raises."""
-    values = values.tolist()
-    try:
-        return np.fromiter(map(math.log, values), dtype=float, count=len(values))
-    except ValueError:
-        return np.array([math.log(v) if v > 0 else math.nan for v in values], dtype=float)
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """``num`` >= 2 evenly spaced floats from start to stop, each start +
+    i * step, except that the last one is stop itself."""
+    step = (stop - start) / (num - 1)
+    return [start + i * step for i in range(num - 1)] + [stop]
 
 
 def ideal_gas(
@@ -394,7 +400,7 @@ def ideal_gas(
         _check_param(f"box {axis} upper bound", hi)
         if not lo < hi:
             raise DomainError(f"box {axis} bounds must satisfy lower < upper, got {[lo, hi]}")
-    # As floats: numpy cannot take an integer bound beyond 64 bits.
+    # As floats, whatever number type the caller gave.
     box = tuple((float(lo), float(hi)) for lo, hi in box)
     if not box[0][0] * ISENTROPIC_FACTOR_MAX ** (-1.0 / c_v_hat) > 0:
         raise DomainError(
@@ -473,7 +479,7 @@ class TwoLevelSpinEngine(_EngineBase):
 
     def gamma_grid(self) -> list[State]:
         lo, hi = self.box
-        return [self.state(float(e)) for e in np.linspace(lo, hi, 25)]
+        return [self.state(e) for e in _linspace(lo, hi, 25)]
 
     def sample_nonequilibrium(self, rng: random.Random) -> State:
         s_lo = self.equilibrium_entropy(self.box[0])
@@ -618,16 +624,20 @@ def discrete_spin_fixture(n_particles: int = 12) -> FinitePreorderFixture:
 def random_closed_dag_fixture(n: int, seed: int = 0, density: float = 0.05) -> FinitePreorderFixture:
     """A random DAG closed under reflexivity and transitivity."""
     rng = random.Random(seed)
-    reach = np.eye(n, dtype=bool)
+    # reach[i] is the bitset of the states i reaches.
+    reach = [1 << i for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < density:
-                reach[i, j] = True
-    # Boolean Warshall closure.
+                reach[i] |= 1 << j
+    # Warshall closure: whoever reaches k reaches all that k reaches.
     for k in range(n):
-        reach |= np.outer(reach[:, k], reach[k, :])
+        bit = 1 << k
+        for i in range(n):
+            if reach[i] & bit:
+                reach[i] |= reach[k]
     ids = list(range(n))
-    pairs = {(i, j) for i in range(n) for j in range(n) if reach[i, j]}
+    pairs = {(i, j) for i in range(n) for j in range(n) if reach[i] >> j & 1}
     return FinitePreorderFixture(ids, pairs)
 
 
@@ -664,11 +674,11 @@ def ideal_gas_simple_system(n: float = 1.0, c_v_hat: float = 1.5):
         return coords[0]
 
     def u_grad(coords):
-        return np.array([c_v_hat * nr, 0.0])
+        return c_v_hat * nr, 0.0
 
     def x0_grad(coords):
         tau, v = coords
-        return np.array([c_v_hat / tau, 1.0 / v])
+        return c_v_hat / tau, 1.0 / v
 
     return SimpleSystemModel(
         coord_names=("tau", "V"),

@@ -17,9 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import mul
 from typing import Callable, Hashable, Iterable, Optional, Sequence, Union
-
-import numpy as np
 
 from .errors import CapabilityError, DomainError
 
@@ -149,11 +148,13 @@ class ModelSystem:
     verification code; entropy-construction algorithms must not call it.
     ``entropy_atol`` is the absolute tolerance the induced relation uses to
     decide equivalence of near-equal oracle values.  ``scaled_entropies``,
-    when given, maps a list of the model's states, an index array and an
-    array of factors to the oracle entropy of each ``ts[i]``-scaled copy of
-    ``states[index[i]]``, bit for bit as ``oracle_entropy(scale_state(s, t))``
-    gives it, and to a value that is not finite for a copy ``scale_state``
-    refuses; the relation answers batched order queries with it.
+    when given, maps a list of the model's states, a list of indices into it
+    and a list of factors to the list of oracle entropies of each
+    ``ts[i]``-scaled copy of ``states[index[i]]``, bit for bit as
+    ``oracle_entropy(scale_state(s, t))`` gives it, and to a value that is
+    not finite for a copy ``scale_state`` refuses (a factor or copy scale
+    that is not positive and finite among them); the relation answers
+    batched order queries with it.
     """
 
     def __init__(
@@ -168,7 +169,7 @@ class ModelSystem:
         entropy_atol: float = 0.0,
         isentropic_partner: Optional[Callable[[State, object], Optional[State]]] = None,
         scaled_entropies: Optional[
-            Callable[[list[State], np.ndarray, np.ndarray], np.ndarray]
+            Callable[[list[State], list[int], list[float]], list[float]]
         ] = None,
     ):
         if not is_normal:
@@ -245,7 +246,6 @@ class AccessibilityRelation:
             if not self.models:
                 raise DomainError("induced relation needs at least one model")
             self._last_unit = (None, None)
-            self._tag_ids: dict[str, int] = {}
         else:
             raise DomainError(f"unknown relation mode {mode!r}")
 
@@ -326,10 +326,9 @@ class AccessibilityRelation:
     def leq_mixtures(self, x0: State, x1: State, lams, ys: Sequence[StateLike]):
         """Each y_i against the mixture ((1-lam_i) x0, lam_i x1): ``leq_many``
         with those two parts on one side and y_i on the other."""
-        lams = np.asarray(lams, dtype=float)
-        if lams.shape != (len(ys),):
+        if len(lams) != len(ys):
             raise DomainError("leq_mixtures needs one fraction per state")
-        return self.leq_many([(x0, 1.0 - lams), (x1, lams)], [(ys, 1.0)])
+        return self.leq_many([(x0, [1.0 - lam for lam in lams]), (x1, lams)], [(ys, 1.0)])
 
     def leq_many(self, xs: Sequence[tuple], ys: Sequence[tuple], *, converse: bool = True):
         """Row by row, the composite of the parts ``xs`` against that of the
@@ -339,7 +338,7 @@ class AccessibilityRelation:
         sequence of one per row, ``ts`` one factor or a sequence of one per
         row, and row i holds the ts[i]-scaled copy of states[i] (the state
         itself where the factor is 1).  A side of one part is that copy, not
-        a composite of it.  Returns two boolean arrays: ``fwd[i]`` is whether
+        a composite of it.  Returns two lists of bools: ``fwd[i]`` is whether
         row i's ``xs`` side precedes its ``ys`` side and ``bwd[i]`` the
         converse, each exactly what ``leq`` answers for that pair; never an
         entropy.  ``converse=False`` leaves ``bwd`` None, which halves the
@@ -350,26 +349,29 @@ class AccessibilityRelation:
         ``scaled_entropies`` where a factor is not 1), and keeps those of a
         tuple of states with unit factors for as long as it is handed an
         equal tuple, as a bisection or a run of sandwich bounds does.  A
-        relation subclass (which may define another order), a part with
-        factors other than 1 whose states' model has no ``scaled_entropies``
-        (or that spans several models), and a row whose values are not
-        finite or whose copies the model refuses are asked through ``leq``,
-        so an error surfaces as ``leq`` raises it.
+        relation subclass (which may define another order), a part whose
+        states span several composition tags or entropy tolerances, a part
+        with factors other than 1 whose states' model has no
+        ``scaled_entropies`` (or that spans several models), and a row whose
+        values are not finite or whose copies the model refuses are asked
+        through ``leq``, so an error surfaces as ``leq`` raises it.
         """
         if self.mode != "induced":
             raise CapabilityError("batched queries need an induced relation")
-        xs = [(states, np.asarray(ts, dtype=float)) for states, ts in xs]
-        ys = [(states, np.asarray(ts, dtype=float)) for states, ts in ys]
-        rows = {len(states) for states, _ in xs + ys if not isinstance(states, State)}
-        rows |= {len(ts) for _, ts in xs + ys if ts.ndim}
+        parts = [(states, ts if isinstance(ts, (int, float)) else list(ts))
+                 for states, ts in xs + ys]
+        rows = {len(states) for states, _ in parts if not isinstance(states, State)}
+        rows |= {len(ts) for _, ts in parts if isinstance(ts, list)}
         if len(rows) != 1:
             raise DomainError("leq_many needs the same number of rows in every part")
         (n,) = rows
+        parts = [(states, ts if isinstance(ts, list) else [ts] * n) for states, ts in parts]
+        xs, ys = parts[:len(xs)], parts[len(xs):]
         batch = self._leq_many_batched(xs, ys, n) if type(self) is AccessibilityRelation else None
         if batch is None:
-            batch = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool), np.ones(n, dtype=bool)
+            batch = [False] * n, [False] * n, range(n)
         fwd, bwd, scalar = batch
-        for i in np.flatnonzero(scalar).tolist():
+        for i in scalar:
             x, y = self._row(xs, i), self._row(ys, i)
             fwd[i] = self.leq(x, y)
             if converse:
@@ -381,7 +383,7 @@ class AccessibilityRelation:
         copies = []
         for states, ts in parts:
             state = states if isinstance(states, State) else states[i]
-            t = float(ts[i] if ts.ndim else ts)
+            t = ts[i]
             copies.append(
                 state if t == 1.0 else self._resolve(state.space_id)[0].scale_state(state, t)
             )
@@ -391,71 +393,56 @@ class AccessibilityRelation:
         """``leq_many`` with ``leq``'s arithmetic step for step: fwd, bwd and
         the rows ``leq`` must answer instead; None where the batch does not
         apply at all."""
-        with np.errstate(all="ignore"):
-            sides = []
-            for parts in (xs, ys):
-                columns = [self._part_columns(states, ts, n) for states, ts in parts]
-                if None in columns:
-                    return None
-                sides.append(columns)
-            cx, cy = sides
-            # leq sums the parts' values in order, as sum() does, and takes
-            # the largest entropy atol of all parts.
-            s_x, s_y, atol = cx[0][0], cy[0][0], cx[0][2]
-            for column in cx[1:]:
-                s_x = s_x + column[0]
-            for column in cy[1:]:
-                s_y = s_y + column[0]
-            for column in cx[1:] + cy:
-                atol = np.maximum(atol, column[2])
-            scalar = ~(np.isfinite(s_x) & np.isfinite(s_y))
-            for column in cx + cy:
-                scalar |= column[4]
-            # _totals_match: the same tags on both sides, each with equal
-            # amounts or amounts within math.isclose's 1e-12.
-            match = np.ones(n, dtype=bool)
-            for tag in range(len(self._tag_ids)):
-                (tx, px), (ty, py) = (self._tag_total(columns, tag) for columns in sides)
-                gap = np.abs(tx - ty)
-                close = (tx == ty) | (gap <= np.abs(1e-12 * ty)) | (gap <= np.abs(1e-12 * tx))
-                match &= (px == py) & (np.logical_not(px) | close)
-            return match & (s_x <= s_y + atol), match & (s_y <= s_x + atol), scalar
+        sides = []
+        for parts in (xs, ys):
+            columns = [self._part_columns(states, ts, n) for states, ts in parts]
+            if None in columns:
+                return None
+            sides.append(columns)
+        # leq sums the parts' values in order, as sum() does, and takes the
+        # largest entropy atol of all parts.
+        s_x, s_y = (_sum_columns([c[0] for c in columns]) for columns in sides)
+        atol = max(c[2] for c in sides[0] + sides[1])
+        # A value is not finite for a copy scale_state refuses, and then
+        # neither is the sum of its side, nor that of all rows.
+        scalar = []
+        if not math.isfinite(sum(s_x) + sum(s_y)):
+            scalar = [i for i, (a, b) in enumerate(zip(s_x, s_y)) if not math.isfinite(a + b)]
+        fwd = [a <= b + atol for a, b in zip(s_x, s_y)]
+        bwd = [b <= a + atol for a, b in zip(s_x, s_y)]
+        # _totals_match: the same tags on both sides, each with amounts (summed
+        # in part order, as _profile sums them) within math.isclose's 1e-12.
+        tx, ty = (
+            {tag: _sum_columns([c[1] for c in columns if c[3] == tag])
+             for tag in dict.fromkeys(c[3] for c in columns)}
+            for columns in sides
+        )
+        if tx.keys() != ty.keys():
+            return [False] * n, [False] * n, scalar
+        for tag, total in tx.items():
+            if total != ty[tag]:
+                match = [math.isclose(a, b, rel_tol=1e-12) for a, b in zip(total, ty[tag])]
+                fwd = [m and f for m, f in zip(match, fwd)]
+                bwd = [m and g for m, g in zip(match, bwd)]
+        return fwd, bwd, scalar
 
-    @staticmethod
-    def _tag_total(columns, tag: int):
-        """Per row, the amount of one side's parts with a composition tag,
-        summed in part order from 0.0 as ``_profile`` sums it, and whether
-        any part has it; one value for all rows where the parts' tags do
-        not vary by row."""
-        total, present = 0.0, False
-        for _, amount, _, tag_id, _ in columns:
-            if np.ndim(tag_id):
-                hit = tag_id == tag
-                total, present = total + np.where(hit, amount, 0.0), present | hit
-            elif tag_id == tag:
-                total, present = total + amount, True
-        return total, present
-
-    def _part_columns(self, states, ts, n: int):
-        """Per row of one part: oracle value, amount, entropy atol,
-        composition tag's id and whether ``leq`` must answer the row, each
-        an array or one value for all rows; None unless the part is made of
-        single states whose owners can evaluate its copies in a batch.  A
-        unit factor reads ``oracle_entropy``, since the copy is the state
-        itself."""
-        unit = bool((ts == 1.0).all())
+    def _part_columns(self, states, ts: list[float], n: int):
+        """Per row of one part: oracle value and amount, each a list, and
+        the part's entropy atol and composition tag; None unless the
+        part is made of single states with one tag and one atol whose owners
+        can evaluate its copies in a batch.  A unit factor reads
+        ``oracle_entropy``, since the copy is the state itself."""
+        unit = ts.count(1.0) == n
         if unit and isinstance(states, tuple) and self._last_unit[0] == states:
             return self._last_unit[1]
         if isinstance(states, State):
-            distinct, inv = [states], np.zeros(n, dtype=np.intp)
+            distinct, inv = [states], [0] * n
         else:
             # Distinct by identity: the rows of a query repeat state objects.
-            # (np.unique is faster, but its first use costs about 0.4 MiB of
-            # peak RSS.)
             first = {id(state): state for state in states}
             position = {key: k for k, key in enumerate(first)}
             distinct = list(first.values())
-            inv = np.fromiter(map(position.__getitem__, map(id, states)), dtype=np.intp, count=n)
+            inv = list(map(position.__getitem__, map(id, states)))
         if not all(isinstance(state, State) for state in distinct):
             return None
         try:
@@ -463,29 +450,25 @@ class AccessibilityRelation:
         except DomainError:
             return None
         models = [m for m, _ in owners]
-        ts = np.broadcast_to(ts, (n,))
+        tags = {space.composition_tag for _, space in owners}
+        atols = {m.entropy_atol for m in models}
+        if len(tags) != 1 or len(atols) != 1:
+            return None
         if unit:
-            values = np.array([m.oracle_entropy(x) for x, m in zip(distinct, models)])[inv]
+            values = [m.oracle_entropy(x) for x, m in zip(distinct, models)]
+            values = list(map(values.__getitem__, inv))
         elif models[0].scaled_entropies is None or len(set(map(id, models))) > 1:
             return None
         else:
             values = models[0].scaled_entropies(distinct, inv, ts)
-        tag_ids = [
-            self._tag_ids.setdefault(space.composition_tag, len(self._tag_ids))
-            for _, space in owners
-        ]
-        if len(distinct) == 1:
-            amounts = ts * distinct[0].scale
-            atol, tag_id = models[0].entropy_atol, tag_ids[0]
+        scales = [state.scale for state in distinct]
+        # An amount is t * scale, and t * 1.0 is t.
+        if scales.count(1.0) == len(scales):
+            amounts = ts
         else:
-            amounts = ts * np.array([state.scale for state in distinct])[inv]
-            atol = np.array([m.entropy_atol for m in models])[inv]
-            tag_id = np.array(tag_ids)[inv]
-        # scale_state refuses a factor or a copy scale that is not positive
-        # and finite; leq raises for such a row, and answers a row with a
-        # non-finite value.
-        refused = ~((ts > 0) & (amounts > 0) & np.isfinite(amounts))
-        columns = (values, amounts, atol, tag_id, refused)
+            amounts = list(map(mul, ts, map(scales.__getitem__, inv)))
+        (tag,), (atol,) = tags, atols
+        columns = (values, amounts, atol, tag)
         if unit and isinstance(states, tuple):
             self._last_unit = (states, columns)
         return columns
@@ -498,6 +481,14 @@ class AccessibilityRelation:
             return [self.elements[rng.randrange(len(self.elements))] for _ in range(n)]
         engine = self.models[0].process_engine
         return [engine.sample_state(rng) for _ in range(n)]
+
+
+def _sum_columns(columns: list[list[float]]) -> list[float]:
+    """Row by row, the columns' values summed in column order."""
+    total = columns[0]
+    for column in columns[1:]:
+        total = [a + b for a, b in zip(total, column)]
+    return total
 
 
 def accessible(rel: AccessibilityRelation, x, y) -> Access:

@@ -14,10 +14,9 @@ from both sides.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
-
-import numpy as np
 
 from .core import AccessibilityRelation, State
 from .errors import CapabilityError, DegenerateFitError, DomainError, NumericError
@@ -71,8 +70,8 @@ def find_lambda(
     x ~ ((1-lam) x0, lam x1).
 
     Returns, in order, each state's lam, or the reason a state outside the
-    reference bracket is skipped.  Only accessibility queries are used:
-    ``leq`` to place each state against the references, then one
+    reference bracket is skipped.  Only accessibility queries are used: two
+    ``leq_many`` to place every state against the references, then one
     ``leq_mixtures`` per bisection step for every state still open.  Ties
     inside the bracket resolve toward equivalence so the search terminates
     even when the interpolant lands exactly on x.
@@ -81,46 +80,56 @@ def find_lambda(
     x0, x1 = refs.x0, refs.x1
     if not (rel.leq(x0, x1) and not rel.leq(x1, x0)):
         return ["reference states must be strictly ordered"] * len(states)
-    out: list[Union[float, str, None]] = []
-    for x in states:
-        try:
-            if not rel.leq(x0, x):
-                out.append("state lies below the lower reference")
-            elif not rel.leq(x, x1):
-                out.append("state lies above the upper reference")
-            elif rel.equivalent(x, x0):
-                out.append(0.0)
-            elif rel.equivalent(x, x1):
-                out.append(1.0)
-            else:
-                out.append(None)
-        except DomainError as exc:
-            out.append(str(exc))
+    out = _placements(rel, x0, x1, tuple(states))
 
     # Every step hands leq_mixtures the same tuple of states, so the relation
     # reads each of them once; a state whose lam is found bisects on, unread,
     # until the last one's is.
     todo = [i for i, lam in enumerate(out) if lam is None]
     ys = tuple(states[i] for i in todo)
-    lo, hi, lams = np.zeros(len(ys)), np.ones(len(ys)), np.zeros(len(ys))
-    open_ = np.ones(len(ys), dtype=bool)
+    lo, hi, lams = [0.0] * len(ys), [1.0] * len(ys), [None] * len(ys)
+    open_ = list(range(len(ys)))
     for _ in range(max_iter):
-        if not open_.any():
+        if not open_:
             break
-        mid = 0.5 * (lo + hi)
+        mid = [0.5 * (a + b) for a, b in zip(lo, hi)]
         fwd, bwd = rel.leq_mixtures(x0, x1, mid, ys)
-        lo, hi = np.where(fwd, mid, lo), np.where(fwd, hi, mid)
-        tie = open_ & fwd & bwd
-        close = open_ & ~tie & (hi - lo <= tol)
-        lams = np.where(tie, mid, np.where(close, 0.5 * (lo + hi), lams))
-        open_ &= ~(tie | close)
-    if open_.any():
+        lo = [m if f else a for f, m, a in zip(fwd, mid, lo)]
+        hi = [b if f else m for f, m, b in zip(fwd, mid, hi)]
+        for i in open_:
+            if fwd[i] and bwd[i]:
+                lams[i] = mid[i]
+            elif hi[i] - lo[i] <= tol:
+                lams[i] = 0.5 * (lo[i] + hi[i])
+        open_ = [i for i in open_ if lams[i] is None]
+    if open_:
         raise NumericError(
             f"bisection did not reach tolerance {tol} in {max_iter} iterations"
         )
-    for i, lam in zip(todo, lams.tolist()):
+    for i, lam in zip(todo, lams):
         out[i] = lam
     return out
+
+
+def _placements(rel: AccessibilityRelation, x0: State, x1: State, states: tuple) -> list:
+    """Per state: the reason it is skipped (the message of a DomainError
+    that ``leq`` raises for it among them), 0.0 or 1.0 where it is
+    equivalent to x0 or x1, and None where it lies strictly between."""
+    try:
+        rows = zip(
+            *rel.leq_many([(x0, 1.0)], [(states, 1.0)]),
+            *rel.leq_many([(states, 1.0)], [(x1, 1.0)]),
+        )
+    except DomainError as exc:
+        if len(states) == 1:
+            return [str(exc)]
+        return [place for x in states for place in _placements(rel, x0, x1, (x,))]
+    return [
+        "state lies below the lower reference" if not above_x0
+        else "state lies above the upper reference" if not below_x1
+        else 0.0 if at_x0 else 1.0 if at_x1 else None
+        for above_x0, at_x0, below_x1, at_x1 in rows
+    ]
 
 
 def entropy_from_accessibility(
@@ -164,20 +173,21 @@ def affine_match(f: Sequence[float], g: Sequence[float]) -> AffineFit:
     A valid entropy is unique up to exactly this freedom, so two correct
     tables must match with a positive slope and a residual at noise level.
     """
-    f = np.asarray(f, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if f.shape != g.shape or f.ndim != 1:
+    f, g = list(map(float, f)), list(map(float, g))
+    if len(f) != len(g):
         raise DomainError("affine_match needs two equal-length value vectors")
-    if f.size < 3:
+    if len(f) < 3:
         raise DegenerateFitError("affine fit needs at least three states")
-    if np.ptp(g) == 0.0:
+    if max(g) == min(g):
         raise DegenerateFitError("target values are constant; fit is degenerate")
-    if np.ptp(f) == 0.0:
+    if max(f) == min(f):
         raise DegenerateFitError("source values are constant; fit is degenerate")
-    design = np.column_stack([f, np.ones_like(f)])
-    (a, b), *_ = np.linalg.lstsq(design, g, rcond=None)
-    residuals = np.abs(a * f + b - g)
-    return AffineFit(float(a), float(b), float(residuals.max()))
+    # The closed-form fit about the means, each sum taken exactly rounded.
+    f_mean, g_mean = math.fsum(f) / len(f), math.fsum(g) / len(g)
+    df = [x - f_mean for x in f]
+    a = math.fsum(x * (y - g_mean) for x, y in zip(df, g)) / math.fsum(x * x for x in df)
+    b = g_mean - a * f_mean
+    return AffineFit(a, b, max(abs(a * x + b - y) for x, y in zip(f, g)))
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +218,8 @@ def sandwich_bounds(
         raise DomainError("sandwich bounds need a non-empty equilibrium grid")
     members = tuple(g for g in gamma if g in table.entries)
     x_to_g, g_to_x = rel.leq_many([(x, 1.0)], [(members, 1.0)])
-    below = [table.value(g) for g, ok in zip(members, g_to_x.tolist()) if ok]
-    above = [table.value(g) for g, ok in zip(members, x_to_g.tolist()) if ok]
+    below = [table.value(g) for g, ok in zip(members, g_to_x) if ok]
+    above = [table.value(g) for g, ok in zip(members, x_to_g) if ok]
     s_minus = max(below) if below else None
     s_plus = min(above) if above else None
     if s_minus is None or s_plus is None:

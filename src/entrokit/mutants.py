@@ -16,8 +16,6 @@ import random
 from dataclasses import replace
 from typing import Union
 
-import numpy as np
-
 from .axioms import (
     CheckResult,
     CheckStatus,
@@ -120,7 +118,7 @@ def mutate_model(target: MutationTarget, mutation: str) -> MutationTarget:
     # Each oracle defect is applied to the batched entropies too, bit for
     # bit: the t-copy of a state has scale t * state.scale.
     def copy_scales(states, index, ts):
-        return ts * np.array([s.scale for s in states], dtype=float)[index]
+        return [t * states[k].scale for k, t in zip(index, ts)]
 
     if mutation == "break_scaling":
         # Order-reversing only on enlarged copies: shrunk copies (splitting,
@@ -131,8 +129,8 @@ def mutate_model(target: MutationTarget, mutation: str) -> MutationTarget:
             return -value if state.scale > 1.0 + 1e-12 else value
 
         def scaled(states, index, ts):
-            values = base_scaled(states, index, ts)
-            return np.where(copy_scales(states, index, ts) > 1.0 + 1e-12, -values, values)
+            values, scales = base_scaled(states, index, ts), copy_scales(states, index, ts)
+            return [-v if scale > 1.0 + 1e-12 else v for v, scale in zip(values, scales)]
 
         clone.oracle_entropy = oracle
         clone.scaled_entropies = scaled if base_scaled else None
@@ -143,7 +141,8 @@ def mutate_model(target: MutationTarget, mutation: str) -> MutationTarget:
             return base_oracle(state) * state.scale
 
         def scaled(states, index, ts):
-            return base_scaled(states, index, ts) * copy_scales(states, index, ts)
+            values, scales = base_scaled(states, index, ts), copy_scales(states, index, ts)
+            return [v * scale for v, scale in zip(values, scales)]
 
         clone.oracle_entropy = oracle
         clone.scaled_entropies = scaled if base_scaled else None

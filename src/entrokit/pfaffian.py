@@ -17,11 +17,12 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .axioms import CheckResult, verdict
 from .errors import DomainError
 from .quadrature import integrate_scalar, line_integral
+
+# A point of a simple system's coordinate space, or a vector there.
+Point = tuple[float, ...]
 
 LOOP_ABS_TOL = 1e-8
 PFAFFIAN_REL_TOL = 1e-8
@@ -40,17 +41,17 @@ class SimpleSystemModel:
     """
 
     coord_names: tuple[str, ...]
-    u_fn: Callable[[np.ndarray], float]
-    p_fns: tuple[Callable[[np.ndarray], float], ...]
-    m_fn: Callable[[np.ndarray], float]
-    x0_fn: Callable[[np.ndarray], float]
-    tau_fn: Callable[[np.ndarray], float]
+    u_fn: Callable[[Point], float]
+    p_fns: tuple[Callable[[Point], float], ...]
+    m_fn: Callable[[Point], float]
+    x0_fn: Callable[[Point], float]
+    tau_fn: Callable[[Point], float]
     f_fn: Callable[[float], float]
     alpha_fn: Callable[[float], float]
     c: float
     coord_box: tuple[tuple[float, float], ...]
-    u_grad_fn: Callable[[np.ndarray], np.ndarray]
-    x0_grad_fn: Callable[[np.ndarray], np.ndarray]
+    u_grad_fn: Callable[[Point], Point]
+    x0_grad_fn: Callable[[Point], Point]
 
     def __post_init__(self):
         if len(self.coord_names) < 2:
@@ -60,20 +61,11 @@ class SimpleSystemModel:
         if not self.c > 0:
             raise DomainError("temperature scale constant must be positive")
 
-    def temperature(self, coords: np.ndarray) -> float:
+    def temperature(self, coords: Point) -> float:
         return self.c * self.f_fn(self.tau_fn(coords))
 
-    def u_grad(self, coords: np.ndarray) -> np.ndarray:
-        return np.asarray(self.u_grad_fn(coords), dtype=float)
-
-    def x0_grad(self, coords: np.ndarray) -> np.ndarray:
-        return np.asarray(self.x0_grad_fn(coords), dtype=float)
-
-    def work_form(self, coords: np.ndarray) -> np.ndarray:
-        w = np.zeros(len(self.coord_names))
-        for i, p in enumerate(self.p_fns):
-            w[i + 1] = p(coords)
-        return w
+    def work_form(self, coords: Point) -> Point:
+        return (0.0, *(p(coords) for p in self.p_fns))
 
 
 class QuasistaticPath:
@@ -89,10 +81,12 @@ class QuasistaticPath:
         closed: bool = False,
         interp: str = "cubic",
     ):
-        pts = np.asarray(waypoints, dtype=float)
-        if pts.ndim != 2 or pts.shape[0] < 2:
-            raise DomainError("a path needs at least two way-points")
-        if closed and np.allclose(pts[0], pts[-1]):
+        pts = tuple(tuple(map(float, p)) for p in waypoints)
+        if len(pts) < 2 or len(set(map(len, pts))) != 1:
+            raise DomainError("a path needs at least two way-points of one dimension")
+        # A closing way-point that repeats the first, within a relative 1e-5
+        # and an absolute 1e-8, is dropped.
+        if closed and all(abs(a - b) <= 1e-8 + 1e-5 * abs(b) for a, b in zip(pts[0], pts[-1])):
             pts = pts[:-1]
         if interp not in ("cubic", "linear"):
             raise DomainError(f"unknown interpolation {interp!r}")
@@ -100,7 +94,7 @@ class QuasistaticPath:
         self.closed = closed
         self.interp = interp
 
-    def _point(self, i: int) -> np.ndarray:
+    def _point(self, i: int) -> Point:
         n = len(self.points)
         if self.closed:
             return self.points[i % n]
@@ -109,7 +103,7 @@ class QuasistaticPath:
     def segment_count(self) -> int:
         return len(self.points) if self.closed else len(self.points) - 1
 
-    def segments(self) -> list[Callable[[float], tuple[np.ndarray, np.ndarray]]]:
+    def segments(self) -> list[Callable[[float], tuple[Point, Point]]]:
         segs = []
         for i in range(self.segment_count()):
             segs.append(self._make_segment(i))
@@ -120,33 +114,34 @@ class QuasistaticPath:
         p1 = self._point(i)
         p2 = self._point(i + 1)
         p3 = self._point(i + 2)
-        linear = self.interp == "linear"
+        chord = tuple(b - a for a, b in zip(p1, p2))
+        if self.interp == "linear":
+            return lambda s: (tuple(a + s * d for a, d in zip(p1, chord)), chord)
+        # Catmull-Rom with tangents from the neighbouring way-points.
+        m1 = tuple(0.5 * (b - a) for a, b in zip(p0, p2))
+        m2 = tuple(0.5 * (b - a) for a, b in zip(p1, p3))
+        knots = tuple(zip(p1, m1, p2, m2))
 
-        def seg(s: float) -> tuple[np.ndarray, np.ndarray]:
-            if linear:
-                return p1 + s * (p2 - p1), p2 - p1
-            # Catmull-Rom with tangents from the neighbouring way-points.
-            m1 = 0.5 * (p2 - p0)
-            m2 = 0.5 * (p3 - p1)
+        def seg(s: float) -> tuple[Point, Point]:
             s2, s3 = s * s, s * s * s
             h00 = 2 * s3 - 3 * s2 + 1
             h10 = s3 - 2 * s2 + s
             h01 = -2 * s3 + 3 * s2
             h11 = s3 - s2
-            point = h00 * p1 + h10 * m1 + h01 * p2 + h11 * m2
             d00 = 6 * s2 - 6 * s
             d10 = 3 * s2 - 4 * s + 1
             d01 = -6 * s2 + 6 * s
             d11 = 3 * s2 - 2 * s
-            velocity = d00 * p1 + d10 * m1 + d01 * p2 + d11 * m2
+            point = tuple(h00 * a + h10 * b + h01 * c + h11 * d for a, b, c, d in knots)
+            velocity = tuple(d00 * a + d10 * b + d01 * c + d11 * d for a, b, c, d in knots)
             return point, velocity
 
         return seg
 
-    def start(self) -> np.ndarray:
+    def start(self) -> Point:
         return self.points[0]
 
-    def end(self) -> np.ndarray:
+    def end(self) -> Point:
         return self.points[0] if self.closed else self.points[-1]
 
     def reversed(self) -> "QuasistaticPath":
@@ -173,15 +168,16 @@ def check_pfaffian_form(
         work = quasistatic_work(m, path)
         lhs = du + work
 
-        def m_dx0(coords: np.ndarray) -> np.ndarray:
-            return m.m_fn(coords) * m.x0_grad(coords)
+        def m_dx0(coords: Point) -> Point:
+            factor = m.m_fn(coords)
+            return tuple(factor * g for g in m.x0_grad_fn(coords))
 
         rhs = line_integral(m_dx0, path.segments()).value
         scale = max(abs(lhs), abs(rhs), 1e-12)
         diff = abs(lhs - rhs) / scale
         worst = max(worst, diff)
         if diff > rel_tol:
-            witnesses.append((path.points.tolist(), lhs, rhs))
+            witnesses.append((list(map(list, path.points)), lhs, rhs))
     return verdict(
         "pfaffian_form", not witnesses, witnesses,
         samples_used=len(paths), tolerance_used=rel_tol,
@@ -194,9 +190,9 @@ def loop_integral(m: SimpleSystemModel, loop: QuasistaticPath, *, power: int = 1
     if not loop.closed:
         raise DomainError("loop integrals need a closed path")
 
-    def integrand(coords: np.ndarray) -> np.ndarray:
-        t = m.temperature(coords)
-        return (m.u_grad(coords) + m.work_form(coords)) / t ** power
+    def integrand(coords: Point) -> Point:
+        t = m.temperature(coords) ** power
+        return tuple((a + b) / t for a, b in zip(m.u_grad_fn(coords), m.work_form(coords)))
 
     return line_integral(integrand, loop.segments()).value
 
@@ -214,7 +210,7 @@ def check_integrating_factor(
         value = loop_integral(m, loop)
         worst = max(worst, abs(value))
         if abs(value) > abs_tol:
-            witnesses.append((loop.points.tolist(), value))
+            witnesses.append((list(map(list, loop.points)), value))
     return verdict(
         "integrating_factor", not witnesses, witnesses,
         samples_used=len(loops), tolerance_used=abs_tol,
@@ -246,12 +242,11 @@ def entropy_from_integrating_factor(
 
 
 def factorization_residual(
-    m: SimpleSystemModel, coords_samples: Sequence[np.ndarray]
+    m: SimpleSystemModel, coords_samples: Sequence[Point]
 ) -> float:
     """Largest violation of M = f(tau) alpha(x0) over the sampled coords."""
     worst = 0.0
     for coords in coords_samples:
-        coords = np.asarray(coords, dtype=float)
         lhs = m.m_fn(coords)
         rhs = m.f_fn(m.tau_fn(coords)) * m.alpha_fn(m.x0_fn(coords))
         scale = max(abs(lhs), abs(rhs), 1e-12)
@@ -261,11 +256,8 @@ def factorization_residual(
 
 def sample_box_coords(
     box: tuple[tuple[float, float], ...], n: int, rng: random.Random
-) -> list[np.ndarray]:
-    out = []
-    for _ in range(n):
-        out.append(np.array([rng.uniform(lo, hi) for lo, hi in box]))
-    return out
+) -> list[Point]:
+    return [tuple(rng.uniform(lo, hi) for lo, hi in box) for _ in range(n)]
 
 
 def random_closed_loop(

@@ -13,11 +13,10 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .errors import NumericError
 
@@ -145,8 +144,8 @@ def integrate_scalar(
 
 
 def line_integral(
-    one_form: Callable[[np.ndarray], np.ndarray],
-    segments: Sequence[Callable[[float], tuple[np.ndarray, np.ndarray]]],
+    one_form: Callable[[Sequence[float]], Sequence[float]],
+    segments: Sequence[Callable[[float], tuple[Sequence[float], Sequence[float]]]],
     *,
     rel_tol: float = REL_TARGET,
 ) -> QuadResult:
@@ -161,7 +160,7 @@ def line_integral(
     for seg in segments:
         def integrand(s: float, seg=seg) -> float:
             point, velocity = seg(s)
-            return float(np.dot(one_form(point), velocity))
+            return float(sum(map(operator.mul, one_form(point), velocity)))
 
         r = integrate_scalar(integrand, 0.0, 1.0, rel_tol=rel_tol, budget=budget)
         total += r.value

@@ -15,8 +15,6 @@ import random
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import __version__
 from .axioms import (
     CheckResult,
@@ -664,9 +662,9 @@ def suite_caratheodory(target, config: SuiteConfig, memo: dict) -> SuiteOutput:
     states = [
         (rng.uniform(320, 580), rng.uniform(0.011, 0.019)) for _ in range(25)
     ]
-    built = [entropy.s_of_x0(simple.x0_fn(np.array(c))) for c in states]
+    built = [entropy.s_of_x0(simple.x0_fn(c)) for c in states]
     oracle = [
-        target.oracle_entropy(engine.state(simple.u_fn(np.array(c)), c[1]))
+        target.oracle_entropy(engine.state(simple.u_fn(c), c[1]))
         for c in states
     ]
     fit = affine_match(built, oracle)

@@ -11,14 +11,13 @@ a report on purpose, rewrite the files from the repository root with
 
 and name the files and the reason in CHANGES.md.
 
-The gas ``all``, ``construct-ly`` and ``caratheodory`` runs reach
-``np.linalg.lstsq`` (the affine fits of ``ly_oracle_match``,
-``cross_construction`` and ``caratheodory_entropy_match``), and the gas
-``all`` and ``caratheodory`` runs reach the in-repo quadrature rule, so
-these files gate the bytes of both.  The files were rendered with numpy
-2.4.6; an ``lstsq`` from another numpy build may round differently.  Fixture
-paths are relative to this directory, which is the working directory of
-every run.
+The gas ``all``, ``construct-ly`` and ``caratheodory`` runs reach the
+closed-form affine fit (``ly_oracle_match``, ``cross_construction`` and
+``caratheodory_entropy_match``), and the gas ``all`` and ``caratheodory``
+runs reach the in-repo quadrature rule, so these files gate the bytes of
+both.  Every digit comes from Python floats and ``math``, so the files do not
+depend on a numpy or BLAS build.  Fixture paths are relative to this
+directory, which is the working directory of every run.
 """
 
 from __future__ import annotations

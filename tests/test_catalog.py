@@ -45,13 +45,15 @@ def test_gas_scale_rejects_factor_whose_gauge_product_underflows():
         gas.scale_state(x, 5e-324)
 
 
+@pytest.mark.filterwarnings("error")
 def test_gas_scaled_entropies_are_not_finite_for_refused_copies():
-    # Both underflows above: the batch marks the copies instead of raising.
+    # Both underflows above: the batch marks the copies instead of raising
+    # or warning.
     gas = ideal_gas(gauge=(0.5, 1.0, 0.0))
     e = gas.process_engine
     states = [e.state(1000.0, 0.02), e.state(1000.0, 10.0)]
-    values = gas.scaled_entropies(states, np.array([0, 1, 1]), np.array([5e-324, 5e-324, 0.5]))
-    assert [math.isfinite(s) for s in values.tolist()] == [False, False, True]
+    values = gas.scaled_entropies(states, [0, 1, 1], [5e-324, 5e-324, 0.5])
+    assert [math.isfinite(s) for s in values] == [False, False, True]
 
 
 def test_gas_rejects_nonpositive_coordinates(gas):
@@ -100,25 +102,58 @@ def test_gas_scaled_entropies_equal_oracle_bit_for_bit(u, v, deficit, scale, ts,
     e = gas.process_engine
     # The drawn state, and one other indexed by every second factor.
     states = [e.state(u, v, deficit, scale=scale), e.state(0.5 * u, 2.0 * v)]
-    index = np.arange(len(ts)) % 2
-    batch = gas.scaled_entropies(states, index, np.array(ts))
-    assert [s.hex() for s in batch.tolist()] == [
+    index = [i % 2 for i in range(len(ts))]
+    batch = gas.scaled_entropies(states, index, ts)
+    assert [s.hex() for s in batch] == [
         gas.oracle_entropy(gas.scale_state(states[i], t)).hex() for i, t in zip(index, ts)
     ]
 
 
 def test_gas_scaled_entropies_take_scalar_logs():
-    # np.log and math.log disagree in the last bit on a few arguments in
-    # 10^5 on some CPUs.  A scaled copy's log arguments are intensive, the
+    # The hook takes each log as oracle_entropy does: a vectorised log (such
+    # as numpy's) disagrees with math.log in the last bit on a few arguments
+    # in 10^5 on some CPUs.  A scaled copy's log arguments are intensive, the
     # same for every factor, so it takes this many states to meet one there.
     gas = ideal_gas()
     e = gas.process_engine
     rng = random.Random(5)
-    ts, index = np.array([0.5]), np.array([0])
+    ts, index = [0.5], [0]
     for _ in range(20_000):
         x = e.sample_state(rng)
         expected = gas.oracle_entropy(gas.scale_state(x, 0.5))
         assert gas.scaled_entropies([x], index, ts)[0].hex() == expected.hex()
+
+
+def _bits(values):
+    return [float(x).hex() for x in values]
+
+
+def test_gas_grids_equal_numpy_linspace_bit_for_bit(gas):
+    e = gas.process_engine
+    (ulo, uhi), (vlo, vhi) = e.box
+    for nu, nv, grid in ((21, 21, e.grid(21, 21)), (7, 7, e.gamma_grid())):
+        expected = [(u, v) for u in np.linspace(ulo, uhi, nu) for v in np.linspace(vlo, vhi, nv)]
+        assert _bits(c for s in grid for c in s.coords[:2]) == _bits(c for p in expected for c in p)
+
+
+def test_spin_gamma_grid_equals_numpy_linspace_bit_for_bit(spin):
+    e = spin.process_engine
+    assert _bits(s.coords[0] for s in e.gamma_grid()) == _bits(np.linspace(*e.box, 25))
+
+
+@given(
+    ulo=st.floats(1e-3, 1e4), u_ratio=st.floats(1.001, 100.0),
+    vlo=st.floats(1e-4, 1.0), v_ratio=st.floats(1.001, 100.0),
+    nu=st.integers(2, 40), nv=st.integers(2, 40),
+)
+@settings(max_examples=60, deadline=None)
+def test_gas_grid_on_random_boxes_equals_numpy_linspace(ulo, u_ratio, vlo, v_ratio, nu, nv):
+    # n = 1000 gives every such box the entropy span nonequilibrium states need.
+    box = ((ulo, ulo * u_ratio), (vlo, vlo * v_ratio))
+    e = ideal_gas(n=1000.0, box=box).process_engine
+    expected = [(u, v) for u in np.linspace(*box[0], nu) for v in np.linspace(*box[1], nv)]
+    got = [s.coords[:2] for s in e.grid(nu, nv)]
+    assert _bits(c for p in got for c in p) == _bits(c for p in expected for c in p)
 
 
 @given(t=st.floats(min_value=0.1, max_value=10.0))
@@ -147,8 +182,6 @@ def test_spin_entropy_maximal_at_half_filling(spin):
 
 def test_spin_entropy_concavity(spin):
     e = spin.process_engine
-    import numpy as np
-
     es = np.linspace(0.05 * e.e_max, 0.95 * e.e_max, 41)
     s = [e.equilibrium_entropy(x) for x in es]
     second = [s[i - 1] - 2 * s[i] + s[i + 1] for i in range(1, len(s) - 1)]
@@ -210,6 +243,25 @@ def test_random_dag_closure_passes_reflexivity_and_transitivity():
     rel = fixture.relation()
     assert check_reflexivity(rel).passed
     assert check_transitivity(rel).passed
+
+
+def _numpy_warshall(n, seed, density=0.05):
+    """random_closed_dag_fixture's draw, closed by a boolean numpy Warshall."""
+    rng = random.Random(seed)
+    reach = np.eye(n, dtype=bool)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                reach[i, j] = True
+    for k in range(n):
+        reach |= np.outer(reach[:, k], reach[k, :])
+    return {(i, j) for i, j in zip(*np.nonzero(reach))}
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_random_dag_bitset_closure_equals_numpy_warshall(seed):
+    fixture = random_closed_dag_fixture(60, seed=seed, density=0.08)
+    assert fixture.pairs == _numpy_warshall(60, seed, density=0.08)
 
 
 def test_load_fixture_roundtrip(tmp_path):

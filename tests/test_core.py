@@ -285,7 +285,7 @@ def test_leq_many_asks_leq_for_a_copy_scale_state_refuses(gas, gas_rel):
     e = gas.process_engine
     x, y = e.state(1000.0, 0.02), e.state(2000.0, 0.03)
     fwd, bwd = gas_rel.leq_many([(x, [0.5, 0.5])], [(y, 0.5)])
-    assert fwd.tolist() == [True, True] and bwd.tolist() == [False, False]
+    assert fwd == [True, True] and bwd == [False, False]
     with pytest.raises(DomainError, match="5e-324"):
         gas_rel.leq_many([(x, [0.5, 5e-324])], [(y, 0.5)])
 
@@ -293,9 +293,9 @@ def test_leq_many_asks_leq_for_a_copy_scale_state_refuses(gas, gas_rel):
 def test_leq_many_shapes(gas, gas_rel):
     x = gas.process_engine.state(1000.0, 0.02)
     fwd, bwd = gas_rel.leq_many([([], 1.0)], [(x, [])])
-    assert fwd.shape == bwd.shape == (0,)
+    assert fwd == bwd == []
     fwd, bwd = gas_rel.leq_many([([x, x], 1.0)], [([x, x], 1.0)], converse=False)
-    assert fwd.tolist() == [True, True] and bwd is None
+    assert fwd == [True, True] and bwd is None
     with pytest.raises(DomainError, match="same number of rows"):
         gas_rel.leq_many([([x, x], 1.0)], [(x, [1.0, 1.0, 1.0])])
     with pytest.raises(CapabilityError):

@@ -9,15 +9,22 @@ with ``ast``:
   be read by some module of the package, by name or as an attribute;
 - ``report.py`` must read every key of its default tolerance and sample
   count tables through ``config.tol`` and ``config.count``.
+
+It also keeps the runtime free of dependencies: importing the command line
+loads no numpy, and ``pyproject.toml`` declares none.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 from typing import Optional
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "entrokit"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "entrokit"
 ALL_MODULES = sorted(PACKAGE.glob("*.py"))
 MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
 
@@ -98,6 +105,21 @@ def test_unused_constants_are_found():
 def test_package_has_no_unused_constants():
     unused = unused_constants({p.stem: p.read_text() for p in ALL_MODULES})
     assert not unused, "\n".join(unused)
+
+
+def test_cli_imports_no_numpy():
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, entrokit.cli; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert loaded.strip() == "False"
+
+
+def test_package_declares_no_runtime_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["dependencies"] == []
 
 
 # The construction fence: the interpolation route reads a model only through

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -237,6 +238,39 @@ def test_affine_match_exact_inversion():
     assert fit.a == pytest.approx(0.5, rel=1e-12)
     assert fit.b == pytest.approx(-1.5, rel=1e-12)
     assert fit.max_residual < 1e-12
+
+
+@given(
+    f=st.lists(st.floats(-100.0, 100.0), min_size=3, max_size=60, unique=True),
+    a=st.floats(0.01, 100.0), b=st.floats(-1e3, 1e3), noise=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=100, deadline=None)
+def test_affine_match_agrees_with_lstsq(f, a, b, noise, seed):
+    if max(f) - min(f) < 1.0:  # keep the fit well conditioned
+        return
+    rng = np.random.default_rng(seed)
+    g = [a * x + b + noise * e for x, e in zip(f, rng.standard_normal(len(f)))]
+    fit = affine_match(f, g)
+    F = np.array(f)
+    design = np.column_stack([F, np.ones_like(F)])
+    (ref_a, ref_b), *_ = np.linalg.lstsq(design, np.array(g), rcond=None)
+    scale = max(map(abs, g))
+    assert fit.a == pytest.approx(ref_a, rel=1e-12)
+    assert fit.b == pytest.approx(ref_b, rel=1e-12, abs=1e-12 * scale)
+    ref_residual = np.abs(ref_a * F + ref_b - np.array(g)).max()
+    assert fit.max_residual == pytest.approx(ref_residual, rel=1e-9, abs=1e-12 * scale)
+
+
+@given(
+    f=st.lists(st.integers(-1000, 1000), min_size=8, max_size=8, unique=True),
+    a=st.integers(-64, 64).filter(bool).map(lambda k: k / 16),
+    b=st.integers(-4096, 4096).map(lambda k: k / 8),
+)
+def test_affine_match_recovers_affine_data_exactly(f, a, b):
+    # Eight integers and dyadic coefficients: every sum and mean is exact.
+    fit = affine_match(f, [a * x + b for x in f])
+    assert (fit.a, fit.b, fit.max_residual) == (a, b, 0.0)
 
 
 def test_affine_match_constant_target_raises():

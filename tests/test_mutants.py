@@ -1,6 +1,6 @@
+import math
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -188,7 +188,7 @@ def _copies(draw, gas):
         ))
         for i in index
     ]
-    return states, np.array(index), np.array(ts)
+    return states, index, ts
 
 
 @pytest.mark.parametrize("mutation", ["break_scaling", "break_splitting"])
@@ -198,7 +198,18 @@ def test_mutant_batched_entropies_are_the_mutated_oracle_bit_for_bit(mutation, d
     mutant = mutate_model(ideal_gas(**params), mutation)
     states, index, ts = data.draw(_copies(mutant))
     batch = mutant.scaled_entropies(states, index, ts)
-    assert [s.hex() for s in batch.tolist()] == [
+    assert [s.hex() for s in batch] == [
         mutant.oracle_entropy(mutant.scale_state(states[i], t)).hex()
-        for i, t in zip(index.tolist(), ts.tolist())
+        for i, t in zip(index, ts)
     ]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mutation", ["break_scaling", "break_splitting"])
+def test_mutant_batched_entropies_are_not_finite_for_refused_copies(mutation):
+    # 0.02 * 5e-324 rounds to 0, and 1e300 * 1e10 overflows the copy scale.
+    mutant = mutate_model(ideal_gas(), mutation)
+    e = mutant.process_engine
+    states = [e.state(1000.0, 0.02), e.state(1000.0, 0.05, scale=1e10)]
+    values = mutant.scaled_entropies(states, [0, 1, 0], [5e-324, 1e300, 2.0])
+    assert [math.isfinite(v) for v in values] == [False, False, True]

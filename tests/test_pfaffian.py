@@ -122,13 +122,14 @@ def test_loop_reparameterization_invariance(simple):
     loop = random_closed_loop(simple.coord_box, rng)
 
     def integrand(coords):
-        return (simple.u_grad(coords) + simple.work_form(coords)) / simple.temperature(coords)
+        t = simple.temperature(coords)
+        return [(a + b) / t for a, b in zip(simple.u_grad_fn(coords), simple.work_form(coords))]
 
     def quadratic_warp(seg):
         # The same curve traversed at parameter s^2, so at speed 2s.
         def warped(s):
             point, velocity = seg(s * s)
-            return point, 2.0 * s * velocity
+            return point, [2.0 * s * v for v in velocity]
 
         return warped
 

@@ -58,7 +58,7 @@ def test_closed_loop_of_an_exact_form_vanishes():
     loop = QuasistaticPath(
         [(320.0, 0.011), (580.0, 0.012), (560.0, 0.019), (340.0, 0.018)], closed=True,
     )
-    r = line_integral(simple.x0_grad, loop.segments())
+    r = line_integral(simple.x0_grad_fn, loop.segments())
     assert abs(r.value) <= 1e-14
 
 
