@@ -2,8 +2,11 @@
 
 Finite relations are scanned exhaustively; transitivity asks n² queries and
 reports universes above ``TRANSITIVITY_CAP`` as not applicable.  Induced
-relations are checked by seeded sampling.  Every failure carries witnesses
-that replay as violations when re-queried.
+relations are checked by seeded sampling, each check with its own rng.  A
+sampled check draws its rows as a loop that asks ``leq`` one row at a time
+would, answers each clause with batched ``leq_many`` queries, and reports
+the witness and ``samples_used`` that loop would (``_scan``).  Every failure
+carries witnesses that replay as violations when re-queried.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from .core import (
     State,
     accessible,
     composite_relation,
-    composite_state,
 )
 from .errors import DomainError
 
@@ -109,16 +111,125 @@ def describe(obj):
     return repr(obj)
 
 
-def _rng(seed_or_rng) -> random.Random:
-    if isinstance(seed_or_rng, random.Random):
-        return seed_or_rng
-    return random.Random(seed_or_rng)
-
-
 def _universe(rel: AccessibilityRelation, samples: int, rng) -> list:
     if rel.mode == "finite":
         return list(rel.elements)
     return rel.sample(rng, samples)
+
+
+class _Pool(list):
+    """States a check draws from uniformly, with replacement, as
+    ``AccessibilityRelation.sample`` draws from a finite relation."""
+
+    def sample(self, rng, n: int) -> list:
+        return [self[rng.randrange(len(self))] for _ in range(n)]
+
+
+def _ask(rel, xs: list, ys: list, converse: bool = True):
+    """Row by row, whether xs[i] ≼ ys[i], and the converse unless
+    ``converse`` is false: one ``leq_many`` query of an induced relation,
+    ``leq`` row by row on a finite one."""
+    if rel.mode == "induced":
+        return rel.leq_many([(xs, 1.0)], [(ys, 1.0)], converse=converse)
+    fwd = [rel.leq(x, y) for x, y in zip(xs, ys)]
+    return fwd, [rel.leq(y, x) for x, y in zip(xs, ys)] if converse else None
+
+
+def _columns(rows: list) -> list[list]:
+    """The columns of a list of equal-length rows, each as a list."""
+    return [list(column) for column in zip(*rows)]
+
+
+# ---------------------------------------------------------------------------
+# Batched sampling loops
+# ---------------------------------------------------------------------------
+
+def _scan(rng, n: int, draws: Sequence[tuple], judge) -> tuple[Optional[tuple], int]:
+    """The first witness of a sampling loop over ``n`` rows, and how many
+    rows that loop runs; ``rng`` is left where the loop leaves it.
+
+    The loop draws a row from ``rng`` and judges it before it draws the
+    next.  A row holds one item per ``(source, strict)`` of ``draws``, drawn
+    in that order: a state of ``source`` where ``strict`` is None, else an
+    ordered pair as ``_sample_ordered_pair(source, rng, strict)`` draws it.
+    ``judge(rows)`` gives, row by row, the witness of a row that ends the
+    loop and None for one that does not, from batched queries.
+
+    A batch of rows is drawn at once, each pair as the first two states it
+    draws, and each pair column is oriented by one query.  At the first row
+    that ends the loop, or whose pair ``_sample_ordered_pair`` would draw
+    again, the rng goes back to the batch's start and draws the rows before
+    it once more.  A pair drawn again is drawn by ``_sample_ordered_pair``
+    itself, its row judged alone, and the rows after it make the next batch.
+    """
+    used = 0
+    while used < n:
+        start = rng.getstate()
+        raw = [_draw(rng, draws) for _ in range(n - used)]
+        rows = _oriented(raw, draws)
+        found, witness = _first_witness(judge, rows)
+        if witness is None and len(rows) == len(raw):
+            return None, n
+        rng.setstate(start)
+        for _ in range(found + (witness is not None)):
+            _draw(rng, draws)
+        used += found + 1
+        if witness is None:
+            row = tuple(
+                source.sample(rng, 1)[0] if strict is None
+                else _sample_ordered_pair(source, rng, strict)
+                for source, strict in draws
+            )
+            _, witness = _first_witness(judge, [row])
+        if witness is not None:
+            return witness, used
+    return None, used
+
+
+def _draw(rng, draws) -> list:
+    """One row of ``_scan`` as drawn before any pair is ordered: one state
+    per single item, two per pair."""
+    return [source.sample(rng, 1 if strict is None else 2) for source, strict in draws]
+
+
+def _oriented(raw: list, draws) -> list:
+    """The rows of ``raw`` before the first whose pair
+    ``_sample_ordered_pair`` would draw again, with each pair ordered as it
+    returns it and each single state unwrapped."""
+    columns = []
+    for j, (source, strict) in enumerate(draws):
+        if strict is None:
+            columns.append([items[j][0] for items in raw])
+            continue
+        xs, ys = [items[j][0] for items in raw], [items[j][1] for items in raw]
+        fwd, bwd = _ask(source, xs, ys)
+        column = []
+        # (x, y) where x ≼ y, else (y, x) where y ≼ x; the pair is drawn
+        # again where neither holds, or where both do and it must be strict.
+        for x, y, f, b in zip(xs, ys, fwd, bwd):
+            if not (f or b) or (strict and f and b):
+                break
+            column.append((x, y) if f else (y, x))
+        columns.append(column)
+    return list(zip(*columns))
+
+
+def _first_witness(judge, rows: list) -> tuple[int, Optional[tuple]]:
+    """The index of the first row ``judge`` finds a witness in, and that
+    witness; ``(len(rows), None)`` where it finds none.
+
+    Where judging the rows together raises DomainError (a copy
+    ``scale_state`` refuses), they are judged one at a time: a witness
+    before the row that raises is still found, and otherwise the error
+    surfaces from that row, as in the loop.
+    """
+    if not rows:
+        return 0, None
+    try:
+        found = judge(rows)
+    except DomainError:
+        found = (judge([row])[0] for row in rows)
+    return next(((i, w) for i, w in enumerate(found) if w is not None), (len(rows), None))
 
 
 # ---------------------------------------------------------------------------
@@ -126,9 +237,9 @@ def _universe(rel: AccessibilityRelation, samples: int, rng) -> list:
 # ---------------------------------------------------------------------------
 
 def check_reflexivity(rel, *, samples: int = DEFAULT_SAMPLES, seed=0) -> CheckResult:
-    rng = _rng(seed)
-    states = _universe(rel, samples, rng)
-    bad = [x for x in states if not rel.equivalent(x, x)]
+    states = _universe(rel, samples, random.Random(seed))
+    fwd, bwd = _ask(rel, states, states)
+    bad = [x for x, f, b in zip(states, fwd, bwd) if not (f and b)]
     return verdict("reflexivity", not bad, bad, samples_used=len(states))
 
 
@@ -137,7 +248,6 @@ def check_reflexivity(rel, *, samples: int = DEFAULT_SAMPLES, seed=0) -> CheckRe
 # ---------------------------------------------------------------------------
 
 def check_transitivity(rel, *, samples: int = 500, seed=0) -> CheckResult:
-    rng = _rng(seed)
     if rel.mode == "finite":
         elems = rel.elements
         n = len(elems)
@@ -161,15 +271,26 @@ def check_transitivity(rel, *, samples: int = 500, seed=0) -> CheckResult:
         )
         return verdict("transitivity", witness is None, [witness], samples_used=n ** 3)
 
-    witnesses = []
-    count = 0
-    for _ in range(samples):
-        x, y, z = rel.sample(rng, 3)
-        count += 1
-        if rel.leq(x, y) and rel.leq(y, z) and not rel.leq(x, z):
-            witnesses.append((x, y, z))
-            break
-    return verdict("transitivity", not witnesses, witnesses, samples_used=count)
+    witness, used = _scan(
+        random.Random(seed), samples, [(rel, None)] * 3, _transitivity_judge(rel)
+    )
+    return verdict("transitivity", witness is None, [witness], samples_used=used)
+
+
+def _transitivity_judge(rel):
+    """Judges rows (x, y, z): a witness where x ≼ y and y ≼ z but not x ≼ z,
+    the three asked in one query of 3k rows."""
+
+    def judge(rows):
+        xs, ys, zs = _columns(rows)
+        k = len(rows)
+        leq, _ = _ask(rel, xs + ys + xs, ys + zs + zs, converse=False)
+        return [
+            row if a and b and not c else None
+            for row, a, b, c in zip(rows, leq, leq[k:], leq[2 * k:])
+        ]
+
+    return judge
 
 
 # ---------------------------------------------------------------------------
@@ -200,27 +321,31 @@ def check_consistency(
     adjoining a common state preserves strict precedence.  The second clause
     is what exposes composites that merge their parts instead of adding them.
     """
-    rng = _rng(seed)
+    rng = random.Random(seed)
     rel_comp = composite_relation([rel_a, rel_b])
-    witnesses = []
-    used = 0
-    for _ in range(samples):
-        x, y = _sample_ordered_pair(rel_a, rng)
-        xp, yp = _sample_ordered_pair(rel_b, rng)
-        used += 1
-        if not rel_comp.leq(composite_state([x, xp]), composite_state([y, yp])):
-            witnesses.append((x, xp, y, yp))
-            break
-    if not witnesses:
-        for _ in range(samples // 2):
-            x, y = _sample_ordered_pair(rel_a, rng, strict=True)
-            z = rel_b.sample(rng, 1)[0]
-            used += 1
-            cx, cy = composite_state([x, z]), composite_state([y, z])
-            if accessible(rel_comp, cx, cy) is not Access.FORWARD:
-                witnesses.append((x, z, y, z))
-                break
-    return verdict("consistency", not witnesses, witnesses, samples_used=used)
+
+    def composed(rows):
+        a, b = _columns(rows)
+        (x, y), (xp, yp) = _columns(a), _columns(b)
+        fwd, _ = rel_comp.leq_many(
+            [(x, 1.0), (xp, 1.0)], [(y, 1.0), (yp, 1.0)], converse=False
+        )
+        return [None if f else w for f, w in zip(fwd, zip(x, xp, y, yp))]
+
+    def strict_kept(rows):
+        pairs, z = _columns(rows)
+        x, y = _columns(pairs)
+        fwd, bwd = rel_comp.leq_many([(x, 1.0), (z, 1.0)], [(y, 1.0), (z, 1.0)])
+        # accessible(rel_comp, (x, z), (y, z)) must be Access.FORWARD.
+        return [
+            None if f and not b else w for f, b, w in zip(fwd, bwd, zip(x, z, y, z))
+        ]
+
+    witness, used = _scan(rng, samples, [(rel_a, False), (rel_b, False)], composed)
+    if witness is None:
+        witness, more = _scan(rng, samples // 2, [(rel_a, True), (rel_b, None)], strict_kept)
+        used += more
+    return verdict("consistency", witness is None, [witness], samples_used=used)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +356,7 @@ def check_scaling_invariance(
     rel, t_samples: Sequence[float] = (0.5, 2.0, 3.0), *,
     samples: int = 100, seed=0,
 ) -> CheckResult:
-    rng = _rng(seed)
+    rng = random.Random(seed)
     if rel.mode == "finite":
         return not_applicable("scaling_invariance", "finite fixture declares no scaling support")
     model = rel.models[0]
@@ -239,16 +364,24 @@ def check_scaling_invariance(
         return not_applicable(
             "scaling_invariance", f"model {model.id!r} cannot form scaled copies"
         )
+
+    def scaled(t):
+        def judge(rows):
+            (pairs,) = _columns(rows)
+            x, y = _columns(pairs)
+            fwd, _ = rel.leq_many([(x, t)], [(y, t)], converse=False)
+            return [None if f else (*w, t) for f, w in zip(fwd, zip(x, y))]
+
+        return judge
+
     used = 0
     for t in t_samples:
         if t <= 0:
             raise DomainError(f"scale factor must be positive, got {t!r}")
-        for _ in range(samples):
-            x, y = _sample_ordered_pair(rel, rng)
-            used += 1
-            tx, ty = model.scale_state(x, t), model.scale_state(y, t)
-            if not rel.leq(tx, ty):
-                return verdict("scaling_invariance", False, [(x, y, t)], samples_used=used)
+        witness, more = _scan(rng, samples, [(rel, False)], scaled(t))
+        used += more
+        if witness is not None:
+            return verdict("scaling_invariance", False, [witness], samples_used=used)
     return verdict("scaling_invariance", True, [], samples_used=used)
 
 
@@ -261,20 +394,20 @@ def check_splitting(
 ) -> CheckResult:
     if not (0.0 < t < 1.0):
         raise DomainError(f"splitting fraction must lie strictly in (0, 1), got {t!r}")
-    rng = _rng(seed)
+    rng = random.Random(seed)
     if rel.mode == "finite" or not rel.models[0].supports_scaling:
         return not_applicable("splitting", "scaling unsupported")
-    model = rel.models[0]
-    witnesses = []
-    used = 0
-    for _ in range(samples):
-        x = rel.sample(rng, 1)[0]
-        used += 1
-        split = composite_state([model.scale_state(x, t), model.scale_state(x, 1.0 - t)])
-        if not (rel.leq(x, split) and rel.leq(split, x)):
-            witnesses.append((x, t))
-            break
-    return verdict("splitting", not witnesses, witnesses, samples_used=used, tolerance_used=t)
+
+    def judge(rows):
+        (x,) = _columns(rows)
+        # x against the composite of its t- and (1 - t)-copies, both ways.
+        fwd, bwd = rel.leq_many([(x, 1.0)], [(x, t), (x, 1.0 - t)])
+        return [None if f and b else (s, t) for f, b, s in zip(fwd, bwd, x)]
+
+    witness, used = _scan(rng, samples, [(rel, None)], judge)
+    return verdict(
+        "splitting", witness is None, [witness], samples_used=used, tolerance_used=t
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +423,7 @@ def check_stability(rel, *, samples: int = 100, seed=0) -> CheckResult:
     equality boundary, where relations comparing by strict inequality alone
     break.
     """
-    rng = _rng(seed)
+    rng = random.Random(seed)
     if rel.mode == "finite" or not rel.models[0].supports_scaling:
         return not_applicable("stability", "scaling unsupported")
     model = rel.models[0]
@@ -353,20 +486,28 @@ def _stability_witness(rel, tuples: list) -> tuple[Optional[tuple], int]:
 # ---------------------------------------------------------------------------
 
 def check_comparison(rel, *, samples: int = DEFAULT_SAMPLES, seed=0) -> CheckResult:
-    rng = _rng(seed)
     if rel.mode == "finite":
         elems = rel.elements
         pairs = ((x, y) for i, x in enumerate(elems) for y in elems[i:])
-    else:
-        pairs = (rel.sample(rng, 2) for _ in range(samples))
-    witnesses = []
-    used = 0
-    for x, y in pairs:
-        used += 1
-        if rel.compatible(x, y) and accessible(rel, x, y) is Access.INCOMPARABLE:
-            witnesses.append((x, y))
-            break
-    return verdict("comparison", not witnesses, witnesses, samples_used=used)
+        witnesses = []
+        used = 0
+        for x, y in pairs:
+            used += 1
+            if accessible(rel, x, y) is Access.INCOMPARABLE:
+                witnesses.append((x, y))
+                break
+        return verdict("comparison", not witnesses, witnesses, samples_used=used)
+
+    def judge(rows):
+        x, y = _columns(rows)
+        fwd, bwd = rel.leq_many([(x, 1.0)], [(y, 1.0)])
+        return [
+            w if not (f or b) and rel.compatible(*w) else None
+            for f, b, w in zip(fwd, bwd, rows)
+        ]
+
+    witness, used = _scan(random.Random(seed), samples, [(rel, None)] * 2, judge)
+    return verdict("comparison", witness is None, [witness], samples_used=used)
 
 
 # ---------------------------------------------------------------------------
@@ -384,60 +525,59 @@ def check_n1_n2(
     and premise-sampled stability on the union; the second looks for the
     two-sided equilibrium bracket of each nonequilibrium state.
     """
-    rng = _rng(seed)
-    gamma = list(equilibrium_states)
+    rng = random.Random(seed)
+    gamma = _Pool(equilibrium_states)
     if not gamma:
         return not_applicable("n1_n2", "no equilibrium subset declared")
-    hat = gamma + list(nonequilibrium_states)
-    used = 0
+    noneq = list(nonequilibrium_states)
+    hat = _Pool(gamma + noneq)
     witnesses = []
 
-    def pick(seq):
-        return seq[rng.randrange(len(seq))]
-
     # N1(a): reflexivity and transitivity on the union.
-    for x in hat:
-        used += 1
-        if not rel.equivalent(x, x):
-            witnesses.append(("reflexivity", x))
-    for _ in range(samples):
-        x, y, z = pick(hat), pick(hat), pick(hat)
-        used += 1
-        if rel.leq(x, y) and rel.leq(y, z) and not rel.leq(x, z):
-            witnesses.append(("transitivity", (x, y, z)))
-            break
+    fwd, bwd = _ask(rel, hat, hat)
+    witnesses += [("reflexivity", x) for x, f, b in zip(hat, fwd, bwd) if not (f and b)]
+    used = len(hat)
+    witness, scanned = _scan(rng, samples, [(hat, None)] * 3, _transitivity_judge(rel))
+    used += scanned
+    if witness is not None:
+        witnesses.append(("transitivity", witness))
 
-    # N1(b): composition keeps the order (plain clause).
+    # N1(b): composition keeps the order (plain clause).  Each pair is
+    # swapped where its first state does not precede the second.
+    def composed(rows):
+        x, y, xp, yp = _columns(rows)
+        k = len(rows)
+        ordered, _ = rel.leq_many([(x + xp, 1.0)], [(y + yp, 1.0)], converse=False)
+        lo = [a if ok else b for a, b, ok in zip(x + xp, y + yp, ordered)]
+        hi = [b if ok else a for a, b, ok in zip(x + xp, y + yp, ordered)]
+        fwd, _ = rel.leq_many(
+            [(lo[:k], 1.0), (lo[k:], 1.0)], [(hi[:k], 1.0), (hi[k:], 1.0)], converse=False
+        )
+        return [None if f else w for f, w in zip(fwd, zip(lo, lo[k:], hi, hi[k:]))]
+
     if rel.mode == "induced":
-        for _ in range(samples // 2):
-            x, y = pick(hat), pick(hat)
-            if not rel.leq(x, y):
-                x, y = y, x
-            xp, yp = pick(hat), pick(hat)
-            if not rel.leq(xp, yp):
-                xp, yp = yp, xp
-            used += 1
-            if not rel.leq(composite_state([x, xp]), composite_state([y, yp])):
-                witnesses.append(("consistency", (x, xp, y, yp)))
-                break
+        witness, scanned = _scan(rng, samples // 2, [(hat, None)] * 4, composed)
+        used += scanned
+        if witness is not None:
+            witnesses.append(("consistency", witness))
 
     # N1(c): stability, premise-sampled only.  No draw depends on an answer,
     # and nothing draws after this clause, so all tuples are drawn at once.
     if rel.mode == "induced" and rel.models[0].supports_scaling:
-        tuples = [
-            (pick(hat), pick(hat), pick(gamma), pick(gamma)) for _ in range(samples // 4)
-        ]
+        tuples = [(*hat.sample(rng, 2), *gamma.sample(rng, 2)) for _ in range(samples // 4)]
         witness, scanned = _stability_witness(rel, tuples)
         used += scanned
         if witness is not None:
             witnesses.append(("stability", witness))
 
-    # N2: equilibrium sandwich for each nonequilibrium state.
-    for x in nonequilibrium_states:
-        used += 1
-        below = any(rel.leq(g, x) for g in gamma)
-        above = any(rel.leq(x, g) for g in gamma)
-        if not (below and above):
-            witnesses.append(("sandwich", x))
+    # N2: equilibrium sandwich for each nonequilibrium state, every (g, x)
+    # asked both ways in one query.
+    k = len(gamma)
+    below, above = _ask(rel, gamma * len(noneq), [x for x in noneq for _ in gamma])
+    witnesses += [
+        ("sandwich", x) for i, x in enumerate(noneq)
+        if not (any(below[i * k:(i + 1) * k]) and any(above[i * k:(i + 1) * k]))
+    ]
+    used += len(noneq)
 
     return verdict("n1_n2", not witnesses, witnesses, samples_used=used)

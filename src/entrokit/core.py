@@ -342,7 +342,9 @@ class AccessibilityRelation:
         row i's ``xs`` side precedes its ``ys`` side and ``bwd[i]`` the
         converse, each exactly what ``leq`` answers for that pair; never an
         entropy.  ``converse=False`` leaves ``bwd`` None, which halves the
-        ``leq`` calls of a relation that answers row by row.
+        ``leq`` calls of a relation that answers row by row.  The LY
+        table, the sandwich bounds and every sampled order-axiom check ask
+        their rows through it, a clause or a table step at a time.
 
         A plain induced relation answers from the oracle values of each
         distinct state, read once per query (through the model's
@@ -430,8 +432,9 @@ class AccessibilityRelation:
         """Per row of one part: oracle value and amount, each a list, and
         the part's entropy atol and composition tag; None unless the
         part is made of single states with one tag and one atol whose owners
-        can evaluate its copies in a batch.  A unit factor reads
-        ``oracle_entropy``, since the copy is the state itself."""
+        can evaluate its copies in a batch.  Owners are resolved once per
+        space.  A unit factor reads ``oracle_entropy``, state by state,
+        since the copy is the state itself."""
         unit = ts.count(1.0) == n
         if unit and isinstance(states, tuple) and self._last_unit[0] == states:
             return self._last_unit[1]
@@ -446,18 +449,22 @@ class AccessibilityRelation:
         if not all(isinstance(state, State) for state in distinct):
             return None
         try:
-            owners = [self._resolve(state.space_id) for state in distinct]
+            owners = {
+                space_id: self._resolve(space_id)
+                for space_id in dict.fromkeys(state.space_id for state in distinct)
+            }
         except DomainError:
             return None
-        models = [m for m, _ in owners]
-        tags = {space.composition_tag for _, space in owners}
+        models = list({id(m): m for m, _ in owners.values()}.values())
+        tags = {space.composition_tag for _, space in owners.values()}
         atols = {m.entropy_atol for m in models}
         if len(tags) != 1 or len(atols) != 1:
             return None
         if unit:
-            values = [m.oracle_entropy(x) for x, m in zip(distinct, models)]
+            oracles = {space_id: m.oracle_entropy for space_id, (m, _) in owners.items()}
+            values = [oracles[x.space_id](x) for x in distinct]
             values = list(map(values.__getitem__, inv))
-        elif models[0].scaled_entropies is None or len(set(map(id, models))) > 1:
+        elif len(models) > 1 or models[0].scaled_entropies is None:
             return None
         else:
             values = models[0].scaled_entropies(distinct, inv, ts)

@@ -21,9 +21,18 @@ from entrokit.axioms import (
     not_applicable,
     verdict,
 )
-from entrokit.catalog import chain_fixture, ideal_gas
-from entrokit.core import AccessibilityRelation, State, StateKind, composite_state
+from entrokit.catalog import chain_fixture, ideal_gas, two_level_spin
+from entrokit.core import (
+    Access,
+    AccessibilityRelation,
+    State,
+    StateKind,
+    accessible,
+    composite_relation,
+    composite_state,
+)
 from entrokit.errors import DomainError
+import entrokit.axioms as axioms_module
 from entrokit.mutants import mutate_model
 from test_interpolation import _GAS_PARAMS, ScalarRelation, state_pools
 
@@ -255,13 +264,10 @@ def test_stability_strict_only_mutant_fails_at_equality():
     assert result.failed
 
 
-def scalar_check_stability(rel, *, samples=100, seed=0):
-    """``check_stability`` with each premise asked by ``leq``, one epsilon
-    at a time, stopping at the first that fails; kept as the reference for
-    the batched premise queries."""
-    rng = random.Random(seed)
-    if rel.mode == "finite" or not rel.models[0].supports_scaling:
-        return not_applicable("stability", "scaling unsupported")
+def _scalar_stability_witness(rel, tuples):
+    """The first tuple (x, y, z0, z1) whose premise holds at every epsilon,
+    each asked by ``leq`` and stopping at the first that fails, while x ≼ y
+    does not; and how many tuples were scanned."""
     model = rel.models[0]
 
     def premise_holds(x, y, z0, z1) -> bool:
@@ -271,6 +277,21 @@ def scalar_check_stability(rel, *, samples=100, seed=0):
             if not rel.leq(lhs, rhs):
                 return False
         return True
+
+    for used, (x, y, z0, z1) in enumerate(tuples, 1):
+        if premise_holds(x, y, z0, z1) and not rel.leq(x, y):
+            return (x, y, z0, z1), used
+    return None, len(tuples)
+
+
+def scalar_check_stability(rel, *, samples=100, seed=0):
+    """``check_stability`` with each premise asked by ``leq``, one epsilon
+    at a time, stopping at the first that fails; kept as the reference for
+    the batched premise queries."""
+    rng = random.Random(seed)
+    if rel.mode == "finite" or not rel.models[0].supports_scaling:
+        return not_applicable("stability", "scaling unsupported")
+    model = rel.models[0]
 
     tuples = []
     for _ in range(samples):
@@ -285,17 +306,169 @@ def scalar_check_stability(rel, *, samples=100, seed=0):
             z0, z1 = _sample_ordered_pair(rel, rng, strict=True)
             tuples.append((x, y, z0, z1))
 
-    witnesses = []
-    used = 0
-    for x, y, z0, z1 in tuples:
-        used += 1
-        if premise_holds(x, y, z0, z1) and not rel.leq(x, y):
-            witnesses.append((x, y, z0, z1))
-            break
+    witness, used = _scalar_stability_witness(rel, tuples)
     return verdict(
-        "stability", not witnesses, witnesses, samples_used=used,
+        "stability", witness is None, [witness], samples_used=used,
         tolerance_used=STABILITY_EPS[-1],
     )
+
+
+# The sampled checks as loops that ask ``leq`` one row at a time and stop at
+# the first witness; kept as the references for the batched checks, which
+# must match them in status, witnesses and ``samples_used``.
+
+def scalar_check_reflexivity(rel, *, samples=200, seed=0):
+    rng = random.Random(seed)
+    states = list(rel.elements) if rel.mode == "finite" else rel.sample(rng, samples)
+    bad = [x for x in states if not rel.equivalent(x, x)]
+    return verdict("reflexivity", not bad, bad, samples_used=len(states))
+
+
+def scalar_check_transitivity(rel, *, samples=500, seed=0):
+    rng = random.Random(seed)
+    witnesses = []
+    count = 0
+    for _ in range(samples):
+        x, y, z = rel.sample(rng, 3)
+        count += 1
+        if rel.leq(x, y) and rel.leq(y, z) and not rel.leq(x, z):
+            witnesses.append((x, y, z))
+            break
+    return verdict("transitivity", not witnesses, witnesses, samples_used=count)
+
+
+def scalar_check_consistency(rel_a, rel_b, *, samples=200, seed=0):
+    rng = random.Random(seed)
+    rel_comp = composite_relation([rel_a, rel_b])
+    witnesses = []
+    used = 0
+    for _ in range(samples):
+        x, y = _sample_ordered_pair(rel_a, rng)
+        xp, yp = _sample_ordered_pair(rel_b, rng)
+        used += 1
+        if not rel_comp.leq(composite_state([x, xp]), composite_state([y, yp])):
+            witnesses.append((x, xp, y, yp))
+            break
+    if not witnesses:
+        for _ in range(samples // 2):
+            x, y = _sample_ordered_pair(rel_a, rng, strict=True)
+            z = rel_b.sample(rng, 1)[0]
+            used += 1
+            cx, cy = composite_state([x, z]), composite_state([y, z])
+            if accessible(rel_comp, cx, cy) is not Access.FORWARD:
+                witnesses.append((x, z, y, z))
+                break
+    return verdict("consistency", not witnesses, witnesses, samples_used=used)
+
+
+def scalar_check_scaling_invariance(rel, t_samples=(0.5, 2.0, 3.0), *, samples=100, seed=0):
+    rng = random.Random(seed)
+    if rel.mode == "finite":
+        return not_applicable("scaling_invariance", "finite fixture declares no scaling support")
+    model = rel.models[0]
+    if not model.supports_scaling:
+        return not_applicable(
+            "scaling_invariance", f"model {model.id!r} cannot form scaled copies"
+        )
+    used = 0
+    for t in t_samples:
+        if t <= 0:
+            raise DomainError(f"scale factor must be positive, got {t!r}")
+        for _ in range(samples):
+            x, y = _sample_ordered_pair(rel, rng)
+            used += 1
+            tx, ty = model.scale_state(x, t), model.scale_state(y, t)
+            if not rel.leq(tx, ty):
+                return verdict("scaling_invariance", False, [(x, y, t)], samples_used=used)
+    return verdict("scaling_invariance", True, [], samples_used=used)
+
+
+def scalar_check_splitting(rel, t=0.5, *, samples=100, seed=0):
+    if not (0.0 < t < 1.0):
+        raise DomainError(f"splitting fraction must lie strictly in (0, 1), got {t!r}")
+    rng = random.Random(seed)
+    if rel.mode == "finite" or not rel.models[0].supports_scaling:
+        return not_applicable("splitting", "scaling unsupported")
+    model = rel.models[0]
+    witnesses = []
+    used = 0
+    for _ in range(samples):
+        x = rel.sample(rng, 1)[0]
+        used += 1
+        split = composite_state([model.scale_state(x, t), model.scale_state(x, 1.0 - t)])
+        if not (rel.leq(x, split) and rel.leq(split, x)):
+            witnesses.append((x, t))
+            break
+    return verdict("splitting", not witnesses, witnesses, samples_used=used, tolerance_used=t)
+
+
+def scalar_check_comparison(rel, *, samples=200, seed=0):
+    rng = random.Random(seed)
+    witnesses = []
+    used = 0
+    for _ in range(samples):
+        x, y = rel.sample(rng, 2)
+        used += 1
+        if rel.compatible(x, y) and accessible(rel, x, y) is Access.INCOMPARABLE:
+            witnesses.append((x, y))
+            break
+    return verdict("comparison", not witnesses, witnesses, samples_used=used)
+
+
+def scalar_check_n1_n2(rel, equilibrium_states, nonequilibrium_states=(), *,
+                       samples=200, seed=0):
+    rng = random.Random(seed)
+    gamma = list(equilibrium_states)
+    if not gamma:
+        return not_applicable("n1_n2", "no equilibrium subset declared")
+    hat = gamma + list(nonequilibrium_states)
+    used = 0
+    witnesses = []
+
+    def pick(seq):
+        return seq[rng.randrange(len(seq))]
+
+    for x in hat:
+        used += 1
+        if not rel.equivalent(x, x):
+            witnesses.append(("reflexivity", x))
+    for _ in range(samples):
+        x, y, z = pick(hat), pick(hat), pick(hat)
+        used += 1
+        if rel.leq(x, y) and rel.leq(y, z) and not rel.leq(x, z):
+            witnesses.append(("transitivity", (x, y, z)))
+            break
+
+    if rel.mode == "induced":
+        for _ in range(samples // 2):
+            x, y = pick(hat), pick(hat)
+            if not rel.leq(x, y):
+                x, y = y, x
+            xp, yp = pick(hat), pick(hat)
+            if not rel.leq(xp, yp):
+                xp, yp = yp, xp
+            used += 1
+            if not rel.leq(composite_state([x, xp]), composite_state([y, yp])):
+                witnesses.append(("consistency", (x, xp, y, yp)))
+                break
+
+    if rel.mode == "induced" and rel.models[0].supports_scaling:
+        tuples = [
+            (pick(hat), pick(hat), pick(gamma), pick(gamma)) for _ in range(samples // 4)
+        ]
+        witness, scanned = _scalar_stability_witness(rel, tuples)
+        used += scanned
+        if witness is not None:
+            witnesses.append(("stability", witness))
+
+    for x in nonequilibrium_states:
+        used += 1
+        below = any(rel.leq(g, x) for g in gamma)
+        above = any(rel.leq(x, g) for g in gamma)
+        if not (below and above):
+            witnesses.append(("sandwich", x))
+
+    return verdict("n1_n2", not witnesses, witnesses, samples_used=used)
 
 
 def _outcome(check, *args, **kwargs):
@@ -436,3 +609,165 @@ def test_any_witness_kind_serializes(gas):
     rec = e.weight_process(a, b)
     result = CheckResult("demo", CheckStatus.FAIL, [rec, (a, b), {"note": a}])
     json.dumps(result.to_dict(), sort_keys=True)
+
+
+# -- batched checks against the scalar loops -----------------------------------
+
+def _battery(rel, other, gamma, noneq, seed, check=None):
+    """The sampled checks on ``rel`` at the mutation matrix's sample counts,
+    each run by ``check`` (a name to function map; the batched checks by
+    default).  ``other`` is the second relation of a cross-system
+    consistency check."""
+    check = check or {
+        "reflexivity": check_reflexivity,
+        "transitivity": check_transitivity,
+        "consistency": check_consistency,
+        "scaling_invariance": check_scaling_invariance,
+        "splitting": check_splitting,
+        "comparison": check_comparison,
+        "n1_n2": check_n1_n2,
+    }
+    return [
+        _outcome(check["reflexivity"], rel, samples=60, seed=seed),
+        _outcome(check["transitivity"], rel, samples=60, seed=seed + 1),
+        _outcome(check["consistency"], rel, rel, samples=40, seed=seed + 2),
+        _outcome(check["consistency"], rel, other, samples=20, seed=seed + 2),
+        _outcome(check["scaling_invariance"], rel, samples=20, seed=seed + 3),
+        _outcome(check["splitting"], rel, samples=20, seed=seed + 4),
+        _outcome(check["comparison"], rel, samples=60, seed=seed + 6),
+        _outcome(check["n1_n2"], rel, gamma, noneq, samples=40, seed=seed + 7),
+    ]
+
+
+SCALAR_CHECKS = {
+    "reflexivity": scalar_check_reflexivity,
+    "transitivity": scalar_check_transitivity,
+    "consistency": scalar_check_consistency,
+    "scaling_invariance": scalar_check_scaling_invariance,
+    "splitting": scalar_check_splitting,
+    "comparison": scalar_check_comparison,
+    "n1_n2": scalar_check_n1_n2,
+}
+
+
+def _target(kind):
+    """A model and its relation: the gas, the spin, or a gas mutant."""
+    if kind == "spin":
+        model = two_level_spin()
+    else:
+        model = ideal_gas() if kind == "gas" else mutate_model(ideal_gas(), kind)
+    return model, model.relation()
+
+
+@pytest.mark.parametrize("kind", [
+    "gas", "spin", "composite_max", "strict_only_comparison", "break_scaling",
+    "break_splitting",
+])
+def test_batched_checks_match_scalar_loops(kind):
+    model, rel = _target(kind)
+    # A spin beside the gas is lost in the gas's rounding, so a spin is
+    # composed with a second spin.
+    other = two_level_spin(50, model_id="spin2").relation()
+    e = model.process_engine
+    gamma = e.gamma_grid()
+    noneq = [e.sample_nonequilibrium(random.Random(5)) for _ in range(5)]
+    statuses = set()
+    for seed in range(10):
+        batched = _battery(rel, other, gamma, noneq, seed)
+        assert batched == _battery(rel, other, gamma, noneq, seed, SCALAR_CHECKS)
+        statuses |= {(r.check_name, r.status) for r in batched}
+    # Each mutant's defect shows, so its witness was compared too.
+    failing = {name for name, status in statuses if status is CheckStatus.FAIL}
+    assert failing == {
+        "gas": set(), "spin": set(), "composite_max": {"consistency", "splitting"},
+        "strict_only_comparison": set(), "break_scaling": {"scaling_invariance"},
+        "break_splitting": {"splitting"},
+    }[kind]
+
+
+def _tied_gas():
+    """The gas with an equivalence tolerance of 5 J/K, against an entropy
+    span of about 62 J/K: many sampled pairs tie, and the relation is not
+    transitive."""
+    gas = ideal_gas()
+    gas.entropy_atol = 5.0
+    return gas
+
+
+@pytest.mark.parametrize("relation", ["plain", "strict_only_comparison"])
+def test_batched_checks_match_scalar_loops_with_retries_and_early_stops(
+    relation, monkeypatch
+):
+    gas = _tied_gas()
+    model = gas if relation == "plain" else mutate_model(gas, relation)
+    rel = model.relation()
+    e = gas.process_engine
+    gamma = e.gamma_grid()
+    noneq = [e.sample_nonequilibrium(random.Random(5)) for _ in range(5)]
+    redrawn = []
+    sample_ordered_pair = _sample_ordered_pair
+    monkeypatch.setattr(
+        axioms_module, "_sample_ordered_pair",
+        lambda *args, **kwargs: redrawn.append(1) or sample_ordered_pair(*args, **kwargs),
+    )
+    n1_witnesses = set()
+    for seed in range(10):
+        batched = _battery(rel, rel, gamma, noneq, seed)
+        assert batched == _battery(rel, rel, gamma, noneq, seed, SCALAR_CHECKS)
+        n1_n2 = batched[-1]
+        n1_witnesses |= {kind for kind, _ in n1_n2.witnesses}
+    # Pairs were drawn again inside batches (a strict pair that ties, or a
+    # pair neither of whose states precedes the other under the strict-only
+    # order), and on the plain relation N1(a) and N1(b) stopped early while
+    # later clauses still drew from the rng.
+    assert redrawn
+    if relation == "plain":
+        assert {"transitivity", "consistency"} <= n1_witnesses
+
+
+def _seed_drawing(sampler, n, wanted):
+    """The first seed whose first ``n`` draws from ``sampler`` are
+    ``wanted``."""
+    for seed in range(1000):
+        rng = random.Random(seed)
+        if wanted([sampler(rng) for _ in range(n)]):
+            return seed
+    raise AssertionError("no such seed")
+
+
+def test_splitting_returns_its_witness_before_a_refused_copy():
+    mutant = mutate_model(ideal_gas(), "break_splitting")
+    e = mutant.process_engine
+    fine, tiny = e.state(2000.0, 0.02), e.state(5e-324, 0.02)
+    with pytest.raises(DomainError):
+        mutant.scale_state(tiny, 0.5)
+    e.sample_state = lambda rng: tiny if rng.random() < 0.5 else fine
+    # The first row is the witness, and a later one holds the refused copy.
+    seed = _seed_drawing(e.sample_state, 20, lambda d: d[0] is fine and tiny in d[1:])
+    rel = mutant.relation()
+    expected = scalar_check_splitting(rel, 0.5, samples=20, seed=seed)
+    assert expected.failed and expected.witnesses == [(fine, 0.5)]
+    assert check_splitting(rel, 0.5, samples=20, seed=seed) == expected
+    # Without the defect the loop meets the refused copy, and so does the batch.
+    intact = ideal_gas()
+    intact.process_engine.sample_state = e.sample_state
+    rel = intact.relation()
+    assert _outcome(scalar_check_splitting, rel, samples=20, seed=seed) is DomainError
+    assert _outcome(check_splitting, rel, samples=20, seed=seed) is DomainError
+
+
+def test_scaling_invariance_returns_its_witness_before_a_refused_copy():
+    mutant = mutate_model(ideal_gas(), "break_scaling")
+    e = mutant.process_engine
+    low, high, huge = e.state(1000.0, 0.01), e.state(4000.0, 0.05), e.state(1e308, 0.02)
+    with pytest.raises(DomainError):
+        mutant.scale_state(huge, 2.0)
+    pool = [low, high, huge]
+    e.sample_state = lambda rng: pool[rng.randrange(3)]
+    seed = _seed_drawing(
+        e.sample_state, 40, lambda d: {d[0], d[1]} == {low, high} and huge in d[2:]
+    )
+    rel = mutant.relation()
+    expected = scalar_check_scaling_invariance(rel, (2.0,), samples=20, seed=seed)
+    assert expected.failed and expected.witnesses == [(low, high, 2.0)]
+    assert check_scaling_invariance(rel, (2.0,), samples=20, seed=seed) == expected

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 
@@ -158,14 +160,24 @@ def test_matrix_is_exact_for_every_mutation():
 
 
 def test_matrix_serializes(tmp_path):
-    import json
-
     report = mutation_matrix(seed=0)
     payload = json.dumps(report, sort_keys=True)
     parsed = json.loads(payload)
     assert parsed == report
     assert parsed["ok"] is True
     assert len(parsed["mutants"]) == len(MUTATIONS)
+
+
+# sha256 of the sorted-key JSON of ``mutation_matrix(seed=s)``.  The matrix
+# holds statuses only, so every seed gives these bytes; a change that moves
+# a status, a check name or a mutation moves them.
+MATRIX_SHA256 = "6d93cc79b0c0c4891f76946ea81043019b807f99dd230a89d725476f628176a8"
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_mutation_matrix_bytes_are_pinned(seed):
+    payload = json.dumps(mutation_matrix(seed=seed), sort_keys=True).encode()
+    assert hashlib.sha256(payload).hexdigest() == MATRIX_SHA256
 
 
 @st.composite
