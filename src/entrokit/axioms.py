@@ -456,8 +456,7 @@ def _stability_witness(rel, tuples: list) -> tuple[Optional[tuple], int]:
     Three ``leq_many`` queries, each over the tuples the one before kept:
     x ≼ y (a tuple where it holds is no witness), then the premise at the
     largest epsilon, then at the other 19.  Each rejects most of what is
-    left, so a relation that answers row by row is asked less often than by
-    a loop over the epsilons that stops at the first failure.
+    left, so the later queries are short.
     """
 
     def premises(group, eps):

@@ -268,57 +268,44 @@ class AccessibilityRelation:
                 return m, space
         raise DomainError(f"no model in this relation owns space {space_id!r}")
 
-    def _profile(self, state: StateLike) -> tuple[dict[str, float], list[float], float]:
-        """Composition totals, per-part oracle values and entropy atol of a
-        state, read in one pass over its parts.
-
-        leq needs all three for both of its states; resolving each part's
-        model and space once here, instead of once per quantity, is what
-        keeps composite queries (such as the consistency and splitting
-        checks' pairs) cheap.
-        """
-        totals: dict[str, float] = {}
-        values: list[float] = []
-        atol = None
-        for p in parts_of(state):
-            m, sp = self._resolve(p.space_id)
-            totals[sp.composition_tag] = totals.get(sp.composition_tag, 0.0) + p.scale
-            values.append(m.oracle_entropy(p))
-            atol = m.entropy_atol if atol is None else max(atol, m.entropy_atol)
-        return totals, values, atol
-
-    def _combine(self, values: list[float]) -> float:
-        return sum(values)
-
-    @staticmethod
-    def _totals_match(tx: dict[str, float], ty: dict[str, float]) -> bool:
-        if tx == ty:
-            return True
-        if set(tx) != set(ty):
-            return False
-        return all(math.isclose(tx[k], ty[k], rel_tol=1e-12) for k in tx)
-
     def compatible(self, x: StateLike, y: StateLike) -> bool:
-        """Whether x and y live in comparable (possibly composite) spaces."""
+        """Whether x and y live in comparable (possibly composite) spaces:
+        the same composition totals."""
         if self.mode == "finite":
             return True
-        return self._totals_match(self._profile(x)[0], self._profile(y)[0])
+        sides = [[self._part_columns(p, [1.0], 1) for p in parts_of(s)] for s in (x, y)]
+        return self._same_totals(sides, 1)[0]
+
+    # -- the order's rule -------------------------------------------------
+    # ``leq_many`` applies these to every row; a subclass that overrides
+    # them plants another order.
+
+    def _combine_columns(self, columns: list[list[float]]) -> list[float]:
+        """Row by row, a side's entropy from its parts' values: their sum,
+        in part order."""
+        return _sum_columns(columns)
+
+    def _compare_rows(self, xs, ys, a: list[float], b: list[float], atol: float) -> list[bool]:
+        """Row by row, whether the side ``xs``, of entropy a, precedes the
+        side ``ys``, of entropy b: a <= b + atol.  ``xs`` and ``ys`` are the
+        sides' parts, from which ``_row`` builds a row's copies."""
+        return [u <= v + atol for u, v in zip(a, b)]
 
     # -- queries --------------------------------------------------------
 
     def leq(self, x, y) -> bool:
-        """X precedes Y: Y is adiabatically accessible from X."""
+        """X precedes Y: Y is adiabatically accessible from X.  Induced, the
+        one-row ``leq_many`` query of the parts of X against those of Y."""
         if self.mode == "finite":
             if x not in self._element_set:
                 raise DomainError(f"unknown element {x!r}")
             if y not in self._element_set:
                 raise DomainError(f"unknown element {y!r}")
             return (x, y) in self.pairs
-        tx, vx, ax = self._profile(x)
-        ty, vy, ay = self._profile(y)
-        if not self._totals_match(tx, ty):
-            return False
-        return self._combine(vx) <= self._combine(vy) + max(ax, ay)
+        fwd, _ = self.leq_many(
+            [(p, 1.0) for p in parts_of(x)], [(p, 1.0) for p in parts_of(y)], converse=False
+        )
+        return fwd[0]
 
     def equivalent(self, x, y) -> bool:
         return self.leq(x, y) and self.leq(y, x)
@@ -337,51 +324,54 @@ class AccessibilityRelation:
         A part is a pair ``(states, ts)``: ``states`` is one State or a
         sequence of one per row, ``ts`` one factor or a sequence of one per
         row, and row i holds the ts[i]-scaled copy of states[i] (the state
-        itself where the factor is 1).  A side of one part is that copy, not
+        itself where the factor is 1).  A query with no per-row part has one
+        row; ``leq`` is such a query.  A side of one part is that copy, not
         a composite of it.  Returns two lists of bools: ``fwd[i]`` is whether
         row i's ``xs`` side precedes its ``ys`` side and ``bwd[i]`` the
-        converse, each exactly what ``leq`` answers for that pair; never an
-        entropy.  ``converse=False`` leaves ``bwd`` None, which halves the
-        ``leq`` calls of a relation that answers row by row.  The LY
-        table, the sandwich bounds and every sampled order-axiom check ask
-        their rows through it, a clause or a table step at a time.
+        converse; never an entropy.  ``converse=False`` leaves ``bwd`` None.
+        The LY table, the sandwich bounds and every sampled order-axiom check
+        ask their rows through it, a clause or a table step at a time.
 
-        A plain induced relation answers from the oracle values of each
-        distinct state, read once per query (through the model's
-        ``scaled_entropies`` where a factor is not 1), and keeps those of a
-        tuple of states with unit factors for as long as it is handed an
-        equal tuple, as a bisection or a run of sandwich bounds does.  A
-        relation subclass (which may define another order), a part whose
-        states span several composition tags or entropy tolerances, a part
-        with factors other than 1 whose states' model has no
-        ``scaled_entropies`` (or that spans several models), and a row whose
-        values are not finite or whose copies the model refuses are asked
-        through ``leq``, so an error surfaces as ``leq`` raises it.
+        Each part's oracle values are read once per distinct state (through
+        the model's ``scaled_entropies`` where a factor is not 1), combined
+        side by side with ``_combine_columns`` and compared with
+        ``_compare_rows``; a row whose sides' composition totals differ is
+        False both ways.  The values of a tuple of states with unit factors
+        are kept for as long as the relation is handed an equal tuple, as a
+        bisection or a run of sandwich bounds does.  A row with a copy
+        ``scale_state`` refuses raises as it does.  A query with a part the
+        batch cannot take (composite states, states that span several
+        composition tags or entropy tolerances, or factors other than 1
+        whose states' model has no ``scaled_entropies`` or that span several
+        models) asks ``leq`` row by row of the copies ``scale_state`` builds.
         """
         if self.mode != "induced":
             raise CapabilityError("batched queries need an induced relation")
+        if not (xs and ys):
+            raise DomainError("leq_many needs a part on each side")
         parts = [(states, ts if isinstance(ts, (int, float)) else list(ts))
                  for states, ts in xs + ys]
         rows = {len(states) for states, _ in parts if not isinstance(states, State)}
         rows |= {len(ts) for _, ts in parts if isinstance(ts, list)}
-        if len(rows) != 1:
+        if len(rows) > 1:
             raise DomainError("leq_many needs the same number of rows in every part")
-        (n,) = rows
+        n = rows.pop() if rows else 1
         parts = [(states, ts if isinstance(ts, list) else [ts] * n) for states, ts in parts]
         xs, ys = parts[:len(xs)], parts[len(xs):]
-        batch = self._leq_many_batched(xs, ys, n) if type(self) is AccessibilityRelation else None
-        if batch is None:
-            batch = [False] * n, [False] * n, range(n)
-        fwd, bwd, scalar = batch
-        for i in scalar:
+        batch = self._leq_many_batched(xs, ys, n, converse)
+        if batch is not None:
+            return batch
+        fwd, bwd = [], []
+        for i in range(n):
             x, y = self._row(xs, i), self._row(ys, i)
-            fwd[i] = self.leq(x, y)
+            fwd.append(self.leq(x, y))
             if converse:
-                bwd[i] = self.leq(y, x)
+                bwd.append(self.leq(y, x))
         return fwd, bwd if converse else None
 
     def _row(self, parts, i: int) -> StateLike:
-        """Row i of one side of ``leq_many``, built as ``leq`` is asked it."""
+        """Row i of one side of ``leq_many``: the copies ``scale_state``
+        builds, as one state or a composite."""
         copies = []
         for states, ts in parts:
             state = states if isinstance(states, State) else states[i]
@@ -391,50 +381,59 @@ class AccessibilityRelation:
             )
         return copies[0] if len(copies) == 1 else composite_state(copies)
 
-    def _leq_many_batched(self, xs, ys, n: int):
-        """``leq_many`` with ``leq``'s arithmetic step for step: fwd, bwd and
-        the rows ``leq`` must answer instead; None where the batch does not
-        apply at all."""
+    def _leq_many_batched(self, xs, ys, n: int, converse: bool):
+        """``leq_many`` from the parts' columns; None where a part is one
+        the batch cannot take."""
         sides = []
         for parts in (xs, ys):
             columns = [self._part_columns(states, ts, n) for states, ts in parts]
             if None in columns:
                 return None
             sides.append(columns)
-        # leq sums the parts' values in order, as sum() does, and takes the
-        # largest entropy atol of all parts.
-        s_x, s_y = (_sum_columns([c[0] for c in columns]) for columns in sides)
+        # A value is not finite for a copy scale_state refuses; building the
+        # row's copies then raises as scale_state does.
+        values = [c[0] for c in sides[0] + sides[1]]
+        if not all(math.isfinite(sum(column)) for column in values):
+            for i in range(n):
+                if not all(math.isfinite(column[i]) for column in values):
+                    self._row(xs, i), self._row(ys, i)
+        a, b = (self._combine_columns([c[0] for c in columns]) for columns in sides)
         atol = max(c[2] for c in sides[0] + sides[1])
-        # A value is not finite for a copy scale_state refuses, and then
-        # neither is the sum of its side, nor that of all rows.
-        scalar = []
-        if not math.isfinite(sum(s_x) + sum(s_y)):
-            scalar = [i for i, (a, b) in enumerate(zip(s_x, s_y)) if not math.isfinite(a + b)]
-        fwd = [a <= b + atol for a, b in zip(s_x, s_y)]
-        bwd = [b <= a + atol for a, b in zip(s_x, s_y)]
-        # _totals_match: the same tags on both sides, each with amounts (summed
-        # in part order, as _profile sums them) within math.isclose's 1e-12.
+        fwd = self._compare_rows(xs, ys, a, b, atol)
+        bwd = self._compare_rows(ys, xs, b, a, atol) if converse else None
+        same = self._same_totals(sides, n)
+        if not all(same):
+            fwd = [s and f for s, f in zip(same, fwd)]
+            bwd = [s and g for s, g in zip(same, bwd)] if converse else None
+        return fwd, bwd
+
+    @staticmethod
+    def _same_totals(sides, n: int) -> list[bool]:
+        """Row by row, whether the two sides' part columns have the same
+        composition totals: the same tags, each with amounts (summed in part
+        order) within math.isclose's 1e-12."""
         tx, ty = (
             {tag: _sum_columns([c[1] for c in columns if c[3] == tag])
              for tag in dict.fromkeys(c[3] for c in columns)}
             for columns in sides
         )
         if tx.keys() != ty.keys():
-            return [False] * n, [False] * n, scalar
+            return [False] * n
+        same = [True] * n
         for tag, total in tx.items():
             if total != ty[tag]:
-                match = [math.isclose(a, b, rel_tol=1e-12) for a, b in zip(total, ty[tag])]
-                fwd = [m and f for m, f in zip(match, fwd)]
-                bwd = [m and g for m, g in zip(match, bwd)]
-        return fwd, bwd, scalar
+                same = [s and math.isclose(u, v, rel_tol=1e-12)
+                        for s, u, v in zip(same, total, ty[tag])]
+        return same
 
     def _part_columns(self, states, ts: list[float], n: int):
         """Per row of one part: oracle value and amount, each a list, and
         the part's entropy atol and composition tag; None unless the
         part is made of single states with one tag and one atol whose owners
         can evaluate its copies in a batch.  Owners are resolved once per
-        space.  A unit factor reads ``oracle_entropy``, state by state,
-        since the copy is the state itself."""
+        space, and a space no model owns raises.  A unit factor reads
+        ``oracle_entropy``, state by state, since the copy is the state
+        itself."""
         unit = ts.count(1.0) == n
         if unit and isinstance(states, tuple) and self._last_unit[0] == states:
             return self._last_unit[1]
@@ -448,13 +447,10 @@ class AccessibilityRelation:
             inv = list(map(position.__getitem__, map(id, states)))
         if not all(isinstance(state, State) for state in distinct):
             return None
-        try:
-            owners = {
-                space_id: self._resolve(space_id)
-                for space_id in dict.fromkeys(state.space_id for state in distinct)
-            }
-        except DomainError:
-            return None
+        owners = {
+            space_id: self._resolve(space_id)
+            for space_id in dict.fromkeys(state.space_id for state in distinct)
+        }
         models = list({id(m): m for m, _ in owners.values()}.values())
         tags = {space.composition_tag for _, space in owners.values()}
         atols = {m.entropy_atol for m in models}

@@ -30,7 +30,7 @@ from .axioms import (
     verdict,
 )
 from .catalog import FinitePreorderFixture, chain_fixture, ideal_gas
-from .core import AccessibilityRelation, ModelSystem, State, states_equal
+from .core import AccessibilityRelation, ModelSystem, states_equal
 from .energy import check_path_independence
 from .errors import CapabilityError, DomainError
 from .reservoir import (
@@ -64,22 +64,21 @@ MutationTarget = Union[ModelSystem, FinitePreorderFixture, Reservoir]
 class _MaxComposite(AccessibilityRelation):
     """A composite's entropy is the largest of its parts' instead of their sum."""
 
-    def _combine(self, values: list[float]) -> float:
-        return max(values)
+    def _combine_columns(self, columns: list[list[float]]) -> list[float]:
+        return [max(values) for values in zip(*columns)]
 
 
 class _StrictOnly(AccessibilityRelation):
     """Two single states are ordered by strict inequality only; the diagonal
     is kept, so every state still precedes itself."""
 
-    def leq(self, x, y) -> bool:
-        if not (isinstance(x, State) and isinstance(y, State)):
-            return super().leq(x, y)
-        tx, (sx,), ax = self._profile(x)
-        ty, (sy,), ay = self._profile(y)
-        if not self._totals_match(tx, ty):
-            return False
-        return states_equal(x, y) or sx < sy - max(ax, ay)
+    def _compare_rows(self, xs, ys, a: list[float], b: list[float], atol: float) -> list[bool]:
+        if len(xs) != 1 or len(ys) != 1:
+            return super()._compare_rows(xs, ys, a, b, atol)
+        return [
+            u < v - atol or states_equal(self._row(xs, i), self._row(ys, i))
+            for i, (u, v) in enumerate(zip(a, b))
+        ]
 
 
 class _MiscalibratedReservoir(Reservoir):

@@ -60,13 +60,16 @@ def test_finite_relation_unknown_id_raises():
 
 
 def test_compose_additivity_of_oracle(gas, gas_rel):
+    # A composite's entropy is the sum of its parts': moving 1 J/K from one
+    # part to the other leaves it equivalent, taking it from one part only
+    # lowers it.
     e = gas.process_engine
-    x = e.state(1000.0, 0.01)
-    y = e.state(2000.0, 0.03)
+    x, y = e.state(1000.0, 0.01), e.state(2000.0, 0.03)
+    x_less = e.state(1000.0, 0.01, deficit=1.0)
+    y_more = e.ses_with_entropy(gas.oracle_entropy(y) + 1.0, y.region)
     both = composite_state([x, y])
-    assert gas_rel._combine(gas_rel._profile(both)[1]) == pytest.approx(
-        gas.oracle_entropy(x) + gas.oracle_entropy(y), abs=1e-12
-    )
+    assert accessible(gas_rel, composite_state([x_less, y_more]), both) is Access.BOTH
+    assert accessible(gas_rel, composite_state([x_less, y]), both) is Access.FORWARD
 
 
 def test_composite_energy_sums(gas):
@@ -230,72 +233,121 @@ def _reference_leq(rel, x, y, mutation=None):
         return False
     atol = max(owner(p).entropy_atol for p in parts_of(x) + parts_of(y))
     sx, sy = entropy(x), entropy(y)
-    single = isinstance(x, State) and isinstance(y, State)
+    single = len(parts_of(x)) == len(parts_of(y)) == 1
     if mutation == "strict_only_comparison" and single:
         return states_equal(x, y) or sx < sy - atol
     return sx <= sy + atol
 
 
 def _leq_cases(gas, spin, seed):
+    """Pairs of sides, each a tuple of ``(state, factor)`` parts: the side is
+    the parts' scaled copies, one copy alone or a composite of several."""
     rng = random.Random(seed)
     e = gas.process_engine
     cases = []
     for _ in range(40):
         x, y = e.sample_state(rng), e.sample_state(rng)
         lam = rng.random()
-        probe = composite_state([gas.scale_state(x, 1.0 - lam), gas.scale_state(y, lam)])
-        # Equivalent to x up to rounding: only the atol makes it so.
-        split = composite_state([gas.scale_state(x, lam), gas.scale_state(x, 1.0 - lam)])
         cases += [
-            (x, y), (x, x), (x, probe), (split, x),
-            (composite_state([x, y]), composite_state([y, x])),
-            (composite_state([x, gas.scale_state(y, 2.0)]),
-             composite_state([gas.scale_state(y, 2.0), x])),
+            (((x, 1.0),), ((y, 1.0),)), (((x, 1.0),), ((x, 1.0),)),
+            (((x, 1.0),), ((x, 1.0 - lam), (y, lam))),
+            # Equivalent to x up to rounding: only the atol makes it so.
+            (((x, lam), (x, 1.0 - lam)), ((x, 1.0),)),
+            (((x, 1.0), (y, 1.0)), ((y, 1.0), (x, 1.0))),
+            (((x, 1.0), (y, 2.0)), ((y, 2.0), (x, 1.0))),
             # Different composition totals: never comparable.
-            (x, composite_state([x, y])),
-            (gas.scale_state(x, 2.0), x),
-            (x, spin.process_engine.sample_state(rng)),
+            (((x, 1.0),), ((x, 1.0), (y, 1.0))),
+            (((x, 2.0),), ((x, 1.0),)),
+            (((x, 1.0),), ((spin.process_engine.sample_state(rng), 1.0),)),
+            # Scaled copies: equal ones on the diagonal, where strict-only
+            # comparison keeps the order reflexive, and distinct ones.
+            (((x, lam),), ((x, lam),)), (((y, 2.0),), ((y, 2.0),)),
+            (((x, lam),), ((y, lam),)),
         ]
     return cases
 
 
-@pytest.mark.parametrize("mutation", [None, "composite_max", "strict_only_comparison"])
-def test_leq_matches_reference_definition(spin, mutation):
+def _side(model, parts):
+    """The state a ``_leq_cases`` side stands for."""
+    copies = [state if t == 1.0 else model.scale_state(state, t) for state, t in parts]
+    return copies[0] if len(copies) == 1 else composite_state(copies)
+
+
+def _mutant_relation(spin, mutation):
     from entrokit.catalog import ideal_gas
     from entrokit.mutants import mutate_model
 
     gas = ideal_gas()
     if mutation is not None:
         gas = mutate_model(gas, mutation)
-    rel = composite_relation([gas.relation(), spin.relation()])
+    return gas, composite_relation([gas.relation(), spin.relation()])
+
+
+@pytest.mark.parametrize("mutation", [None, "composite_max", "strict_only_comparison"])
+def test_leq_matches_reference_definition(spin, mutation):
+    gas, rel = _mutant_relation(spin, mutation)
     outcomes = set()
-    for x, y in _leq_cases(gas, spin, seed=17):
-        for a, b in ((x, y), (y, x)):
-            got, want = rel.leq(a, b), _reference_leq(rel, a, b, mutation)
-            assert got is want, (a, b)
+    for a, b in _leq_cases(gas, spin, seed=17):
+        x, y = _side(gas, a), _side(gas, b)
+        for u, v in ((x, y), (y, x)):
+            got, want = rel.leq(u, v), _reference_leq(rel, u, v, mutation)
+            assert got is want, (u, v)
             outcomes.add(got)
     assert outcomes == {True, False}
 
 
+@pytest.mark.parametrize("mutation", [None, "composite_max", "strict_only_comparison"])
+def test_leq_many_matches_reference_definition(spin, mutation):
+    # The same cases, one leq_many query per shape: the spaces of each
+    # side's parts.
+    gas, rel = _mutant_relation(spin, mutation)
+    groups = {}
+    for a, b in _leq_cases(gas, spin, seed=17):
+        shape = tuple(tuple(state.space_id for state, _ in side) for side in (a, b))
+        groups.setdefault(shape, []).append((a, b))
+    for rows in groups.values():
+        xs, ys = (
+            [([side[j][0] for side in sides], [side[j][1] for side in sides])
+             for j in range(len(sides[0]))]
+            for sides in zip(*rows)
+        )
+        fwd, bwd = rel.leq_many(xs, ys)
+        for (a, b), f, g in zip(rows, fwd, bwd):
+            x, y = _side(gas, a), _side(gas, b)
+            assert f is _reference_leq(rel, x, y, mutation), (x, y)
+            assert g is _reference_leq(rel, y, x, mutation), (y, x)
+
+
 # -- batched order queries ------------------------------------------------------
 
-def test_leq_many_asks_leq_for_a_copy_scale_state_refuses(gas, gas_rel):
+def test_leq_many_asks_leq_for_a_copy_scale_state_refuses(gas, gas_rel, spin):
     # 0.02 * 5e-324 rounds to 0: the batch cannot evaluate the copy, and the
-    # row raises as building it for leq does.
+    # row raises as building the copy does.
     e = gas.process_engine
     x, y = e.state(1000.0, 0.02), e.state(2000.0, 0.03)
     fwd, bwd = gas_rel.leq_many([(x, [0.5, 0.5])], [(y, 0.5)])
     assert fwd == [True, True] and bwd == [False, False]
     with pytest.raises(DomainError, match="5e-324"):
         gas_rel.leq_many([(x, [0.5, 5e-324])], [(y, 0.5)])
+    # The largest of the parts' values drops the copy's NaN; the row still
+    # raises.
+    _, rel = _mutant_relation(spin, "composite_max")
+    with pytest.raises(DomainError, match="5e-324"):
+        rel.leq_many([(y, 0.5), (x, [0.5, 5e-324])], [(x, 0.5), (y, 0.5)])
 
 
 def test_leq_many_shapes(gas, gas_rel):
     x = gas.process_engine.state(1000.0, 0.02)
     fwd, bwd = gas_rel.leq_many([([], 1.0)], [(x, [])])
     assert fwd == bwd == []
+    # No per-row part: one row, what leq asks.
+    y = gas.process_engine.state(2000.0, 0.03)
+    assert gas_rel.leq_many([(x, 1.0)], [(y, 1.0)]) == ([True], [False])
+    assert gas_rel.leq_many([(x, 0.5), (x, 0.5)], [(x, 1.0)]) == ([True], [True])
     fwd, bwd = gas_rel.leq_many([([x, x], 1.0)], [([x, x], 1.0)], converse=False)
     assert fwd == [True, True] and bwd is None
+    with pytest.raises(DomainError, match="a part on each side"):
+        gas_rel.leq_many([], [(x, 1.0)])
     with pytest.raises(DomainError, match="same number of rows"):
         gas_rel.leq_many([([x, x], 1.0)], [(x, [1.0, 1.0, 1.0])])
     with pytest.raises(CapabilityError):

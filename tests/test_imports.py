@@ -126,7 +126,9 @@ def test_package_declares_no_runtime_dependencies():
 # the relation's order queries, never through its entropies, and the order
 # axioms read no entropy either.
 RELATION_QUERIES = {"leq", "equivalent", "leq_mixtures", "leq_many"}
-FENCED = {"oracle_entropy", "scaled_entropies", "process_engine", "_profile", "_combine"}
+FENCED = {
+    "oracle_entropy", "scaled_entropies", "process_engine", "_combine_columns", "_compare_rows",
+}
 
 
 def fence_breaches(source: str, relation: Optional[str] = "rel") -> list[str]:

@@ -18,7 +18,7 @@ from entrokit.catalog import chain_fixture, ideal_gas
 from entrokit.core import composite_relation
 from entrokit.energy import check_path_independence
 from entrokit.errors import CapabilityError, DomainError
-from entrokit.mutants import MUTATIONS, mutate_model, mutation_matrix
+from entrokit.mutants import MUTATIONS, mutate_model, mutation_matrix, run_model_checks
 from entrokit.reservoir import Reservoir, reference_reservoir, temperature_of
 from test_interpolation import _GAS_PARAMS, _U, _V
 
@@ -172,6 +172,25 @@ def test_matrix_serializes(tmp_path):
 # holds statuses only, so every seed gives these bytes; a change that moves
 # a status, a check name or a mutation moves them.
 MATRIX_SHA256 = "6d93cc79b0c0c4891f76946ea81043019b807f99dd230a89d725476f628176a8"
+
+
+def _battery_leq_calls(model, monkeypatch) -> int:
+    """How often one ``run_model_checks`` battery calls ``leq`` on the
+    class of the model's relation."""
+    cls, calls = type(model.relation()), []
+    leq = cls.leq
+    monkeypatch.setattr(cls, "leq", lambda rel, x, y: calls.append(1) or leq(rel, x, y))
+    run_model_checks(model, Reservoir(id="bench-300", temperature=300.0), seed=1)
+    monkeypatch.undo()
+    return len(calls)
+
+
+@pytest.mark.parametrize("mutation", ["composite_max", "strict_only_comparison"])
+def test_relation_mutants_are_asked_in_batches(mutation, monkeypatch):
+    # A relation mutant overrides the batch's rule, not leq: its battery asks
+    # leq as often as the intact gas's does.
+    intact = _battery_leq_calls(ideal_gas(), monkeypatch)
+    assert _battery_leq_calls(mutate_model(ideal_gas(), mutation), monkeypatch) <= intact <= 30
 
 
 @pytest.mark.parametrize("seed", range(5))
