@@ -3,10 +3,12 @@
 Finite relations are scanned exhaustively; transitivity asks n² queries and
 reports universes above ``TRANSITIVITY_CAP`` as not applicable.  Induced
 relations are checked by seeded sampling, each check with its own rng.  A
-sampled check draws its rows as a loop that asks ``leq`` one row at a time
-would, answers each clause with batched ``leq_many`` queries, and reports
-the witness and ``samples_used`` that loop would (``_scan``).  Every failure
-carries witnesses that replay as violations when re-queried.
+sampled clause draws all of its rows before it asks anything, so what it
+draws does not depend on the relation's answers; it orders each pair column
+with one query, drops the rows whose pair is unordered (or ties where a
+strict pair is needed), judges the rest with batched ``leq_many`` queries,
+and reports the first witness (``_scan``).  Every failure carries witnesses
+that replay as violations when re-queried.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from typing import Optional, Sequence
 
 from .core import (
     Access,
-    AccessibilityRelation,
     CompositeState,
     State,
     accessible,
@@ -111,12 +112,6 @@ def describe(obj):
     return repr(obj)
 
 
-def _universe(rel: AccessibilityRelation, samples: int, rng) -> list:
-    if rel.mode == "finite":
-        return list(rel.elements)
-    return rel.sample(rng, samples)
-
-
 class _Pool(list):
     """States a check draws from uniformly, with replacement, as
     ``AccessibilityRelation.sample`` draws from a finite relation."""
@@ -145,73 +140,37 @@ def _columns(rows: list) -> list[list]:
 # ---------------------------------------------------------------------------
 
 def _scan(rng, n: int, draws: Sequence[tuple], judge) -> tuple[Optional[tuple], int]:
-    """The first witness of a sampling loop over ``n`` rows, and how many
-    rows that loop runs; ``rng`` is left where the loop leaves it.
+    """The first witness among ``n`` rows, all drawn before any is asked
+    about, and how many rows were judged up to it (all kept, if none).
 
-    The loop draws a row from ``rng`` and judges it before it draws the
-    next.  A row holds one item per ``(source, strict)`` of ``draws``, drawn
-    in that order: a state of ``source`` where ``strict`` is None, else an
-    ordered pair as ``_sample_ordered_pair(source, rng, strict)`` draws it.
-    ``judge(rows)`` gives, row by row, the witness of a row that ends the
-    loop and None for one that does not, from batched queries.
-
-    A batch of rows is drawn at once, each pair as the first two states it
-    draws, and each pair column is oriented by one query.  At the first row
-    that ends the loop, or whose pair ``_sample_ordered_pair`` would draw
-    again, the rng goes back to the batch's start and draws the rows before
-    it once more.  A pair drawn again is drawn by ``_sample_ordered_pair``
-    itself, its row judged alone, and the rows after it make the next batch.
+    Each ``(source, strict)`` of ``draws`` adds to a row a state of
+    ``source`` where ``strict`` is None, else a pair that ``_ordered``
+    orders or drops, dropping its row.  ``judge(rows)`` gives, from batched
+    queries, the witness of each kept row or None.
     """
-    used = 0
-    while used < n:
-        start = rng.getstate()
-        raw = [_draw(rng, draws) for _ in range(n - used)]
-        rows = _oriented(raw, draws)
-        found, witness = _first_witness(judge, rows)
-        if witness is None and len(rows) == len(raw):
-            return None, n
-        rng.setstate(start)
-        for _ in range(found + (witness is not None)):
-            _draw(rng, draws)
-        used += found + 1
-        if witness is None:
-            row = tuple(
-                source.sample(rng, 1)[0] if strict is None
-                else _sample_ordered_pair(source, rng, strict)
-                for source, strict in draws
-            )
-            _, witness = _first_witness(judge, [row])
-        if witness is not None:
-            return witness, used
-    return None, used
+    raw = [[source.sample(rng, 1 if strict is None else 2) for source, strict in draws]
+           for _ in range(n)]
+    columns = [
+        column if strict is None else _ordered(source, column, strict)
+        for (source, strict), column in zip(draws, zip(*raw))
+    ]
+    rows = [tuple(s for item in row for s in item) for row in zip(*columns) if None not in row]
+    found, witness = _first_witness(judge, rows)
+    return witness, found + (witness is not None)
 
 
-def _draw(rng, draws) -> list:
-    """One row of ``_scan`` as drawn before any pair is ordered: one state
-    per single item, two per pair."""
-    return [source.sample(rng, 1 if strict is None else 2) for source, strict in draws]
-
-
-def _oriented(raw: list, draws) -> list:
-    """The rows of ``raw`` before the first whose pair
-    ``_sample_ordered_pair`` would draw again, with each pair ordered as it
-    returns it and each single state unwrapped."""
-    columns = []
-    for j, (source, strict) in enumerate(draws):
-        if strict is None:
-            columns.append([items[j][0] for items in raw])
-            continue
-        xs, ys = [items[j][0] for items in raw], [items[j][1] for items in raw]
-        fwd, bwd = _ask(source, xs, ys)
-        column = []
-        # (x, y) where x ≼ y, else (y, x) where y ≼ x; the pair is drawn
-        # again where neither holds, or where both do and it must be strict.
-        for x, y, f, b in zip(xs, ys, fwd, bwd):
-            if not (f or b) or (strict and f and b):
-                break
-            column.append((x, y) if f else (y, x))
-        columns.append(column)
-    return list(zip(*columns))
+def _ordered(rel, pairs: Sequence, strict: bool) -> list:
+    """Each pair (x, y) as (x, y) where x ≼ y, else (y, x) where y ≼ x, from
+    one query; None where neither holds, or where both do and ``strict``
+    asks for strict precedence.  DomainError where every pair is None."""
+    fwd, bwd = _ask(rel, [x for x, _ in pairs], [y for _, y in pairs])
+    kept = [
+        None if not (f or b) or (strict and f and b) else (x, y) if f else (y, x)
+        for (x, y), f, b in zip(pairs, fwd, bwd)
+    ]
+    if pairs and not any(kept):
+        raise DomainError("could not sample an ordered pair of states")
+    return kept
 
 
 def _first_witness(judge, rows: list) -> tuple[int, Optional[tuple]]:
@@ -219,9 +178,8 @@ def _first_witness(judge, rows: list) -> tuple[int, Optional[tuple]]:
     witness; ``(len(rows), None)`` where it finds none.
 
     Where judging the rows together raises DomainError (a copy
-    ``scale_state`` refuses), they are judged one at a time: a witness
-    before the row that raises is still found, and otherwise the error
-    surfaces from that row, as in the loop.
+    ``scale_state`` refuses), they are judged one at a time: a witness before
+    the row that raises is still found, else the error surfaces from it.
     """
     if not rows:
         return 0, None
@@ -237,7 +195,8 @@ def _first_witness(judge, rows: list) -> tuple[int, Optional[tuple]]:
 # ---------------------------------------------------------------------------
 
 def check_reflexivity(rel, *, samples: int = DEFAULT_SAMPLES, seed=0) -> CheckResult:
-    states = _universe(rel, samples, random.Random(seed))
+    rng = random.Random(seed)
+    states = list(rel.elements) if rel.mode == "finite" else rel.sample(rng, samples)
     fwd, bwd = _ask(rel, states, states)
     bad = [x for x, f, b in zip(states, fwd, bwd) if not (f and b)]
     return verdict("reflexivity", not bad, bad, samples_used=len(states))
@@ -297,21 +256,6 @@ def _transitivity_judge(rel):
 # A3 consistency under composition
 # ---------------------------------------------------------------------------
 
-def _sample_ordered_pair(rel, rng, strict=False):
-    """A pair (x, y) with x related to y, found in at most 200 draws; strict
-    pairs exclude the converse."""
-    for _ in range(200):
-        x, y = rel.sample(rng, 2)
-        if not rel.leq(x, y):
-            x, y = y, x
-        if not rel.leq(x, y):
-            continue
-        if strict and rel.leq(y, x):
-            continue
-        return x, y
-    raise DomainError("could not sample an ordered pair of states")
-
-
 def check_consistency(
     rel_a, rel_b, *, samples: int = DEFAULT_SAMPLES, seed=0
 ) -> CheckResult:
@@ -325,16 +269,14 @@ def check_consistency(
     rel_comp = composite_relation([rel_a, rel_b])
 
     def composed(rows):
-        a, b = _columns(rows)
-        (x, y), (xp, yp) = _columns(a), _columns(b)
+        x, y, xp, yp = _columns(rows)
         fwd, _ = rel_comp.leq_many(
             [(x, 1.0), (xp, 1.0)], [(y, 1.0), (yp, 1.0)], converse=False
         )
         return [None if f else w for f, w in zip(fwd, zip(x, xp, y, yp))]
 
     def strict_kept(rows):
-        pairs, z = _columns(rows)
-        x, y = _columns(pairs)
+        x, y, z = _columns(rows)
         fwd, bwd = rel_comp.leq_many([(x, 1.0), (z, 1.0)], [(y, 1.0), (z, 1.0)])
         # accessible(rel_comp, (x, z), (y, z)) must be Access.FORWARD.
         return [
@@ -365,20 +307,16 @@ def check_scaling_invariance(
             "scaling_invariance", f"model {model.id!r} cannot form scaled copies"
         )
 
-    def scaled(t):
-        def judge(rows):
-            (pairs,) = _columns(rows)
-            x, y = _columns(pairs)
-            fwd, _ = rel.leq_many([(x, t)], [(y, t)], converse=False)
-            return [None if f else (*w, t) for f, w in zip(fwd, zip(x, y))]
-
-        return judge
+    def judge(rows):
+        x, y = _columns(rows)
+        fwd, _ = rel.leq_many([(x, t)], [(y, t)], converse=False)  # t of the loop below
+        return [None if f else (*w, t) for f, w in zip(fwd, rows)]
 
     used = 0
     for t in t_samples:
         if t <= 0:
             raise DomainError(f"scale factor must be positive, got {t!r}")
-        witness, more = _scan(rng, samples, [(rel, False)], scaled(t))
+        witness, more = _scan(rng, samples, [(rel, False)], judge)
         used += more
         if witness is not None:
             return verdict("scaling_invariance", False, [witness], samples_used=used)
@@ -428,18 +366,17 @@ def check_stability(rel, *, samples: int = 100, seed=0) -> CheckResult:
         return not_applicable("stability", "scaling unsupported")
     model = rel.models[0]
 
-    tuples = []
-    for _ in range(samples):
-        x, y, z0, z1 = rel.sample(rng, 4)
-        tuples.append((x, y, z0, z1))
+    tuples = [tuple(rel.sample(rng, 4)) for _ in range(samples)]
     if model.isentropic_partner is not None:
+        # x, its equal-entropy partner, then a pair (z0, z1) to order strictly.
+        drawn = []
         for _ in range(10):
             x = rel.sample(rng, 1)[0]
             y = model.isentropic_partner(x, rng)
-            if y is None:
-                continue
-            z0, z1 = _sample_ordered_pair(rel, rng, strict=True)
-            tuples.append((x, y, z0, z1))
+            if y is not None:
+                drawn.append((x, y, rel.sample(rng, 2)))
+        pairs = _ordered(rel, [z for _, _, z in drawn], strict=True)
+        tuples += [(x, y, *z) for (x, y, _), z in zip(drawn, pairs) if z]
 
     witness, used = _stability_witness(rel, tuples)
     return verdict(
@@ -560,8 +497,7 @@ def check_n1_n2(
         if witness is not None:
             witnesses.append(("consistency", witness))
 
-    # N1(c): stability, premise-sampled only.  No draw depends on an answer,
-    # and nothing draws after this clause, so all tuples are drawn at once.
+    # N1(c): stability, premise-sampled only.
     if rel.mode == "induced" and rel.models[0].supports_scaling:
         tuples = [(*hat.sample(rng, 2), *gamma.sample(rng, 2)) for _ in range(samples // 4)]
         witness, scanned = _stability_witness(rel, tuples)

@@ -41,7 +41,7 @@ from .catalog import (
     two_level_spin,
 )
 from .core import ModelSystem
-from .energy import check_path_independence
+from .energy import PATH_INDEP_REL_TOL, check_path_independence
 from .errors import (
     CapabilityError,
     ConfigError,
@@ -49,6 +49,7 @@ from .errors import (
     EngineError,
 )
 from .interpolation import (
+    LAMBDA_TOL,
     ReferencePair,
     affine_match,
     entropy_from_accessibility,
@@ -56,6 +57,8 @@ from .interpolation import (
 )
 from .mutants import mutate_model, mutation_matrix
 from .pfaffian import (
+    LOOP_ABS_TOL,
+    PFAFFIAN_REL_TOL,
     QuasistaticPath,
     check_integrating_factor,
     check_pfaffian_form,
@@ -67,6 +70,10 @@ from .pfaffian import (
     sample_box_coords,
 )
 from .reservoir import (
+    BOOKKEEPING_TOL,
+    CARNOT_REL_TOL,
+    NONDECREASE_ZERO,
+    RATIO_REL_TOL,
     Reservoir,
     check_carnot_agreement,
     check_entropy_additivity,
@@ -83,17 +90,17 @@ from .reservoir import (
 SUITES = ("axioms", "energy", "ly", "zb", "caratheodory", "theorems", "mutants")
 
 DEFAULT_TOLERANCES = {
-    "lambda_tol": 1e-9,
+    "lambda_tol": LAMBDA_TOL,
     "ly_residual": 1e-6,
     "zb_residual": 1e-6,
-    "carnot_rel": 1e-7,
-    "ratio_rel": 1e-9,
+    "carnot_rel": CARNOT_REL_TOL,
+    "ratio_rel": RATIO_REL_TOL,
     "zb_additivity": 1e-9,
-    "nondecrease_zero": 1e-12,
-    "loop_abs": 1e-8,
-    "pfaffian_rel": 1e-8,
-    "path_indep_rel": 1e-10,
-    "bookkeeping": 1e-12,
+    "nondecrease_zero": NONDECREASE_ZERO,
+    "loop_abs": LOOP_ABS_TOL,
+    "pfaffian_rel": PFAFFIAN_REL_TOL,
+    "path_indep_rel": PATH_INDEP_REL_TOL,
+    "bookkeeping": BOOKKEEPING_TOL,
     "negative_control_min": 1e-3,
 }
 
@@ -291,8 +298,8 @@ class Report:
 
 # Every suite takes (target, config, memo) and returns (results, summary):
 # the checks in report order, and the entries it adds to the report's
-# summaries.  ``memo`` holds what more than one suite needs (the LY table)
-# for the length of one run.
+# summaries.  ``memo`` holds what more than one suite needs (the grid and the
+# LY table) for the length of one run.
 SuiteOutput = tuple[list[CheckResult], dict]
 
 
@@ -352,9 +359,15 @@ def suite_energy(target, config: SuiteConfig, memo: dict) -> SuiteOutput:
     ], {}
 
 
-def _grid_and_refs(model: ModelSystem, config: SuiteConfig):
-    engine = model.process_engine
-    grid = engine.grid(config.count("grid_nu"), config.count("grid_nv"))
+def state_grid(engine, config: SuiteConfig, memo: dict) -> list:
+    """The run's grid of states, built once per memo for ``ly`` and ``zb``."""
+    if "grid" not in memo:
+        memo["grid"] = engine.grid(config.count("grid_nu"), config.count("grid_nv"))
+    return memo["grid"]
+
+
+def _grid_and_refs(model: ModelSystem, config: SuiteConfig, memo: dict):
+    grid = state_grid(model.process_engine, config, memo)
     by_oracle = sorted(grid, key=model.oracle_entropy)
     refs = ReferencePair(x0=by_oracle[0], x1=by_oracle[-1], s0=0.0, s1=100.0)
     return grid, refs
@@ -368,7 +381,7 @@ def ly_table(model: ModelSystem, config: SuiteConfig, memo: dict):
     suites one memo and whichever runs first builds it.
     """
     if "ly" not in memo:
-        grid, refs = _grid_and_refs(model, config)
+        grid, refs = _grid_and_refs(model, config, memo)
         table = entropy_from_accessibility(
             model.relation(), refs, grid, tol=config.tol("lambda_tol")
         )
@@ -454,7 +467,7 @@ def suite_zb(target, config: SuiteConfig, memo: dict) -> SuiteOutput:
 
     # Reconstruction against the oracle, additive constant only.
     states = (
-        engine.grid(config.count("grid_nu"), config.count("grid_nv"))
+        state_grid(engine, config, memo)
         if hasattr(engine, "grid")
         else [engine.sample_state(rng) for _ in range(100)]
     )
@@ -718,8 +731,8 @@ def suite_mutants(target, config: SuiteConfig, memo: dict) -> SuiteOutput:
 def run(config: SuiteConfig) -> Report:
     """Execute the selected suites in dependency order.
 
-    Artifacts more than one suite needs (the LY table) are built once and
-    shared through a memo that lives for this run only.
+    Artifacts more than one suite needs (the grid and the LY table) are
+    built once and shared through a memo that lives for this run only.
     """
     start = time.perf_counter()
     target = build_target(config.model)

@@ -41,6 +41,7 @@ REFERENCE_TEMPERATURE = 273.16  # kelvin, by convention
 RATIO_REL_TOL = 1e-9
 NONDECREASE_ZERO = 1e-12
 BOOKKEEPING_TOL = 1e-12
+CARNOT_REL_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -269,7 +270,7 @@ def check_carnot_agreement(
     pairs: Sequence[tuple[StateLike, StateLike]],
     r: Reservoir,
     *,
-    rel_tol: float = 1e-7,
+    rel_tol: float = CARNOT_REL_TOL,
 ) -> CheckResult:
     """The quasistatic path-integral route reproduces the engine's reservoir
     drain on every pair.  A model without that route raises the engine's

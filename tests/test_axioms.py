@@ -9,7 +9,6 @@ from entrokit.axioms import (
     TRANSITIVITY_CAP,
     CheckResult,
     CheckStatus,
-    _sample_ordered_pair,
     check_comparison,
     check_consistency,
     check_n1_n2,
@@ -25,7 +24,6 @@ from entrokit.catalog import chain_fixture, ideal_gas, two_level_spin
 from entrokit.core import (
     Access,
     AccessibilityRelation,
-    State,
     StateKind,
     accessible,
     composite_relation,
@@ -285,9 +283,9 @@ def _scalar_stability_witness(rel, tuples):
 
 
 def scalar_check_stability(rel, *, samples=100, seed=0):
-    """``check_stability`` with each premise asked by ``leq``, one epsilon
-    at a time, stopping at the first that fails; kept as the reference for
-    the batched premise queries."""
+    """``check_stability`` with each strict pair ordered by ``leq`` and each
+    premise asked by ``leq``, one epsilon at a time, stopping at the first
+    that fails; kept as the reference for the batched queries."""
     rng = random.Random(seed)
     if rel.mode == "finite" or not rel.models[0].supports_scaling:
         return not_applicable("stability", "scaling unsupported")
@@ -298,13 +296,16 @@ def scalar_check_stability(rel, *, samples=100, seed=0):
         x, y, z0, z1 = rel.sample(rng, 4)
         tuples.append((x, y, z0, z1))
     if model.isentropic_partner is not None:
+        drawn = []
         for _ in range(10):
             x = rel.sample(rng, 1)[0]
             y = model.isentropic_partner(x, rng)
-            if y is None:
-                continue
-            z0, z1 = _sample_ordered_pair(rel, rng, strict=True)
-            tuples.append((x, y, z0, z1))
+            if y is not None:
+                drawn.append((x, y, *rel.sample(rng, 2)))
+        pairs = [(x, y, _ordered_pair(rel, z0, z1, True)) for x, y, z0, z1 in drawn]
+        if drawn and not any(z for _, _, z in pairs):
+            raise DomainError("could not sample an ordered pair of states")
+        tuples += [(x, y, *z) for x, y, z in pairs if z]
 
     witness, used = _scalar_stability_witness(rel, tuples)
     return verdict(
@@ -313,9 +314,39 @@ def scalar_check_stability(rel, *, samples=100, seed=0):
     )
 
 
-# The sampled checks as loops that ask ``leq`` one row at a time and stop at
-# the first witness; kept as the references for the batched checks, which
+# The sampled checks as loops that draw all of a clause's rows first, order
+# each pair by ``leq`` and drop the row of a pair that is not ordered (or
+# ties where it must be strict), then ask ``leq`` one row at a time and stop
+# at the first witness; kept as the references for the batched checks, which
 # must match them in status, witnesses and ``samples_used``.
+
+def _ordered_pair(rel, x, y, strict=False):
+    """(x, y) where x ≼ y, else (y, x) where y ≼ x; None where neither
+    holds, or where both do and the pair must be strict."""
+    fwd, bwd = rel.leq(x, y), rel.leq(y, x)
+    if not (fwd or bwd) or (strict and fwd and bwd):
+        return None
+    return (x, y) if fwd else (y, x)
+
+
+def _scalar_rows(rng, n, draws):
+    """The ``n`` rows of a clause, all drawn before any is judged: each
+    ``(source, strict)`` of ``draws`` adds a state of ``source`` where
+    ``strict`` is None, else a pair of them ordered by ``_ordered_pair``.
+    A row whose pair is None is dropped, and a pair column that keeps none
+    of its draws raises DomainError."""
+    raw = [[source.sample(rng, 1 if strict is None else 2) for source, strict in draws]
+           for _ in range(n)]
+    columns = []
+    for j, (source, strict) in enumerate(draws):
+        column = [items[j] for items in raw]
+        if strict is not None:
+            column = [_ordered_pair(source, x, y, strict) for x, y in column]
+            if column and not any(column):
+                raise DomainError("could not sample an ordered pair of states")
+        columns.append(column)
+    return [sum(map(tuple, row), ()) for row in zip(*columns) if None not in row]
+
 
 def scalar_check_reflexivity(rel, *, samples=200, seed=0):
     rng = random.Random(seed)
@@ -328,8 +359,7 @@ def scalar_check_transitivity(rel, *, samples=500, seed=0):
     rng = random.Random(seed)
     witnesses = []
     count = 0
-    for _ in range(samples):
-        x, y, z = rel.sample(rng, 3)
+    for x, y, z in _scalar_rows(rng, samples, [(rel, None)] * 3):
         count += 1
         if rel.leq(x, y) and rel.leq(y, z) and not rel.leq(x, z):
             witnesses.append((x, y, z))
@@ -342,17 +372,13 @@ def scalar_check_consistency(rel_a, rel_b, *, samples=200, seed=0):
     rel_comp = composite_relation([rel_a, rel_b])
     witnesses = []
     used = 0
-    for _ in range(samples):
-        x, y = _sample_ordered_pair(rel_a, rng)
-        xp, yp = _sample_ordered_pair(rel_b, rng)
+    for x, y, xp, yp in _scalar_rows(rng, samples, [(rel_a, False), (rel_b, False)]):
         used += 1
         if not rel_comp.leq(composite_state([x, xp]), composite_state([y, yp])):
             witnesses.append((x, xp, y, yp))
             break
     if not witnesses:
-        for _ in range(samples // 2):
-            x, y = _sample_ordered_pair(rel_a, rng, strict=True)
-            z = rel_b.sample(rng, 1)[0]
+        for x, y, z in _scalar_rows(rng, samples // 2, [(rel_a, True), (rel_b, None)]):
             used += 1
             cx, cy = composite_state([x, z]), composite_state([y, z])
             if accessible(rel_comp, cx, cy) is not Access.FORWARD:
@@ -374,8 +400,7 @@ def scalar_check_scaling_invariance(rel, t_samples=(0.5, 2.0, 3.0), *, samples=1
     for t in t_samples:
         if t <= 0:
             raise DomainError(f"scale factor must be positive, got {t!r}")
-        for _ in range(samples):
-            x, y = _sample_ordered_pair(rel, rng)
+        for x, y in _scalar_rows(rng, samples, [(rel, False)]):
             used += 1
             tx, ty = model.scale_state(x, t), model.scale_state(y, t)
             if not rel.leq(tx, ty):
@@ -392,8 +417,7 @@ def scalar_check_splitting(rel, t=0.5, *, samples=100, seed=0):
     model = rel.models[0]
     witnesses = []
     used = 0
-    for _ in range(samples):
-        x = rel.sample(rng, 1)[0]
+    for (x,) in _scalar_rows(rng, samples, [(rel, None)]):
         used += 1
         split = composite_state([model.scale_state(x, t), model.scale_state(x, 1.0 - t)])
         if not (rel.leq(x, split) and rel.leq(split, x)):
@@ -406,8 +430,7 @@ def scalar_check_comparison(rel, *, samples=200, seed=0):
     rng = random.Random(seed)
     witnesses = []
     used = 0
-    for _ in range(samples):
-        x, y = rel.sample(rng, 2)
+    for x, y in _scalar_rows(rng, samples, [(rel, None)] * 2):
         used += 1
         if rel.compatible(x, y) and accessible(rel, x, y) is Access.INCOMPARABLE:
             witnesses.append((x, y))
@@ -432,19 +455,17 @@ def scalar_check_n1_n2(rel, equilibrium_states, nonequilibrium_states=(), *,
         used += 1
         if not rel.equivalent(x, x):
             witnesses.append(("reflexivity", x))
-    for _ in range(samples):
-        x, y, z = pick(hat), pick(hat), pick(hat)
+    for x, y, z in [(pick(hat), pick(hat), pick(hat)) for _ in range(samples)]:
         used += 1
         if rel.leq(x, y) and rel.leq(y, z) and not rel.leq(x, z):
             witnesses.append(("transitivity", (x, y, z)))
             break
 
     if rel.mode == "induced":
-        for _ in range(samples // 2):
-            x, y = pick(hat), pick(hat)
+        rows = [(pick(hat), pick(hat), pick(hat), pick(hat)) for _ in range(samples // 2)]
+        for x, y, xp, yp in rows:
             if not rel.leq(x, y):
                 x, y = y, x
-            xp, yp = pick(hat), pick(hat)
             if not rel.leq(xp, yp):
                 xp, yp = yp, xp
             used += 1
@@ -530,10 +551,9 @@ def test_stability_asks_scalar_leq_only_of_plain_pairs(monkeypatch):
         AccessibilityRelation, "leq", lambda r, x, y: asked.append((x, y)) or leq(r, x, y)
     )
     assert check_stability(rel, samples=100, seed=5).passed
-    # x ≼ y and the premises' composites went to leq_many; what is left is
-    # drawing the strict pairs of the isentropic tuples.
-    assert asked
-    assert all(isinstance(x, State) and isinstance(y, State) for x, y in asked)
+    # x ≼ y, the premises' composites and the strict pairs of the isentropic
+    # tuples all went to leq_many.
+    assert not asked
 
 
 # -- comparison ---------------------------------------------------------------
@@ -704,25 +724,70 @@ def test_batched_checks_match_scalar_loops_with_retries_and_early_stops(
     e = gas.process_engine
     gamma = e.gamma_grid()
     noneq = [e.sample_nonequilibrium(random.Random(5)) for _ in range(5)]
-    redrawn = []
-    sample_ordered_pair = _sample_ordered_pair
-    monkeypatch.setattr(
-        axioms_module, "_sample_ordered_pair",
-        lambda *args, **kwargs: redrawn.append(1) or sample_ordered_pair(*args, **kwargs),
-    )
+    dropped = []
+    ordered = axioms_module._ordered
+
+    def counted(*args, **kwargs):
+        pairs = ordered(*args, **kwargs)
+        dropped.append(pairs.count(None))
+        return pairs
+
+    monkeypatch.setattr(axioms_module, "_ordered", counted)
     n1_witnesses = set()
     for seed in range(10):
         batched = _battery(rel, rel, gamma, noneq, seed)
         assert batched == _battery(rel, rel, gamma, noneq, seed, SCALAR_CHECKS)
         n1_n2 = batched[-1]
         n1_witnesses |= {kind for kind, _ in n1_n2.witnesses}
-    # Pairs were drawn again inside batches (a strict pair that ties, or a
-    # pair neither of whose states precedes the other under the strict-only
-    # order), and on the plain relation N1(a) and N1(b) stopped early while
-    # later clauses still drew from the rng.
-    assert redrawn
+    # Rows were dropped (a strict pair that ties, or a pair neither of whose
+    # states precedes the other under the strict-only order), and on the
+    # plain relation N1(a) and N1(b) stopped early while later clauses still
+    # drew from the rng.
+    assert sum(dropped)
     if relation == "plain":
         assert {"transitivity", "consistency"} <= n1_witnesses
+
+
+@pytest.mark.parametrize("check", ["consistency", "scaling_invariance"])
+def test_draws_do_not_depend_on_the_relations_answers(check):
+    def drawn(gas):
+        states = []
+        sample = gas.process_engine.sample_state
+        gas.process_engine.sample_state = lambda rng: states.append(sample(rng)) or states[-1]
+        rel = gas.relation()
+        args = (rel, rel) if check == "consistency" else (rel,)
+        getattr(axioms_module, f"check_{check}")(*args, samples=40, seed=3)
+        return [s.coords for s in states]
+
+    # The tied gas's strict pairs often tie, and their rows are dropped, not
+    # drawn again, so its consistency check draws what the intact gas's does.
+    # Its scaling invariance fails at t = 2 and stops there, but only after
+    # that clause has drawn all of its 40 pairs.
+    intact, tied = drawn(ideal_gas()), drawn(_tied_gas())
+    assert len(intact) == {"consistency": 40 * 4 + 20 * 3, "scaling_invariance": 240}[check]
+    assert tied == intact[:{"consistency": 220, "scaling_invariance": 160}[check]]
+
+
+class _OrdersNothing(AccessibilityRelation):
+    """An induced relation under which no state precedes another."""
+
+    def _compare_rows(self, xs, ys, a, b, atol):
+        return [False] * len(a)
+
+
+def test_a_pair_column_with_no_ordered_draw_raises():
+    with pytest.raises(DomainError, match="ordered pair"):
+        check_scaling_invariance(_OrdersNothing.induced([ideal_gas()]), samples=5)
+    # Every pair of this gas ties, so none is strictly ordered.
+    gas = ideal_gas()
+    gas.entropy_atol = 1e9
+    rel = gas.relation()
+    with pytest.raises(DomainError, match="ordered pair"):
+        check_consistency(rel, rel, samples=5)
+    with pytest.raises(DomainError, match="ordered pair"):
+        check_stability(rel, samples=5)
+    # Zero rows draw no pair, so nothing is asked and nothing raises.
+    assert check_scaling_invariance(_OrdersNothing.induced([ideal_gas()]), samples=0).passed
 
 
 def _seed_drawing(sampler, n, wanted):

@@ -126,7 +126,7 @@ def test_shared_ly_table_is_bit_equal_to_a_fresh_build():
     assert ly_table(model, config, memo)[1] is shared
 
     model = ideal_gas()
-    grid, refs = _grid_and_refs(model, config)
+    grid, refs = _grid_and_refs(model, config, {})
     fresh = entropy_from_accessibility(
         model.relation(), refs, grid, tol=config.tol("lambda_tol")
     )
