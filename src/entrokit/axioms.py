@@ -145,15 +145,26 @@ def _scan(rng, n: int, draws: Sequence[tuple], judge) -> tuple[Optional[tuple], 
 
     Each ``(source, strict)`` of ``draws`` adds to a row a state of
     ``source`` where ``strict`` is None, else a pair that ``_ordered``
-    orders or drops, dropping its row.  ``judge(rows)`` gives, from batched
-    queries, the witness of each kept row or None.
+    orders or drops, dropping its row.  The rows are drawn in row-major
+    order, with one ``sample`` call where every draw has the same source,
+    else row by row.  ``judge(rows)`` gives, from batched queries, the
+    witness of each kept row or None.
     """
-    raw = [[source.sample(rng, 1 if strict is None else 2) for source, strict in draws]
-           for _ in range(n)]
-    columns = [
-        column if strict is None else _ordered(source, column, strict)
-        for (source, strict), column in zip(draws, zip(*raw))
-    ]
+    if n <= 0:
+        return None, 0
+    sizes = [1 if strict is None else 2 for _, strict in draws]
+    width = sum(sizes)
+    if all(source is draws[0][0] for source, _ in draws):
+        flat = draws[0][0].sample(rng, n * width)
+    else:
+        flat = [s for _ in range(n) for (source, _), k in zip(draws, sizes)
+                for s in source.sample(rng, k)]
+    columns, j = [], 0
+    for (source, strict), k in zip(draws, sizes):
+        # Row i's items of this draw are flat[i * width + j:][:k].
+        column = list(zip(*(flat[j + m::width] for m in range(k))))
+        columns.append(column if strict is None else _ordered(source, column, strict))
+        j += k
     rows = [tuple(s for item in row for s in item) for row in zip(*columns) if None not in row]
     found, witness = _first_witness(judge, rows)
     return witness, found + (witness is not None)
@@ -366,7 +377,8 @@ def check_stability(rel, *, samples: int = 100, seed=0) -> CheckResult:
         return not_applicable("stability", "scaling unsupported")
     model = rel.models[0]
 
-    tuples = [tuple(rel.sample(rng, 4)) for _ in range(samples)]
+    drawn = rel.sample(rng, 4 * samples)
+    tuples = [tuple(drawn[i:i + 4]) for i in range(0, len(drawn), 4)]
     if model.isentropic_partner is not None:
         # x, its equal-entropy partner, then a pair (z0, z1) to order strictly.
         drawn = []

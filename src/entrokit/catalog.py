@@ -70,7 +70,11 @@ class _EngineBase:
     def bind(self, model: ModelSystem):
         self.model = model
 
-    # subclasses: oracle_entropy, sample_state, state constructors
+    # subclasses: oracle_entropy, sample_states, state constructors
+
+    def sample_state(self, rng: random.Random) -> State:
+        """One state, as ``sample_states`` draws it."""
+        return self.sample_states(rng, 1)[0]
 
     def _delta_s(self, a, b) -> float:
         sa = sum(self.oracle_entropy(p) for p in parts_of(a))
@@ -101,10 +105,7 @@ class _EngineBase:
             legs = rng.randint(1, 4)
         if legs < 1:
             raise DomainError("a polygonal needs at least one leg")
-        chain = [a]
-        for _ in range(legs - 1):
-            chain.append(self.sample_state(rng))
-        chain.append(b)
+        chain = [a, *self.sample_states(rng, legs - 1), b]
         leg_records = []
         for p, q in zip(chain, chain[1:]):
             if self._delta_s(p, q) >= -REVERSIBLE_DS_TOL:
@@ -239,9 +240,21 @@ class IdealGasEngine(_EngineBase):
 
     # -- sampling --------------------------------------------------------
 
-    def sample_state(self, rng: random.Random) -> State:
+    def sample_states(self, rng: random.Random, n: int) -> list[State]:
+        """n stable states drawn uniformly from the box, U then V of each by
+        ``random.uniform``'s formula, so the rng is read as n ``sample_state``
+        calls read it."""
         (ulo, uhi), (vlo, vhi) = self.box
-        return self.state(rng.uniform(ulo, uhi), rng.uniform(vlo, vhi))
+        du, dv = uhi - ulo, vhi - vlo
+        draw, space_id = rng.random, self.base_space_id()
+        states = []
+        for _ in range(n):
+            u = ulo + du * draw()
+            v = vlo + dv * draw()
+            if u <= 0 or v <= 0:
+                self.state(u, v)  # raises
+            states.append(State(space_id, (u, v, 0.0), u, ("vol", v)))
+        return states
 
     def sample_nonequilibrium(self, rng: random.Random) -> State:
         lo, hi = self.entropy_range()
@@ -474,8 +487,19 @@ class TwoLevelSpinEngine(_EngineBase):
         e, deficit = state.coords
         return self.equilibrium_entropy(e) - deficit
 
-    def sample_state(self, rng: random.Random) -> State:
-        return self.state(rng.uniform(*self.box))
+    def sample_states(self, rng: random.Random, n: int) -> list[State]:
+        """n stable states with energies drawn uniformly from the box, by
+        ``random.uniform``'s formula."""
+        lo, hi = self.box
+        width, draw = hi - lo, rng.random
+        space_id, region = self.base_space_id(), ("lattice", self.n_particles)
+        states = []
+        for _ in range(n):
+            e = lo + width * draw()
+            if not 0.0 <= e <= self.e_max:
+                self.state(e)  # raises
+            states.append(State(space_id, (e, 0.0), e, region))
+        return states
 
     def gamma_grid(self) -> list[State]:
         lo, hi = self.box
@@ -511,8 +535,7 @@ class TwoLevelSpinEngine(_EngineBase):
     def random_weight_processes(self, n: int, rng: random.Random) -> list[ProcessRecord]:
         records = []
         while len(records) < n:
-            a = self.sample_state(rng)
-            b = self.sample_state(rng)
+            a, b = self.sample_states(rng, 2)
             if self._delta_s(a, b) < 0:
                 a, b = b, a
             if self._delta_s(a, b) < REVERSIBLE_DS_TOL:

@@ -154,7 +154,8 @@ class ModelSystem:
     ``oracle_entropy(scale_state(s, t))`` gives it, and to a value that is
     not finite for a copy ``scale_state`` refuses (a factor or copy scale
     that is not positive and finite among them); the relation answers
-    batched order queries with it.
+    batched order queries with it, and reads the values of states with a
+    unit factor through it too.
     """
 
     def __init__(
@@ -333,7 +334,7 @@ class AccessibilityRelation:
         ask their rows through it, a clause or a table step at a time.
 
         Each part's oracle values are read once per distinct state (through
-        the model's ``scaled_entropies`` where a factor is not 1), combined
+        ``scaled_entropies`` where the part has one model with it), combined
         side by side with ``_combine_columns`` and compared with
         ``_compare_rows``; a row whose sides' composition totals differ is
         False both ways.  The values of a tuple of states with unit factors
@@ -431,9 +432,10 @@ class AccessibilityRelation:
         the part's entropy atol and composition tag; None unless the
         part is made of single states with one tag and one atol whose owners
         can evaluate its copies in a batch.  Owners are resolved once per
-        space, and a space no model owns raises.  A unit factor reads
-        ``oracle_entropy``, state by state, since the copy is the state
-        itself."""
+        space, and a space no model owns raises.  Unit factors read the
+        states' values through the one model's ``scaled_entropies`` in one
+        call, or ``oracle_entropy`` state by state where there is no such
+        model or a value is not finite."""
         unit = ts.count(1.0) == n
         if unit and isinstance(states, tuple) and self._last_unit[0] == states:
             return self._last_unit[1]
@@ -457,8 +459,15 @@ class AccessibilityRelation:
         if len(tags) != 1 or len(atols) != 1:
             return None
         if unit:
-            oracles = {space_id: m.oracle_entropy for space_id, (m, _) in owners.items()}
-            values = [oracles[x.space_id](x) for x in distinct]
+            # At t = 1 the hook does the oracle's float operations.  A value
+            # that is not finite is read again from the oracle, which raises
+            # where the state is malformed.
+            hook = models[0].scaled_entropies if len(models) == 1 else None
+            k = len(distinct)
+            values = hook(distinct, range(k), [1.0] * k) if hook else None
+            if values is None or not all(map(math.isfinite, values)):
+                oracles = {space_id: m.oracle_entropy for space_id, (m, _) in owners.items()}
+                values = [oracles[x.space_id](x) for x in distinct]
             values = list(map(values.__getitem__, inv))
         elif len(models) > 1 or models[0].scaled_entropies is None:
             return None
@@ -477,13 +486,13 @@ class AccessibilityRelation:
         return columns
 
     def sample(self, rng, n: int) -> list:
-        """Draw n universe elements (finite: with replacement from the list)."""
+        """Draw n universe elements: finite, with replacement from the list;
+        induced, one ``sample_states`` call of the first model's engine."""
         if self.mode == "finite":
             if not self.elements:
                 return []
             return [self.elements[rng.randrange(len(self.elements))] for _ in range(n)]
-        engine = self.models[0].process_engine
-        return [engine.sample_state(rng) for _ in range(n)]
+        return self.models[0].process_engine.sample_states(rng, n)
 
 
 def _sum_columns(columns: list[list[float]]) -> list[float]:

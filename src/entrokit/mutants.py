@@ -220,11 +220,12 @@ def run_model_checks(
         noneq = []
     results.append(check_n1_n2(rel, gamma, noneq, samples=samples // 2, seed=seed + 7))
 
-    pairs = [(engine.sample_state(rng), engine.sample_state(rng)) for _ in range(5)]
+    drawn = engine.sample_states(rng, 10)
+    pairs = list(zip(drawn[::2], drawn[1::2]))
     results.append(check_path_independence(model, pairs, k=4, seed=seed + 8))
 
     r0 = reference_reservoir()
-    probe = (model, engine.sample_state(rng), engine.sample_state(rng))
+    probe = (model, *engine.sample_states(rng, 2))
     measured = temperature_of(reservoir, r0, probe)
     rel_err = abs(measured - reservoir.temperature) / reservoir.temperature
     results.append(
@@ -239,15 +240,15 @@ def run_model_checks(
     results.append(
         check_reservoir_independence(
             model,
-            (engine.sample_state(rng), engine.sample_state(rng)),
+            tuple(engine.sample_states(rng, 2)),
             [reservoir, honest, r0.reservoir],
         )
     )
 
     residual = check_entropy_additivity(
         model, model,
-        (engine.sample_state(rng), engine.sample_state(rng)),
-        (engine.sample_state(rng), engine.sample_state(rng)),
+        tuple(engine.sample_states(rng, 2)),
+        tuple(engine.sample_states(rng, 2)),
         reservoir,
     )
     results.append(
@@ -258,7 +259,7 @@ def run_model_checks(
     results.append(
         check_lower_bound(
             model,
-            (engine.sample_state(rng), engine.sample_state(rng)),
+            tuple(engine.sample_states(rng, 2)),
             reservoir,
             n_irr=20,
             seed=seed + 10,

@@ -347,10 +347,8 @@ def suite_energy(target, config: SuiteConfig, memo: dict) -> SuiteOutput:
     engine = model.process_engine
     seed = config.seed
     rng = random.Random(seed + 100)
-    pairs = [
-        (engine.sample_state(rng), engine.sample_state(rng))
-        for _ in range(config.count("path_pairs"))
-    ]
+    drawn = engine.sample_states(rng, 2 * config.count("path_pairs"))
+    pairs = list(zip(drawn[::2], drawn[1::2]))
     return [
         check_path_independence(
             model, pairs, k=config.count("polygonals_per_pair"),
@@ -469,7 +467,7 @@ def suite_zb(target, config: SuiteConfig, memo: dict) -> SuiteOutput:
     states = (
         state_grid(engine, config, memo)
         if hasattr(engine, "grid")
-        else [engine.sample_state(rng) for _ in range(100)]
+        else engine.sample_states(rng, 100)
     )
     a0 = states[0]
     table = entropy_from_reservoir(model, a0, 0.0, r0.reservoir, states)
@@ -491,10 +489,9 @@ def suite_zb(target, config: SuiteConfig, memo: dict) -> SuiteOutput:
     aux_engine = aux.process_engine
     pp = config.count("probe_pairs")
     probes = []
-    for _ in range(pp // 2):
-        probes.append((model, engine.sample_state(rng), engine.sample_state(rng)))
-    for _ in range(pp - pp // 2):
-        probes.append((aux, aux_engine.sample_state(rng), aux_engine.sample_state(rng)))
+    for system, count in ((model, pp // 2), (aux, pp - pp // 2)):
+        drawn = system.process_engine.sample_states(rng, 2 * count)
+        probes += [(system, a, b) for a, b in zip(drawn[::2], drawn[1::2])]
     r300 = Reservoir(id="R-300", temperature=300.0)
     r600 = Reservoir(id="R-600", temperature=600.0)
     results.append(
@@ -506,7 +503,7 @@ def suite_zb(target, config: SuiteConfig, memo: dict) -> SuiteOutput:
     results.append(
         check_reservoir_independence(
             model,
-            (engine.sample_state(rng), engine.sample_state(rng)),
+            tuple(engine.sample_states(rng, 2)),
             [
                 Reservoir(id="R-100", temperature=100.0),
                 r0.reservoir,
@@ -519,10 +516,10 @@ def suite_zb(target, config: SuiteConfig, memo: dict) -> SuiteOutput:
     # Additivity over composite processes, including mixed-system composites.
     worst = 0.0
     for _ in range(config.count("weight_processes")):
-        pair_a = (engine.sample_state(rng), engine.sample_state(rng))
-        pair_b = (aux_engine.sample_state(rng), aux_engine.sample_state(rng))
+        pair_a = tuple(engine.sample_states(rng, 2))
+        pair_b = tuple(aux_engine.sample_states(rng, 2))
         worst = max(worst, check_entropy_additivity(model, aux, pair_a, pair_b, bench))
-        pair_b2 = (engine.sample_state(rng), engine.sample_state(rng))
+        pair_b2 = tuple(engine.sample_states(rng, 2))
         worst = max(worst, check_entropy_additivity(model, model, pair_a, pair_b2, bench))
     tol = config.tol("zb_additivity")
     results.append(
@@ -535,10 +532,8 @@ def suite_zb(target, config: SuiteConfig, memo: dict) -> SuiteOutput:
 
     # Quasistatic route agreement, when the model provides one.
     try:
-        pairs = [
-            (engine.sample_state(rng), engine.sample_state(rng))
-            for _ in range(config.count("carnot_pairs"))
-        ]
+        drawn = engine.sample_states(rng, 2 * config.count("carnot_pairs"))
+        pairs = list(zip(drawn[::2], drawn[1::2]))
         results.append(
             check_carnot_agreement(model, pairs, bench, rel_tol=config.tol("carnot_rel"))
         )
@@ -580,7 +575,7 @@ def suite_theorems(target, config: SuiteConfig, memo: dict) -> SuiteOutput:
     results = [
         check_lower_bound(
             model,
-            (engine.sample_state(rng), engine.sample_state(rng)),
+            tuple(engine.sample_states(rng, 2)),
             bench,
             n_irr=config.count("irr_draws"),
             seed=seed + 401,

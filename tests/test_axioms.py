@@ -502,12 +502,14 @@ def _outcome(check, *args, **kwargs):
 
 @st.composite
 def _pooled_gases(draw):
-    """A gas from ``_GAS_PARAMS``, and a pool of its states that its sampler
-    draws from (or, at times, the box sampler kept)."""
+    """A gas from ``_GAS_PARAMS``, and a pool of its states that its batch
+    sampler draws from (or, at times, the box sampler kept)."""
     gas = ideal_gas(**draw(_GAS_PARAMS))
     pool = draw(state_pools(gas))
     if draw(st.booleans()):
-        gas.process_engine.sample_state = lambda rng: pool[rng.randrange(len(pool))]
+        gas.process_engine.sample_states = lambda rng, n: [
+            pool[rng.randrange(len(pool))] for _ in range(n)
+        ]
     return gas, pool
 
 
@@ -752,8 +754,13 @@ def test_batched_checks_match_scalar_loops_with_retries_and_early_stops(
 def test_draws_do_not_depend_on_the_relations_answers(check):
     def drawn(gas):
         states = []
-        sample = gas.process_engine.sample_state
-        gas.process_engine.sample_state = lambda rng: states.append(sample(rng)) or states[-1]
+        sample = gas.process_engine.sample_states
+
+        def recorded(rng, n):
+            states.extend(sample(rng, n))
+            return states[len(states) - n:]
+
+        gas.process_engine.sample_states = recorded
         rel = gas.relation()
         args = (rel, rel) if check == "consistency" else (rel,)
         getattr(axioms_module, f"check_{check}")(*args, samples=40, seed=3)
@@ -766,6 +773,22 @@ def test_draws_do_not_depend_on_the_relations_answers(check):
     intact, tied = drawn(ideal_gas()), drawn(_tied_gas())
     assert len(intact) == {"consistency": 40 * 4 + 20 * 3, "scaling_invariance": 240}[check]
     assert tied == intact[:{"consistency": 220, "scaling_invariance": 160}[check]]
+
+
+@pytest.mark.parametrize("mutation", [None, "composite_max"])
+def test_consistency_of_two_relations_matches_scalar_loop(mutation):
+    # Two gases with different boxes: each row's states are drawn from both,
+    # row by row.  Under the composite's max, the strict clause finds a
+    # witness whose states tell the draw order.
+    gas = ideal_gas()
+    if mutation is not None:
+        gas = mutate_model(gas, mutation)
+    other = ideal_gas(box=((4000.0, 30000.0), (0.05, 0.3)), model_id="other")
+    rel_a, rel_b = gas.relation(), other.relation()
+    for seed in range(4):
+        expected = scalar_check_consistency(rel_a, rel_b, samples=30, seed=seed)
+        assert expected.failed is (mutation is not None)
+        assert check_consistency(rel_a, rel_b, samples=30, seed=seed) == expected
 
 
 class _OrdersNothing(AccessibilityRelation):
@@ -791,11 +814,10 @@ def test_a_pair_column_with_no_ordered_draw_raises():
 
 
 def _seed_drawing(sampler, n, wanted):
-    """The first seed whose first ``n`` draws from ``sampler`` are
+    """The first seed whose first ``n`` draws from the batch ``sampler`` are
     ``wanted``."""
     for seed in range(1000):
-        rng = random.Random(seed)
-        if wanted([sampler(rng) for _ in range(n)]):
+        if wanted(sampler(random.Random(seed), n)):
             return seed
     raise AssertionError("no such seed")
 
@@ -806,16 +828,16 @@ def test_splitting_returns_its_witness_before_a_refused_copy():
     fine, tiny = e.state(2000.0, 0.02), e.state(5e-324, 0.02)
     with pytest.raises(DomainError):
         mutant.scale_state(tiny, 0.5)
-    e.sample_state = lambda rng: tiny if rng.random() < 0.5 else fine
+    e.sample_states = lambda rng, n: [tiny if rng.random() < 0.5 else fine for _ in range(n)]
     # The first row is the witness, and a later one holds the refused copy.
-    seed = _seed_drawing(e.sample_state, 20, lambda d: d[0] is fine and tiny in d[1:])
+    seed = _seed_drawing(e.sample_states, 20, lambda d: d[0] is fine and tiny in d[1:])
     rel = mutant.relation()
     expected = scalar_check_splitting(rel, 0.5, samples=20, seed=seed)
     assert expected.failed and expected.witnesses == [(fine, 0.5)]
     assert check_splitting(rel, 0.5, samples=20, seed=seed) == expected
     # Without the defect the loop meets the refused copy, and so does the batch.
     intact = ideal_gas()
-    intact.process_engine.sample_state = e.sample_state
+    intact.process_engine.sample_states = e.sample_states
     rel = intact.relation()
     assert _outcome(scalar_check_splitting, rel, samples=20, seed=seed) is DomainError
     assert _outcome(check_splitting, rel, samples=20, seed=seed) is DomainError
@@ -828,9 +850,9 @@ def test_scaling_invariance_returns_its_witness_before_a_refused_copy():
     with pytest.raises(DomainError):
         mutant.scale_state(huge, 2.0)
     pool = [low, high, huge]
-    e.sample_state = lambda rng: pool[rng.randrange(3)]
+    e.sample_states = lambda rng, n: [pool[rng.randrange(3)] for _ in range(n)]
     seed = _seed_drawing(
-        e.sample_state, 40, lambda d: {d[0], d[1]} == {low, high} and huge in d[2:]
+        e.sample_states, 40, lambda d: {d[0], d[1]} == {low, high} and huge in d[2:]
     )
     rel = mutant.relation()
     expected = scalar_check_scaling_invariance(rel, (2.0,), samples=20, seed=seed)

@@ -128,6 +128,36 @@ def _bits(values):
     return [float(x).hex() for x in values]
 
 
+def _gas_draw(e, rng):
+    return e.state(rng.uniform(*e.box[0]), rng.uniform(*e.box[1]))
+
+
+def _spin_draw(e, rng):
+    return e.state(rng.uniform(*e.box))
+
+
+@pytest.mark.parametrize(
+    "model, draw_one",
+    [
+        (ideal_gas(), _gas_draw),
+        (ideal_gas(box=((1.0, 3.0), (2.0, 7.5))), _gas_draw),
+        (two_level_spin(), _spin_draw),
+    ],
+    ids=["gas", "gas-box", "spin"],
+)
+def test_sample_states_draws_what_one_state_draws_do(model, draw_one):
+    # The reference draws each state by random.uniform, U then V.
+    e = model.process_engine
+    for seed, n in ((0, 0), (1, 1), (2, 7), (3, 50)):
+        rngs = [random.Random(seed) for _ in range(3)]
+        batch = e.sample_states(rngs[0], n)
+        ones = [e.sample_state(rngs[1]) for _ in range(n)]
+        reference = [draw_one(e, rngs[2]) for _ in range(n)]
+        assert batch == ones == reference
+        assert [_bits(s.coords) for s in batch] == [_bits(s.coords) for s in reference]
+        assert rngs[0].getstate() == rngs[1].getstate() == rngs[2].getstate()
+
+
 def test_gas_grids_equal_numpy_linspace_bit_for_bit(gas):
     e = gas.process_engine
     (ulo, uhi), (vlo, vhi) = e.box

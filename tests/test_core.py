@@ -336,6 +336,44 @@ def test_leq_many_asks_leq_for_a_copy_scale_state_refuses(gas, gas_rel, spin):
         rel.leq_many([(y, 0.5), (x, [0.5, 5e-324])], [(x, 0.5), (y, 0.5)])
 
 
+@pytest.mark.parametrize("mutation", [None, "break_scaling", "break_splitting"])
+def test_unit_values_come_through_the_hook_bit_for_bit(mutation):
+    from entrokit.catalog import ideal_gas
+    from entrokit.mutants import mutate_model
+
+    gas = ideal_gas(n=3, c_v_hat=2.5, gauge=(1.5, 0.5, 3.0))
+    if mutation is not None:
+        gas = mutate_model(gas, mutation)
+    e = gas.process_engine
+    states = e.sample_states(random.Random(7), 20) + [
+        e.state(2000.0, 0.03, 0.7),
+        gas.scale_state(e.state(800.0, 0.01, 0.2), 2.5),
+        gas.scale_state(e.state(6000.0, 0.08), 0.4),
+    ]
+    calls = []
+    hook = gas.scaled_entropies
+    gas.scaled_entropies = lambda *args: calls.append(list(args[-1])) or hook(*args)
+    values = gas.relation()._part_columns(states, [1.0] * len(states), len(states))[0]
+    assert calls == [[1.0] * len(states)]
+    assert [v.hex() for v in values] == [gas.oracle_entropy(s).hex() for s in states]
+
+
+def test_unit_values_that_are_not_finite_are_read_from_the_oracle(gas, gas_rel):
+    # A hand-built state with U < 0: the hook gives NaN, and the oracle's
+    # log raises.
+    x = gas.process_engine.state(1000.0, 0.02)
+    bad = State(x.space_id, (-1.0, 0.02, 0.0), -1.0, ("vol", 0.02))
+    with pytest.raises(ValueError, match="math domain error"):
+        gas_rel.leq(bad, x)
+    with pytest.raises(ValueError, match="math domain error"):
+        gas_rel.leq_many([([x, bad], 1.0)], [([x, x], 1.0)])
+    # V = inf: both give an infinite entropy, which orders as the oracle's.
+    far = State(x.space_id, (1000.0, math.inf, 0.0), 1000.0, ("vol", math.inf))
+    assert gas_rel.leq_many([([x, far], 1.0)], [([far, x], 1.0)]) == (
+        [True, False], [False, True]
+    )
+
+
 def test_leq_many_shapes(gas, gas_rel):
     x = gas.process_engine.state(1000.0, 0.02)
     fwd, bwd = gas_rel.leq_many([([], 1.0)], [(x, [])])
