@@ -14,7 +14,6 @@ import math
 import random
 from dataclasses import dataclass
 from math import lgamma
-from typing import Optional
 
 from .core import (
     AccessibilityRelation,
@@ -22,7 +21,6 @@ from .core import (
     ProcessRecord,
     State,
     StateKind,
-    StateSpace,
     parts_of,
 )
 from .energy import AGAINST, ALONG, WeightPolygonal
@@ -62,15 +60,15 @@ def _state_kind(deficit: float) -> StateKind:
 
 
 class _EngineBase:
-    """Common bookkeeping for oracle-driven engines."""
+    """Common bookkeeping for oracle-driven engines.
 
-    def __init__(self):
-        self.model: Optional[ModelSystem] = None
-
-    def bind(self, model: ModelSystem):
-        self.model = model
-
-    # subclasses: oracle_entropy, sample_states, state constructors
+    An engine is the one declaration of its model, which ``ModelSystem``
+    reads.  A subclass sets ``model_id``, ``space_id``, ``composition_tag``,
+    ``entropy_atol`` and ``energy_bounds`` at construction, and defines
+    ``oracle_entropy``, ``sample_states`` and its state constructors, and
+    ``scale_state``, ``isentropic_partner`` and ``scaled_entropies`` where
+    the model has them.
+    """
 
     def sample_state(self, rng: random.Random) -> State:
         """One state, as ``sample_states`` draws it."""
@@ -90,6 +88,20 @@ class _EngineBase:
                 f"by {-ds:.3e} J/K",
                 witness=(a, b),
             )
+        return self._record(a, b, ds)
+
+    def _oriented_process(self, a, b, cutoff: float):
+        """The weight process from a to b (ALONG) where its entropy change is
+        at least ``cutoff``, else from b to a (AGAINST), and that direction.
+        The change is computed once: the reverse's is its negation, exactly,
+        since each side's sum is computed on its own."""
+        ds = self._delta_s(a, b)
+        if ds >= cutoff:
+            return self._record(a, b, ds), ALONG
+        return self._record(b, a, -ds), AGAINST
+
+    @staticmethod
+    def _record(a, b, ds: float) -> ProcessRecord:
         sigma = ds if ds >= REVERSIBLE_DS_TOL else 0.0
         ea = sum(p.energy for p in parts_of(a))
         eb = sum(p.energy for p in parts_of(b))
@@ -106,14 +118,10 @@ class _EngineBase:
         if legs < 1:
             raise DomainError("a polygonal needs at least one leg")
         chain = [a, *self.sample_states(rng, legs - 1), b]
-        leg_records = []
-        for p, q in zip(chain, chain[1:]):
-            if self._delta_s(p, q) >= -REVERSIBLE_DS_TOL:
-                rec, direction = self.weight_process(p, q), ALONG
-            else:
-                rec, direction = self.weight_process(q, p), AGAINST
-            leg_records.append((rec, direction))
-        return WeightPolygonal(tuple(leg_records), (a, b))
+        leg_records = tuple(
+            self._oriented_process(p, q, -REVERSIBLE_DS_TOL) for p, q in zip(chain, chain[1:])
+        )
+        return WeightPolygonal(leg_records, (a, b))
 
     def reversible_swp(self, a, b, r: Reservoir) -> StandardWeightProcessRecord:
         """Reversible standard weight process: the reservoir absorbs exactly
@@ -126,7 +134,7 @@ class _EngineBase:
 
     def carnot_reservoir_delta(self, a, b, r: Reservoir) -> float:
         raise CapabilityError(
-            f"model {self.model.id!r} provides no quasistatic integrator"
+            f"model {self.model_id!r} provides no quasistatic integrator"
         )
 
     def sample_nonequilibrium(self, rng: random.Random) -> State:
@@ -153,17 +161,24 @@ class _EngineBase:
 
 class IdealGasEngine(_EngineBase):
     def __init__(self, n: float, c_v_hat: float, gauge: tuple[float, float, float],
-                 box: tuple[tuple[float, float], tuple[float, float]]):
-        super().__init__()
+                 box: tuple[tuple[float, float], tuple[float, float]], model_id: str):
+        self.model_id = model_id
+        self.space_id = f"{model_id}:base"
+        self.composition_tag = f"gas:n={n}:cv={c_v_hat}"
+        self.entropy_atol = GAS_ENTROPY_ATOL
+        self.energy_bounds = None
         self.n0 = n
         self.cv = c_v_hat
         self.u_star, self.v_star, self.s_star = gauge
         self.box = box
+        # The oracle entropies of the box's lower and upper corners.
+        (ulo, uhi), (vlo, vhi) = box
+        self.entropy_range = (
+            self.oracle_entropy(self.state(ulo, vlo)),
+            self.oracle_entropy(self.state(uhi, vhi)),
+        )
 
     # -- state plumbing -------------------------------------------------
-
-    def base_space_id(self) -> str:
-        return f"{self.model.id}:base"
 
     def n_eff(self, state: State) -> float:
         return self.n0 * state.scale
@@ -175,7 +190,7 @@ class IdealGasEngine(_EngineBase):
         if deficit < 0:
             raise DomainError("entropy deficit cannot be negative")
         return State(
-            space_id=self.base_space_id(),
+            space_id=self.space_id,
             coords=(u, v, deficit),
             energy=u,
             region=("vol", v),
@@ -246,7 +261,7 @@ class IdealGasEngine(_EngineBase):
         calls read it."""
         (ulo, uhi), (vlo, vhi) = self.box
         du, dv = uhi - ulo, vhi - vlo
-        draw, space_id = rng.random, self.base_space_id()
+        draw, space_id = rng.random, self.space_id
         states = []
         for _ in range(n):
             u = ulo + du * draw()
@@ -257,7 +272,7 @@ class IdealGasEngine(_EngineBase):
         return states
 
     def sample_nonequilibrium(self, rng: random.Random) -> State:
-        lo, hi = self.entropy_range()
+        lo, hi = self.entropy_range
         for _ in range(1000):
             base = self.sample_state(rng)
             deficit = rng.uniform(0.05, 1.5)
@@ -265,13 +280,6 @@ class IdealGasEngine(_EngineBase):
             if lo + NONEQ_ENTROPY_MARGIN < s < hi - NONEQ_ENTROPY_MARGIN:
                 return self.state(base.coords[0], base.coords[1], deficit)
         raise EngineError("could not sample a bracketed nonequilibrium state")
-
-    def entropy_range(self) -> tuple[float, float]:
-        (ulo, uhi), (vlo, vhi) = self.box
-        return (
-            self.oracle_entropy(self.state(ulo, vlo)),
-            self.oracle_entropy(self.state(uhi, vhi)),
-        )
 
     def grid(self, nu: int = 21, nv: int = 21) -> list[State]:
         (ulo, uhi), (vlo, vhi) = self.box
@@ -283,7 +291,7 @@ class IdealGasEngine(_EngineBase):
         # so sandwich searches can bracket any interior entropy value.
         return self.grid(7, 7)
 
-    def isentropic_partner(self, state: State, rng: random.Random) -> Optional[State]:
+    def isentropic_partner(self, state: State, rng: random.Random) -> State:
         """A distinct state on the same entropy level set."""
         u, v, deficit = state.coords
         factor = rng.uniform(1.05, ISENTROPIC_FACTOR_MAX)
@@ -338,12 +346,9 @@ class IdealGasEngine(_EngineBase):
             elif draw < 0.7:
                 records.append(self.raise_energy(a, rng.uniform(10.0, 500.0)))
             else:
-                b = self.sample_state(rng)
-                if self._delta_s(a, b) < 0:
-                    a, b = b, a
-                if self._delta_s(a, b) < REVERSIBLE_DS_TOL:
-                    continue
-                records.append(self.weight_process(a, b))
+                rec, _ = self._oriented_process(a, self.sample_state(rng), 0.0)
+                if not rec.reversible:
+                    records.append(rec)
         return records
 
     # -- quasistatic route ----------------------------------------------
@@ -430,24 +435,7 @@ def ideal_gas(
             f"entropy; nonequilibrium states need more than "
             f"{2 * NONEQ_ENTROPY_MARGIN:g} J/K"
         )
-    engine = IdealGasEngine(n, c_v_hat, gauge, box)
-    base = StateSpace(
-        id=f"{model_id}:base",
-        composition_tag=f"gas:n={n}:cv={c_v_hat}",
-    )
-    model = ModelSystem(
-        id=model_id,
-        spaces={base.id: base},
-        oracle_entropy=engine.oracle_entropy,
-        process_engine=engine,
-        is_normal=True,
-        energy_bounds=None,
-        scale_state_fn=engine.scale_state,
-        entropy_atol=GAS_ENTROPY_ATOL,
-        isentropic_partner=engine.isentropic_partner,
-        scaled_entropies=engine.scaled_entropies,
-    )
-    return model
+    return ModelSystem(model_id, IdealGasEngine(n, c_v_hat, gauge, box, model_id))
 
 
 # ---------------------------------------------------------------------------
@@ -455,15 +443,18 @@ def ideal_gas(
 # ---------------------------------------------------------------------------
 
 class TwoLevelSpinEngine(_EngineBase):
-    def __init__(self, n_particles: int, eps: float):
-        super().__init__()
+    def __init__(self, n_particles: int, eps: float, model_id: str):
+        self.model_id = model_id
+        self.space_id = f"{model_id}:base"
+        self.composition_tag = f"spin:N={n_particles}:eps={eps}"
+        self.entropy_atol = K_BOLTZMANN * n_particles * 1e-13
         self.n_particles = n_particles
         self.eps = eps
         self.e_max = n_particles * eps
+        self.energy_bounds = (0.0, self.e_max)
         self.box = (0.05 * self.e_max, 0.95 * self.e_max)
-
-    def base_space_id(self) -> str:
-        return f"{self.model.id}:base"
+        # The least entropy of a sampled stable state.
+        self.s_lo = self.equilibrium_entropy(self.box[0])
 
     def state(self, e: float, deficit: float = 0.0) -> State:
         if not 0.0 <= e <= self.e_max:
@@ -471,7 +462,7 @@ class TwoLevelSpinEngine(_EngineBase):
                 f"spin energy must lie in [0, {self.e_max:.3e}] J, got {e:.3e}"
             )
         return State(
-            space_id=self.base_space_id(),
+            space_id=self.space_id,
             coords=(e, deficit),
             energy=e,
             region=("lattice", self.n_particles),
@@ -492,7 +483,7 @@ class TwoLevelSpinEngine(_EngineBase):
         ``random.uniform``'s formula."""
         lo, hi = self.box
         width, draw = hi - lo, rng.random
-        space_id, region = self.base_space_id(), ("lattice", self.n_particles)
+        space_id, region = self.space_id, ("lattice", self.n_particles)
         states = []
         for _ in range(n):
             e = lo + width * draw()
@@ -506,11 +497,10 @@ class TwoLevelSpinEngine(_EngineBase):
         return [self.state(e) for e in _linspace(lo, hi, 25)]
 
     def sample_nonequilibrium(self, rng: random.Random) -> State:
-        s_lo = self.equilibrium_entropy(self.box[0])
         for _ in range(1000):
             e = rng.uniform(0.2 * self.e_max, 0.8 * self.e_max)
             deficit = rng.uniform(1.0, 5.0) * K_BOLTZMANN
-            if self.equilibrium_entropy(e) - deficit > s_lo + K_BOLTZMANN:
+            if self.equilibrium_entropy(e) - deficit > self.s_lo + K_BOLTZMANN:
                 return self.state(e, deficit)
         raise EngineError("could not sample a bracketed nonequilibrium spin state")
 
@@ -535,13 +525,9 @@ class TwoLevelSpinEngine(_EngineBase):
     def random_weight_processes(self, n: int, rng: random.Random) -> list[ProcessRecord]:
         records = []
         while len(records) < n:
-            a, b = self.sample_states(rng, 2)
-            if self._delta_s(a, b) < 0:
-                a, b = b, a
-            if self._delta_s(a, b) < REVERSIBLE_DS_TOL:
-                records.append(self.weight_process(a, a))
-            else:
-                records.append(self.weight_process(a, b))
+            rec, _ = self._oriented_process(*self.sample_states(rng, 2), 0.0)
+            # A nearly reversible pair is recorded as the lower state's null process.
+            records.append(self._record(rec.initial, rec.initial, 0.0) if rec.reversible else rec)
         return records
 
 
@@ -553,20 +539,7 @@ def two_level_spin(n_particles: int = 100, eps: float = 1e-21,
             f"n_particles must be an integer in [2, {PARAM_MAX:g}], got {n_particles!r}"
         )
     _check_param("eps", eps)
-    engine = TwoLevelSpinEngine(n_particles, eps)
-    base = StateSpace(
-        id=f"{model_id}:base",
-        composition_tag=f"spin:N={n_particles}:eps={eps}",
-    )
-    return ModelSystem(
-        id=model_id,
-        spaces={base.id: base},
-        oracle_entropy=engine.oracle_entropy,
-        process_engine=engine,
-        is_normal=False,
-        energy_bounds=(0.0, engine.e_max),
-        entropy_atol=K_BOLTZMANN * n_particles * 1e-13,
-    )
+    return ModelSystem(model_id, TwoLevelSpinEngine(n_particles, eps, model_id))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from operator import mul
-from typing import Callable, Hashable, Iterable, Optional, Sequence, Union
+from typing import Hashable, Iterable, Sequence, Union
 
 from .errors import CapabilityError, DomainError
 
@@ -142,15 +142,21 @@ class ProcessRecord:
 
 
 class ModelSystem:
-    """A concrete physical model: spaces, oracle entropy, and an engine.
+    """A concrete physical model, read from its engine, which declares it:
+    ``space_id`` and ``composition_tag`` of its one base space,
+    ``entropy_atol`` (the absolute tolerance the induced relation uses to
+    decide equivalence of near-equal oracle values) and ``energy_bounds``
+    (None for a normal model, else a finite upper bound).  The engine's
+    ``oracle_entropy``, and its ``scale_state``, ``isentropic_partner`` and
+    ``scaled_entropies`` where it has them, become instance attributes, so a
+    copy can carry a defect in the order's oracle while its engine keeps
+    nature's.
 
     The oracle entropy is ground truth used by the engine ("nature") and by
     verification code; entropy-construction algorithms must not call it.
-    ``entropy_atol`` is the absolute tolerance the induced relation uses to
-    decide equivalence of near-equal oracle values.  ``scaled_entropies``,
-    when given, maps a list of the model's states, a list of indices into it
-    and a list of factors to the list of oracle entropies of each
-    ``ts[i]``-scaled copy of ``states[index[i]]``, bit for bit as
+    ``scaled_entropies`` maps a list of the model's states, a list of
+    indices into it and a list of factors to the list of oracle entropies of
+    each ``ts[i]``-scaled copy of ``states[index[i]]``, bit for bit as
     ``oracle_entropy(scale_state(s, t))`` gives it, and to a value that is
     not finite for a copy ``scale_state`` refuses (a factor or copy scale
     that is not positive and finite among them); the relation answers
@@ -158,38 +164,21 @@ class ModelSystem:
     unit factor through it too.
     """
 
-    def __init__(
-        self,
-        id: str,
-        spaces: dict[str, StateSpace],
-        oracle_entropy: Callable[[State], float],
-        process_engine,
-        is_normal: bool = True,
-        energy_bounds: Optional[tuple[float, float]] = None,
-        scale_state_fn: Optional[Callable[[State, float], State]] = None,
-        entropy_atol: float = 0.0,
-        isentropic_partner: Optional[Callable[[State, object], Optional[State]]] = None,
-        scaled_entropies: Optional[
-            Callable[[list[State], list[int], list[float]], list[float]]
-        ] = None,
-    ):
-        if not is_normal:
-            if energy_bounds is None or not math.isfinite(energy_bounds[1]):
-                raise DomainError(
-                    "a non-normal model must declare a finite upper energy bound"
-                )
+    def __init__(self, id: str, process_engine):
+        bounds = process_engine.energy_bounds
+        if bounds is not None and not math.isfinite(bounds[1]):
+            raise DomainError("a non-normal model must declare a finite upper energy bound")
+        space = StateSpace(process_engine.space_id, process_engine.composition_tag)
         self.id = id
-        self.spaces = dict(spaces)
-        self.oracle_entropy = oracle_entropy
+        self.spaces = {space.id: space}
         self.process_engine = process_engine
-        self.is_normal = is_normal
-        self.energy_bounds = energy_bounds
-        self._scale_state_fn = scale_state_fn
-        self.entropy_atol = entropy_atol
-        self.isentropic_partner = isentropic_partner
-        self.scaled_entropies = scaled_entropies
-        if process_engine is not None:
-            process_engine.bind(self)
+        self.is_normal = bounds is None
+        self.energy_bounds = bounds
+        self.entropy_atol = process_engine.entropy_atol
+        self.oracle_entropy = process_engine.oracle_entropy
+        self._scale_state_fn = getattr(process_engine, "scale_state", None)
+        self.isentropic_partner = getattr(process_engine, "isentropic_partner", None)
+        self.scaled_entropies = getattr(process_engine, "scaled_entropies", None)
 
     @property
     def supports_scaling(self) -> bool:

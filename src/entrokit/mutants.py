@@ -112,39 +112,15 @@ def mutate_model(target: MutationTarget, mutation: str) -> MutationTarget:
         raise CapabilityError(f"mutation {mutation!r} needs a scalable model")
 
     clone = _clone_model(target)
-    base_oracle, base_scaled = clone.oracle_entropy, clone.scaled_entropies
-
-    # Each oracle defect is applied to the batched entropies too, bit for
-    # bit: the t-copy of a state has scale t * state.scale.
-    def copy_scales(states, index, ts):
-        return [t * states[k].scale for k, t in zip(index, ts)]
-
     if mutation == "break_scaling":
         # Order-reversing only on enlarged copies: shrunk copies (splitting,
         # vanishing perturbations) stay intact, so only scaling invariance
         # can notice.
-        def oracle(state):
-            value = base_oracle(state)
-            return -value if state.scale > 1.0 + 1e-12 else value
-
-        def scaled(states, index, ts):
-            values, scales = base_scaled(states, index, ts), copy_scales(states, index, ts)
-            return [-v if scale > 1.0 + 1e-12 else v for v, scale in zip(values, scales)]
-
-        clone.oracle_entropy = oracle
-        clone.scaled_entropies = scaled if base_scaled else None
+        _plant_oracle_defect(clone, lambda value, scale: -value if scale > 1.0 + 1e-12 else value)
     elif mutation == "break_splitting":
         # Superlinear scaling: a t-copy carries t times too much entropy, so
         # the split halves no longer recombine to the whole.
-        def oracle(state):
-            return base_oracle(state) * state.scale
-
-        def scaled(states, index, ts):
-            values, scales = base_scaled(states, index, ts), copy_scales(states, index, ts)
-            return [v * scale for v, scale in zip(values, scales)]
-
-        clone.oracle_entropy = oracle
-        clone.scaled_entropies = scaled if base_scaled else None
+        _plant_oracle_defect(clone, lambda value, scale: value * scale)
     elif mutation in ("composite_max", "strict_only_comparison"):
         relation = _MaxComposite if mutation == "composite_max" else _StrictOnly
         clone.relation = lambda: relation.induced([clone])
@@ -164,12 +140,27 @@ def mutate_model(target: MutationTarget, mutation: str) -> MutationTarget:
 
 
 def _clone_model(model: ModelSystem) -> ModelSystem:
-    """A shallow copy with its own engine, bound to the copy, so a defect
-    planted in either stays out of the original."""
+    """A shallow copy with its own engine, so a defect planted in either
+    stays out of the original."""
     clone = copy.copy(model)
     clone.process_engine = copy.copy(model.process_engine)
-    clone.process_engine.bind(clone)
     return clone
+
+
+def _plant_oracle_defect(model: ModelSystem, defect) -> None:
+    """Replace the model's oracle by ``defect(value, scale)`` of its value
+    and the state's copy scale, in the per-state oracle and the batched
+    entropies alike, where the t-copy of a state has scale t * state.scale:
+    one function, so the two forms agree bit for bit.  The engine keeps
+    nature's oracle."""
+    base_oracle, base_scaled = model.oracle_entropy, model.scaled_entropies
+    model.oracle_entropy = lambda state: defect(base_oracle(state), state.scale)
+
+    def scaled(states, index, ts):
+        scales = [t * states[k].scale for k, t in zip(index, ts)]
+        return list(map(defect, base_scaled(states, index, ts), scales))
+
+    model.scaled_entropies = scaled if base_scaled else None
 
 
 def _break_transitivity(fixture: FinitePreorderFixture) -> FinitePreorderFixture:

@@ -35,8 +35,10 @@ from entrokit.cli import main
 GOLDEN_DIR = Path(__file__).resolve().parent
 
 
-def _spin(**tolerances) -> dict:
+def _spin(params=None, **tolerances) -> dict:
     config = {"model": {"kind": "two_level_spin"}}
+    if params:
+        config["model"]["params"] = params
     if tolerances:
         config["tolerances"] = tolerances
     return config
@@ -59,6 +61,11 @@ RUNS = {
     # fail with witnesses.
     "all-spin-tight-seed4": (
         ["all", "--seed", "4"], _spin(zb_residual=1e-40, zb_additivity=1e-60),
+    ),
+    # A spin other than the default: its composition tag and entropy
+    # tolerance come from its own N and eps.
+    "all-spin-n50-eps2e-21-seed5": (
+        ["all", "--seed", "5"], _spin({"n_particles": 50, "eps": 2e-21}),
     ),
     "check-axioms-gas-seed2": (["check-axioms", "--seed", "2"], _gas()),
     **{

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entrokit.catalog import (
+    K_BOLTZMANN,
     chain_fixture,
     ideal_gas,
     load_fixture,
@@ -16,7 +17,8 @@ from entrokit.catalog import (
     two_level_spin,
 )
 from entrokit.axioms import check_comparison, check_reflexivity, check_transitivity
-from entrokit.errors import DomainError, ParseError
+from entrokit.core import StateSpace
+from entrokit.errors import CapabilityError, DomainError, ParseError
 
 
 # -- ideal gas -----------------------------------------------------------------
@@ -222,6 +224,31 @@ def test_spin_is_not_normal_with_finite_bound(spin):
     assert not spin.is_normal
     assert math.isfinite(spin.energy_bounds[1])
     assert spin.energy_bounds[1] == pytest.approx(100 * 1e-21)
+
+
+def test_model_reads_each_declaration_from_its_engine():
+    gas = ideal_gas()
+    e = gas.process_engine
+    assert gas.spaces == {"idealgas:base": StateSpace("idealgas:base", "gas:n=1.0:cv=1.5")}
+    assert e.state(1000.0, 0.02).space_id in gas.spaces
+    assert gas.oracle_entropy == e.oracle_entropy
+    assert gas.supports_scaling
+    assert gas.isentropic_partner == e.isentropic_partner
+    assert gas.scaled_entropies == e.scaled_entropies
+    assert gas.entropy_atol == 1e-10
+    assert gas.is_normal and gas.energy_bounds is None
+
+    spin = two_level_spin(50, 2e-21, model_id="s")
+    e = spin.process_engine
+    assert spin.spaces == {"s:base": StateSpace("s:base", "spin:N=50:eps=2e-21")}
+    assert e.state(1e-20).space_id in spin.spaces
+    assert spin.oracle_entropy == e.oracle_entropy
+    assert not spin.supports_scaling
+    assert spin.isentropic_partner is None and spin.scaled_entropies is None
+    assert spin.entropy_atol == K_BOLTZMANN * 50 * 1e-13
+    assert not spin.is_normal and spin.energy_bounds == (0.0, 50 * 2e-21)
+    with pytest.raises(CapabilityError, match="model 's' provides no quasistatic integrator"):
+        e.carnot_reservoir_delta(None, None, None)
 
 
 def test_spin_needs_at_least_two_particles():

@@ -161,14 +161,16 @@ def test_incompatible_compositions_are_incomparable(gas, spin):
 
 
 def test_non_normal_model_requires_finite_upper_bound():
+    from types import SimpleNamespace
+
     from entrokit.core import ModelSystem
 
+    engine = SimpleNamespace(
+        space_id="bad:base", composition_tag="bad", entropy_atol=0.0,
+        energy_bounds=(0.0, math.inf), oracle_entropy=lambda s: 0.0,
+    )
     with pytest.raises(DomainError):
-        ModelSystem(
-            id="bad", spaces={},
-            oracle_entropy=lambda s: 0.0, process_engine=None,
-            is_normal=False, energy_bounds=None,
-        )
+        ModelSystem("bad", engine)
 
 
 def test_states_equal_tells_scaled_copy_from_base_state(gas):
