@@ -1,14 +1,15 @@
 """Order-axiom checks for accessibility relations.
 
-Finite relations are scanned exhaustively; transitivity asks n² queries and
-reports universes above ``TRANSITIVITY_CAP`` as not applicable.  Induced
-relations are checked by seeded sampling, each check with its own rng.  A
-sampled clause draws all of its rows before it asks anything, so what it
-draws does not depend on the relation's answers; it orders each pair column
-with one query, drops the rows whose pair is unordered (or ties where a
-strict pair is needed), judges the rest with batched ``leq_many`` queries,
-and reports the first witness (``_scan``).  Every failure carries witnesses
-that replay as violations when re-queried.
+Finite relations are scanned exhaustively; transitivity reads the
+relation's bitset rows, asking no query, and reports universes above
+``TRANSITIVITY_CAP`` as not applicable.  Induced relations are checked by
+seeded sampling, each check with its own rng.  A sampled clause draws all
+of its rows before it asks anything, so what it draws does not depend on
+the relation's answers; it orders each pair column with one query, drops
+the rows whose pair is unordered (or ties where a strict pair is needed),
+judges the rest with batched ``leq_many`` queries, and reports the first
+witness (``_scan``).  Every failure carries witnesses that replay as
+violations when re-queried.
 """
 
 from __future__ import annotations
@@ -18,13 +19,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from .core import (
-    Access,
-    CompositeState,
-    State,
-    accessible,
-    composite_relation,
-)
+from .core import CompositeState, State, composite_relation
 from .errors import DomainError
 
 DEFAULT_SAMPLES = 200
@@ -226,10 +221,10 @@ def check_transitivity(rel, *, samples: int = 500, seed=0) -> CheckResult:
                 "transitivity",
                 f"universe size {n} exceeds exhaustive-scan cap {TRANSITIVITY_CAP}",
             )
-        # Row i is the bitset of the j with elems[i] ≼ elems[j], from n² leq
-        # queries.  For x ≼ y, rows[y] & ~rows[x] holds the z with y ≼ z but
-        # not x ≼ z; its lowest bit is the first z in element order.
-        rows = [sum(1 << j for j, z in enumerate(elems) if rel.leq(x, z)) for x in elems]
+        # Row i is the bitset of the j with elems[i] ≼ elems[j].  For x ≼ y,
+        # rows[y] & ~rows[x] holds the z with y ≼ z but not x ≼ z; its lowest
+        # bit is the first z in element order.
+        rows = rel.rows
         witness = next(
             (
                 (x, y, elems[(bad & -bad).bit_length() - 1])
@@ -441,7 +436,7 @@ def check_comparison(rel, *, samples: int = DEFAULT_SAMPLES, seed=0) -> CheckRes
         used = 0
         for x, y in pairs:
             used += 1
-            if accessible(rel, x, y) is Access.INCOMPARABLE:
+            if not (rel.leq(x, y) or rel.leq(y, x)):
                 witnesses.append((x, y))
                 break
         return verdict("comparison", not witnesses, witnesses, samples_used=used)

@@ -435,7 +435,7 @@ def ideal_gas(
             f"entropy; nonequilibrium states need more than "
             f"{2 * NONEQ_ENTROPY_MARGIN:g} J/K"
         )
-    return ModelSystem(model_id, IdealGasEngine(n, c_v_hat, gauge, box, model_id))
+    return ModelSystem(IdealGasEngine(n, c_v_hat, gauge, box, model_id))
 
 
 # ---------------------------------------------------------------------------
@@ -514,11 +514,18 @@ class TwoLevelSpinEngine(_EngineBase):
             raise EngineError(
                 f"spin entropy target {s_target:.3e} J/K outside reachable range"
             )
+        # Bisection for at most 200 steps.  A step whose midpoint equals the
+        # end it would replace leaves (lo, hi) as it was, and so would every
+        # later step: the loop stops there with the same result.
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             if self.equilibrium_entropy(mid) < s_target:
+                if mid == lo:
+                    break
                 lo = mid
             else:
+                if mid == hi:
+                    break
                 hi = mid
         return self.state(0.5 * (lo + hi))
 
@@ -539,7 +546,7 @@ def two_level_spin(n_particles: int = 100, eps: float = 1e-21,
             f"n_particles must be an integer in [2, {PARAM_MAX:g}], got {n_particles!r}"
         )
     _check_param("eps", eps)
-    return ModelSystem(model_id, TwoLevelSpinEngine(n_particles, eps, model_id))
+    return ModelSystem(TwoLevelSpinEngine(n_particles, eps, model_id))
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +579,7 @@ def load_fixture(path) -> FinitePreorderFixture:
         raise ParseError(f"{path}: fixture needs 'states' and 'pairs' keys")
     if not isinstance(raw["states"], list) or not isinstance(raw["pairs"], list):
         raise ParseError(f"{path}: 'states' and 'pairs' must be lists")
-    ids = []
+    ids, known = [], set()
     for entry in raw["states"]:
         if isinstance(entry, dict):
             if "id" not in entry:
@@ -580,10 +587,10 @@ def load_fixture(path) -> FinitePreorderFixture:
             sid = entry["id"]
         else:
             sid = entry
-        if sid in ids:
+        if sid in known:
             raise ParseError(f"{path}: duplicate state id {sid!r}")
+        known.add(sid)
         ids.append(sid)
-    known = set(ids)
     pairs = set()
     for i, pair in enumerate(raw["pairs"]):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:

@@ -42,7 +42,7 @@ class StateSpace:
     composition_tag: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class State:
     """A point in a state space.
 
@@ -63,15 +63,21 @@ class State:
     kind: StateKind = StateKind.STABLE_EQUILIBRIUM
     scale: float = 1.0
 
-    def __post_init__(self):
-        if not math.isfinite(self.energy):
-            raise DomainError(f"state energy must be finite, got {self.energy!r}")
-        if self.kind is StateKind.STABLE_EQUILIBRIUM and not (
-            self.separable and self.uncorrelated
-        ):
+    def __init__(self, space_id: str, coords: tuple[float, ...], energy: float,
+                 region: Hashable, separable: bool = True, uncorrelated: bool = True,
+                 kind: StateKind = StateKind.STABLE_EQUILIBRIUM, scale: float = 1.0):
+        # Hand-written: the fields go into __dict__ in one update, where the
+        # generated frozen __init__ sets them one object.__setattr__ at a time.
+        if not math.isfinite(energy):
+            raise DomainError(f"state energy must be finite, got {energy!r}")
+        if kind is StateKind.STABLE_EQUILIBRIUM and not (separable and uncorrelated):
             raise DomainError(
                 "a stable equilibrium state must be separable and uncorrelated"
             )
+        self.__dict__.update(
+            space_id=space_id, coords=coords, energy=energy, region=region,
+            separable=separable, uncorrelated=uncorrelated, kind=kind, scale=scale,
+        )
 
 
 @dataclass(frozen=True)
@@ -143,14 +149,14 @@ class ProcessRecord:
 
 class ModelSystem:
     """A concrete physical model, read from its engine, which declares it:
-    ``space_id`` and ``composition_tag`` of its one base space,
-    ``entropy_atol`` (the absolute tolerance the induced relation uses to
-    decide equivalence of near-equal oracle values) and ``energy_bounds``
-    (None for a normal model, else a finite upper bound).  The engine's
-    ``oracle_entropy``, and its ``scale_state``, ``isentropic_partner`` and
-    ``scaled_entropies`` where it has them, become instance attributes, so a
-    copy can carry a defect in the order's oracle while its engine keeps
-    nature's.
+    its ``model_id``, the ``space_id`` and ``composition_tag`` of its one
+    base space, ``entropy_atol`` (the absolute tolerance the induced
+    relation uses to decide equivalence of near-equal oracle values) and
+    ``energy_bounds`` (None for a normal model, else a finite upper bound).
+    The engine's ``oracle_entropy``, and its ``scale_state``,
+    ``isentropic_partner`` and ``scaled_entropies`` where it has them,
+    become instance attributes, so a copy can carry a defect in the order's
+    oracle while its engine keeps nature's.
 
     The oracle entropy is ground truth used by the engine ("nature") and by
     verification code; entropy-construction algorithms must not call it.
@@ -164,12 +170,12 @@ class ModelSystem:
     unit factor through it too.
     """
 
-    def __init__(self, id: str, process_engine):
+    def __init__(self, process_engine):
         bounds = process_engine.energy_bounds
         if bounds is not None and not math.isfinite(bounds[1]):
             raise DomainError("a non-normal model must declare a finite upper energy bound")
         space = StateSpace(process_engine.space_id, process_engine.composition_tag)
-        self.id = id
+        self.id = process_engine.model_id
         self.spaces = {space.id: space}
         self.process_engine = process_engine
         self.is_normal = bounds is None
@@ -218,7 +224,9 @@ class Access(str, Enum):
 class AccessibilityRelation:
     """The adiabatic-accessibility preorder, finite or model-induced.
 
-    Finite mode stores an explicit pair set over hashable element ids; its
+    Finite mode keeps the order over distinct hashable element ids as
+    bitset rows, built once from the pairs by ``_build_rows``: bit j of
+    ``rows[i]`` is set exactly when elements[i] ≼ elements[j].  Its
     reflexivity and transitivity are checked, never assumed.  Induced mode
     answers queries by comparing oracle entropies of compatible states, with
     an absolute equivalence tolerance taken from the owning model.
@@ -228,8 +236,11 @@ class AccessibilityRelation:
         self.mode = mode
         if mode == "finite":
             self.elements = list(elements)
-            self._element_set = set(self.elements)
-            self.pairs = set(tuple(p) for p in pairs)
+            self._index = {x: i for i, x in enumerate(self.elements)}
+            if len(self._index) != len(self.elements):
+                duplicate = next(x for i, x in enumerate(self.elements) if self._index[x] != i)
+                raise DomainError(f"duplicate element {duplicate!r}")
+            self.rows = self._build_rows(pairs)
             self.models = []
         elif mode == "induced":
             self.models = list(models)
@@ -248,6 +259,20 @@ class AccessibilityRelation:
     @classmethod
     def induced(cls, models: Sequence[ModelSystem]) -> "AccessibilityRelation":
         return cls("induced", models=models)
+
+    # -- finite-mode internals -----------------------------------------
+
+    def _build_rows(self, pairs: Iterable[tuple]) -> list[int]:
+        """The bitset rows of the pairs (x, y) that name two elements; a pair
+        naming another id is ignored.  A subclass that overrides it plants
+        another order, which ``leq`` and the exhaustive scans then share."""
+        index = self._index
+        rows = [0] * len(self.elements)
+        for x, y in pairs:
+            i, j = index.get(x), index.get(y)
+            if i is not None and j is not None:
+                rows[i] |= 1 << j
+        return rows
 
     # -- induced-mode internals ----------------------------------------
 
@@ -287,11 +312,12 @@ class AccessibilityRelation:
         """X precedes Y: Y is adiabatically accessible from X.  Induced, the
         one-row ``leq_many`` query of the parts of X against those of Y."""
         if self.mode == "finite":
-            if x not in self._element_set:
+            i, j = self._index.get(x), self._index.get(y)
+            if i is None:
                 raise DomainError(f"unknown element {x!r}")
-            if y not in self._element_set:
+            if j is None:
                 raise DomainError(f"unknown element {y!r}")
-            return (x, y) in self.pairs
+            return self.rows[i] >> j & 1 == 1
         fwd, _ = self.leq_many(
             [(p, 1.0) for p in parts_of(x)], [(p, 1.0) for p in parts_of(y)], converse=False
         )

@@ -143,34 +143,67 @@ def test_transitivity_scan_matches_cubic_reference(rel):
 
 
 def test_transitivity_scan_asks_at_most_n_squared_queries(monkeypatch):
-    rel = chain_fixture(TRANSITIVITY_CAP).relation()
-    calls = []
-    leq = AccessibilityRelation.leq
+    # The scan reads the rows the relation built at construction: it asks no
+    # leq at all, and scanning again builds nothing.
+    builds, calls = [], []
+    build_rows, leq = AccessibilityRelation._build_rows, AccessibilityRelation.leq
+
+    def counting_build_rows(self, pairs):
+        builds.append(1)
+        return build_rows(self, pairs)
 
     def counting_leq(self, x, y):
         calls.append(1)
         return leq(self, x, y)
 
+    monkeypatch.setattr(AccessibilityRelation, "_build_rows", counting_build_rows)
     monkeypatch.setattr(AccessibilityRelation, "leq", counting_leq)
-    result = check_transitivity(rel)
-    assert result.passed
-    assert result.samples_used == TRANSITIVITY_CAP ** 3
-    assert 0 < len(calls) <= TRANSITIVITY_CAP ** 2
+    rel = chain_fixture(TRANSITIVITY_CAP).relation()
+    for _ in range(2):
+        result = check_transitivity(rel)
+        assert result.passed
+        assert result.samples_used == TRANSITIVITY_CAP ** 3
+    assert calls == []
+    assert len(builds) == 1
 
 
 class _DropsClosurePair(AccessibilityRelation):
-    """A finite relation whose ``leq`` denies one pair that ``pairs`` holds."""
+    """A finite relation whose row builder drops the pair (0, 2)."""
 
-    def leq(self, x, y):
-        return (x, y) != (0, 2) and super().leq(x, y)
+    def _build_rows(self, pairs):
+        return super()._build_rows(p for p in pairs if p != (0, 2))
 
 
 def test_transitivity_scan_asks_overriding_leq():
-    rel = _DropsClosurePair.finite([0, 1, 2], chain_fixture(3).pairs)
-    assert (0, 2) in rel.pairs
+    pairs = chain_fixture(3).pairs
+    assert (0, 2) in pairs
+    rel = _DropsClosurePair.finite([0, 1, 2], pairs)
+    assert not rel.leq(0, 2)
     result = check_transitivity(rel)
     assert result.failed
     assert result.witnesses == [(0, 1, 2)]
+    # The comparison scan sees the planted order too.
+    assert check_comparison(rel).witnesses == [(0, 2)]
+
+
+def test_transitivity_and_comparison_on_a_chain_with_a_deep_incomparable_pair():
+    # Dropping the cover pair (150, 151) of the chain leaves it transitive
+    # (no y lies strictly between them) but makes that pair incomparable.
+    n, a, b = TRANSITIVITY_CAP, 150, 151
+    fixture = chain_fixture(n)
+    rel = AccessibilityRelation.finite(fixture.ids, fixture.pairs - {(a, b)})
+    assert check_reflexivity(rel).passed
+    transitivity = check_transitivity(rel)
+    assert transitivity.passed
+    assert transitivity.samples_used == n ** 3
+    comparison = check_comparison(rel)
+    assert comparison.failed
+    assert comparison.witnesses == [(a, b)]
+    # Pairs (x, y) with x <= y, scanned row by row up to (a, b).
+    assert comparison.samples_used == sum(n - i for i in range(a)) + (b - a) + 1
+    fixture_result = check_comparison(fixture.relation())
+    assert fixture_result.passed
+    assert fixture_result.samples_used == n * (n + 1) // 2
 
 
 def test_transitivity_induced_sampled(gas_rel):
@@ -573,6 +606,39 @@ def test_comparison_disconnected_fixture_fails():
 def test_comparison_single_state_universe():
     rel = AccessibilityRelation.finite([1], [(1, 1)])
     assert check_comparison(rel).passed
+
+
+def accessible_comparison_witness(rel):
+    """The first pair (x, y), y at or after x in element order, that
+    ``accessible`` calls incomparable, and how many pairs were scanned up to
+    it; kept as the reference for the finite ``check_comparison``."""
+    elems = rel.elements
+    used = 0
+    for i, x in enumerate(elems):
+        for y in elems[i:]:
+            used += 1
+            if accessible(rel, x, y) is Access.INCOMPARABLE:
+                return (x, y), used
+    return None, used
+
+
+@given(rel=_finite_relations())
+@settings(max_examples=300, deadline=None)
+def test_comparison_scan_matches_accessible_reference(rel):
+    expected, used = accessible_comparison_witness(rel)
+    calls = []
+    leq = rel.leq
+
+    def counting_leq(x, y):
+        calls.append((x, y))
+        return leq(x, y)
+
+    rel.leq = counting_leq
+    result = check_comparison(rel)
+    assert result.status is (CheckStatus.PASS if expected is None else CheckStatus.FAIL)
+    assert result.witnesses == ([] if expected is None else [expected])
+    assert result.samples_used == used
+    assert len(calls) <= 2 * used
 
 
 # -- n1/n2 ---------------------------------------------------------------------

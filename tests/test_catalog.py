@@ -220,6 +220,28 @@ def test_spin_entropy_concavity(spin):
     assert all(d < 0 for d in second)
 
 
+def test_spin_ses_with_entropy_matches_full_bisection_bit_for_bit(spin):
+    e = spin.process_engine
+    region = ("lattice", e.n_particles)
+
+    def reference(s_target):
+        lo, hi = 0.0, e.e_max / 2.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if e.equilibrium_entropy(mid) < s_target:
+                lo = mid
+            else:
+                hi = mid
+        return e.state(0.5 * (lo + hi))
+
+    s_min, s_max = e.equilibrium_entropy(0.0), e.equilibrium_entropy(e.e_max / 2.0)
+    rng = random.Random(23)
+    targets = [s_min, s_max] + [rng.uniform(s_min, s_max) for _ in range(1000)]
+    targets += [e.equilibrium_entropy(x) for x in (e.box[0], 0.25 * e.e_max, e.box[1] / 2)]
+    for s_target in targets:
+        assert e.ses_with_entropy(s_target, region) == reference(s_target)
+
+
 def test_spin_is_not_normal_with_finite_bound(spin):
     assert not spin.is_normal
     assert math.isfinite(spin.energy_bounds[1])
@@ -229,6 +251,7 @@ def test_spin_is_not_normal_with_finite_bound(spin):
 def test_model_reads_each_declaration_from_its_engine():
     gas = ideal_gas()
     e = gas.process_engine
+    assert gas.id == e.model_id == "idealgas"
     assert gas.spaces == {"idealgas:base": StateSpace("idealgas:base", "gas:n=1.0:cv=1.5")}
     assert e.state(1000.0, 0.02).space_id in gas.spaces
     assert gas.oracle_entropy == e.oracle_entropy
@@ -240,6 +263,7 @@ def test_model_reads_each_declaration_from_its_engine():
 
     spin = two_level_spin(50, 2e-21, model_id="s")
     e = spin.process_engine
+    assert spin.id == e.model_id == "s"
     assert spin.spaces == {"s:base": StateSpace("s:base", "spin:N=50:eps=2e-21")}
     assert e.state(1e-20).space_id in spin.spaces
     assert spin.oracle_entropy == e.oracle_entropy

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import math
 import random
 
@@ -57,6 +59,40 @@ def test_finite_relation_unknown_id_raises():
     rel = AccessibilityRelation.finite([1, 2], [(1, 2)])
     with pytest.raises(DomainError):
         rel.leq(1, 99)
+
+
+def test_finite_relation_rejects_duplicate_elements():
+    with pytest.raises(DomainError, match="duplicate element 2"):
+        AccessibilityRelation.finite([1, 2, 3, 2], [(1, 2)])
+
+
+def test_finite_relation_ignores_pairs_naming_unknown_ids():
+    plain = AccessibilityRelation.finite([1, 2], [(1, 1), (1, 2)])
+    extra = AccessibilityRelation.finite([1, 2], [(1, 1), (1, 2), (1, 99), (99, 2), (7, 8)])
+    assert extra.rows == plain.rows == [0b11, 0b00]
+    assert [extra.leq(x, y) for x in (1, 2) for y in (1, 2)] == [True, True, False, False]
+    with pytest.raises(DomainError):
+        extra.leq(1, 99)
+
+
+def test_state_keeps_dataclass_behaviour():
+    x = State("s", (1.0, 2.0), 3.0, ("vol", 1))
+    y = State(space_id="s", coords=(1.0, 2.0), energy=3.0, region=("vol", 1))
+    assert x == y and hash(x) == hash(y)
+    assert repr(x) == (
+        "State(space_id='s', coords=(1.0, 2.0), energy=3.0, region=('vol', 1), "
+        "separable=True, uncorrelated=True, kind=<StateKind.STABLE_EQUILIBRIUM: "
+        "'stable_equilibrium'>, scale=1.0)"
+    )
+    assert [f.name for f in dataclasses.fields(State)] == [
+        "space_id", "coords", "energy", "region", "separable", "uncorrelated", "kind", "scale",
+    ]
+    assert dataclasses.replace(x, scale=2.0) == State("s", (1.0, 2.0), 3.0, ("vol", 1), scale=2.0)
+    assert copy.copy(x) == x and copy.deepcopy(x) == x
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        x.energy = 4.0
+    with pytest.raises(DomainError):
+        dataclasses.replace(x, energy=math.nan)
 
 
 def test_compose_additivity_of_oracle(gas, gas_rel):
@@ -166,11 +202,11 @@ def test_non_normal_model_requires_finite_upper_bound():
     from entrokit.core import ModelSystem
 
     engine = SimpleNamespace(
-        space_id="bad:base", composition_tag="bad", entropy_atol=0.0,
+        model_id="bad", space_id="bad:base", composition_tag="bad", entropy_atol=0.0,
         energy_bounds=(0.0, math.inf), oracle_entropy=lambda s: 0.0,
     )
     with pytest.raises(DomainError):
-        ModelSystem("bad", engine)
+        ModelSystem(engine)
 
 
 def test_states_equal_tells_scaled_copy_from_base_state(gas):
