@@ -75,6 +75,26 @@ def verdict(name: str, ok: bool, witnesses: list, **fields) -> CheckResult:
     )
 
 
+def residual_verdict(
+    name: str, residual: float, tol: float, *, samples_used: int, message: str = ""
+) -> CheckResult:
+    """PASS when ``residual < tol``, else FAIL witnessed by ``("residual", residual)``."""
+    return verdict(
+        name, residual < tol, [("residual", residual)],
+        samples_used=samples_used, tolerance_used=tol, message=message,
+    )
+
+
+def fit_verdict(name: str, fit, tol: float, *, samples_used: int, message: str) -> CheckResult:
+    """PASS when an ``AffineFit`` has a positive slope and a max residual
+    below ``tol``, else FAIL witnessed by ``("fit", a, b, max_residual)``."""
+    return verdict(
+        name, fit.max_residual < tol and fit.orientation_ok,
+        [("fit", fit.a, fit.b, fit.max_residual)],
+        samples_used=samples_used, tolerance_used=tol, message=message,
+    )
+
+
 def not_applicable(name: str, message: str) -> CheckResult:
     """A check whose premise the target does not meet; ``message`` says why."""
     return CheckResult(name, CheckStatus.NOT_APPLICABLE, [], message=message)

@@ -105,10 +105,7 @@ class _EngineBase:
         sigma = ds if ds >= REVERSIBLE_DS_TOL else 0.0
         ea = sum(p.energy for p in parts_of(a))
         eb = sum(p.energy for p in parts_of(b))
-        return ProcessRecord(
-            "weight", a, b, work_done=ea - eb,
-            reversible=(sigma == 0.0), sigma=sigma,
-        )
+        return ProcessRecord(a, b, work_done=ea - eb, sigma=sigma)
 
     def connect_polygonal(self, a, b, rng: random.Random, legs: int = None) -> WeightPolygonal:
         """A random chain of weight processes joining a to b, each leg
@@ -128,9 +125,7 @@ class _EngineBase:
         the opposite of the system's entropy change."""
         ds_system = self._delta_s(a, b)
         delta = r.delta_energy_for_delta_entropy(-ds_system)
-        return StandardWeightProcessRecord(
-            system_pair=(a, b), delta_e_r=delta, reversible=True, sigma=0.0,
-        )
+        return StandardWeightProcessRecord(system_pair=(a, b), delta_e_r=delta)
 
     def carnot_reservoir_delta(self, a, b, r: Reservoir) -> float:
         raise CapabilityError(
@@ -684,7 +679,6 @@ def ideal_gas_simple_system(n: float = 1.0, c_v_hat: float = 1.5):
         return c_v_hat / tau, 1.0 / v
 
     return SimpleSystemModel(
-        coord_names=("tau", "V"),
         u_fn=u_fn,
         p_fns=(p_fn,),
         m_fn=m_fn,

@@ -129,22 +129,22 @@ class ProcessRecord:
     """An executed process: end states, work, and its entropy bookkeeping.
 
     ``work_done`` is the work done *by* the system (raised-weight convention).
-    ``sigma`` is the entropy generated; it is exactly zero iff the process is
-    reversible.
+    ``sigma`` is the entropy generated; the process is reversible exactly
+    when it is zero.
     """
 
-    kind: str  # "weight" | "weight_polygonal" | "standard_weight"
     initial: StateLike
     final: StateLike
     work_done: float
-    reversible: bool = True
     sigma: float = 0.0
 
     def __post_init__(self):
-        if (self.sigma == 0.0) != self.reversible:
-            raise DomainError("reversible flag must agree with sigma == 0")
         if self.sigma < 0.0:
             raise DomainError("entropy generation cannot be negative")
+
+    @property
+    def reversible(self) -> bool:
+        return self.sigma == 0.0
 
 
 class ModelSystem:
@@ -325,13 +325,6 @@ class AccessibilityRelation:
 
     def equivalent(self, x, y) -> bool:
         return self.leq(x, y) and self.leq(y, x)
-
-    def leq_mixtures(self, x0: State, x1: State, lams, ys: Sequence[StateLike]):
-        """Each y_i against the mixture ((1-lam_i) x0, lam_i x1): ``leq_many``
-        with those two parts on one side and y_i on the other."""
-        if len(lams) != len(ys):
-            raise DomainError("leq_mixtures needs one fraction per state")
-        return self.leq_many([(x0, [1.0 - lam for lam in lams]), (x1, lams)], [(ys, 1.0)])
 
     def leq_many(self, xs: Sequence[tuple], ys: Sequence[tuple], *, converse: bool = True):
         """Row by row, the composite of the parts ``xs`` against that of the

@@ -36,8 +36,6 @@ class WeightPolygonal:
         if not self.legs:
             raise StructuralError("a weight polygonal needs at least one leg")
         for rec, direction in self.legs:
-            if rec.kind != "weight":
-                raise StructuralError("polygonal legs must be weight processes")
             if direction not in (ALONG, AGAINST):
                 raise StructuralError(f"unknown leg direction {direction!r}")
             for s in (rec.initial, rec.final):
@@ -67,7 +65,6 @@ class WeightPolygonal:
 def polygonal_work(p: WeightPolygonal) -> float:
     """Signed work done by the system in traversing the polygonal: along-leg
     works count positive, against-leg works negative."""
-    p.chain_points()  # validates the chain
     total = 0.0
     for rec, direction in p.legs:
         total += rec.work_done if direction == ALONG else -rec.work_done

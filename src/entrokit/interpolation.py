@@ -5,8 +5,8 @@ Given references X0 strictly below X1, the unique fraction lam with
 X equivalent to the pair ((1-lam)X0, lam X1) is located by bisection using
 nothing but accessibility queries; the entropy of X is then the lam-weighted
 mix of the reference values.  A table bisects all its states in lockstep:
-each step asks the relation once, through ``leq_mixtures``, about every
-state still open.  A table built this way is certified against
+each step asks the relation one ``leq_many`` query about every state
+still open.  A table built this way is certified against
 ground truth up to the affine gauge any valid entropy carries, and the
 tightest equilibrium values around a nonequilibrium state bound its entropy
 from both sides.
@@ -47,9 +47,6 @@ class EntropyTable:
     entries: dict[State, float] = field(default_factory=dict)
     skipped: dict[State, str] = field(default_factory=dict)
 
-    def value(self, state: State) -> float:
-        return self.entries[state]
-
 
 def _require_induced_scaling(rel: AccessibilityRelation):
     if rel.mode != "induced":
@@ -71,10 +68,10 @@ def find_lambda(
 
     Returns, in order, each state's lam, or the reason a state outside the
     reference bracket is skipped.  Only accessibility queries are used: two
-    ``leq_many`` to place every state against the references, then one
-    ``leq_mixtures`` per bisection step for every state still open.  Ties
-    inside the bracket resolve toward equivalence so the search terminates
-    even when the interpolant lands exactly on x.
+    ``leq_many`` to place every state against the references, then one per
+    bisection step, of every open state against its mixture.  Ties inside
+    the bracket resolve toward equivalence so the search terminates even
+    when the interpolant lands exactly on x.
     """
     _require_induced_scaling(rel)
     x0, x1 = refs.x0, refs.x1
@@ -82,7 +79,7 @@ def find_lambda(
         return ["reference states must be strictly ordered"] * len(states)
     out = _placements(rel, x0, x1, tuple(states))
 
-    # Every step hands leq_mixtures the same tuple of states, so the relation
+    # Every step hands leq_many the same tuple of states, so the relation
     # reads each of them once; a state whose lam is found bisects on, unread,
     # until the last one's is.
     todo = [i for i, lam in enumerate(out) if lam is None]
@@ -93,7 +90,7 @@ def find_lambda(
         if not open_:
             break
         mid = [0.5 * (a + b) for a, b in zip(lo, hi)]
-        fwd, bwd = rel.leq_mixtures(x0, x1, mid, ys)
+        fwd, bwd = rel.leq_many([(x0, [1.0 - m for m in mid]), (x1, mid)], [(ys, 1.0)])
         lo = [m if f else a for f, m, a in zip(fwd, mid, lo)]
         hi = [b if f else m for f, m, b in zip(fwd, mid, hi)]
         for i in open_:
@@ -218,8 +215,8 @@ def sandwich_bounds(
         raise DomainError("sandwich bounds need a non-empty equilibrium grid")
     members = tuple(g for g in gamma if g in table.entries)
     x_to_g, g_to_x = rel.leq_many([(x, 1.0)], [(members, 1.0)])
-    below = [table.value(g) for g, ok in zip(members, g_to_x) if ok]
-    above = [table.value(g) for g, ok in zip(members, x_to_g) if ok]
+    below = [table.entries[g] for g, ok in zip(members, g_to_x) if ok]
+    above = [table.entries[g] for g, ok in zip(members, x_to_g) if ok]
     s_minus = max(below) if below else None
     s_plus = min(above) if above else None
     if s_minus is None or s_plus is None:

@@ -27,7 +27,7 @@ from .axioms import (
     check_splitting,
     check_stability,
     check_transitivity,
-    verdict,
+    residual_verdict,
 )
 from .catalog import FinitePreorderFixture, chain_fixture, ideal_gas
 from .core import AccessibilityRelation, ModelSystem, states_equal
@@ -84,9 +84,8 @@ class _StrictOnly(AccessibilityRelation):
 class _MiscalibratedReservoir(Reservoir):
     """Its physics runs 10 % hotter than its declared temperature."""
 
-    @property
-    def t_eff(self) -> float:
-        return 1.1 * self.temperature
+    def delta_energy_for_delta_entropy(self, d_entropy: float) -> float:
+        return 1.1 * self.temperature * d_entropy
 
 
 def mutate_model(target: MutationTarget, mutation: str) -> MutationTarget:
@@ -219,13 +218,7 @@ def run_model_checks(
     probe = (model, *engine.sample_states(rng, 2))
     measured = temperature_of(reservoir, r0, probe)
     rel_err = abs(measured - reservoir.temperature) / reservoir.temperature
-    results.append(
-        verdict(
-            "temperature_agreement", rel_err <= 1e-9,
-            [("measured", measured, reservoir.temperature)],
-            samples_used=1, tolerance_used=1e-9,
-        )
-    )
+    results.append(residual_verdict("temperature_agreement", rel_err, 1e-9, samples_used=1))
 
     honest = Reservoir(id="aux-600", temperature=600.0)
     results.append(
@@ -242,10 +235,7 @@ def run_model_checks(
         tuple(engine.sample_states(rng, 2)),
         reservoir,
     )
-    results.append(
-        verdict("entropy_additivity", residual < 1e-9, [("residual", residual)],
-                samples_used=1, tolerance_used=1e-9)
-    )
+    results.append(residual_verdict("entropy_additivity", residual, 1e-9, samples_used=1))
 
     results.append(
         check_lower_bound(

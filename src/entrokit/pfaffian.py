@@ -40,7 +40,6 @@ class SimpleSystemModel:
     analytic gradients of ``u_fn`` and ``x0_fn``.
     """
 
-    coord_names: tuple[str, ...]
     u_fn: Callable[[Point], float]
     p_fns: tuple[Callable[[Point], float], ...]
     m_fn: Callable[[Point], float]
@@ -54,9 +53,9 @@ class SimpleSystemModel:
     x0_grad_fn: Callable[[Point], Point]
 
     def __post_init__(self):
-        if len(self.coord_names) < 2:
+        if len(self.coord_box) < 2:
             raise DomainError("a simple system needs xi0 plus deformation coordinates")
-        if len(self.p_fns) != len(self.coord_names) - 1:
+        if len(self.p_fns) != len(self.coord_box) - 1:
             raise DomainError("one conjugate force per deformation coordinate")
         if not self.c > 0:
             raise DomainError("temperature scale constant must be positive")

@@ -28,7 +28,9 @@ from .axioms import (
     check_stability,
     check_transitivity,
     describe,
+    fit_verdict,
     not_applicable,
+    residual_verdict,
     verdict,
 )
 from .catalog import (
@@ -396,15 +398,12 @@ def suite_ly(target, config: SuiteConfig, memo: dict) -> SuiteOutput:
     rel = model.relation()
     grid, table = ly_table(model, config, memo)
     oracle = [model.oracle_entropy(s) for s in grid if s in table.entries]
-    constructed = [table.value(s) for s in grid if s in table.entries]
+    constructed = [table.entries[s] for s in grid if s in table.entries]
     fit = affine_match(constructed, oracle)
-    tol = config.tol("ly_residual")
     results = [
-        verdict(
-            "ly_oracle_match",
-            fit.max_residual < tol and fit.orientation_ok,
-            [("fit", fit.a, fit.b, fit.max_residual)],
-            samples_used=len(constructed), tolerance_used=tol,
+        fit_verdict(
+            "ly_oracle_match", fit, config.tol("ly_residual"),
+            samples_used=len(constructed),
             message=f"affine fit a={fit.a:.6g} b={fit.b:.6g} "
                     f"max residual {fit.max_residual:.3e} J/K",
         )
@@ -471,14 +470,13 @@ def suite_zb(target, config: SuiteConfig, memo: dict) -> SuiteOutput:
     )
     a0 = states[0]
     table = entropy_from_reservoir(model, a0, 0.0, r0.reservoir, states)
-    diffs = [table.value(s) - model.oracle_entropy(s) for s in states if s in table.entries]
+    diffs = [table.entries[s] - model.oracle_entropy(s) for s in states if s in table.entries]
     mean = sum(diffs) / len(diffs)
     residual = max(abs(d - mean) for d in diffs)
-    tol = config.tol("zb_residual")
     results.append(
-        verdict(
-            "zb_oracle_match", residual < tol, [("residual", residual)],
-            samples_used=len(diffs), tolerance_used=tol,
+        residual_verdict(
+            "zb_oracle_match", residual, config.tol("zb_residual"),
+            samples_used=len(diffs),
             message=f"shift {mean:.6g} J/K, max residual {residual:.3e} J/K",
         )
     )
@@ -521,11 +519,10 @@ def suite_zb(target, config: SuiteConfig, memo: dict) -> SuiteOutput:
         worst = max(worst, check_entropy_additivity(model, aux, pair_a, pair_b, bench))
         pair_b2 = tuple(engine.sample_states(rng, 2))
         worst = max(worst, check_entropy_additivity(model, model, pair_a, pair_b2, bench))
-    tol = config.tol("zb_additivity")
     results.append(
-        verdict(
-            "zb_additivity", worst < tol, [("residual", worst)],
-            samples_used=2 * config.count("weight_processes"), tolerance_used=tol,
+        residual_verdict(
+            "zb_additivity", worst, config.tol("zb_additivity"),
+            samples_used=2 * config.count("weight_processes"),
             message=f"max residual {worst:.3e} J/K",
         )
     )
@@ -545,15 +542,12 @@ def suite_zb(target, config: SuiteConfig, memo: dict) -> SuiteOutput:
         grid, ly = ly_table(model, config, memo)
         common = [s for s in grid if s in ly.entries and s in table.entries]
         fit = affine_match(
-            [ly.value(s) for s in common], [table.value(s) for s in common]
+            [ly.entries[s] for s in common], [table.entries[s] for s in common]
         )
-        tol = config.tol("ly_residual")
         results.append(
-            verdict(
-                "cross_construction",
-                fit.max_residual < tol and fit.orientation_ok,
-                [("fit", fit.a, fit.b, fit.max_residual)],
-                samples_used=len(common), tolerance_used=tol,
+            fit_verdict(
+                "cross_construction", fit, config.tol("ly_residual"),
+                samples_used=len(common),
                 message=f"affine fit residual {fit.max_residual:.3e} J/K",
             )
         )
@@ -660,10 +654,7 @@ def suite_caratheodory(target, config: SuiteConfig, memo: dict) -> SuiteOutput:
 
     coords = sample_box_coords(simple.coord_box, 50, rng)
     res = factorization_residual(simple, coords)
-    results.append(
-        verdict("factorization", res < 1e-10, [("residual", res)],
-                samples_used=50, tolerance_used=1e-10)
-    )
+    results.append(residual_verdict("factorization", res, 1e-10, samples_used=50))
 
     # Entropy from the collapsed coordinate matches the model's oracle affinely.
     entropy = entropy_from_integrating_factor(simple, x0_ref=0.0, s_ref=0.0)
@@ -677,11 +668,9 @@ def suite_caratheodory(target, config: SuiteConfig, memo: dict) -> SuiteOutput:
     ]
     fit = affine_match(built, oracle)
     results.append(
-        verdict(
-            "caratheodory_entropy_match",
-            fit.max_residual < 1e-8 and fit.orientation_ok,
-            [("fit", fit.a, fit.b, fit.max_residual)],
-            samples_used=len(states), tolerance_used=1e-8,
+        fit_verdict(
+            "caratheodory_entropy_match", fit, 1e-8,
+            samples_used=len(states),
             message=f"affine fit residual {fit.max_residual:.3e}",
         )
     )

@@ -48,9 +48,7 @@ CARNOT_REL_TOL = 1e-7
 class Reservoir:
     """A thermal reservoir: fixed regions of space and an exactly affine
     entropy-energy relation with slope 1/T, so any reservoir entropy change
-    dS is realized by the energy change T dS.  ``t_eff`` is the temperature
-    the physics uses; only a planted defect (see ``mutants``) makes it
-    differ from the declared one.
+    dS is realized by the energy change T dS.
     """
 
     id: str
@@ -60,13 +58,9 @@ class Reservoir:
         if not (self.temperature > 0 and math.isfinite(self.temperature)):
             raise DomainError("reservoir temperature must be positive")
 
-    @property
-    def t_eff(self) -> float:
-        return self.temperature
-
     def delta_energy_for_delta_entropy(self, d_entropy: float) -> float:
         """Energy change realizing a given reservoir entropy change."""
-        return self.t_eff * d_entropy
+        return self.temperature * d_entropy
 
 
 @dataclass(frozen=True)
@@ -92,14 +86,15 @@ class StandardWeightProcessRecord:
 
     system_pair: tuple[StateLike, StateLike]
     delta_e_r: float
-    reversible: bool
-    sigma: float
+    sigma: float = 0.0
 
     def __post_init__(self):
-        if (self.sigma == 0.0) != self.reversible:
-            raise DomainError("reversible flag must agree with sigma == 0")
         if self.sigma < 0.0:
             raise DomainError("entropy generation cannot be negative")
+
+    @property
+    def reversible(self) -> bool:
+        return self.sigma == 0.0
 
 
 def _require_separable_uncorrelated(*states: StateLike):
@@ -135,8 +130,7 @@ def run_irreversible_swp(
     rev = run_reversible_swp(model, a1, a2, r)
     return StandardWeightProcessRecord(
         system_pair=rev.system_pair,
-        delta_e_r=rev.delta_e_r + r.t_eff * sigma,
-        reversible=False,
+        delta_e_r=rev.delta_e_r + r.delta_energy_for_delta_entropy(sigma),
         sigma=sigma,
     )
 
@@ -355,16 +349,13 @@ def check_entropy_nondecrease(
     reversibility and positive change irreversibility."""
     witnesses = []
     for rec in weight_processes:
-        if rec.kind != "weight":
-            raise DomainError("check applies to plain weight processes only")
         ds = _oracle_delta(model, rec)
         is_zero = abs(ds) < zero_tol
         if ds < -zero_tol:
             witnesses.append(("entropy_decrease", rec, ds))
-        elif is_zero and not rec.reversible:
-            witnesses.append(("zero_but_irreversible", rec, ds))
-        elif not is_zero and rec.reversible:
-            witnesses.append(("positive_but_reversible", rec, ds))
+        elif is_zero != rec.reversible:
+            label = "zero_but_irreversible" if is_zero else "positive_but_reversible"
+            witnesses.append((label, rec, ds))
     return verdict(
         "entropy_nondecrease", not witnesses, witnesses,
         samples_used=len(weight_processes), tolerance_used=zero_tol,

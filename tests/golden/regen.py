@@ -91,6 +91,15 @@ RUNS = {
         ["construct-ly", "--seed", "2"], _gas("break_scaling"),
     ),
     "all-gas-seed1-csv": (["all", "--seed", "1", "--format", "csv"], _gas()),
+    # Tolerances far below rounding noise: ly_oracle_match and
+    # cross_construction fail with fit witnesses, zb_oracle_match and
+    # zb_additivity with residual witnesses.
+    "all-gas-tight-seed4": (
+        ["all", "--seed", "4"],
+        {**_gas(), "tolerances": {
+            "ly_residual": 1e-40, "zb_residual": 1e-40, "zb_additivity": 1e-60,
+        }},
+    ),
     # A stability-heavy run on a gauged gas: 200 stability tuples of 20
     # epsilons each, and 100 N1 stability tuples.
     "check-axioms-gas-n3-cv2.5-gauge-seed5": (

@@ -88,7 +88,7 @@ def zb_table(gas, grid):
 
 def test_criterion_01_ly_reconstruction(gas, grid, ly_table):
     oracle = [gas.oracle_entropy(s) for s in grid]
-    fit = affine_match([ly_table.value(s) for s in grid], oracle)
+    fit = affine_match([ly_table.entries[s] for s in grid], oracle)
     ok = (
         fit.max_residual < 1e-6
         and fit.orientation_ok
@@ -104,7 +104,7 @@ def test_criterion_01_ly_reconstruction(gas, grid, ly_table):
 
 
 def test_criterion_02_zb_reconstruction(gas, grid, zb_table):
-    diffs = [zb_table.value(s) - gas.oracle_entropy(s) for s in grid]
+    diffs = [zb_table.entries[s] - gas.oracle_entropy(s) for s in grid]
     mean = sum(diffs) / len(diffs)
     residual = max(abs(d - mean) for d in diffs)
     rng = random.Random(202)
@@ -124,7 +124,7 @@ def test_criterion_02_zb_reconstruction(gas, grid, zb_table):
 def test_criterion_03_cross_construction(grid, ly_table, zb_table):
     common = [s for s in grid if s in ly_table.entries and s in zb_table.entries]
     fit = affine_match(
-        [ly_table.value(s) for s in common], [zb_table.value(s) for s in common]
+        [ly_table.entries[s] for s in common], [zb_table.entries[s] for s in common]
     )
     ok = fit.max_residual < 1e-6 and fit.orientation_ok
     _verdict(3, f"construction cross-agreement residual {fit.max_residual:.2e} J/K", ok)

@@ -17,7 +17,9 @@ from entrokit.axioms import (
     check_splitting,
     check_stability,
     check_transitivity,
+    fit_verdict,
     not_applicable,
+    residual_verdict,
     verdict,
 )
 from entrokit.catalog import chain_fixture, ideal_gas, two_level_spin
@@ -30,6 +32,7 @@ from entrokit.core import (
     composite_state,
 )
 from entrokit.errors import DomainError
+from entrokit.interpolation import AffineFit
 import entrokit.axioms as axioms_module
 from entrokit.mutants import mutate_model
 from test_interpolation import _GAS_PARAMS, ScalarRelation, state_pools
@@ -38,6 +41,45 @@ from test_interpolation import _GAS_PARAMS, ScalarRelation, state_pools
 def test_check_result_fail_needs_witnesses():
     with pytest.raises(DomainError):
         CheckResult("x", CheckStatus.FAIL, [])
+
+
+# -- residual and fit verdicts -----------------------------------------------
+
+def test_residual_verdict_fails_at_its_tolerance():
+    result = residual_verdict("r", 1e-9, 1e-9, samples_used=3, message="m")
+    assert result.failed
+    assert result.witnesses == [("residual", 1e-9)]
+    assert (result.samples_used, result.tolerance_used, result.message) == (3, 1e-9, "m")
+    assert residual_verdict("r", float("nan"), 1.0, samples_used=1).failed
+
+
+def test_residual_verdict_pass_carries_no_witness():
+    result = residual_verdict("r", 0.5e-9, 1e-9, samples_used=3, message="m")
+    assert result == CheckResult(
+        "r", CheckStatus.PASS, [], samples_used=3, tolerance_used=1e-9, message="m"
+    )
+    assert residual_verdict("r", 0.0, 1e-9, samples_used=1).message == ""
+
+
+@pytest.mark.parametrize("slope", [0.0, -1.0])
+def test_fit_verdict_fails_without_a_positive_slope(slope):
+    result = fit_verdict("f", AffineFit(slope, 2.0, 0.0), 1e-6, samples_used=4, message="m")
+    assert result.failed
+    assert result.witnesses == [("fit", slope, 2.0, 0.0)]
+
+
+def test_fit_verdict_fails_at_its_tolerance():
+    result = fit_verdict("f", AffineFit(1.0, 0.0, 1e-6), 1e-6, samples_used=4, message="m")
+    assert result.failed
+    assert result.witnesses == [("fit", 1.0, 0.0, 1e-6)]
+    assert (result.samples_used, result.tolerance_used, result.message) == (4, 1e-6, "m")
+
+
+def test_fit_verdict_pass_carries_no_witness():
+    result = fit_verdict("f", AffineFit(0.5, -3.0, 1e-7), 1e-6, samples_used=4, message="m")
+    assert result == CheckResult(
+        "f", CheckStatus.PASS, [], samples_used=4, tolerance_used=1e-6, message="m"
+    )
 
 
 # -- reflexivity -------------------------------------------------------------

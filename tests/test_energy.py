@@ -13,7 +13,7 @@ from entrokit.mutants import mutate_model
 
 
 def _leg(a, b, work):
-    return ProcessRecord("weight", a, b, work, reversible=True, sigma=0.0)
+    return ProcessRecord(a, b, work, sigma=0.0)
 
 
 def _states(gas, *uv):

@@ -8,7 +8,9 @@ with ``ast``:
 - every module-level UPPER_CASE name assigned in ``src/entrokit/*.py`` must
   be read by some module of the package, by name or as an attribute;
 - ``report.py`` must read every key of its default tolerance and sample
-  count tables through ``config.tol`` and ``config.count``.
+  count tables through ``config.tol`` and ``config.count``;
+- no ``verdict`` call in ``report.py`` or ``mutants.py`` builds a residual or
+  fit witness by hand: ``residual_verdict`` and ``fit_verdict`` do.
 
 It also keeps the runtime free of dependencies: importing the command line
 loads no numpy, and ``pyproject.toml`` declares none.
@@ -125,7 +127,7 @@ def test_package_declares_no_runtime_dependencies():
 # The construction fence: the interpolation route reads a model only through
 # the relation's order queries, never through its entropies, and the order
 # axioms read no entropy either.
-RELATION_QUERIES = {"leq", "equivalent", "leq_mixtures", "leq_many"}
+RELATION_QUERIES = {"leq", "equivalent", "leq_many"}
 FENCED = {
     "oracle_entropy", "scaled_entropies", "process_engine", "_combine_columns", "_compare_rows",
 }
@@ -160,7 +162,7 @@ def fence_breaches(source: str, relation: Optional[str] = "rel") -> list[str]:
 def test_fence_breaches_are_found():
     source = (
         "def f(rel, model, x):\n"
-        "    rel.leq(x, x) and rel.leq_mixtures(x, x, [0.5], [x])\n"
+        "    rel.leq(x, x) and rel.leq_many([(x, 0.5), (x, 0.5)], [(x, 1.0)])\n"
         "    rel.sample(None, 3)\n"
         "    return model.oracle_entropy(x) + getattr(model, 'scaled_entropies')(x, [1])\n"
     )
@@ -230,3 +232,52 @@ def test_unread_knobs_are_found():
 def test_report_reads_every_tolerance_and_sample_count():
     unread = unread_knobs((PACKAGE / "report.py").read_text())
     assert not unread, "\n".join(unread)
+
+
+# One way to turn a residual or an affine fit into a verdict: the checks
+# that emit them call ``axioms.residual_verdict`` or ``axioms.fit_verdict``.
+HELPER_WITNESSES = {"residual", "fit"}
+
+
+def hand_built_witnesses(source: str) -> list[str]:
+    """``check: kind`` for each ``verdict`` call whose witnesses hold a
+    literal tuple tagged with a ``HELPER_WITNESSES`` kind."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "verdict"
+        ):
+            continue
+        witnesses = node.args[2:3] + [k.value for k in node.keywords if k.arg == "witnesses"]
+        name = node.args[0].value if node.args and isinstance(node.args[0], ast.Constant) else "?"
+        found += [
+            (node.lineno, f"{name}: {item.elts[0].value}")
+            for arg in witnesses
+            for item in ast.walk(arg)
+            if isinstance(item, ast.Tuple)
+            and item.elts
+            and isinstance(item.elts[0], ast.Constant)
+            and item.elts[0].value in HELPER_WITNESSES
+        ]
+    return [entry for _, entry in sorted(found)]
+
+
+def test_hand_built_witnesses_are_found():
+    source = (
+        'verdict("a", r < tol, [("residual", r)], samples_used=1)\n'
+        'verdict("b", ok, witnesses=[("fit", f.a, f.b, f.max_residual)])\n'
+        'verdict("c", ok, [("work", w, expected)], message="residual")\n'
+        'residual_verdict("d", r, tol, samples_used=1)\n'
+        'other("e", ok, [("residual", r)])\n'
+        'def g(name, r):\n'
+        '    return verdict(name, r < 1, [("fit", 1.0, 0.0, r)])\n'
+    )
+    assert hand_built_witnesses(source) == ["a: residual", "b: fit", "?: fit"]
+
+
+@pytest.mark.parametrize("module", ["report.py", "mutants.py"])
+def test_residuals_and_fits_become_verdicts_through_their_helpers(module):
+    found = hand_built_witnesses((PACKAGE / module).read_text())
+    assert not found, "\n".join(found)

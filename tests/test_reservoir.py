@@ -250,7 +250,7 @@ def test_entropy_grid_matches_oracle_up_to_constant(gas, r0):
     e = gas.process_engine
     grid = e.grid(11, 11)
     table = entropy_from_reservoir(gas, grid[0], 0.0, r0.reservoir, grid)
-    diffs = [table.value(s) - gas.oracle_entropy(s) for s in grid]
+    diffs = [table.entries[s] - gas.oracle_entropy(s) for s in grid]
     mean = sum(diffs) / len(diffs)
     assert max(abs(d - mean) for d in diffs) < 1e-6
 
@@ -343,8 +343,7 @@ def test_pmm2_entropy_blind_engine_fails(rng):
     def reckless(start, rng_):
         u, v, _ = start.coords
         target = blind.process_engine.state(u * 0.8, v)
-        return ProcessRecord("weight", start, target, start.energy - target.energy,
-                             reversible=False, sigma=1.0)
+        return ProcessRecord(start, target, start.energy - target.energy, sigma=1.0)
 
     blind.process_engine.attempt_process_at_fixed_region = reckless
     ses = blind.process_engine.sample_state(rng)
@@ -393,8 +392,7 @@ def test_nondecrease_stirring_is_irreversible(gas, rng):
 def test_nondecrease_rejects_entropy_drop(gas):
     e = gas.process_engine
     a, b = e.state(2000.0, 0.02), e.state(1500.0, 0.02)
-    fake = ProcessRecord("weight", a, b, a.energy - b.energy,
-                         reversible=False, sigma=0.5)
+    fake = ProcessRecord(a, b, a.energy - b.energy, sigma=0.5)
     result = check_entropy_nondecrease(gas, [fake])
     assert result.failed
     assert result.witnesses[0][0] == "entropy_decrease"
@@ -403,8 +401,7 @@ def test_nondecrease_rejects_entropy_drop(gas):
 def test_nondecrease_rejects_mislabelled_reversibility(gas):
     e = gas.process_engine
     a, b = e.state(2000.0, 0.02), e.state(2500.0, 0.02)
-    mislabelled = ProcessRecord("weight", a, b, a.energy - b.energy,
-                                reversible=True, sigma=0.0)
+    mislabelled = ProcessRecord(a, b, a.energy - b.energy, sigma=0.0)
     result = check_entropy_nondecrease(gas, [mislabelled])
     assert result.failed
 
