@@ -118,6 +118,18 @@ RUNS = {
         {"model": {"kind": "fixture", "params": {"path": "fixture.json"},
                    "mutation": "break_transitivity"}},
     ),
+    # A 40-state total preorder with 13 levels, string ids s0..s39 listed
+    # in shuffled order: file order differs from sorted order, so these
+    # pin the planted pair (chosen in sorted id order), the transitivity
+    # witness (first in file order) and the comparison scan's count.
+    **{
+        f"check-axioms-fixture-strings{'-' + m if m else ''}-seed1": (
+            ["check-axioms", "--seed", "1"],
+            {"model": {"kind": "fixture", "params": {"path": "fixture-strings.json"},
+                       **({"mutation": m} if m else {})}},
+        )
+        for m in (None, "break_transitivity")
+    },
 }
 
 
