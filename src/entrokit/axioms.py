@@ -241,25 +241,33 @@ def check_transitivity(rel, *, samples: int = 500, seed=0) -> CheckResult:
                 "transitivity",
                 f"universe size {n} exceeds exhaustive-scan cap {TRANSITIVITY_CAP}",
             )
-        # Row i is the bitset of the j with elems[i] ≼ elems[j].  For x ≼ y,
-        # rows[y] & ~rows[x] holds the z with y ≼ z but not x ≼ z; its lowest
-        # bit is the first z in element order.
-        rows = rel.rows
-        witness = next(
-            (
-                (x, y, elems[(bad & -bad).bit_length() - 1])
-                for x, row in zip(elems, rows)
-                for j, y in enumerate(elems)
-                if row >> j & 1 and (bad := rows[j] & ~row)
-            ),
-            None,
-        )
+        witness = _first_intransitive(elems, rel.rows)
         return verdict("transitivity", witness is None, [witness], samples_used=n ** 3)
 
     witness, used = _scan(
         random.Random(seed), samples, [(rel, None)] * 3, _transitivity_judge(rel)
     )
     return verdict("transitivity", witness is None, [witness], samples_used=used)
+
+
+def _first_intransitive(elems: list, rows: list[int]) -> Optional[tuple]:
+    """The first (x, y, z) in element order with x ≼ y and y ≼ z but not
+    x ≼ z, read off the bitset rows; None where the order is transitive.
+
+    Row i is the bitset of the j with elems[i] ≼ elems[j].  For each x ≼ y,
+    taken as the set bits of x's row from the lowest, rows[y] & ~rows[x]
+    holds the z with y ≼ z but not x ≼ z; its lowest bit is the first z.
+    """
+    for x, row in zip(elems, rows):
+        not_row, bits = ~row, row
+        while bits:
+            low = bits & -bits
+            j = low.bit_length() - 1
+            bad = rows[j] & not_row
+            if bad:
+                return x, elems[j], elems[(bad & -bad).bit_length() - 1]
+            bits ^= low
+    return None
 
 
 def _transitivity_judge(rel):

@@ -550,17 +550,20 @@ def two_level_spin(n_particles: int = 100, eps: float = 1e-21,
 
 @dataclass
 class FinitePreorderFixture:
-    """An explicit relation over labelled states, as loaded from a file."""
+    """An explicit relation over labelled states, as loaded from a file:
+    bit j of ``rows[i]`` is set exactly when ids[i] ≼ ids[j]."""
 
     ids: list
-    pairs: set
+    rows: list
 
     def relation(self) -> AccessibilityRelation:
-        return AccessibilityRelation.finite(self.ids, self.pairs)
+        return AccessibilityRelation.finite(self.ids, self.rows)
 
 
 def load_fixture(path) -> FinitePreorderFixture:
-    """Parse a fixture file: states plus relation pairs as integer-id lists."""
+    """Parse a fixture file: states as JSON scalar ids (or objects with an
+    ``"id"``), and relation pairs as two-id lists, set as row bits in file
+    order."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -574,7 +577,7 @@ def load_fixture(path) -> FinitePreorderFixture:
         raise ParseError(f"{path}: fixture needs 'states' and 'pairs' keys")
     if not isinstance(raw["states"], list) or not isinstance(raw["pairs"], list):
         raise ParseError(f"{path}: 'states' and 'pairs' must be lists")
-    ids, known = [], set()
+    index = {}  # state id -> its position in the file
     for entry in raw["states"]:
         if isinstance(entry, dict):
             if "id" not in entry:
@@ -582,26 +585,26 @@ def load_fixture(path) -> FinitePreorderFixture:
             sid = entry["id"]
         else:
             sid = entry
-        if sid in known:
+        if isinstance(sid, (list, dict)):
+            raise ParseError(f"{path}: state id is not a JSON scalar: {entry!r}")
+        if sid in index:
             raise ParseError(f"{path}: duplicate state id {sid!r}")
-        known.add(sid)
-        ids.append(sid)
-    pairs = set()
+        index[sid] = len(index)
+    rows = [0] * len(index)
     for i, pair in enumerate(raw["pairs"]):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ParseError(f"{path}: pair #{i} is not a two-element list: {pair!r}")
         a, b = pair
-        if a not in known or b not in known:
-            raise ParseError(f"{path}: pair #{i} references unknown state: {pair!r}")
-        pairs.add((a, b))
-    return FinitePreorderFixture(ids, pairs)
+        try:
+            rows[index[a]] |= 1 << index[b]
+        except (KeyError, TypeError):  # TypeError: an array or object names no state
+            raise ParseError(f"{path}: pair #{i} references unknown state: {pair!r}") from None
+    return FinitePreorderFixture(list(index), rows)
 
 
 def chain_fixture(n: int) -> FinitePreorderFixture:
     """The total order 0 <= 1 <= ... <= n-1, reflexive-transitively closed."""
-    ids = list(range(n))
-    pairs = {(i, j) for i in ids for j in ids if i <= j}
-    return FinitePreorderFixture(ids, pairs)
+    return FinitePreorderFixture(list(range(n)), [(1 << n) - (1 << i) for i in range(n)])
 
 
 def discrete_spin_fixture(n_particles: int = 12) -> FinitePreorderFixture:
@@ -614,9 +617,9 @@ def discrete_spin_fixture(n_particles: int = 12) -> FinitePreorderFixture:
     if not 2 <= n_particles <= 20:
         raise DomainError("exhaustive spin fixture needs 2 <= N <= 20 particles")
     ids = list(range(n_particles + 1))
-    level = {k: math.comb(n_particles, k) for k in ids}
-    pairs = {(a, b) for a in ids for b in ids if level[a] <= level[b]}
-    return FinitePreorderFixture(ids, pairs)
+    level = [math.comb(n_particles, k) for k in ids]
+    rows = [sum(1 << b for b in ids if level[a] <= level[b]) for a in ids]
+    return FinitePreorderFixture(ids, rows)
 
 
 def random_closed_dag_fixture(n: int, seed: int = 0, density: float = 0.05) -> FinitePreorderFixture:
@@ -634,9 +637,7 @@ def random_closed_dag_fixture(n: int, seed: int = 0, density: float = 0.05) -> F
         for i in range(n):
             if reach[i] & bit:
                 reach[i] |= reach[k]
-    ids = list(range(n))
-    pairs = {(i, j) for i in range(n) for j in range(n) if reach[i] >> j & 1}
-    return FinitePreorderFixture(ids, pairs)
+    return FinitePreorderFixture(list(range(n)), reach)
 
 
 # ---------------------------------------------------------------------------

@@ -224,15 +224,15 @@ class Access(str, Enum):
 class AccessibilityRelation:
     """The adiabatic-accessibility preorder, finite or model-induced.
 
-    Finite mode keeps the order over distinct hashable element ids as
-    bitset rows, built once from the pairs by ``_build_rows``: bit j of
-    ``rows[i]`` is set exactly when elements[i] ≼ elements[j].  Its
-    reflexivity and transitivity are checked, never assumed.  Induced mode
-    answers queries by comparing oracle entropies of compatible states, with
-    an absolute equivalence tolerance taken from the owning model.
+    Finite mode keeps the order over distinct hashable element ids as the
+    bitset rows it is given: bit j of ``rows[i]`` is set exactly when
+    elements[i] ≼ elements[j].  Its reflexivity and transitivity are
+    checked, never assumed.  Induced mode answers queries by comparing
+    oracle entropies of compatible states, with an absolute equivalence
+    tolerance taken from the owning model.
     """
 
-    def __init__(self, mode, *, elements=None, pairs=None, models=None):
+    def __init__(self, mode, *, elements=None, rows=None, models=None):
         self.mode = mode
         if mode == "finite":
             self.elements = list(elements)
@@ -240,7 +240,10 @@ class AccessibilityRelation:
             if len(self._index) != len(self.elements):
                 duplicate = next(x for i, x in enumerate(self.elements) if self._index[x] != i)
                 raise DomainError(f"duplicate element {duplicate!r}")
-            self.rows = self._build_rows(pairs)
+            self.rows = list(rows)
+            n = len(self.elements)
+            if len(self.rows) != n or any(row >> n for row in self.rows):
+                raise DomainError(f"a finite relation on {n} elements needs {n} rows of {n} bits")
             self.models = []
         elif mode == "induced":
             self.models = list(models)
@@ -253,26 +256,12 @@ class AccessibilityRelation:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def finite(cls, elements: Iterable[Hashable], pairs: Iterable[tuple]) -> "AccessibilityRelation":
-        return cls("finite", elements=elements, pairs=pairs)
+    def finite(cls, elements: Iterable[Hashable], rows: Iterable[int]) -> "AccessibilityRelation":
+        return cls("finite", elements=elements, rows=rows)
 
     @classmethod
     def induced(cls, models: Sequence[ModelSystem]) -> "AccessibilityRelation":
         return cls("induced", models=models)
-
-    # -- finite-mode internals -----------------------------------------
-
-    def _build_rows(self, pairs: Iterable[tuple]) -> list[int]:
-        """The bitset rows of the pairs (x, y) that name two elements; a pair
-        naming another id is ignored.  A subclass that overrides it plants
-        another order, which ``leq`` and the exhaustive scans then share."""
-        index = self._index
-        rows = [0] * len(self.elements)
-        for x, y in pairs:
-            i, j = index.get(x), index.get(y)
-            if i is not None and j is not None:
-                rows[i] |= 1 << j
-        return rows
 
     # -- induced-mode internals ----------------------------------------
 

@@ -164,18 +164,24 @@ def _plant_oracle_defect(model: ModelSystem, defect) -> None:
 
 def _break_transitivity(fixture: FinitePreorderFixture) -> FinitePreorderFixture:
     """Replace one closure pair (a, c) by its reverse: transitivity now has a
-    witness while every element stays comparable."""
-    for a, b in sorted(fixture.pairs):
-        if a == b:
-            continue
-        for c in fixture.ids:
-            if c in (a, b):
+    witness while every element stays comparable.  The pairs a ≼ b are tried
+    in sorted id order, or in file order where the ids do not sort together,
+    and c in file order."""
+    ids, rows = fixture.ids, fixture.rows
+    try:
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+    except TypeError:
+        order = range(len(ids))
+    for a in order:
+        for b in order:
+            if a == b or not rows[a] >> b & 1:
                 continue
-            if (b, c) in fixture.pairs and (a, c) in fixture.pairs and (c, a) not in fixture.pairs:
-                pairs = set(fixture.pairs)
-                pairs.discard((a, c))
-                pairs.add((c, a))
-                return FinitePreorderFixture(list(fixture.ids), pairs)
+            for c in range(len(ids)):
+                if c not in (a, b) and (rows[a] & rows[b]) >> c & 1 and not rows[c] >> a & 1:
+                    broken = list(rows)
+                    broken[a] ^= 1 << c
+                    broken[c] |= 1 << a
+                    return FinitePreorderFixture(list(ids), broken)
     raise CapabilityError("fixture has no transitive triple to break")
 
 

@@ -35,6 +35,7 @@ from entrokit.errors import DomainError
 from entrokit.interpolation import AffineFit
 import entrokit.axioms as axioms_module
 from entrokit.mutants import mutate_model
+from test_core import finite_relation
 from test_interpolation import _GAS_PARAMS, ScalarRelation, state_pools
 
 
@@ -89,26 +90,26 @@ def test_reflexivity_induced_passes(gas_rel):
 
 
 def test_reflexivity_missing_diagonal_fails():
-    rel = AccessibilityRelation.finite([1, 2], [(1, 2), (2, 2)])
+    rel = finite_relation([1, 2], [(1, 2), (2, 2)])
     result = check_reflexivity(rel)
     assert result.failed
     assert result.witnesses == [1]
 
 
 def test_reflexivity_empty_universe_vacuously_passes():
-    rel = AccessibilityRelation.finite([], [])
+    rel = finite_relation([], [])
     assert check_reflexivity(rel).passed
 
 
 # -- transitivity ------------------------------------------------------------
 
 def test_transitivity_closed_chain_passes():
-    rel = AccessibilityRelation.finite([1, 2, 3], [(1, 2), (2, 3), (1, 3)])
+    rel = finite_relation([1, 2, 3], [(1, 2), (2, 3), (1, 3)])
     assert check_transitivity(rel).passed
 
 
 def test_transitivity_missing_closure_pair_fails():
-    rel = AccessibilityRelation.finite([1, 2, 3], [(1, 2), (2, 3)])
+    rel = finite_relation([1, 2, 3], [(1, 2), (2, 3)])
     result = check_transitivity(rel)
     assert result.failed
     assert (1, 2, 3) in result.witnesses
@@ -169,7 +170,7 @@ def _finite_relations(draw):
             pairs.discard((a, c))
             if draw(st.booleans()):
                 pairs.add((c, a))
-    return AccessibilityRelation.finite(ids, pairs)
+    return finite_relation(ids, pairs)
 
 
 @given(rel=_finite_relations())
@@ -185,41 +186,36 @@ def test_transitivity_scan_matches_cubic_reference(rel):
 
 
 def test_transitivity_scan_asks_at_most_n_squared_queries(monkeypatch):
-    # The scan reads the rows the relation built at construction: it asks no
-    # leq at all, and scanning again builds nothing.
-    builds, calls = [], []
-    build_rows, leq = AccessibilityRelation._build_rows, AccessibilityRelation.leq
-
-    def counting_build_rows(self, pairs):
-        builds.append(1)
-        return build_rows(self, pairs)
+    # The scan reads the relation's rows: it asks no leq at all, finds the
+    # closure bit planted out of the last row pair, and leaves the rows as
+    # it found them.
+    calls = []
+    leq = AccessibilityRelation.leq
 
     def counting_leq(self, x, y):
         calls.append(1)
         return leq(self, x, y)
 
-    monkeypatch.setattr(AccessibilityRelation, "_build_rows", counting_build_rows)
     monkeypatch.setattr(AccessibilityRelation, "leq", counting_leq)
-    rel = chain_fixture(TRANSITIVITY_CAP).relation()
+    n = TRANSITIVITY_CAP
+    rows = chain_fixture(n).rows
+    rows[n - 3] ^= 1 << (n - 1)
+    rel = AccessibilityRelation.finite(range(n), rows)
     for _ in range(2):
         result = check_transitivity(rel)
-        assert result.passed
-        assert result.samples_used == TRANSITIVITY_CAP ** 3
+        assert result.witnesses == [(n - 3, n - 2, n - 1)]
+        assert result.samples_used == n ** 3
     assert calls == []
-    assert len(builds) == 1
-
-
-class _DropsClosurePair(AccessibilityRelation):
-    """A finite relation whose row builder drops the pair (0, 2)."""
-
-    def _build_rows(self, pairs):
-        return super()._build_rows(p for p in pairs if p != (0, 2))
+    assert rel.rows == rows
 
 
 def test_transitivity_scan_asks_overriding_leq():
-    pairs = chain_fixture(3).pairs
-    assert (0, 2) in pairs
-    rel = _DropsClosurePair.finite([0, 1, 2], pairs)
+    # The closure bit 0 ≼ 2 planted out of the chain's rows: leq and both
+    # exhaustive scans read the same planted order.
+    rows = chain_fixture(3).rows
+    assert rows[0] >> 2 & 1
+    rows[0] ^= 1 << 2
+    rel = AccessibilityRelation.finite([0, 1, 2], rows)
     assert not rel.leq(0, 2)
     result = check_transitivity(rel)
     assert result.failed
@@ -233,7 +229,9 @@ def test_transitivity_and_comparison_on_a_chain_with_a_deep_incomparable_pair():
     # (no y lies strictly between them) but makes that pair incomparable.
     n, a, b = TRANSITIVITY_CAP, 150, 151
     fixture = chain_fixture(n)
-    rel = AccessibilityRelation.finite(fixture.ids, fixture.pairs - {(a, b)})
+    rows = list(fixture.rows)
+    rows[a] ^= 1 << b
+    rel = AccessibilityRelation.finite(fixture.ids, rows)
     assert check_reflexivity(rel).passed
     transitivity = check_transitivity(rel)
     assert transitivity.passed
@@ -640,13 +638,13 @@ def test_comparison_induced_single_space(gas_rel):
 
 
 def test_comparison_disconnected_fixture_fails():
-    rel = AccessibilityRelation.finite([1, 2], [(1, 1), (2, 2)])
+    rel = finite_relation([1, 2], [(1, 1), (2, 2)])
     result = check_comparison(rel)
     assert result.failed
 
 
 def test_comparison_single_state_universe():
-    rel = AccessibilityRelation.finite([1], [(1, 1)])
+    rel = finite_relation([1], [(1, 1)])
     assert check_comparison(rel).passed
 
 
@@ -717,7 +715,7 @@ def test_n1_n2_empty_gamma_not_applicable(gas_rel):
 # -- witness replay -----------------------------------------------------------
 
 def test_fail_witnesses_replay_deterministically():
-    rel = AccessibilityRelation.finite([1, 2, 3], [(1, 2), (2, 3)])
+    rel = finite_relation([1, 2, 3], [(1, 2), (2, 3)])
     result = check_transitivity(rel)
     x, y, z = result.witnesses[0]
     assert rel.leq(x, y) and rel.leq(y, z) and not rel.leq(x, z)

@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import random
 import re
+import tempfile
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from entrokit.catalog import (
 from entrokit.axioms import check_comparison, check_reflexivity, check_transitivity
 from entrokit.core import StateSpace
 from entrokit.errors import CapabilityError, DomainError, ParseError
+from test_core import rows_from_pairs
 
 
 # -- ideal gas -----------------------------------------------------------------
@@ -342,7 +345,93 @@ def _numpy_warshall(n, seed, density=0.05):
 @pytest.mark.parametrize("seed", range(5))
 def test_random_dag_bitset_closure_equals_numpy_warshall(seed):
     fixture = random_closed_dag_fixture(60, seed=seed, density=0.08)
-    assert fixture.pairs == _numpy_warshall(60, seed, density=0.08)
+    assert fixture.rows == rows_from_pairs(range(60), _numpy_warshall(60, seed, density=0.08))
+
+
+def test_generated_fixtures_write_the_rows_of_their_pairs():
+    from entrokit.catalog import discrete_spin_fixture
+
+    ids = list(range(7))
+    chain = {(i, j) for i in ids for j in ids if i <= j}
+    assert chain_fixture(7).rows == rows_from_pairs(ids, chain)
+    level = [math.comb(6, k) for k in ids]
+    spin = {(a, b) for a in ids for b in ids if level[a] <= level[b]}
+    assert discrete_spin_fixture(6).rows == rows_from_pairs(ids, spin)
+
+
+def _load_raw(raw):
+    """``load_fixture`` of ``raw`` written as a file, and the file's path."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fixture.json")
+        with open(path, "w") as fh:
+            json.dump(raw, fh)
+        try:
+            return load_fixture(path), path
+        except ParseError as exc:
+            return exc, path
+
+
+@st.composite
+def _fixture_files(draw):
+    """A fixture file's contents and its order as a pair set: up to 10 int
+    or str ids in shuffled order, some as ``{"id"}`` objects, and pairs
+    drawn with repeats, reflexive or not."""
+    ids = draw(st.lists(st.one_of(st.integers(-5, 20), st.text(max_size=3)), max_size=10,
+                        unique_by=lambda x: (type(x), x)))
+    ids = draw(st.permutations(ids))
+    states = [{"id": x, "note": "s"} if draw(st.booleans()) else x for x in ids]
+    pairs = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=40)
+                 if ids else st.just([]))
+    if draw(st.booleans()):
+        pairs += [(x, x) for x in ids]
+    pairs = draw(st.permutations(pairs))
+    return {"states": states, "pairs": [list(p) for p in pairs]}, ids, set(pairs)
+
+
+@given(drawn=_fixture_files())
+@settings(max_examples=200, deadline=None)
+def test_load_fixture_rows_match_the_pair_set(drawn):
+    raw, ids, pairs = drawn
+    fixture, _ = _load_raw(raw)
+    assert fixture.ids == ids
+    assert fixture.rows == rows_from_pairs(ids, pairs)
+    n = len(ids)
+    assert {(ids[i], ids[j]) for i in range(n) for j in range(n) if fixture.rows[i] >> j & 1} == pairs
+
+
+@given(drawn=_fixture_files(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_load_fixture_rejects_each_malformed_input(drawn, data):
+    raw, ids, _ = drawn
+    known = [*ids, *({"id": x} for x in ids)]
+    at = data.draw(st.integers(0, len(raw["pairs"])))
+    flaw = data.draw(st.sampled_from(
+        ["keys", "non-list pair", "length", "unknown id", "duplicate id", "array id",
+         "array member"] if ids else ["keys", "non-list pair", "length", "unknown id"]
+    ))
+    if flaw == "keys":
+        del raw[data.draw(st.sampled_from(["states", "pairs"]))]
+        expected = "{}: fixture needs 'states' and 'pairs' keys"
+    elif flaw in ("duplicate id", "array id"):
+        bad = data.draw(st.sampled_from(known)) if flaw == "duplicate id" else [ids[0]]
+        raw["states"].append(bad)
+        sid = bad["id"] if isinstance(bad, dict) else bad
+        expected = (f"{{}}: duplicate state id {sid!r}" if flaw == "duplicate id"
+                    else f"{{}}: state id is not a JSON scalar: {bad!r}")
+    else:
+        pair = {
+            "non-list pair": data.draw(st.one_of(st.integers(), st.text(max_size=2))),
+            "length": [ids[0] if ids else 0] * data.draw(st.sampled_from([0, 1, 3])),
+            "unknown id": [ids[0] if ids else 0, "not-an-id"],
+            "array member": [[ids[0]] if ids else [0], ids[0] if ids else 0],
+        }[flaw]
+        raw["pairs"].insert(at, pair)
+        what = ("references unknown state" if flaw in ("unknown id", "array member")
+                else "is not a two-element list")
+        expected = f"{{}}: pair #{at} {what}: {pair!r}"
+    error, path = _load_raw(raw)
+    assert isinstance(error, ParseError)
+    assert str(error) == expected.format(path)
 
 
 def test_load_fixture_roundtrip(tmp_path):

@@ -21,6 +21,21 @@ from entrokit.core import (
 from entrokit.errors import CapabilityError, DomainError
 
 
+def rows_from_pairs(ids, pairs):
+    """The bitset rows of ``pairs`` over ``ids``: bit j of row i is set
+    exactly when (ids[i], ids[j]) is a pair."""
+    index = {x: i for i, x in enumerate(ids)}
+    rows = [0] * len(ids)
+    for x, y in pairs:
+        rows[index[x]] |= 1 << index[y]
+    return rows
+
+
+def finite_relation(ids, pairs):
+    """The finite relation on ``ids`` whose order is exactly ``pairs``."""
+    return AccessibilityRelation.finite(ids, rows_from_pairs(ids, pairs))
+
+
 def test_state_requires_finite_energy():
     with pytest.raises(DomainError):
         State("s", (1.0,), float("inf"), region="r")
@@ -51,28 +66,31 @@ def test_accessible_oracle_ordering_is_forward(gas, gas_rel):
 
 
 def test_finite_relation_absent_pair_is_incomparable():
-    rel = AccessibilityRelation.finite([1, 2, 3], [(1, 2)])
+    rel = finite_relation([1, 2, 3], [(1, 2)])
     assert accessible(rel, 2, 3) is Access.INCOMPARABLE
 
 
 def test_finite_relation_unknown_id_raises():
-    rel = AccessibilityRelation.finite([1, 2], [(1, 2)])
+    rel = finite_relation([1, 2], [(1, 2)])
     with pytest.raises(DomainError):
         rel.leq(1, 99)
 
 
 def test_finite_relation_rejects_duplicate_elements():
     with pytest.raises(DomainError, match="duplicate element 2"):
-        AccessibilityRelation.finite([1, 2, 3, 2], [(1, 2)])
+        AccessibilityRelation.finite([1, 2, 3, 2], [0, 0, 0, 0])
 
 
-def test_finite_relation_ignores_pairs_naming_unknown_ids():
-    plain = AccessibilityRelation.finite([1, 2], [(1, 1), (1, 2)])
-    extra = AccessibilityRelation.finite([1, 2], [(1, 1), (1, 2), (1, 99), (99, 2), (7, 8)])
-    assert extra.rows == plain.rows == [0b11, 0b00]
-    assert [extra.leq(x, y) for x in (1, 2) for y in (1, 2)] == [True, True, False, False]
-    with pytest.raises(DomainError):
-        extra.leq(1, 99)
+def test_finite_relation_reads_its_rows():
+    rel = AccessibilityRelation.finite([1, 2], [0b11, 0b00])
+    assert [rel.leq(x, y) for x in (1, 2) for y in (1, 2)] == [True, True, False, False]
+    assert rel.rows == rows_from_pairs([1, 2], [(1, 1), (1, 2)])
+
+
+@pytest.mark.parametrize("rows", [[0b11], [0b11, 0, 0], [0b100, 0], [0, -1]])
+def test_finite_relation_rejects_rows_that_do_not_fit(rows):
+    with pytest.raises(DomainError, match="needs 2 rows of 2 bits"):
+        AccessibilityRelation.finite([1, 2], rows)
 
 
 def test_state_keeps_dataclass_behaviour():
@@ -427,7 +445,7 @@ def test_leq_many_shapes(gas, gas_rel):
     with pytest.raises(DomainError, match="same number of rows"):
         gas_rel.leq_many([([x, x], 1.0)], [(x, [1.0, 1.0, 1.0])])
     with pytest.raises(CapabilityError):
-        AccessibilityRelation.finite([1], [(1, 1)]).leq_many([([1], 1.0)], [([1], 1.0)])
+        AccessibilityRelation.finite([1], [0b1]).leq_many([([1], 1.0)], [([1], 1.0)])
 
 
 def test_leq_many_matches_amounts_within_rounding(gas, gas_rel):

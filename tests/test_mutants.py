@@ -14,12 +14,13 @@ from entrokit.axioms import (
     check_stability,
     check_transitivity,
 )
-from entrokit.catalog import chain_fixture, ideal_gas
+from entrokit.catalog import FinitePreorderFixture, chain_fixture, ideal_gas
 from entrokit.core import composite_relation
 from entrokit.energy import check_path_independence
 from entrokit.errors import CapabilityError, DomainError
 from entrokit.mutants import MUTATIONS, mutate_model, mutation_matrix, run_model_checks
 from entrokit.reservoir import Reservoir, reference_reservoir, temperature_of
+from test_core import rows_from_pairs
 from test_interpolation import _GAS_PARAMS, _U, _V
 
 
@@ -115,6 +116,56 @@ def test_break_transitivity_keeps_comparability():
     assert check_transitivity(rel).failed
     assert check_reflexivity(rel).passed
     assert check_comparison(rel).passed
+
+
+def _pair_set_break(ids, pairs):
+    """The pair set with one closure pair (a, c) reversed: (a, b) the first
+    pair in sorted order, c the first id in file order with b ≼ c, a ≼ c and
+    not c ≼ a; None where there is none.  The reference for the rows."""
+    for a, b in sorted(pairs):
+        for c in ids:
+            if a != b and c not in (a, b) and {(b, c), (a, c)} <= pairs and (c, a) not in pairs:
+                return pairs - {(a, c)} | {(c, a)}
+    return None
+
+
+@given(
+    levels=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=12),
+    as_str=st.booleans(), total=st.booleans(), seed=st.integers(0, 2**16),
+)
+@settings(max_examples=150, deadline=None)
+def test_break_transitivity_reverses_the_pair_the_sorted_pair_scan_chose(levels, as_str, total, seed):
+    # A preorder by levels, total on the first coordinate or the product
+    # order on both, over ids listed in shuffled order.
+    ids = [f"s{k}" if as_str else k for k in range(len(levels))]
+    random.Random(seed).shuffle(ids)
+    level = dict(zip(ids, levels))
+    pairs = {
+        (a, b) for a in ids for b in ids
+        if (level[a][0] <= level[b][0] if total
+            else all(u <= v for u, v in zip(level[a], level[b])))
+    }
+    fixture = FinitePreorderFixture(ids, rows_from_pairs(ids, pairs))
+    expected = _pair_set_break(ids, pairs)
+    if expected is None:
+        with pytest.raises(CapabilityError):
+            mutate_model(fixture, "break_transitivity")
+        return
+    mutant = mutate_model(fixture, "break_transitivity")
+    assert mutant.ids == ids
+    assert mutant.rows == rows_from_pairs(ids, expected)
+    assert fixture.rows == rows_from_pairs(ids, pairs)
+
+
+def test_break_transitivity_on_ids_that_do_not_sort_together():
+    ids = [1, "a", 2]
+    fixture = FinitePreorderFixture(ids, rows_from_pairs(ids, [
+        (x, y) for i, x in enumerate(ids) for y in ids[i:]
+    ]))
+    rel = mutate_model(fixture, "break_transitivity").relation()
+    # Pairs in file order: (1, "a") is the first with a c, namely 2.
+    assert check_transitivity(rel).witnesses == [(1, "a", 2)]
+    assert rel.leq(2, 1) and not rel.leq(1, 2)
 
 
 def test_break_scaling_flips_only_enlarged_copies():

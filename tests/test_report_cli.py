@@ -476,6 +476,26 @@ def test_cli_mistyped_config_exits_two(tmp_path, capsys, config, flags):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("fixture, entry", [
+    ({"states": [[1], 2], "pairs": []}, "[1]"),
+    ({"states": [{"id": {"k": 1}}, 2], "pairs": []}, "{'id': {'k': 1}}"),
+    ({"states": [1, 2], "pairs": [[[1], 2]]}, "pair #0"),
+    ({"states": [1, 2], "pairs": [[1, 2], [1, {"id": 2}]]}, "pair #1"),
+])
+def test_cli_fixture_with_array_or_object_ids_exits_two(tmp_path, capsys, fixture, entry):
+    (tmp_path / "fixture.json").write_text(json.dumps(fixture))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(
+        {"model": {"kind": "fixture", "params": {"path": str(tmp_path / "fixture.json")}}}
+    ))
+    out_path = tmp_path / "r.json"
+    code = main(["check-axioms", "--config", str(path), "--out", str(out_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and entry in err
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("name, argv", [
     ("grid_nu", ["construct-ly"]),
     ("grid_nv", ["construct-ly"]),
