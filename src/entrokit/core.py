@@ -166,8 +166,7 @@ class ModelSystem:
     ``oracle_entropy(scale_state(s, t))`` gives it, and to a value that is
     not finite for a copy ``scale_state`` refuses (a factor or copy scale
     that is not positive and finite among them); the relation answers
-    batched order queries with it, and reads the values of states with a
-    unit factor through it too.
+    batched order queries with it, and reads unit factors from the oracle.
     """
 
     def __init__(self, process_engine):
@@ -331,7 +330,7 @@ class AccessibilityRelation:
         ask their rows through it, a clause or a table step at a time.
 
         Each part's oracle values are read once per distinct state (through
-        ``scaled_entropies`` where the part has one model with it), combined
+        ``oracle_entropy`` at factor 1, else ``scaled_entropies``), combined
         side by side with ``_combine_columns`` and compared with
         ``_compare_rows``; a row whose sides' composition totals differ is
         False both ways.  The values of a tuple of states with unit factors
@@ -430,9 +429,8 @@ class AccessibilityRelation:
         part is made of single states with one tag and one atol whose owners
         can evaluate its copies in a batch.  Owners are resolved once per
         space, and a space no model owns raises.  Unit factors read the
-        states' values through the one model's ``scaled_entropies`` in one
-        call, or ``oracle_entropy`` state by state where there is no such
-        model or a value is not finite."""
+        states' values through ``oracle_entropy``, which raises where a
+        state is malformed; other factors through ``scaled_entropies``."""
         unit = ts.count(1.0) == n
         if unit and isinstance(states, tuple) and self._last_unit[0] == states:
             return self._last_unit[1]
@@ -456,15 +454,8 @@ class AccessibilityRelation:
         if len(tags) != 1 or len(atols) != 1:
             return None
         if unit:
-            # At t = 1 the hook does the oracle's float operations.  A value
-            # that is not finite is read again from the oracle, which raises
-            # where the state is malformed.
-            hook = models[0].scaled_entropies if len(models) == 1 else None
-            k = len(distinct)
-            values = hook(distinct, range(k), [1.0] * k) if hook else None
-            if values is None or not all(map(math.isfinite, values)):
-                oracles = {space_id: m.oracle_entropy for space_id, (m, _) in owners.items()}
-                values = [oracles[x.space_id](x) for x in distinct]
+            oracles = {space_id: m.oracle_entropy for space_id, (m, _) in owners.items()}
+            values = [oracles[x.space_id](x) for x in distinct]
             values = list(map(values.__getitem__, inv))
         elif len(models) > 1 or models[0].scaled_entropies is None:
             return None

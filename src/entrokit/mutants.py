@@ -12,6 +12,7 @@ checks themselves.
 from __future__ import annotations
 
 import copy
+import os
 import random
 from dataclasses import replace
 from typing import Union
@@ -273,29 +274,76 @@ def _statuses(results: list[CheckResult]) -> dict[str, str]:
     return {r.check_name: r.status.value for r in results}
 
 
+def _fan_out(jobs: list) -> list:
+    """Each job's result, in job order, from k = min(usable CPUs, jobs)
+    workers (one where os.fork is missing): this process runs jobs[0::k],
+    forked child w runs jobs[w::k] and pipes back its results or exception,
+    raised here (unpicklable, as a RuntimeError) once every child is reaped."""
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    k = min(usable, len(jobs)) if hasattr(os, "fork") else 1
+    if k > 1:
+        import pickle
+    results, children, replies = [None] * len(jobs), [], []
+    try:
+        for w in range(1, k):
+            read_end, write_end = os.pipe()
+            if (pid := os.fork()) == 0:  # leaves by os._exit: no stdio flush, no atexit
+                try:
+                    try:
+                        reply = (None, [job() for job in jobs[w::k]])
+                    except BaseException as exc:
+                        reply = (exc, None)
+                    try:
+                        pickle.loads(data := pickle.dumps(reply))
+                    except Exception:
+                        data = pickle.dumps((RuntimeError(f"unpicklable {reply[0]!r}"), None))
+                    with open(write_end, "wb") as pipe:
+                        pipe.write(data)
+                finally:
+                    os._exit(0)
+            os.close(write_end)
+            children.append((pid, read_end))
+        results[0::k] = [job() for job in jobs[0::k]]
+    finally:
+        for pid, read_end in children:
+            with open(read_end, "rb") as pipe:
+                replies.append(pipe.read())
+            os.waitpid(pid, 0)
+    for w, data in enumerate(replies, 1):
+        exc, values = pickle.loads(data) if data else (RuntimeError("a worker sent no reply"), None)
+        if exc is not None:
+            raise exc
+        results[w::k] = values
+    return results
+
+
 def mutation_matrix(*, seed: int = 0) -> dict:
     """Run every mutation against the intact baseline and compare the newly
     failing checks with its entry in ``MUTATIONS``.  The result is plain
-    data: the report's ``mutation_matrix`` summary, statuses as strings."""
+    data: the report's ``mutation_matrix`` summary, statuses as strings.
+    The model batteries run through ``_fan_out``, the fixture ones here."""
     base_model = ideal_gas()
     base_reservoir = Reservoir(id="bench-300", temperature=300.0)
     base_fixture = chain_fixture(6)
 
-    baseline_model = _statuses(run_model_checks(base_model, base_reservoir, seed=seed))
+    batteries = {None: (base_model, base_reservoir)} | {
+        mutation: (base_model, mutate_model(base_reservoir, mutation))
+        if mutation == "wrong_reservoir_temperature"
+        else (mutate_model(base_model, mutation), base_reservoir)
+        for mutation in MUTATIONS if mutation != "break_transitivity"
+    }
+    statuses_of = dict(zip(batteries, _fan_out([
+        lambda m=model, r=reservoir: _statuses(run_model_checks(m, r, seed=seed))
+        for model, reservoir in batteries.values()
+    ])))
+    baseline_model = statuses_of.pop(None)
     baseline_fixture = _statuses(run_fixture_checks(base_fixture))
+    statuses_of["break_transitivity"] = _statuses(
+        run_fixture_checks(mutate_model(base_fixture, "break_transitivity")))
     mutants = []
     for mutation, expected in MUTATIONS.items():
-        if mutation == "break_transitivity":
-            statuses = _statuses(run_fixture_checks(mutate_model(base_fixture, mutation)))
-            baseline = baseline_fixture
-        elif mutation == "wrong_reservoir_temperature":
-            bad_reservoir = mutate_model(base_reservoir, mutation)
-            statuses = _statuses(run_model_checks(base_model, bad_reservoir, seed=seed))
-            baseline = baseline_model
-        else:
-            mutant = mutate_model(base_model, mutation)
-            statuses = _statuses(run_model_checks(mutant, base_reservoir, seed=seed))
-            baseline = baseline_model
+        statuses = statuses_of[mutation]
+        baseline = baseline_fixture if mutation == "break_transitivity" else baseline_model
         newly_failed = sorted(
             name for name, status in statuses.items()
             if status == CheckStatus.FAIL and baseline[name] != CheckStatus.FAIL

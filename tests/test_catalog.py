@@ -411,13 +411,13 @@ def test_load_fixture_rejects_each_malformed_input(drawn, data):
     ))
     if flaw == "keys":
         del raw[data.draw(st.sampled_from(["states", "pairs"]))]
-        expected = "{}: fixture needs 'states' and 'pairs' keys"
+        expected = "fixture needs 'states' and 'pairs' keys"
     elif flaw in ("duplicate id", "array id"):
         bad = data.draw(st.sampled_from(known)) if flaw == "duplicate id" else [ids[0]]
         raw["states"].append(bad)
         sid = bad["id"] if isinstance(bad, dict) else bad
-        expected = (f"{{}}: duplicate state id {sid!r}" if flaw == "duplicate id"
-                    else f"{{}}: state id is not a JSON scalar: {bad!r}")
+        expected = (f"duplicate state id {sid!r}" if flaw == "duplicate id"
+                    else f"state id is not a JSON scalar: {bad!r}")
     else:
         pair = {
             "non-list pair": data.draw(st.one_of(st.integers(), st.text(max_size=2))),
@@ -428,10 +428,10 @@ def test_load_fixture_rejects_each_malformed_input(drawn, data):
         raw["pairs"].insert(at, pair)
         what = ("references unknown state" if flaw in ("unknown id", "array member")
                 else "is not a two-element list")
-        expected = f"{{}}: pair #{at} {what}: {pair!r}"
+        expected = f"pair #{at} {what}: {pair!r}"
     error, path = _load_raw(raw)
     assert isinstance(error, ParseError)
-    assert str(error) == expected.format(path)
+    assert str(error) == f"{path}: {expected}"
 
 
 def test_load_fixture_roundtrip(tmp_path):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import random
 
 import pytest
@@ -17,7 +18,8 @@ from entrokit.axioms import (
 from entrokit.catalog import FinitePreorderFixture, chain_fixture, ideal_gas
 from entrokit.core import composite_relation
 from entrokit.energy import check_path_independence
-from entrokit.errors import CapabilityError, DomainError
+from entrokit import mutants as mutants_module
+from entrokit.errors import CapabilityError, DomainError, EngineError
 from entrokit.mutants import MUTATIONS, mutate_model, mutation_matrix, run_model_checks
 from entrokit.reservoir import Reservoir, reference_reservoir, temperature_of
 from test_core import rows_from_pairs
@@ -248,6 +250,69 @@ def test_relation_mutants_are_asked_in_batches(mutation, monkeypatch):
 def test_mutation_matrix_bytes_are_pinned(seed):
     payload = json.dumps(mutation_matrix(seed=seed), sort_keys=True).encode()
     assert hashlib.sha256(payload).hexdigest() == MATRIX_SHA256
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_mutation_matrix_is_the_same_on_one_cpu(seed, monkeypatch):
+    default = mutation_matrix(seed=seed)
+
+    def no_fork():
+        raise AssertionError("forked with one usable CPU")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert mutation_matrix(seed=seed) == default
+
+
+@pytest.mark.skipif(_usable_cpus() < 2, reason="the matrix forks only with two usable CPUs")
+def test_mutation_matrix_forks_a_worker_per_usable_cpu(monkeypatch):
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    mutation_matrix(seed=0)
+    assert len(forks) == min(_usable_cpus(), 7) - 1
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 16])
+def test_mutation_matrix_is_the_same_for_any_worker_count(cpus, monkeypatch):
+    # 16 CPUs give seven workers, one battery each, on any machine.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    payload = json.dumps(mutation_matrix(seed=0), sort_keys=True).encode()
+    assert hashlib.sha256(payload).hexdigest() == MATRIX_SHA256
+
+
+def _unpicklable():
+    exc = ValueError("boom")
+    exc.hook = lambda: None
+    return exc
+
+
+@pytest.mark.parametrize("where, planted, raised, message", [
+    ("child", EngineError("engine refused"), EngineError, "engine refused"),
+    ("parent", ZeroDivisionError("planted"), ZeroDivisionError, "planted"),
+    ("child", _unpicklable(), RuntimeError, "unpicklable ValueError('boom')"),
+])
+def test_matrix_failures_propagate_and_leave_no_child(where, planted, raised, message,
+                                                      monkeypatch):
+    # Two workers, even on one CPU; the planted battery raises in this
+    # process's own share or in the child's.
+    parent, battery = os.getpid(), mutants_module.run_model_checks
+
+    def raising(*args, **kwargs):
+        if (os.getpid() == parent) == (where == "parent"):
+            raise planted
+        return battery(*args, **kwargs)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(mutants_module, "run_model_checks", raising)
+    with pytest.raises(raised) as info:
+        mutation_matrix(seed=0)
+    assert type(info.value) is raised and str(info.value) == message
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @st.composite

@@ -177,14 +177,17 @@ def test_runs_leave_the_space_map_unchanged(monkeypatch):
     assert first.aggregate_pass and second.aggregate_pass
 
 
-def test_run_calls_every_suite_through_its_module_attribute(monkeypatch):
+def test_run_calls_every_suite_through_its_module_attribute(monkeypatch, tmp_path):
     # Profilers wrap report.suite_<name> and mutants.run_model_checks; run
-    # must go through those attributes, once per suite.
-    calls = Counter()
+    # must go through those attributes, once per suite.  Each call appends a
+    # line to a file, so the batteries the matrix runs in forked workers
+    # count too.
+    log = tmp_path / "calls.txt"
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
-            calls[key] += 1
+            with open(log, "a") as fh:
+                fh.write(key + "\n")
             return fn(*args, **kwargs)
 
         return wrapper
@@ -198,6 +201,7 @@ def test_run_calls_every_suite_through_its_module_attribute(monkeypatch):
                              sample_counts=SMALL_COUNTS))
     assert report.aggregate_pass
     assert list(report.suite_results) == list(SUITES)
+    calls = Counter(log.read_text().splitlines())
     assert calls == {**{f"suite_{s}": 1 for s in SUITES}, "batteries": 7}
 
 
