@@ -274,68 +274,134 @@ def _statuses(results: list[CheckResult]) -> dict[str, str]:
     return {r.check_name: r.status.value for r in results}
 
 
-def _fan_out(jobs: list) -> list:
-    """Each job's result, in job order, from k = min(usable CPUs, jobs)
-    workers (one where os.fork is missing): this process runs jobs[0::k],
-    forked child w runs jobs[w::k] and pipes back its results or exception,
-    raised here (unpicklable, as a RuntimeError) once every child is reaped."""
-    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    k = min(usable, len(jobs)) if hasattr(os, "fork") else 1
-    if k > 1:
+class MatrixWorkers:
+    """The matrix's seven model batteries (the intact gas's, then the model
+    mutants' in ``MUTATIONS`` order) and min(usable CPUs, 7) - 1 forked
+    workers (none where os.fork is missing), which take batteries from a
+    queue and run them until it is empty.  Pass it to ``mutation_matrix``
+    with the same seed, or ``close`` it.
+
+    The queue is an os.pipe holding one byte per battery index but the
+    baseline's, written and closed before any fork: each os.read(queue, 1)
+    takes one whole index, and an empty queue reads as EOF.  A worker pipes
+    back the statuses of the batteries it took, or its exception, and leaves
+    through os._exit (no stdio flush, no atexit)."""
+
+    def __init__(self, seed: int):
+        self.seed = seed
+        base_model = ideal_gas()
+        base_reservoir = Reservoir(id="bench-300", temperature=300.0)
+        # (mutation, model, reservoir), the intact gas's under None.
+        self.batteries = [(None, base_model, base_reservoir)] + [
+            (mutation, base_model, mutate_model(base_reservoir, mutation))
+            if mutation == "wrong_reservoir_temperature"
+            else (mutation, mutate_model(base_model, mutation), base_reservoir)
+            for mutation in MUTATIONS if mutation != "break_transitivity"
+        ]
+        self._children: list[tuple[int, int]] = []  # (pid, reply pipe)
+        self._queue, fill = os.pipe()
+        os.write(fill, bytes(range(1, len(self.batteries))))
+        os.close(fill)
+        usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        workers = min(usable, len(self.batteries)) - 1 if hasattr(os, "fork") else 0
+        try:
+            for _ in range(workers):
+                self._fork()
+        except BaseException:
+            self.close()
+            raise
+
+    def _run(self, index: int) -> dict[str, str]:
+        _, model, reservoir = self.batteries[index]
+        return _statuses(run_model_checks(model, reservoir, seed=self.seed))
+
+    def _take(self):
+        """The next queued battery index, or None once the queue is empty."""
+        byte = os.read(self._queue, 1)
+        return byte[0] if byte else None
+
+    def _fork(self) -> None:
         import pickle
-    results, children, replies = [None] * len(jobs), [], []
-    try:
-        for w in range(1, k):
-            read_end, write_end = os.pipe()
-            if (pid := os.fork()) == 0:  # leaves by os._exit: no stdio flush, no atexit
-                try:
-                    try:
-                        reply = (None, [job() for job in jobs[w::k]])
-                    except BaseException as exc:
-                        reply = (exc, None)
-                    try:
-                        pickle.loads(data := pickle.dumps(reply))
-                    except Exception:
-                        data = pickle.dumps((RuntimeError(f"unpicklable {reply[0]!r}"), None))
-                    with open(write_end, "wb") as pipe:
-                        pipe.write(data)
-                finally:
-                    os._exit(0)
+
+        read_end, write_end = os.pipe()
+        try:
+            pid = os.fork()
+        except BaseException:
+            os.close(read_end)
             os.close(write_end)
-            children.append((pid, read_end))
-        results[0::k] = [job() for job in jobs[0::k]]
-    finally:
-        for pid, read_end in children:
+            raise
+        if pid == 0:
+            try:
+                try:
+                    done = {}
+                    while (index := self._take()) is not None:
+                        done[index] = self._run(index)
+                    reply = (None, done)
+                except BaseException as exc:
+                    reply = (exc, None)
+                try:
+                    pickle.loads(data := pickle.dumps(reply))
+                except Exception:
+                    data = pickle.dumps((RuntimeError(f"unpicklable {reply[0]!r}"), None))
+                with open(write_end, "wb") as pipe:
+                    pipe.write(data)
+            finally:
+                os._exit(0)
+        os.close(write_end)
+        self._children.append((pid, read_end))
+
+    def finish(self) -> dict:
+        """Each battery's statuses by its mutation.  This process runs the
+        baseline's battery and every battery still queued, then reaps the
+        workers and takes theirs; an exception raised here comes first, then
+        a worker's (an unpicklable one as a RuntimeError)."""
+        statuses = {}
+        try:
+            statuses[0] = self._run(0)
+            while (index := self._take()) is not None:
+                statuses[index] = self._run(index)
+        finally:
+            replies = self.close()
+        if replies:
+            import pickle
+        for data in replies:
+            exc, done = pickle.loads(data) if data else (RuntimeError("a worker sent no reply"), None)
+            if exc is not None:
+                raise exc
+            statuses.update(done)
+        return {mutation: statuses[index] for index, (mutation, _, _) in enumerate(self.batteries)}
+
+    def close(self) -> list[bytes]:
+        """Empty the queue, so each worker stops after its current battery,
+        then read every worker's reply and reap it.  Returns the replies;
+        a second call does nothing."""
+        if self._queue is not None:
+            while os.read(self._queue, 64):
+                pass
+            os.close(self._queue)
+            self._queue = None
+        replies = []
+        while self._children:
+            pid, read_end = self._children.pop(0)
             with open(read_end, "rb") as pipe:
                 replies.append(pipe.read())
             os.waitpid(pid, 0)
-    for w, data in enumerate(replies, 1):
-        exc, values = pickle.loads(data) if data else (RuntimeError("a worker sent no reply"), None)
-        if exc is not None:
-            raise exc
-        results[w::k] = values
-    return results
+        return replies
 
 
-def mutation_matrix(*, seed: int = 0) -> dict:
+def mutation_matrix(*, seed: int = 0, workers: MatrixWorkers | None = None) -> dict:
     """Run every mutation against the intact baseline and compare the newly
     failing checks with its entry in ``MUTATIONS``.  The result is plain
     data: the report's ``mutation_matrix`` summary, statuses as strings.
-    The model batteries run through ``_fan_out``, the fixture ones here."""
-    base_model = ideal_gas()
-    base_reservoir = Reservoir(id="bench-300", temperature=300.0)
+    The model batteries run in ``workers`` (started here when none are
+    given), which may have run most of them already; the fixture ones run
+    here."""
+    if workers is None:
+        workers = MatrixWorkers(seed)
+    elif workers.seed != seed:
+        raise DomainError(f"matrix workers started with seed {workers.seed}, not {seed}")
+    statuses_of = workers.finish()
     base_fixture = chain_fixture(6)
-
-    batteries = {None: (base_model, base_reservoir)} | {
-        mutation: (base_model, mutate_model(base_reservoir, mutation))
-        if mutation == "wrong_reservoir_temperature"
-        else (mutate_model(base_model, mutation), base_reservoir)
-        for mutation in MUTATIONS if mutation != "break_transitivity"
-    }
-    statuses_of = dict(zip(batteries, _fan_out([
-        lambda m=model, r=reservoir: _statuses(run_model_checks(m, r, seed=seed))
-        for model, reservoir in batteries.values()
-    ])))
     baseline_model = statuses_of.pop(None)
     baseline_fixture = _statuses(run_fixture_checks(base_fixture))
     statuses_of["break_transitivity"] = _statuses(

@@ -57,7 +57,7 @@ from .interpolation import (
     entropy_from_accessibility,
     sandwich_bounds,
 )
-from .mutants import mutate_model, mutation_matrix
+from .mutants import MatrixWorkers, mutate_model, mutation_matrix
 from .pfaffian import (
     LOOP_ABS_TOL,
     PFAFFIAN_REL_TOL,
@@ -678,7 +678,7 @@ def suite_caratheodory(target, config: SuiteConfig, memo: dict) -> SuiteOutput:
 
 
 def suite_mutants(target, config: SuiteConfig, memo: dict) -> SuiteOutput:
-    matrix = mutation_matrix(seed=config.seed)
+    matrix = mutation_matrix(seed=config.seed, workers=memo.get("matrix_workers"))
     # Both batteries run checks of the same names, so each failure is named
     # with its battery.
     batteries = {"model": matrix["baseline_model"], "fixture": matrix["baseline_fixture"]}
@@ -717,19 +717,29 @@ def run(config: SuiteConfig) -> Report:
 
     Artifacts more than one suite needs (the grid and the LY table) are
     built once and shared through a memo that lives for this run only.
+    When ``mutants`` is selected, the mutation matrix's workers are forked
+    before the first suite, so they run its batteries while this process
+    runs the other suites; every worker is reaped before this returns or
+    raises.
     """
     start = time.perf_counter()
     target = build_target(config.model)
     suite_results: dict[str, list[CheckResult]] = {}
     summaries: dict = {}
     memo: dict = {}
-    for name in SUITES:
-        if name in config.suites:
-            # Looked up at call time, so a wrapper set on the module
-            # attribute (e.g. by a profiler) sees the call.
-            suite = globals()[f"suite_{name}"]
-            suite_results[name], summary = suite(target, config, memo)
-            summaries.update(summary)
+    if "mutants" in config.suites:
+        memo["matrix_workers"] = MatrixWorkers(config.seed)
+    try:
+        for name in SUITES:
+            if name in config.suites:
+                # Looked up at call time, so a wrapper set on the module
+                # attribute (e.g. by a profiler) sees the call.
+                suite = globals()[f"suite_{name}"]
+                suite_results[name], summary = suite(target, config, memo)
+                summaries.update(summary)
+    finally:
+        if "matrix_workers" in memo:
+            memo["matrix_workers"].close()
     wall = time.perf_counter() - start
     return Report(config, suite_results, summaries, wall_time_s=wall)
 

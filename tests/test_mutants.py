@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import select
 
 import pytest
 from hypothesis import given, settings
@@ -278,10 +279,21 @@ def test_mutation_matrix_forks_a_worker_per_usable_cpu(monkeypatch):
 
 @pytest.mark.parametrize("cpus", [2, 3, 16])
 def test_mutation_matrix_is_the_same_for_any_worker_count(cpus, monkeypatch):
-    # 16 CPUs give seven workers, one battery each, on any machine.
+    # 16 CPUs give six workers, the most seven batteries use, on any machine.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     payload = json.dumps(mutation_matrix(seed=0), sort_keys=True).encode()
     assert hashlib.sha256(payload).hexdigest() == MATRIX_SHA256
+
+
+def test_mutation_matrix_refuses_workers_started_with_another_seed():
+    workers = mutants_module.MatrixWorkers(1)
+    try:
+        with pytest.raises(DomainError, match="seed 1, not 2"):
+            mutation_matrix(seed=2, workers=workers)
+    finally:
+        workers.close()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _unpicklable():
@@ -297,20 +309,34 @@ def _unpicklable():
 ])
 def test_matrix_failures_propagate_and_leave_no_child(where, planted, raised, message,
                                                       monkeypatch):
-    # Two workers, even on one CPU; the planted battery raises in this
-    # process's own share or in the child's.
+    # One worker, even on one CPU; the planted battery raises in this
+    # process or in the child.  The child signals each battery it takes,
+    # and this process holds its first battery until the child has taken
+    # one, so the child's case does not depend on scheduling.
     parent, battery = os.getpid(), mutants_module.run_model_checks
+    taken, took = os.pipe()
+    waited = []
 
     def raising(*args, **kwargs):
-        if (os.getpid() == parent) == (where == "parent"):
+        in_parent = os.getpid() == parent
+        if not in_parent:
+            os.write(took, b".")
+        elif where == "child" and not waited:
+            waited.append(select.select([taken], [], [], 60)[0] == [taken])
+        if in_parent == (where == "parent"):
             raise planted
         return battery(*args, **kwargs)
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(mutants_module, "run_model_checks", raising)
-    with pytest.raises(raised) as info:
-        mutation_matrix(seed=0)
+    try:
+        with pytest.raises(raised) as info:
+            mutation_matrix(seed=0)
+    finally:
+        os.close(taken)
+        os.close(took)
     assert type(info.value) is raised and str(info.value) == message
+    assert waited == ([True] if where == "child" else [])
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

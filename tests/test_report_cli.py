@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from entrokit import mutants as mutants_module
 from entrokit import report as report_module
 from entrokit.cli import main
-from entrokit.errors import ConfigError
+from entrokit.errors import ConfigError, EngineError
 from entrokit.catalog import ideal_gas, two_level_spin
 from entrokit.interpolation import entropy_from_accessibility
 from entrokit.report import (
@@ -95,7 +95,7 @@ def test_matrix_baseline_names_the_failing_battery(monkeypatch):
         "mutants": [],
         "ok": False,
     }
-    monkeypatch.setattr(report_module, "mutation_matrix", lambda *, seed: matrix)
+    monkeypatch.setattr(report_module, "mutation_matrix", lambda *, seed, workers: matrix)
     config = SuiteConfig(model={"kind": "ideal_gas"}, suites=("mutants",))
     (baseline,), summary = report_module.suite_mutants(ideal_gas(), config, {})
     assert baseline.failed
@@ -203,6 +203,78 @@ def test_run_calls_every_suite_through_its_module_attribute(monkeypatch, tmp_pat
     assert list(report.suite_results) == list(SUITES)
     calls = Counter(log.read_text().splitlines())
     assert calls == {**{f"suite_{s}": 1 for s in SUITES}, "batteries": 7}
+
+
+# -- the matrix's workers ---------------------------------------------------------------
+
+@pytest.mark.parametrize("planted", [
+    EngineError("planted in axioms"), ZeroDivisionError("planted in axioms"),
+])
+def test_a_suite_that_raises_leaves_no_matrix_worker(planted, monkeypatch, capsys):
+    # The axioms suite runs first, while the worker runs the matrix's
+    # batteries (two usable CPUs give one worker, even on one CPU); the
+    # worker's own error loses to the suite's.
+    parent, battery = os.getpid(), mutants_module.run_model_checks
+    forks, fork = [], os.fork
+
+    def raising_suite(*args):
+        raise planted
+
+    def raising_battery(*args, **kwargs):
+        if os.getpid() != parent:
+            raise EngineError("planted in a worker")
+        return battery(*args, **kwargs)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(report_module, "suite_axioms", raising_suite)
+    monkeypatch.setattr(mutants_module, "run_model_checks", raising_battery)
+    with pytest.raises(type(planted)) as info:
+        run(SuiteConfig(model={"kind": "ideal_gas"}, suites=SUITES, sample_counts=SMALL_COUNTS))
+    assert info.value is planted and forks == [1]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+    if isinstance(planted, EngineError):
+        assert main(["all"]) == 2
+        assert capsys.readouterr().err == "error: planted in axioms\n"
+    else:
+        with pytest.raises(ZeroDivisionError, match="planted in axioms"):
+            main(["all"])
+    assert forks == [1, 1]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("kind", ["ideal_gas", "two_level_spin"])
+def test_all_is_the_same_for_any_cpu_count(kind, monkeypatch):
+    # The matrix's workers start with the run, one per usable CPU beyond
+    # this process's, up to six; with one usable CPU nothing is forked.
+    config = SuiteConfig(model={"kind": kind}, suites=SUITES, seed=2)
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    payloads = set()
+    for cpus in (1, 2, 3, 16):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)),
+                            raising=False)
+        forks.clear()
+        payloads.add(emit(run(config), "json"))
+        assert len(forks) == min(cpus, 7) - 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert len(payloads) == 1
+
+
+@pytest.mark.parametrize("command", [
+    "check-axioms", "construct-ly", "construct-zb", "verify-theorems", "caratheodory",
+])
+def test_commands_without_the_matrix_never_fork(command, monkeypatch, tmp_path):
+    def no_fork():
+        raise AssertionError(f"{command} forked")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert main([command, "--out", str(tmp_path / "report.json")]) == 0
 
 
 # -- the zb suite ------------------------------------------------------------------------
