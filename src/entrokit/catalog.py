@@ -3,8 +3,10 @@
 The engines play nature: they execute weight processes, polygonal chains,
 and standard weight processes consistently with each model's oracle entropy
 (total entropy never decreases, reversible means zero generation).  The
-ideal gas additionally exposes an independent quasistatic route for the
-reservoir drain, computed from the equation of state alone.
+ideal gas also states its equation of state, temperature and pressure as
+functions of its (U, V) coordinates at a given amount.  Two quasistatic
+readers use it: the reservoir drain as a path integral of (dU + p dV)/T,
+and the gas's simple system, which the caratheodory suite checks.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .core import (
 )
 from .energy import AGAINST, ALONG, WeightPolygonal
 from .errors import CapabilityError, DomainError, EngineError, ParseError
+from .pfaffian import SimpleSystemModel
 from .quadrature import line_integral
 from .reservoir import Reservoir, StandardWeightProcessRecord
 
@@ -44,6 +47,12 @@ NONEQ_ENTROPY_MARGIN = 1.0  # J/K
 # The gas's equivalence tolerance: oracle entropies this close compare as
 # equal.
 GAS_ENTROPY_ATOL = 1e-10  # J/K
+
+# The gas's Carathéodory window, as (temperature in K, volume in m^3) ranges:
+# the box of its simple system, and the inner box where the caratheodory
+# suite draws its paths and states.
+CARATHEODORY_BOX = ((300.0, 600.0), (0.01, 0.02))
+CARATHEODORY_INNER_BOX = ((320.0, 580.0), (0.011, 0.019))
 
 # Model parameters are kept to these magnitudes, so that every product and
 # quotient the oracles and engines form stays a finite, nonzero float.
@@ -131,6 +140,9 @@ class _EngineBase:
         raise CapabilityError(
             f"model {self.model_id!r} provides no quasistatic integrator"
         )
+
+    def simple_system(self) -> SimpleSystemModel:
+        raise CapabilityError("quasistatic structure needs a simple system")
 
     def sample_nonequilibrium(self, rng: random.Random) -> State:
         raise CapabilityError("model has no nonequilibrium state family")
@@ -346,11 +358,19 @@ class IdealGasEngine(_EngineBase):
                     records.append(rec)
         return records
 
-    # -- quasistatic route ----------------------------------------------
+    # -- equation of state and the quasistatic readers ---------------------
+
+    def temperature(self, u: float, v: float, n: float) -> float:
+        """T of the stable state with energy u and volume v of amount n."""
+        return u / (self.cv * n * R_GAS)
+
+    def pressure(self, u: float, v: float, n: float) -> float:
+        """p of the same state: p V = n R T."""
+        return u / (self.cv * v)
 
     def carnot_reservoir_delta(self, a: State, b: State, r: Reservoir) -> float:
-        """Reservoir drain via a quasistatic path integral of the heat form
-        over temperature, using only the equation of state."""
+        """Reservoir drain via the integral of (dU + p dV)/T along the
+        straight path from a to b, from the equation of state alone."""
         for s in (a, b):
             if s.coords[2] != 0.0:
                 raise CapabilityError(
@@ -359,12 +379,12 @@ class IdealGasEngine(_EngineBase):
         n_a = self.n_eff(a)
         if not math.isclose(n_a, self.n_eff(b), rel_tol=1e-12):
             raise CapabilityError("end states must carry the same amount")
-        cv = self.cv
+        temperature, pressure = self.temperature, self.pressure
 
-        def one_form(coords: tuple[float, float]) -> tuple[float, float]:
+        def heat_over_t(coords: tuple[float, float]) -> tuple[float, float]:
             u, v = coords
-            # (dU + p dV)/T with p = U/(cv V) and T = U/(cv n R)
-            return cv * n_a * R_GAS / u, n_a * R_GAS / v
+            t = temperature(u, v, n_a)
+            return 1.0 / t, pressure(u, v, n_a) / t
 
         (u0, v0, _), (u1, v1, _) = a.coords, b.coords
         du, dv = u1 - u0, v1 - v0
@@ -372,8 +392,34 @@ class IdealGasEngine(_EngineBase):
         def segment(s: float):
             return (u0 + s * du, v0 + s * dv), (du, dv)
 
-        ds_system = line_integral(one_form, [segment]).value
+        ds_system = line_integral(heat_over_t, [segment]).value
         return r.delta_energy_for_delta_entropy(-ds_system)
+
+    def simple_system(self) -> SimpleSystemModel:
+        """The gas of amount n0 as a simple system in (U, V), with the work
+        form p dV and the temperature T of its equation of state.  dU + p dV
+        collapses to M dx0 with M = U/cv and the adiabat label
+        x0 = cv ln U + ln V, factorized as M = T alpha with alpha = n R and
+        c = 1.  Its boxes are the Carathéodory window's, with U = cv n R T."""
+        n, cv = self.n0, self.cv
+        heat_capacity = cv * n * R_GAS
+
+        def in_u(window):
+            (t_lo, t_hi), volumes = window
+            return (heat_capacity * t_lo, heat_capacity * t_hi), volumes
+
+        return SimpleSystemModel(
+            p_fns=(lambda c: self.pressure(c[0], c[1], n),),
+            m_fn=lambda c: c[0] / cv,
+            x0_fn=lambda c: cv * math.log(c[0]) + math.log(c[1]),
+            tau_fn=lambda c: self.temperature(c[0], c[1], n),
+            f_fn=lambda tau: tau,
+            alpha_fn=lambda x0: n * R_GAS,
+            c=1.0,
+            coord_box=in_u(CARATHEODORY_BOX),
+            inner_box=in_u(CARATHEODORY_INNER_BOX),
+            x0_grad_fn=lambda c: (cv / c[0], 1.0 / c[1]),
+        )
 
 
 def _linspace(start: float, stop: float, num: int) -> list[float]:
@@ -638,57 +684,3 @@ def random_closed_dag_fixture(n: int, seed: int = 0, density: float = 0.05) -> F
             if reach[i] & bit:
                 reach[i] |= reach[k]
     return FinitePreorderFixture(list(range(n)), reach)
-
-
-# ---------------------------------------------------------------------------
-# Simple-system view of the ideal gas (for the quasistatic structure checks)
-# ---------------------------------------------------------------------------
-
-def ideal_gas_simple_system(n: float = 1.0, c_v_hat: float = 1.5):
-    """The gas in (tau, V) coordinates with its quasistatic structure spelled
-    out analytically: work form p dV, collapse M dx0 with M = n R tau and
-    x0 = cv ln(tau) + ln(V), factorization f(tau) = tau, alpha = n R, c = 1.
-    Its coordinate box is tau in [300, 600] K and V in [0.01, 0.02] m^3."""
-    from .pfaffian import SimpleSystemModel
-
-    nr = n * R_GAS
-
-    def u_fn(coords):
-        tau, _ = coords
-        return c_v_hat * nr * tau
-
-    def p_fn(coords):
-        tau, v = coords
-        return nr * tau / v
-
-    def m_fn(coords):
-        tau, _ = coords
-        return nr * tau
-
-    def x0_fn(coords):
-        tau, v = coords
-        return c_v_hat * math.log(tau) + math.log(v)
-
-    def tau_fn(coords):
-        return coords[0]
-
-    def u_grad(coords):
-        return c_v_hat * nr, 0.0
-
-    def x0_grad(coords):
-        tau, v = coords
-        return c_v_hat / tau, 1.0 / v
-
-    return SimpleSystemModel(
-        u_fn=u_fn,
-        p_fns=(p_fn,),
-        m_fn=m_fn,
-        x0_fn=x0_fn,
-        tau_fn=tau_fn,
-        f_fn=lambda tau: tau,
-        alpha_fn=lambda x0: nr,
-        c=1.0,
-        coord_box=((300.0, 600.0), (0.01, 0.02)),
-        u_grad_fn=u_grad,
-        x0_grad_fn=x0_grad,
-    )

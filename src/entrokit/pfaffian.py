@@ -30,17 +30,18 @@ PFAFFIAN_REL_TOL = 1e-8
 
 @dataclass(frozen=True)
 class SimpleSystemModel:
-    """A simple system in coordinates (xi0, x1..xn) with its quasistatic
-    structure declared as callables.
+    """A simple system in coordinates (U, x1..xn), the energy first, with its
+    quasistatic structure declared as callables.
 
     ``p_fns`` are the conjugate forces of the deformation coordinates, so the
-    quasistatic work form is sum(p_i dx_i).  ``m_fn`` and ``x0_fn`` give the
-    single-form collapse of dU + dW; ``tau_fn``, ``f_fn``, ``alpha_fn``, ``c``
-    carry its factorization; ``u_grad_fn`` and ``x0_grad_fn`` are the
-    analytic gradients of ``u_fn`` and ``x0_fn``.
+    quasistatic work form is sum(p_i dx_i) and dU + dW is (1, p_1, ..., p_n).
+    ``m_fn`` and ``x0_fn`` give the single-form collapse of dU + dW, and
+    ``x0_grad_fn`` is the analytic gradient of ``x0_fn``; ``tau_fn``,
+    ``f_fn``, ``alpha_fn``, ``c`` carry its factorization.  ``coord_box``
+    bounds the coordinates, and ``inner_box`` is a box inside it that keeps
+    sampled paths and states off its edges.
     """
 
-    u_fn: Callable[[Point], float]
     p_fns: tuple[Callable[[Point], float], ...]
     m_fn: Callable[[Point], float]
     x0_fn: Callable[[Point], float]
@@ -49,12 +50,12 @@ class SimpleSystemModel:
     alpha_fn: Callable[[float], float]
     c: float
     coord_box: tuple[tuple[float, float], ...]
-    u_grad_fn: Callable[[Point], Point]
+    inner_box: tuple[tuple[float, float], ...]
     x0_grad_fn: Callable[[Point], Point]
 
     def __post_init__(self):
         if len(self.coord_box) < 2:
-            raise DomainError("a simple system needs xi0 plus deformation coordinates")
+            raise DomainError("a simple system needs U plus deformation coordinates")
         if len(self.p_fns) != len(self.coord_box) - 1:
             raise DomainError("one conjugate force per deformation coordinate")
         if not self.c > 0:
@@ -65,6 +66,10 @@ class SimpleSystemModel:
 
     def work_form(self, coords: Point) -> Point:
         return (0.0, *(p(coords) for p in self.p_fns))
+
+    def heat_form(self, coords: Point) -> Point:
+        """dU + dW: U is the first coordinate, so its component is 1."""
+        return (1.0, *(p(coords) for p in self.p_fns))
 
 
 class QuasistaticPath:
@@ -163,7 +168,7 @@ def check_pfaffian_form(
     witnesses = []
     worst = 0.0
     for path in paths:
-        du = m.u_fn(path.end()) - m.u_fn(path.start())
+        du = path.end()[0] - path.start()[0]
         work = quasistatic_work(m, path)
         lhs = du + work
 
@@ -191,7 +196,7 @@ def loop_integral(m: SimpleSystemModel, loop: QuasistaticPath, *, power: int = 1
 
     def integrand(coords: Point) -> Point:
         t = m.temperature(coords) ** power
-        return tuple((a + b) / t for a, b in zip(m.u_grad_fn(coords), m.work_form(coords)))
+        return tuple(h / t for h in m.heat_form(coords))
 
     return line_integral(integrand, loop.segments()).value
 
@@ -220,8 +225,6 @@ def check_integrating_factor(
 @dataclass(frozen=True)
 class EntropyFromFactorization:
     s_of_x0: Callable[[float], float]
-    s_ref: float
-    x0_ref: float
 
 
 def entropy_from_integrating_factor(
@@ -237,7 +240,7 @@ def entropy_from_integrating_factor(
         r = integrate_scalar(lambda u: m.alpha_fn(u) / m.c, x0_ref, x0)
         return s_ref + r.value
 
-    return EntropyFromFactorization(s_of_x0, s_ref, x0_ref)
+    return EntropyFromFactorization(s_of_x0)
 
 
 def factorization_residual(

@@ -37,8 +37,8 @@ from .catalog import (
     R_GAS,
     FinitePreorderFixture,
     IdealGasEngine,
+    _EngineBase,
     ideal_gas,
-    ideal_gas_simple_system,
     load_fixture,
     two_level_spin,
 )
@@ -597,21 +597,22 @@ def suite_theorems(target, config: SuiteConfig, memo: dict) -> SuiteOutput:
 
 
 def suite_caratheodory(target, config: SuiteConfig, memo: dict) -> SuiteOutput:
-    engine = getattr(target, "process_engine", None)
-    if not isinstance(engine, IdealGasEngine):
-        return [
-            not_applicable("integrating_factor", "quasistatic structure needs a simple system")
-        ], {}
+    # A fixture has no engine; the base engine's refusal stands for it.
+    engine = target.process_engine if isinstance(target, ModelSystem) else _EngineBase()
+    try:
+        simple = engine.simple_system()
+    except CapabilityError as exc:
+        return [not_applicable("integrating_factor", str(exc))], {}
     seed = config.seed
     rng = random.Random(seed + 500)
-    simple = ideal_gas_simple_system(engine.n0, engine.cv)
+    (u_lo, u_hi), (v_lo, v_hi) = simple.coord_box
     results = []
 
-    # Closed-form anchor: isothermal expansion doubles the volume.
-    tau = 300.0
-    path = QuasistaticPath([[tau, 0.01], [tau, 0.02]], interp="linear")
+    # Closed-form anchor: along the gas's isotherm at the box's lowest energy,
+    # the work from V_lo to V_hi is n R T ln(V_hi / V_lo).
+    path = QuasistaticPath([[u_lo, v_lo], [u_lo, v_hi]], interp="linear")
     work = quasistatic_work(simple, path)
-    expected = engine.n0 * R_GAS * tau * math.log(2.0)
+    expected = engine.n0 * R_GAS * simple.temperature(path.start()) * math.log(v_hi / v_lo)
     results.append(
         verdict(
             "quasistatic_work_closed_form",
@@ -621,10 +622,7 @@ def suite_caratheodory(target, config: SuiteConfig, memo: dict) -> SuiteOutput:
     )
 
     paths = [
-        QuasistaticPath(
-            [[rng.uniform(320, 580), rng.uniform(0.011, 0.019)] for _ in range(3)],
-            interp="cubic",
-        )
+        QuasistaticPath(sample_box_coords(simple.inner_box, 3, rng), interp="cubic")
         for _ in range(5)
     ]
     results.append(
@@ -639,7 +637,7 @@ def suite_caratheodory(target, config: SuiteConfig, memo: dict) -> SuiteOutput:
     )
 
     rectangle = QuasistaticPath(
-        [[300.0, 0.01], [600.0, 0.01], [600.0, 0.02], [300.0, 0.02]],
+        [[u_lo, v_lo], [u_hi, v_lo], [u_hi, v_hi], [u_lo, v_hi]],
         closed=True, interp="linear",
     )
     control = loop_integral(simple, rectangle, power=2)
@@ -658,14 +656,9 @@ def suite_caratheodory(target, config: SuiteConfig, memo: dict) -> SuiteOutput:
 
     # Entropy from the collapsed coordinate matches the model's oracle affinely.
     entropy = entropy_from_integrating_factor(simple, x0_ref=0.0, s_ref=0.0)
-    states = [
-        (rng.uniform(320, 580), rng.uniform(0.011, 0.019)) for _ in range(25)
-    ]
+    states = sample_box_coords(simple.inner_box, 25, rng)
     built = [entropy.s_of_x0(simple.x0_fn(c)) for c in states]
-    oracle = [
-        target.oracle_entropy(engine.state(simple.u_fn(c), c[1]))
-        for c in states
-    ]
+    oracle = [target.oracle_entropy(engine.state(*c)) for c in states]
     fit = affine_match(built, oracle)
     results.append(
         fit_verdict(

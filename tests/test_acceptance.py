@@ -19,7 +19,7 @@ from entrokit.axioms import (
     check_stability,
     check_transitivity,
 )
-from entrokit.catalog import ideal_gas, ideal_gas_simple_system, two_level_spin
+from entrokit.catalog import ideal_gas, two_level_spin
 from entrokit.energy import check_path_independence
 from entrokit.interpolation import (
     ReferencePair,
@@ -243,12 +243,14 @@ def test_criterion_09_axioms_and_mutation_matrix(gas, spin):
 
 
 def test_criterion_10_loop_integrals(gas):
-    simple = ideal_gas_simple_system()
+    simple = gas.process_engine.simple_system()
     rng = random.Random(210)
     loops = [random_closed_loop(simple.coord_box, rng) for _ in range(10)]
     closed = check_integrating_factor(simple, loops, abs_tol=1e-8)
+    # The window's corners: (T, V) = (300 K, 0.01 m^3) to (600 K, 0.02 m^3).
+    (u_lo, u_hi), (v_lo, v_hi) = simple.coord_box
     rectangle = QuasistaticPath(
-        [[300.0, 0.01], [600.0, 0.01], [600.0, 0.02], [300.0, 0.02]],
+        [[u_lo, v_lo], [u_hi, v_lo], [u_hi, v_hi], [u_lo, v_hi]],
         closed=True, interp="linear",
     )
     control = loop_integral(simple, rectangle, power=2)

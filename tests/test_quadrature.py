@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from entrokit.catalog import R_GAS, ideal_gas_simple_system
+from entrokit.catalog import R_GAS, ideal_gas
 from entrokit.errors import NumericError
 from entrokit.pfaffian import QuasistaticPath
 from entrokit.quadrature import (
@@ -47,16 +47,20 @@ def test_log_closed_form():
 
 def test_isothermal_work_of_the_gas():
     n, tau, v = 2.0, 400.0, 0.01
-    simple = ideal_gas_simple_system(n=n)
-    path = QuasistaticPath([(tau, v), (tau, 2.0 * v)], interp="linear")
+    simple = ideal_gas(n=n).process_engine.simple_system()
+    u = 1.5 * n * R_GAS * tau  # the gas's energy at tau
+    path = QuasistaticPath([(u, v), (u, 2.0 * v)], interp="linear")
     r = line_integral(simple.work_form, path.segments())
     assert r.value == pytest.approx(n * R_GAS * tau * math.log(2.0), rel=REL_TARGET, abs=0.0)
 
 
 def test_closed_loop_of_an_exact_form_vanishes():
-    simple = ideal_gas_simple_system()
+    simple = ideal_gas().process_engine.simple_system()
+    # The way-points at temperatures 320, 580, 560 and 340 K.
     loop = QuasistaticPath(
-        [(320.0, 0.011), (580.0, 0.012), (560.0, 0.019), (340.0, 0.018)], closed=True,
+        [(1.5 * R_GAS * tau, v) for tau, v in
+         [(320.0, 0.011), (580.0, 0.012), (560.0, 0.019), (340.0, 0.018)]],
+        closed=True,
     )
     r = line_integral(simple.x0_grad_fn, loop.segments())
     assert abs(r.value) <= 1e-14
