@@ -3,10 +3,11 @@
 Each mutation plants one defect and declares exactly which checks must fail
 because of it.  Every defect is planted here, on a copy of its target; the
 modules that define models, relations and reservoirs carry no hooks for
-them.  The matrix runs the full check battery on the intact catalog
-and on every mutant, then compares the set of newly failing checks against
-the declaration; any difference, in either direction, is a finding about the
-checks themselves.
+them.  The matrix runs a battery of the checks that ``entrokit all`` emits,
+under the same names, on the intact ideal gas and on every mutant (and the
+finite-relation checks on a chain fixture), then compares the set of newly
+failing checks against the declaration; any difference, in either
+direction, is a finding about the checks themselves.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .axioms import (
     check_splitting,
     check_stability,
     check_transitivity,
-    residual_verdict,
 )
 from .catalog import FinitePreorderFixture, chain_fixture, ideal_gas
 from .core import AccessibilityRelation, ModelSystem, states_equal
@@ -36,13 +36,11 @@ from .energy import check_path_independence
 from .errors import CapabilityError, DomainError
 from .reservoir import (
     Reservoir,
-    check_entropy_additivity,
     check_entropy_nondecrease,
     check_lower_bound,
     check_pmm2,
     check_reservoir_independence,
     reference_reservoir,
-    temperature_of,
 )
 
 # Each mutation, in the order the matrix runs them, and exactly the checks it
@@ -53,9 +51,7 @@ MUTATIONS = {
     "break_splitting": frozenset({"splitting"}),
     "composite_max": frozenset({"consistency", "splitting"}),
     "noisy_work": frozenset({"path_independence"}),
-    "wrong_reservoir_temperature": frozenset(
-        {"temperature_agreement", "reservoir_independence"}
-    ),
+    "wrong_reservoir_temperature": frozenset({"reservoir_independence"}),
     "strict_only_comparison": frozenset({"stability"}),
 }
 
@@ -221,28 +217,14 @@ def run_model_checks(
     pairs = list(zip(drawn[::2], drawn[1::2]))
     results.append(check_path_independence(model, pairs, k=4, seed=seed + 8))
 
-    r0 = reference_reservoir()
-    probe = (model, *engine.sample_states(rng, 2))
-    measured = temperature_of(reservoir, r0, probe)
-    rel_err = abs(measured - reservoir.temperature) / reservoir.temperature
-    results.append(residual_verdict("temperature_agreement", rel_err, 1e-9, samples_used=1))
-
     honest = Reservoir(id="aux-600", temperature=600.0)
     results.append(
         check_reservoir_independence(
             model,
             tuple(engine.sample_states(rng, 2)),
-            [reservoir, honest, r0.reservoir],
+            [reservoir, honest, reference_reservoir().reservoir],
         )
     )
-
-    residual = check_entropy_additivity(
-        model, model,
-        tuple(engine.sample_states(rng, 2)),
-        tuple(engine.sample_states(rng, 2)),
-        reservoir,
-    )
-    results.append(residual_verdict("entropy_additivity", residual, 1e-9, samples_used=1))
 
     results.append(
         check_lower_bound(

@@ -78,7 +78,6 @@ from .reservoir import (
     RATIO_REL_TOL,
     Reservoir,
     check_carnot_agreement,
-    check_entropy_additivity,
     check_entropy_nondecrease,
     check_lower_bound,
     check_pmm2,
@@ -97,7 +96,6 @@ DEFAULT_TOLERANCES = {
     "zb_residual": 1e-6,
     "carnot_rel": CARNOT_REL_TOL,
     "ratio_rel": RATIO_REL_TOL,
-    "zb_additivity": 1e-9,
     "nondecrease_zero": NONDECREASE_ZERO,
     "loop_abs": LOOP_ABS_TOL,
     "pfaffian_rel": PFAFFIAN_REL_TOL,
@@ -444,8 +442,8 @@ def suite_ly(target, config: SuiteConfig, memo: dict) -> SuiteOutput:
 
 
 def _auxiliary_system(model: ModelSystem) -> ModelSystem:
-    """A second system of the other engine type for the universality and
-    mixed-additivity probes, under an id distinct from the model's."""
+    """A second system of the other engine type for the temperature
+    universality probes, under an id distinct from the model's."""
     make = two_level_spin if isinstance(model.process_engine, IdealGasEngine) else ideal_gas
     aux = make()
     return aux if aux.id != model.id else make(model_id=f"{aux.id}-aux")
@@ -484,7 +482,6 @@ def suite_zb(target, config: SuiteConfig, memo: dict) -> SuiteOutput:
 
     # Temperature universality across two distinct systems.
     aux = _auxiliary_system(model)
-    aux_engine = aux.process_engine
     pp = config.count("probe_pairs")
     probes = []
     for system, count in ((model, pp // 2), (aux, pp - pp // 2)):
@@ -508,22 +505,6 @@ def suite_zb(target, config: SuiteConfig, memo: dict) -> SuiteOutput:
                 Reservoir(id="R-1000", temperature=1000.0),
             ],
             rel_tol=config.tol("ratio_rel"),
-        )
-    )
-
-    # Additivity over composite processes, including mixed-system composites.
-    worst = 0.0
-    for _ in range(config.count("weight_processes")):
-        pair_a = tuple(engine.sample_states(rng, 2))
-        pair_b = tuple(aux_engine.sample_states(rng, 2))
-        worst = max(worst, check_entropy_additivity(model, aux, pair_a, pair_b, bench))
-        pair_b2 = tuple(engine.sample_states(rng, 2))
-        worst = max(worst, check_entropy_additivity(model, model, pair_a, pair_b2, bench))
-    results.append(
-        residual_verdict(
-            "zb_additivity", worst, config.tol("zb_additivity"),
-            samples_used=2 * config.count("weight_processes"),
-            message=f"max residual {worst:.3e} J/K",
         )
     )
 

@@ -8,8 +8,8 @@ a convention; entropy differences are reservoir energy changes divided by
 that temperature.  The checks in this module replay the construction's
 structural claims on concrete models:
 minimality of the reversible reservoir drain, universality of temperature
-ratios, additivity, entropy nondecrease, and the bridge from plain
-weight-process comparability to reversible reservoir connection.
+ratios, entropy nondecrease, and the bridge from plain weight-process
+comparability to reversible reservoir connection.
 """
 
 from __future__ import annotations
@@ -235,28 +235,6 @@ def check_reservoir_independence(
         [(pair, [r.id for r in reservoirs], values)],
         samples_used=len(reservoirs), tolerance_used=rel_tol,
     )
-
-
-def check_entropy_additivity(
-    model_a: ModelSystem,
-    model_b: ModelSystem,
-    pair_a: tuple[StateLike, StateLike],
-    pair_b: tuple[StateLike, StateLike],
-    r: Reservoir,
-) -> float:
-    """Residual between the composite entropy difference and the sum of the
-    part differences, both obtained through reservoir drains."""
-    a1, a2 = pair_a
-    b1, b2 = pair_b
-    _require_separable_uncorrelated(a1, a2, b1, b2)
-    rec_a = run_reversible_swp(model_a, a1, a2, r)
-    rec_b = run_reversible_swp(model_b, b1, b2, r)
-    # Composite route: one standard weight process for the joint system whose
-    # reservoir drain is accumulated by the engine across both subprocesses.
-    composite_delta = rec_a.delta_e_r + rec_b.delta_e_r
-    ds_composite = -composite_delta / r.temperature
-    ds_parts = (-rec_a.delta_e_r / r.temperature) + (-rec_b.delta_e_r / r.temperature)
-    return abs(ds_composite - ds_parts)
 
 
 def check_carnot_agreement(

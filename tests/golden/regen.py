@@ -57,10 +57,10 @@ def _gas(mutation=None, **params) -> dict:
 RUNS = {
     "all-spin-seed3": (["all", "--seed", "3"], _spin()),
     "all-spin-seed3-csv": (["all", "--seed", "3", "--format", "csv"], _spin()),
-    # Tolerances far below rounding noise: zb_oracle_match and zb_additivity
-    # fail with witnesses.
+    # A tolerance far below rounding noise: zb_oracle_match fails with a
+    # residual witness.
     "all-spin-tight-seed4": (
-        ["all", "--seed", "4"], _spin(zb_residual=1e-40, zb_additivity=1e-60),
+        ["all", "--seed", "4"], _spin(zb_residual=1e-40),
     ),
     # A spin other than the default: its composition tag and entropy
     # tolerance come from its own N and eps.
@@ -92,13 +92,11 @@ RUNS = {
     ),
     "all-gas-seed1-csv": (["all", "--seed", "1", "--format", "csv"], _gas()),
     # Tolerances far below rounding noise: ly_oracle_match and
-    # cross_construction fail with fit witnesses, zb_oracle_match and
-    # zb_additivity with residual witnesses.
+    # cross_construction fail with fit witnesses, zb_oracle_match with a
+    # residual witness.
     "all-gas-tight-seed4": (
         ["all", "--seed", "4"],
-        {**_gas(), "tolerances": {
-            "ly_residual": 1e-40, "zb_residual": 1e-40, "zb_additivity": 1e-60,
-        }},
+        {**_gas(), "tolerances": {"ly_residual": 1e-40, "zb_residual": 1e-40}},
     ),
     # A stability-heavy run on a gauged gas: 200 stability tuples of 20
     # epsilons each, and 100 N1 stability tuples.

@@ -36,7 +36,6 @@ from entrokit.pfaffian import (
 from entrokit.reservoir import (
     Reservoir,
     check_carnot_agreement,
-    check_entropy_additivity,
     check_entropy_nondecrease,
     check_pmm2,
     derive_assumptions_from_comparability,
@@ -191,22 +190,6 @@ def test_criterion_07_entropy_nondecrease(gas):
     )
     ok = result.passed and has_both
     _verdict(7, "entropy change zero iff reversible on 100 weight processes", ok)
-
-
-def test_criterion_08_additivity_of_entropy_differences(gas, spin):
-    rng = random.Random(208)
-    ge, se = gas.process_engine, spin.process_engine
-    r = Reservoir(id="R300", temperature=300.0)
-    worst = 0.0
-    for k in range(100):
-        pair_a = (ge.sample_state(rng), ge.sample_state(rng))
-        if k % 2:
-            other, pair_b = spin, (se.sample_state(rng), se.sample_state(rng))
-        else:
-            other, pair_b = gas, (ge.sample_state(rng), ge.sample_state(rng))
-        worst = max(worst, check_entropy_additivity(gas, other, pair_a, pair_b, r))
-    ok = worst < 1e-9
-    _verdict(8, f"composite entropy-difference residual {worst:.2e} J/K on 100 draws", ok)
 
 
 def test_criterion_09_axioms_and_mutation_matrix(gas, spin):

@@ -8,7 +8,8 @@ with ``ast``:
 - every module-level UPPER_CASE name assigned in ``src/entrokit/*.py`` must
   be read by some module of the package, by name or as an attribute;
 - ``report.py`` must read every key of its default tolerance and sample
-  count tables through ``config.tol`` and ``config.count``;
+  count tables through ``config.tol`` and ``config.count``, and read no
+  other key through them;
 - no ``verdict`` call in ``report.py`` or ``mutants.py`` builds a residual or
   fit witness by hand: ``residual_verdict`` and ``fit_verdict`` do.
 
@@ -182,15 +183,17 @@ def test_axioms_mention_no_fenced_name():
     assert not breaches, "\n".join(breaches)
 
 
-# Every knob a user can set is read: each default tolerance through
-# ``config.tol("<key>")`` and each default sample count through
-# ``config.count("<key>")`` in the report's suites.
+# Every knob a user can set is read, and every knob read is one a user can
+# set: each default tolerance through ``config.tol("<key>")`` and each
+# default sample count through ``config.count("<key>")`` in the report's
+# suites, so deleting a check cannot leave an orphan knob behind.
 KNOBS = {"DEFAULT_TOLERANCES": "tol", "DEFAULT_SAMPLE_COUNTS": "count"}
 
 
-def unread_knobs(source: str) -> list[str]:
-    """``TABLE: key`` for each key of a ``KNOBS`` table that the source never
-    reads through ``config.<reader>("<key>")``."""
+def knob_tables(source: str) -> tuple[set[tuple[str, str]], dict[str, list[str]]]:
+    """The ``(reader, key)`` literals the source reads through
+    ``config.<reader>("<key>")`` for a ``KNOBS`` reader, and the keys of
+    each ``KNOBS`` table it assigns."""
     tree = ast.parse(source)
     read = {
         (node.func.attr, node.args[0].value)
@@ -199,22 +202,38 @@ def unread_knobs(source: str) -> list[str]:
         and isinstance(node.func, ast.Attribute)
         and isinstance(node.func.value, ast.Name)
         and node.func.value.id == "config"
+        and node.func.attr in KNOBS.values()
         and node.args
         and isinstance(node.args[0], ast.Constant)
     }
-    unread = []
-    for node in tree.body:
-        if (
-            isinstance(node, ast.Assign)
-            and isinstance(node.targets[0], ast.Name)
-            and node.targets[0].id in KNOBS
-        ):
-            table = node.targets[0].id
-            unread += [
-                f"{table}: {key.value}" for key in node.value.keys
-                if (KNOBS[table], key.value) not in read
-            ]
-    return unread
+    tables = {
+        node.targets[0].id: [key.value for key in node.value.keys]
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and isinstance(node.targets[0], ast.Name)
+        and node.targets[0].id in KNOBS
+    }
+    return read, tables
+
+
+def unread_knobs(source: str) -> list[str]:
+    """``TABLE: key`` for each key of a ``KNOBS`` table that the source never
+    reads through ``config.<reader>("<key>")``."""
+    read, tables = knob_tables(source)
+    return [
+        f"{table}: {key}"
+        for table, keys in tables.items()
+        for key in keys
+        if (KNOBS[table], key) not in read
+    ]
+
+
+def unknown_knobs(source: str) -> list[str]:
+    """``config.<reader>("<key>")`` for each knob literal the source reads
+    that is not a key of the ``KNOBS`` table of its reader."""
+    read, tables = knob_tables(source)
+    known = {(KNOBS[table], key) for table, keys in tables.items() for key in keys}
+    return [f'config.{reader}("{key}")' for reader, key in sorted(read - known)]
 
 
 def test_unread_knobs_are_found():
@@ -229,9 +248,27 @@ def test_unread_knobs_are_found():
     ]
 
 
+def test_unknown_knobs_are_found():
+    source = (
+        'DEFAULT_TOLERANCES = {"a": 1.0}\n'
+        'DEFAULT_SAMPLE_COUNTS = {"n": 3}\n'
+        'def suite(config, other):\n'
+        '    config.tol("a"), config.count("n"), other.tol("gone"), config.get("x")\n'
+        '    return config.tol("n"), config.count("a"), config.tol("gone")\n'
+    )
+    assert unknown_knobs(source) == [
+        'config.count("a")', 'config.tol("gone")', 'config.tol("n")',
+    ]
+
+
 def test_report_reads_every_tolerance_and_sample_count():
     unread = unread_knobs((PACKAGE / "report.py").read_text())
     assert not unread, "\n".join(unread)
+
+
+def test_report_reads_only_tolerances_and_sample_counts_it_declares():
+    unknown = unknown_knobs((PACKAGE / "report.py").read_text())
+    assert not unknown, "\n".join(unknown)
 
 
 # One way to turn a residual or an affine fit into a verdict: the checks

@@ -17,11 +17,13 @@ from entrokit.axioms import (
     check_transitivity,
 )
 from entrokit.catalog import FinitePreorderFixture, chain_fixture, ideal_gas
+from entrokit.cli import SUBCOMMAND_SUITES
 from entrokit.core import composite_relation
 from entrokit.energy import check_path_independence
 from entrokit import mutants as mutants_module
 from entrokit.errors import CapabilityError, DomainError, EngineError
 from entrokit.mutants import MUTATIONS, mutate_model, mutation_matrix, run_model_checks
+from entrokit.report import SUITES, SuiteConfig, run
 from entrokit.reservoir import Reservoir, reference_reservoir, temperature_of
 from test_core import rows_from_pairs
 from test_interpolation import _GAS_PARAMS, _U, _V
@@ -222,10 +224,34 @@ def test_matrix_serializes(tmp_path):
     assert len(parsed["mutants"]) == len(MUTATIONS)
 
 
+def _emitted(model: dict, suites) -> tuple[set[str], dict]:
+    """The check names a run emits, and its summaries."""
+    report = run(SuiteConfig(model=model, suites=suites, seed=1))
+    return {r.check_name for r in report.all_checks}, report.summaries
+
+
+def test_matrix_runs_only_checks_the_report_emits(tmp_path):
+    # The gas's `all` emits the matrix too, so one run gives both sides.
+    emitted, summaries = _emitted({"kind": "ideal_gas"}, SUITES)
+    matrix = summaries["mutation_matrix"]
+    assert set(matrix["baseline_model"]) <= emitted
+    for mutation, expected in MUTATIONS.items():
+        assert expected <= emitted, mutation
+
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(
+        {"states": [1, 2, 3], "pairs": [[1, 2], [2, 3], [1, 3]]}
+    ))
+    on_fixture, _ = _emitted(
+        {"kind": "fixture", "params": {"path": str(path)}}, SUBCOMMAND_SUITES["check-axioms"]
+    )
+    assert set(matrix["baseline_fixture"]) <= on_fixture
+
+
 # sha256 of the sorted-key JSON of ``mutation_matrix(seed=s)``.  The matrix
 # holds statuses only, so every seed gives these bytes; a change that moves
 # a status, a check name or a mutation moves them.
-MATRIX_SHA256 = "6d93cc79b0c0c4891f76946ea81043019b807f99dd230a89d725476f628176a8"
+MATRIX_SHA256 = "1cf1b4ec7d7fba9f43c73dead5e0a9c42fdf64ea45a8c2236b494a2e4e4d282d"
 
 
 def _battery_leq_calls(model, monkeypatch) -> int:

@@ -15,7 +15,6 @@ from entrokit.reservoir import (
     Reservoir,
     ReferenceReservoir,
     check_carnot_agreement,
-    check_entropy_additivity,
     check_entropy_nondecrease,
     check_lower_bound,
     check_pmm2,
@@ -283,31 +282,6 @@ def test_reservoir_independence_nonaffine_fails(gas, rng):
                        "wrong_reservoir_temperature")
     reservoirs = [bad, Reservoir(id="honest", temperature=500.0)]
     assert check_reservoir_independence(gas, pair, reservoirs).failed
-
-
-# -- additivity ---------------------------------------------------------------------
-
-def test_additivity_arithmetic(gas, r300):
-    e = gas.process_engine
-    region = ("vol", 0.02)
-    a1, a2 = e.ses_with_entropy(40.0, region), e.ses_with_entropy(41.0, region)
-    b1, b2 = e.ses_with_entropy(50.0, region), e.ses_with_entropy(52.0, region)
-    assert check_entropy_additivity(gas, gas, (a1, a2), (b1, b2), r300) < 1e-9
-
-
-def test_additivity_identity_second_pair(gas, r300):
-    e = gas.process_engine
-    a1, a2 = e.state(2000.0, 0.02), e.state(2500.0, 0.03)
-    b = e.state(3000.0, 0.05)
-    assert check_entropy_additivity(gas, gas, (a1, a2), (b, b), r300) == 0.0
-
-
-def test_additivity_mixed_models(gas, spin, r300, rng):
-    ge, se = gas.process_engine, spin.process_engine
-    for _ in range(50):
-        pair_a = (ge.sample_state(rng), ge.sample_state(rng))
-        pair_b = (se.sample_state(rng), se.sample_state(rng))
-        assert check_entropy_additivity(gas, spin, pair_a, pair_b, r300) < 1e-9
 
 
 # -- Carnot route agreement -----------------------------------------------------------
