@@ -15,11 +15,10 @@ violations when re-queried.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from .core import CompositeState, State, composite_relation
+from .core import CompositeState, Record, State, composite_relation
 from .errors import DomainError
 
 DEFAULT_SAMPLES = 200
@@ -35,18 +34,17 @@ class CheckStatus(str, Enum):
     NOT_APPLICABLE = "not_applicable"
 
 
-@dataclass
-class CheckResult:
-    check_name: str
-    status: CheckStatus
-    witnesses: list = field(default_factory=list)
-    samples_used: int = 0
-    tolerance_used: Optional[float] = None
-    message: str = ""
-
-    def __post_init__(self):
-        if self.status is CheckStatus.FAIL and not self.witnesses:
+class CheckResult(Record):
+    def __init__(self, check_name: str, status: CheckStatus, witnesses: list = None,
+                 samples_used: int = 0, tolerance_used: Optional[float] = None,
+                 message: str = ""):
+        if status is CheckStatus.FAIL and not witnesses:
             raise DomainError("a failing check must provide witnesses")
+        self.__dict__.update(
+            check_name=check_name, status=status,
+            witnesses=[] if witnesses is None else witnesses, samples_used=samples_used,
+            tolerance_used=tolerance_used, message=message,
+        )
 
     @property
     def passed(self) -> bool:
@@ -120,8 +118,8 @@ def describe(obj):
         return {k: describe(v) for k, v in obj.items()}
     if isinstance(obj, Enum):
         return obj.value
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: describe(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, Record):
+        return {name: describe(value) for name, value in vars(obj).items()}
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     return repr(obj)

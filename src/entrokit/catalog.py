@@ -14,13 +14,13 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
 from math import lgamma
 
 from .core import (
     AccessibilityRelation,
     ModelSystem,
     ProcessRecord,
+    Record,
     State,
     StateKind,
     parts_of,
@@ -594,13 +594,12 @@ def two_level_spin(n_particles: int = 100, eps: float = 1e-21,
 # Finite preorder fixtures
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FinitePreorderFixture:
+class FinitePreorderFixture(Record):
     """An explicit relation over labelled states, as loaded from a file:
     bit j of ``rows[i]`` is set exactly when ids[i] ≼ ids[j]."""
 
-    ids: list
-    rows: list
+    def __init__(self, ids: list, rows: list):
+        self.__dict__.update(ids=ids, rows=rows)
 
     def relation(self) -> AccessibilityRelation:
         return AccessibilityRelation.finite(self.ids, self.rows)

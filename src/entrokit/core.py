@@ -15,7 +15,6 @@ oracle directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from operator import mul
 from typing import Hashable, Iterable, Sequence, Union
@@ -33,17 +32,51 @@ class StateKind(str, Enum):
     NONEQUILIBRIUM = "nonequilibrium"
 
 
-@dataclass(frozen=True)
-class StateSpace:
+class Record:
+    """A plain value record.  ``__init__`` sets its fields into ``__dict__``
+    in one update, in declaration order: ``repr`` and ``axioms.describe``
+    list them in that order, and two records are equal when they are of one
+    class with equal fields."""
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in self.__dict__.items())
+        return f"{type(self).__name__}({fields})"
+
+    def replace(self, **changes):
+        """A copy with ``changes`` applied, checked as a new record is."""
+        return type(self)(**{**self.__dict__, **changes})
+
+
+class FrozenRecord(Record):
+    """A record whose fields cannot be assigned or deleted once set, hashed
+    by their values in order.  It keeps a ``__dict__`` and no slots, so
+    ``copy`` and ``pickle`` restore it without calling ``__setattr__``."""
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self):
+        return hash(tuple(self.__dict__.values()))
+
+
+class StateSpace(FrozenRecord):
     """A base state space.  Scaled copies of its states stay in it and carry
     their factor on the state (``State.scale``)."""
 
-    id: str
-    composition_tag: str
+    def __init__(self, id: str, composition_tag: str):
+        self.__dict__.update(id=id, composition_tag=composition_tag)
 
 
-@dataclass(frozen=True, init=False)
-class State:
+class State(FrozenRecord):
     """A point in a state space.
 
     ``region`` is an opaque, equality-comparable descriptor of the regions of
@@ -54,20 +87,9 @@ class State:
     corresponding state of the unscaled base space.
     """
 
-    space_id: str
-    coords: tuple[float, ...]
-    energy: float
-    region: Hashable
-    separable: bool = True
-    uncorrelated: bool = True
-    kind: StateKind = StateKind.STABLE_EQUILIBRIUM
-    scale: float = 1.0
-
     def __init__(self, space_id: str, coords: tuple[float, ...], energy: float,
                  region: Hashable, separable: bool = True, uncorrelated: bool = True,
                  kind: StateKind = StateKind.STABLE_EQUILIBRIUM, scale: float = 1.0):
-        # Hand-written: the fields go into __dict__ in one update, where the
-        # generated frozen __init__ sets them one object.__setattr__ at a time.
         if not math.isfinite(energy):
             raise DomainError(f"state energy must be finite, got {energy!r}")
         if kind is StateKind.STABLE_EQUILIBRIUM and not (separable and uncorrelated):
@@ -79,16 +101,20 @@ class State:
             separable=separable, uncorrelated=uncorrelated, kind=kind, scale=scale,
         )
 
+    def __hash__(self):
+        # The relation's dicts key on states: spelt out, the same value is a
+        # third faster than the generic hash of the field values.
+        return hash((self.space_id, self.coords, self.energy, self.region,
+                     self.separable, self.uncorrelated, self.kind, self.scale))
 
-@dataclass(frozen=True)
-class CompositeState:
+
+class CompositeState(FrozenRecord):
     """An ordered tuple of subsystem states treated as one state."""
 
-    parts: tuple[State, ...]
-
-    def __post_init__(self):
-        if not self.parts:
+    def __init__(self, parts: tuple[State, ...]):
+        if not parts:
             raise DomainError("composite state needs at least one part")
+        self.__dict__["parts"] = parts
 
 
 StateLike = Union[State, CompositeState]
@@ -124,8 +150,7 @@ def composite_state(parts: Sequence[StateLike]) -> CompositeState:
     return CompositeState(tuple(flat))
 
 
-@dataclass(frozen=True)
-class ProcessRecord:
+class ProcessRecord(FrozenRecord):
     """An executed process: end states, work, and its entropy bookkeeping.
 
     ``work_done`` is the work done *by* the system (raised-weight convention).
@@ -133,14 +158,11 @@ class ProcessRecord:
     when it is zero.
     """
 
-    initial: StateLike
-    final: StateLike
-    work_done: float
-    sigma: float = 0.0
-
-    def __post_init__(self):
-        if self.sigma < 0.0:
+    def __init__(self, initial: StateLike, final: StateLike, work_done: float,
+                 sigma: float = 0.0):
+        if sigma < 0.0:
             raise DomainError("entropy generation cannot be negative")
+        self.__dict__.update(initial=initial, final=final, work_done=work_done, sigma=sigma)
 
     @property
     def reversible(self) -> bool:

@@ -4,11 +4,11 @@ that they are path independent."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Sequence
 
 from .axioms import CheckResult, not_applicable, verdict
 from .core import (
+    FrozenRecord,
     ModelSystem,
     ProcessRecord,
     StateLike,
@@ -24,15 +24,13 @@ PATH_INDEP_REL_TOL = 1e-10
 PATH_INDEP_ABS_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class WeightPolygonal:
+class WeightPolygonal(FrozenRecord):
     """A chain of weight processes, each traversed along or against its own
     direction, connecting two end states through shared intermediates."""
 
-    legs: tuple[tuple[ProcessRecord, str], ...]
-    endpoints: tuple[StateLike, StateLike]
-
-    def __post_init__(self):
+    def __init__(self, legs: tuple[tuple[ProcessRecord, str], ...],
+                 endpoints: tuple[StateLike, StateLike]):
+        self.__dict__.update(legs=legs, endpoints=endpoints)
         if not self.legs:
             raise StructuralError("a weight polygonal needs at least one leg")
         for rec, direction in self.legs:

@@ -15,37 +15,31 @@ from both sides.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
-from .core import AccessibilityRelation, State
+from .core import AccessibilityRelation, FrozenRecord, Record, State
 from .errors import CapabilityError, DegenerateFitError, DomainError, NumericError
 
 LAMBDA_TOL = 1e-9
 LAMBDA_MAX_ITER = 200
 
 
-@dataclass(frozen=True)
-class ReferencePair:
+class ReferencePair(FrozenRecord):
     """Two strictly ordered reference states with assigned entropy values."""
 
-    x0: State
-    x1: State
-    s0: float
-    s1: float
-
-    def __post_init__(self):
-        if not self.s0 < self.s1:
+    def __init__(self, x0: State, x1: State, s0: float, s1: float):
+        if not s0 < s1:
             raise DomainError("reference entropies must satisfy s0 < s1")
+        self.__dict__.update(x0=x0, x1=x1, s0=s0, s1=s1)
 
 
-@dataclass
-class EntropyTable:
+class EntropyTable(Record):
     """Constructed entropy values on a set of states, and the states the
     construction skipped, with the reason."""
 
-    entries: dict[State, float] = field(default_factory=dict)
-    skipped: dict[State, str] = field(default_factory=dict)
+    def __init__(self, entries: dict[State, float] = None, skipped: dict[State, str] = None):
+        self.__dict__.update(entries={} if entries is None else entries,
+                             skipped={} if skipped is None else skipped)
 
 
 def _require_induced_scaling(rel: AccessibilityRelation):
@@ -153,11 +147,9 @@ def entropy_from_accessibility(
 # Affine certification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AffineFit:
-    a: float
-    b: float
-    max_residual: float
+class AffineFit(FrozenRecord):
+    def __init__(self, a: float, b: float, max_residual: float):
+        self.__dict__.update(a=a, b=b, max_residual=max_residual)
 
     @property
     def orientation_ok(self) -> bool:
@@ -191,12 +183,10 @@ def affine_match(f: Sequence[float], g: Sequence[float]) -> AffineFit:
 # Nonequilibrium sandwich bounds
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SandwichBounds:
-    s_minus: Optional[float]
-    s_plus: Optional[float]
-    ok: bool
-    message: str = ""
+class SandwichBounds(FrozenRecord):
+    def __init__(self, s_minus: Optional[float], s_plus: Optional[float], ok: bool,
+                 message: str = ""):
+        self.__dict__.update(s_minus=s_minus, s_plus=s_plus, ok=ok, message=message)
 
 
 def sandwich_bounds(

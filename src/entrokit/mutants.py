@@ -15,7 +15,6 @@ from __future__ import annotations
 import copy
 import os
 import random
-from dataclasses import replace
 from typing import Union
 
 from .axioms import (
@@ -126,8 +125,8 @@ def mutate_model(target: MutationTarget, mutation: str) -> MutationTarget:
         def noisy(a, b, rng, legs=None):
             # Every leg reports 0.1 J more work than it did.
             poly = connect(a, b, rng, legs)
-            return replace(poly, legs=tuple(
-                (replace(rec, work_done=rec.work_done + 0.1), direction)
+            return poly.replace(legs=tuple(
+                (rec.replace(work_done=rec.work_done + 0.1), direction)
                 for rec, direction in poly.legs
             ))
 

@@ -14,10 +14,10 @@ path integral is taken to the quadrature module's relative target
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .axioms import CheckResult, verdict
+from .core import FrozenRecord
 from .errors import DomainError
 from .quadrature import integrate_scalar, line_integral
 
@@ -28,8 +28,7 @@ LOOP_ABS_TOL = 1e-8
 PFAFFIAN_REL_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class SimpleSystemModel:
+class SimpleSystemModel(FrozenRecord):
     """A simple system in coordinates (U, x1..xn), the energy first, with its
     quasistatic structure declared as callables.
 
@@ -42,24 +41,29 @@ class SimpleSystemModel:
     sampled paths and states off its edges.
     """
 
-    p_fns: tuple[Callable[[Point], float], ...]
-    m_fn: Callable[[Point], float]
-    x0_fn: Callable[[Point], float]
-    tau_fn: Callable[[Point], float]
-    f_fn: Callable[[float], float]
-    alpha_fn: Callable[[float], float]
-    c: float
-    coord_box: tuple[tuple[float, float], ...]
-    inner_box: tuple[tuple[float, float], ...]
-    x0_grad_fn: Callable[[Point], Point]
-
-    def __post_init__(self):
-        if len(self.coord_box) < 2:
+    def __init__(
+        self,
+        p_fns: tuple[Callable[[Point], float], ...],
+        m_fn: Callable[[Point], float],
+        x0_fn: Callable[[Point], float],
+        tau_fn: Callable[[Point], float],
+        f_fn: Callable[[float], float],
+        alpha_fn: Callable[[float], float],
+        c: float,
+        coord_box: tuple[tuple[float, float], ...],
+        inner_box: tuple[tuple[float, float], ...],
+        x0_grad_fn: Callable[[Point], Point],
+    ):
+        if len(coord_box) < 2:
             raise DomainError("a simple system needs U plus deformation coordinates")
-        if len(self.p_fns) != len(self.coord_box) - 1:
+        if len(p_fns) != len(coord_box) - 1:
             raise DomainError("one conjugate force per deformation coordinate")
-        if not self.c > 0:
+        if not c > 0:
             raise DomainError("temperature scale constant must be positive")
+        self.__dict__.update(
+            p_fns=p_fns, m_fn=m_fn, x0_fn=x0_fn, tau_fn=tau_fn, f_fn=f_fn, alpha_fn=alpha_fn,
+            c=c, coord_box=coord_box, inner_box=inner_box, x0_grad_fn=x0_grad_fn,
+        )
 
     def temperature(self, coords: Point) -> float:
         return self.c * self.f_fn(self.tau_fn(coords))
@@ -222,9 +226,9 @@ def check_integrating_factor(
     )
 
 
-@dataclass(frozen=True)
-class EntropyFromFactorization:
-    s_of_x0: Callable[[float], float]
+class EntropyFromFactorization(FrozenRecord):
+    def __init__(self, s_of_x0: Callable[[float], float]):
+        self.__dict__["s_of_x0"] = s_of_x0
 
 
 def entropy_from_integrating_factor(

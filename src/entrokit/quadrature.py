@@ -15,9 +15,9 @@ import itertools
 import math
 import operator
 import sys
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from .core import FrozenRecord
 from .errors import NumericError
 
 REL_TARGET = 1e-10
@@ -57,11 +57,9 @@ _EPS = sys.float_info.epsilon
 _UFLOW = sys.float_info.min
 
 
-@dataclass(frozen=True)
-class QuadResult:
-    value: float
-    error_estimate: float
-    evaluations: int
+class QuadResult(FrozenRecord):
+    def __init__(self, value: float, error_estimate: float, evaluations: int):
+        self.__dict__.update(value=value, error_estimate=error_estimate, evaluations=evaluations)
 
 
 class EvalBudget:

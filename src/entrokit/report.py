@@ -7,13 +7,11 @@ fields, so identical configurations reproduce byte-identical reports.
 
 from __future__ import annotations
 
-import inspect
 import io
 import json
 import math
 import random
 import time
-from dataclasses import dataclass, field
 
 from . import __version__
 from .axioms import (
@@ -42,7 +40,7 @@ from .catalog import (
     load_fixture,
     two_level_spin,
 )
-from .core import ModelSystem
+from .core import ModelSystem, Record
 from .energy import PATH_INDEP_REL_TOL, check_path_independence
 from .errors import (
     CapabilityError,
@@ -123,15 +121,14 @@ DEFAULT_SAMPLE_COUNTS = {
 PAIRED_COUNTS = ("grid_nu", "grid_nv", "probe_pairs", "polygonals_per_pair")
 
 
-@dataclass
-class SuiteConfig:
-    model: dict
-    suites: tuple[str, ...]
-    seed: int = 0
-    tolerances: dict = field(default_factory=dict)
-    sample_counts: dict = field(default_factory=dict)
-
-    def __post_init__(self):
+class SuiteConfig(Record):
+    def __init__(self, model: dict, suites: tuple[str, ...], seed: int = 0,
+                 tolerances: dict = None, sample_counts: dict = None):
+        self.__dict__.update(
+            model=model, suites=suites, seed=seed,
+            tolerances={} if tolerances is None else tolerances,
+            sample_counts={} if sample_counts is None else sample_counts,
+        )
         for s in self.suites:
             if s not in SUITES:
                 raise ConfigError(f"unknown suite {s!r}; known: {SUITES}")
@@ -218,24 +215,36 @@ def _like_default(value, default) -> bool:
     )
 
 
+def param_defaults(fn) -> dict:
+    """The defaults of a function's positional params by name, read from its
+    code object: the last ``len(__defaults__)`` of its ``co_argcount`` first
+    local names."""
+    code, defaults = fn.__code__, fn.__defaults__ or ()
+    names = code.co_varnames[code.co_argcount - len(defaults):code.co_argcount]
+    return dict(zip(names, defaults))
+
+
 def build_target(model_spec: dict):
     """Instantiate the configured model or fixture, applying a mutation if
     the config plants one."""
     if not isinstance(model_spec, dict) or "kind" not in model_spec:
         raise ConfigError("model spec needs a 'kind'")
+    unknown = set(model_spec) - {"kind", "params", "mutation"}
+    if unknown:
+        raise ConfigError(f"unknown model spec keys: {sorted(unknown)}")
     kind = model_spec["kind"]
     params = model_spec.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("model params must be a JSON object")
     if kind in ("ideal_gas", "two_level_spin"):
         constructor = ideal_gas if kind == "ideal_gas" else two_level_spin
-        signature = inspect.signature(constructor)
-        try:
-            signature.bind(**params)
-        except TypeError as exc:
-            raise ConfigError(f"bad params for model kind {kind!r}: {exc}") from exc
+        defaults = param_defaults(constructor)
+        unknown = sorted(set(params) - set(defaults))
+        if unknown:
+            raise ConfigError(f"bad params for model kind {kind!r}: unknown params "
+                              f"{unknown}; known: {list(defaults)}")
         for name, value in params.items():
-            default = signature.parameters[name].default
+            default = defaults[name]
             if not _like_default(value, default):
                 raise ConfigError(
                     f"bad params for model kind {kind!r}: {name!r} must match "
@@ -260,13 +269,14 @@ def build_target(model_spec: dict):
     return target
 
 
-@dataclass
-class Report:
-    config: SuiteConfig
-    suite_results: dict[str, list[CheckResult]]
-    summaries: dict = field(default_factory=dict)
-    wall_time_s: float = 0.0
-    version: str = __version__
+class Report(Record):
+    def __init__(self, config: SuiteConfig, suite_results: dict[str, list[CheckResult]],
+                 summaries: dict = None, wall_time_s: float = 0.0, version: str = __version__):
+        self.__dict__.update(
+            config=config, suite_results=suite_results,
+            summaries={} if summaries is None else summaries,
+            wall_time_s=wall_time_s, version=version,
+        )
 
     @property
     def all_checks(self) -> list[CheckResult]:

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import Sequence
 
 from .axioms import CheckResult, not_applicable, verdict
 from .core import (
+    FrozenRecord,
     ModelSystem,
     ProcessRecord,
     State,
@@ -44,53 +44,45 @@ BOOKKEEPING_TOL = 1e-12
 CARNOT_REL_TOL = 1e-7
 
 
-@dataclass(frozen=True)
-class Reservoir:
+class Reservoir(FrozenRecord):
     """A thermal reservoir: fixed regions of space and an exactly affine
     entropy-energy relation with slope 1/T, so any reservoir entropy change
     dS is realized by the energy change T dS.
     """
 
-    id: str
-    temperature: float
-
-    def __post_init__(self):
-        if not (self.temperature > 0 and math.isfinite(self.temperature)):
+    def __init__(self, id: str, temperature: float):
+        if not (temperature > 0 and math.isfinite(temperature)):
             raise DomainError("reservoir temperature must be positive")
+        self.__dict__.update(id=id, temperature=temperature)
 
     def delta_energy_for_delta_entropy(self, d_entropy: float) -> float:
         """Energy change realizing a given reservoir entropy change."""
         return self.temperature * d_entropy
 
 
-@dataclass(frozen=True)
-class ReferenceReservoir:
+class ReferenceReservoir(FrozenRecord):
     """The reservoir that pins the temperature scale, at exactly 273.16 K."""
 
-    reservoir: Reservoir
-
-    def __post_init__(self):
-        if self.reservoir.temperature != REFERENCE_TEMPERATURE:
+    def __init__(self, reservoir: Reservoir):
+        if reservoir.temperature != REFERENCE_TEMPERATURE:
             raise DomainError(
                 f"reference reservoir must sit at {REFERENCE_TEMPERATURE} K exactly"
             )
+        self.__dict__["reservoir"] = reservoir
 
 
 def reference_reservoir() -> ReferenceReservoir:
     return ReferenceReservoir(Reservoir(id="reference", temperature=REFERENCE_TEMPERATURE))
 
 
-@dataclass(frozen=True)
-class StandardWeightProcessRecord:
+class StandardWeightProcessRecord(FrozenRecord):
     """A standard weight process: reservoir end states are stable equilibria."""
 
-    system_pair: tuple[StateLike, StateLike]
-    delta_e_r: float
-    sigma: float = 0.0
-
-    def __post_init__(self):
-        if self.sigma < 0.0:
+    def __init__(self, system_pair: tuple[StateLike, StateLike], delta_e_r: float,
+                 sigma: float = 0.0):
+        if sigma < 0.0:
             raise DomainError("entropy generation cannot be negative")
+        self.__dict__.update(system_pair=system_pair, delta_e_r=delta_e_r, sigma=sigma)
 
     @property
     def reversible(self) -> bool:

@@ -1,6 +1,6 @@
 import copy
-import dataclasses
 import math
+import pickle
 import random
 
 import pytest
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from entrokit.core import (
     Access,
     AccessibilityRelation,
+    ProcessRecord,
     State,
     StateKind,
     accessible,
@@ -18,7 +19,7 @@ from entrokit.core import (
     parts_of,
     states_equal,
 )
-from entrokit.errors import CapabilityError, DomainError
+from entrokit.errors import CapabilityError, DomainError, EngineError
 
 
 def rows_from_pairs(ids, pairs):
@@ -102,15 +103,25 @@ def test_state_keeps_dataclass_behaviour():
         "separable=True, uncorrelated=True, kind=<StateKind.STABLE_EQUILIBRIUM: "
         "'stable_equilibrium'>, scale=1.0)"
     )
-    assert [f.name for f in dataclasses.fields(State)] == [
+    assert list(vars(x)) == [
         "space_id", "coords", "energy", "region", "separable", "uncorrelated", "kind", "scale",
     ]
-    assert dataclasses.replace(x, scale=2.0) == State("s", (1.0, 2.0), 3.0, ("vol", 1), scale=2.0)
+    assert x.replace(scale=2.0) == State("s", (1.0, 2.0), 3.0, ("vol", 1), scale=2.0)
     assert copy.copy(x) == x and copy.deepcopy(x) == x
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         x.energy = 4.0
     with pytest.raises(DomainError):
-        dataclasses.replace(x, energy=math.nan)
+        x.replace(energy=math.nan)
+
+
+def test_worker_exception_with_record_witness_survives_pickling():
+    # A matrix worker pipes its exception back pickled; the frozen records'
+    # guarded __setattr__ must not stand in the way of unpickling them.
+    x = State("s", (1.0, 2.0), 3.0, ("vol", 1))
+    rec = ProcessRecord(x, x.replace(energy=4.0), 1.0)
+    exc = pickle.loads(pickle.dumps(EngineError("nature refuses", witness=(x, rec))))
+    assert type(exc) is EngineError and str(exc) == "nature refuses"
+    assert exc.witness == (x, rec) and hash(exc.witness) == hash((x, rec))
 
 
 def test_compose_additivity_of_oracle(gas, gas_rel):

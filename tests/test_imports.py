@@ -14,7 +14,9 @@ with ``ast``:
   fit witness by hand: ``residual_verdict`` and ``fit_verdict`` do.
 
 It also keeps the runtime free of dependencies: importing the command line
-loads no numpy, and ``pyproject.toml`` declares none.
+loads no numpy, and ``pyproject.toml`` declares none.  And it keeps start-up
+free of generated code: no module imports ``dataclasses`` or ``inspect``, and
+importing the command line loads neither.
 """
 
 import ast
@@ -110,13 +112,54 @@ def test_package_has_no_unused_constants():
     assert not unused, "\n".join(unused)
 
 
-def test_cli_imports_no_numpy():
+def loaded_by_cli(names: list[str]) -> list[str]:
+    """Those of ``names`` that a fresh interpreter has loaded once it has
+    imported ``entrokit.cli``."""
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     loaded = subprocess.run(
-        [sys.executable, "-c", "import sys, entrokit.cli; print('numpy' in sys.modules)"],
+        [sys.executable, "-c",
+         f"import sys, entrokit.cli; print(*(m for m in {names!r} if m in sys.modules))"],
         env=env, capture_output=True, text=True, check=True,
     ).stdout
-    assert loaded.strip() == "False"
+    return loaded.split()
+
+
+def test_cli_imports_no_numpy():
+    assert loaded_by_cli(["numpy"]) == []
+
+
+# Records are plain classes (core.Record): dataclasses would compile each
+# one's methods with exec on every start, and it and inspect load ast, dis
+# and tokenize besides.
+NO_IMPORT = {"dataclasses", "inspect"}
+
+
+def test_cli_loads_no_code_generation():
+    assert loaded_by_cli(sorted(NO_IMPORT)) == []
+
+
+def forbidden_imports(source: str) -> list[str]:
+    """``NO_IMPORT`` modules the source imports, at any level."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name in NO_IMPORT]
+        elif isinstance(node, ast.ImportFrom) and node.module in NO_IMPORT:
+            found.append(node.module)
+    return found
+
+
+def test_forbidden_imports_are_found():
+    source = (
+        "import os, inspect\nfrom dataclasses import dataclass\n"
+        "def f():\n    import dataclasses\n    from .core import inspect\n"
+    )
+    assert forbidden_imports(source) == ["inspect", "dataclasses", "dataclasses"]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_module_imports_neither_dataclasses_nor_inspect(path):
+    assert forbidden_imports(path.read_text()) == []
 
 
 def test_package_declares_no_runtime_dependencies():

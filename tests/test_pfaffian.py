@@ -1,7 +1,6 @@
 import copy
 import math
 import random
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -82,7 +81,7 @@ def test_pfaffian_form_constant_x0_path(simple):
 
 
 def test_pfaffian_form_halved_m_fails(simple):
-    broken = replace(simple, m_fn=lambda coords: 0.5 * simple.m_fn(coords))
+    broken = simple.replace(m_fn=lambda coords: 0.5 * simple.m_fn(coords))
     paths = [QuasistaticPath([at(320.0, 0.012), at(560.0, 0.018)])]
     assert check_pfaffian_form(broken, paths).failed
 
@@ -171,7 +170,7 @@ def test_entropy_function_anchors_at_reference(simple):
 
 
 def test_constant_alpha_gives_linear_entropy(simple):
-    flat = replace(simple, alpha_fn=lambda x0: simple.c)
+    flat = simple.replace(alpha_fn=lambda x0: simple.c)
     entropy = entropy_from_integrating_factor(flat, x0_ref=0.0, s_ref=0.0)
     assert entropy.s_of_x0(1.7) == pytest.approx(1.7, rel=1e-10)
 

@@ -23,6 +23,7 @@ from entrokit.report import (
     _grid_and_refs,
     emit,
     ly_table,
+    param_defaults,
     run,
 )
 
@@ -416,6 +417,27 @@ def test_cli_bad_model_params_exit_two(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("constructor", [ideal_gas, two_level_spin])
+def test_param_defaults_match_the_signature(constructor):
+    # build_target reads the params a model accepts from the code object, so
+    # every param of a model constructor must be positional with a default.
+    assert param_defaults(constructor) == {
+        name: p.default for name, p in inspect.signature(constructor).parameters.items()
+    }
+
+
+def test_cli_unknown_model_spec_key_exits_two(tmp_path, capsys):
+    # A misspelt "params" must not run the default gas and exit 0.
+    config = tmp_path / "typo.json"
+    config.write_text(json.dumps({"model": {"kind": "ideal_gas", "parms": {"n": 40}}}))
+    out_path = tmp_path / "r.json"
+    code = main(["construct-zb", "--seed", "1", "--config", str(config), "--out", str(out_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error") and "parms" in err
+    assert not out_path.exists()
+
+
 def test_cli_unknown_tolerance_exits_two(capsys):
     code = main(["check-axioms", "--tolerance", "bogus=1"])
     assert code == 2
@@ -490,6 +512,8 @@ FALSE_ALARMS = [
                      "exit 2, 'could not sample a bracketed nonequilibrium spin state'")
         for n in (2, 4)
     ),
+    _false_alarm("construct-zb", "ideal_gas", {"n": 1e6}, "n",
+                 "exit 1, cross_construction affine residual 3.032e-02 J/K against 1e-6"),
 ]
 
 

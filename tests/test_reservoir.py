@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 from entrokit.axioms import CheckStatus
@@ -70,8 +68,8 @@ def test_swp_two_routes_agree_on_reference_pair(gas):
 
 def test_swp_rejects_correlated_states(gas, r300):
     e = gas.process_engine
-    bad = replace(e.state(2000.0, 0.02), uncorrelated=False,
-                  kind=StateKind.NONEQUILIBRIUM)
+    bad = e.state(2000.0, 0.02).replace(uncorrelated=False,
+                                        kind=StateKind.NONEQUILIBRIUM)
     with pytest.raises(PreconditionError):
         run_reversible_swp(gas, bad, e.state(2100.0, 0.02), r300)
 
@@ -193,7 +191,7 @@ def test_temperature_ratio_identical_reservoirs(gas, rng):
         (gas, e.sample_state(rng), e.sample_state(rng)),
         (spin, se.sample_state(rng), se.sample_state(rng)),
     ]
-    result = temperature_ratio_independence(r, replace(r, id="r-copy"), probes)
+    result = temperature_ratio_independence(r, r.replace(id="r-copy"), probes)
     assert result.passed
 
 
