@@ -59,11 +59,6 @@ CARATHEODORY_INNER_BOX = ((320.0, 580.0), (0.011, 0.019))
 PARAM_MIN, PARAM_MAX = 1e-100, 1e100
 
 
-def _check_param(name: str, value: float, low: float = PARAM_MIN):
-    if not low <= value <= PARAM_MAX:
-        raise DomainError(f"{name} must lie in [{low:g}, {PARAM_MAX:g}], got {value!r}")
-
-
 def _state_kind(deficit: float) -> StateKind:
     return StateKind.NONEQUILIBRIUM if deficit > 0 else StateKind.STABLE_EQUILIBRIUM
 
@@ -438,12 +433,7 @@ def ideal_gas(
 ) -> ModelSystem:
     """Monatomic-by-default ideal gas with scaling support and both reservoir
     routes."""
-    _check_param("n", n)
-    _check_param("c_v_hat", c_v_hat)
-    u_star, v_star, s_star = gauge
-    _check_param("gauge u_star", u_star)
-    _check_param("gauge v_star", v_star)
-    _check_param("gauge |s_star|", abs(s_star), low=0.0)
+    s_star = gauge[2]
     offset = n * s_star
     if math.ulp(offset) > GAS_ENTROPY_ATOL:
         # Floats below this power of two lie at most the tolerance apart.
@@ -455,8 +445,6 @@ def ideal_gas(
             f"so entropy differences round away; |n * s_star| must stay below {limit:g} J/K"
         )
     for axis, (lo, hi) in zip("UV", box):
-        _check_param(f"box {axis} lower bound", lo)
-        _check_param(f"box {axis} upper bound", hi)
         if not lo < hi:
             raise DomainError(f"box {axis} bounds must satisfy lower < upper, got {[lo, hi]}")
     # As floats, whatever number type the caller gave.
@@ -582,11 +570,6 @@ class TwoLevelSpinEngine(_EngineBase):
 def two_level_spin(n_particles: int = 100, eps: float = 1e-21,
                    model_id: str = "spin") -> ModelSystem:
     """Bounded-energy spin bath; not normal, no scaled copies."""
-    if not (isinstance(n_particles, int) and 2 <= n_particles <= PARAM_MAX):
-        raise DomainError(
-            f"n_particles must be an integer in [2, {PARAM_MAX:g}], got {n_particles!r}"
-        )
-    _check_param("eps", eps)
     return ModelSystem(TwoLevelSpinEngine(n_particles, eps, model_id))
 
 
@@ -645,6 +628,37 @@ def load_fixture(path) -> FinitePreorderFixture:
         except (KeyError, TypeError):  # TypeError: an array or object names no state
             raise ParseError(f"{path}: pair #{i} references unknown state: {pair!r}") from None
     return FinitePreorderFixture(list(index), rows)
+
+
+# ---------------------------------------------------------------------------
+# Model kinds
+# ---------------------------------------------------------------------------
+
+# The shape of a param a config gives as JSON is a (type, low, high) leaf, a
+# value of that type in the closed range [low, high] (a float leaf takes any
+# JSON number, and a string leaf has no range), or a list of shapes, one per
+# element.
+_POSITIVE = (float, PARAM_MIN, PARAM_MAX)
+_NAME = (str, None, None)
+
+# Each model kind a config names: its constructor, the shape of each param
+# the constructor takes from JSON, and the params it requires.  Constraints
+# that span several params stay in the constructor.
+MODEL_KINDS = {
+    "ideal_gas": (ideal_gas, {
+        "n": _POSITIVE,
+        "c_v_hat": _POSITIVE,
+        "gauge": [_POSITIVE, _POSITIVE, (float, -PARAM_MAX, PARAM_MAX)],
+        "box": [[_POSITIVE, _POSITIVE], [_POSITIVE, _POSITIVE]],
+        "model_id": _NAME,
+    }, ()),
+    "two_level_spin": (two_level_spin, {
+        "n_particles": (int, 2, PARAM_MAX),
+        "eps": _POSITIVE,
+        "model_id": _NAME,
+    }, ()),
+    "fixture": (load_fixture, {"path": _NAME}, ("path",)),
+}
 
 
 def chain_fixture(n: int) -> FinitePreorderFixture:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .errors import ConfigError, EntrokitError, ParseError
@@ -25,8 +24,6 @@ SUBCOMMAND_SUITES = {
     "mutants": ("mutants",),
     "all": SUITES,
 }
-
-CONFIG_DIR_ENV = "ENTROKIT_CONFIG_DIR"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,12 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args) -> SuiteConfig:
     path = args.config
-    if path is None:
-        cfg_dir = os.environ.get(CONFIG_DIR_ENV)
-        if cfg_dir:
-            candidate = os.path.join(cfg_dir, "default.json")
-            if os.path.exists(candidate):
-                path = candidate
     raw = {}
     if path is not None:
         try:

@@ -87,7 +87,8 @@ class _MiscalibratedReservoir(Reservoir):
 def mutate_model(target: MutationTarget, mutation: str) -> MutationTarget:
     """A copy of the target with one planted defect; ``MUTATIONS`` names the
     checks that must now fail.  The target itself is unchanged."""
-    if mutation not in MUTATIONS:
+    # A config may give any JSON value, and an array or object is unhashable.
+    if not isinstance(mutation, str) or mutation not in MUTATIONS:
         raise DomainError(f"unknown mutation {mutation!r}")
 
     if mutation == "break_transitivity":

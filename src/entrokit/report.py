@@ -32,12 +32,12 @@ from .axioms import (
     verdict,
 )
 from .catalog import (
+    MODEL_KINDS,
     R_GAS,
     FinitePreorderFixture,
     IdealGasEngine,
     _EngineBase,
     ideal_gas,
-    load_fixture,
     two_level_spin,
 )
 from .core import ModelSystem, Record
@@ -196,72 +196,57 @@ def _json_object(raw: dict, key: str) -> dict:
     return dict(value)
 
 
-def _like_default(value, default) -> bool:
-    """Whether a JSON param value has the type of its constructor default:
-    a string for a string, a finite non-bool number for a number, and a list
-    of the same shape for a tuple."""
-    if isinstance(default, str):
-        return isinstance(value, str)
-    if isinstance(default, tuple):
-        return (
-            isinstance(value, list)
-            and len(value) == len(default)
-            and all(_like_default(v, d) for v, d in zip(value, default))
-        )
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-    )
+_TYPE_NAMES = {float: "a number", int: "an integer", str: "a string"}
 
 
-def param_defaults(fn) -> dict:
-    """The defaults of a function's positional params by name, read from its
-    code object: the last ``len(__defaults__)`` of its ``co_argcount`` first
-    local names."""
-    code, defaults = fn.__code__, fn.__defaults__ or ()
-    names = code.co_varnames[code.co_argcount - len(defaults):code.co_argcount]
-    return dict(zip(names, defaults))
+def _check_shape(name: str, value, shape):
+    """Raise ConfigError naming the param unless a JSON value has its
+    declared shape (see ``catalog.MODEL_KINDS``); JSON's true and false are
+    not numbers, and NaN and infinities lie in no range."""
+    if isinstance(shape, list):
+        if not (isinstance(value, list) and len(value) == len(shape)):
+            raise ConfigError(f"{name} must be a list of {len(shape)}, got {json.dumps(value)}")
+        for i, (item, item_shape) in enumerate(zip(value, shape)):
+            _check_shape(f"{name}[{i}]", item, item_shape)
+        return
+    kind, low, high = shape
+    if not (_is_a(value, (int, float) if kind is float else kind)
+            and (low is None or low <= value <= high)):
+        span = "" if low is None else f" in [{low:g}, {high:g}]"
+        raise ConfigError(f"{name} must be {_TYPE_NAMES[kind]}{span}, got {json.dumps(value)}")
 
 
 def build_target(model_spec: dict):
-    """Instantiate the configured model or fixture, applying a mutation if
-    the config plants one."""
+    """Instantiate the configured model or fixture from its kind's row of
+    ``MODEL_KINDS``, applying a mutation if the config plants one."""
     if not isinstance(model_spec, dict) or "kind" not in model_spec:
         raise ConfigError("model spec needs a 'kind'")
     unknown = set(model_spec) - {"kind", "params", "mutation"}
     if unknown:
         raise ConfigError(f"unknown model spec keys: {sorted(unknown)}")
     kind = model_spec["kind"]
+    # A JSON array or object is unhashable: it is no key of the table.
+    if not isinstance(kind, str) or kind not in MODEL_KINDS:
+        raise ConfigError(f"unknown model kind {kind!r}; known: {list(MODEL_KINDS)}")
+    constructor, shapes, required = MODEL_KINDS[kind]
     params = model_spec.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("model params must be a JSON object")
-    if kind in ("ideal_gas", "two_level_spin"):
-        constructor = ideal_gas if kind == "ideal_gas" else two_level_spin
-        defaults = param_defaults(constructor)
-        unknown = sorted(set(params) - set(defaults))
-        if unknown:
-            raise ConfigError(f"bad params for model kind {kind!r}: unknown params "
-                              f"{unknown}; known: {list(defaults)}")
-        for name, value in params.items():
-            default = defaults[name]
-            if not _like_default(value, default):
-                raise ConfigError(
-                    f"bad params for model kind {kind!r}: {name!r} must match "
-                    f"the type of its default {json.dumps(default)}, got {json.dumps(value)}"
-                )
-        try:
-            target = constructor(**params)
-        except DomainError as exc:
-            raise ConfigError(f"bad params for model kind {kind!r}: {exc}") from exc
-    elif kind == "fixture":
-        if not isinstance(params.get("path"), str):
-            raise ConfigError("fixture model spec needs params.path, a file name")
-        target = load_fixture(params["path"])
-    else:
-        raise ConfigError(f"unknown model kind {kind!r}")
+    bad = f"bad params for model kind {kind!r}"
+    unknown = sorted(set(params) - set(shapes))
+    if unknown:
+        raise ConfigError(f"{bad}: unknown params {unknown}; known: {list(shapes)}")
+    missing = [name for name in required if name not in params]
+    if missing:
+        raise ConfigError(f"{bad}: missing params {missing}")
+    for name, value in params.items():
+        _check_shape(f"{bad}: {name}", value, shapes[name])
+    try:
+        target = constructor(**params)
+    except DomainError as exc:
+        raise ConfigError(f"{bad}: {exc}") from exc
     mutation = model_spec.get("mutation")
-    if mutation:
+    if mutation is not None:
         try:
             target = mutate_model(target, mutation)
         except (CapabilityError, DomainError) as exc:

@@ -278,11 +278,6 @@ def test_model_reads_each_declaration_from_its_engine():
         e.carnot_reservoir_delta(None, None, None)
 
 
-def test_spin_needs_at_least_two_particles():
-    with pytest.raises(DomainError):
-        two_level_spin(n_particles=1)
-
-
 def test_spin_energy_bound_enforced(spin):
     e = spin.process_engine
     with pytest.raises(DomainError):

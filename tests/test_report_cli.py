@@ -1,5 +1,4 @@
 import contextlib
-import inspect
 import io
 import json
 import os
@@ -15,7 +14,7 @@ from entrokit import mutants as mutants_module
 from entrokit import report as report_module
 from entrokit.cli import main
 from entrokit.errors import ConfigError, EngineError
-from entrokit.catalog import ideal_gas, two_level_spin
+from entrokit.catalog import MODEL_KINDS, ideal_gas
 from entrokit.interpolation import entropy_from_accessibility
 from entrokit.report import (
     SUITES,
@@ -23,7 +22,6 @@ from entrokit.report import (
     _grid_and_refs,
     emit,
     ly_table,
-    param_defaults,
     run,
 )
 
@@ -417,15 +415,6 @@ def test_cli_bad_model_params_exit_two(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("constructor", [ideal_gas, two_level_spin])
-def test_param_defaults_match_the_signature(constructor):
-    # build_target reads the params a model accepts from the code object, so
-    # every param of a model constructor must be positional with a default.
-    assert param_defaults(constructor) == {
-        name: p.default for name, p in inspect.signature(constructor).parameters.items()
-    }
-
-
 def test_cli_unknown_model_spec_key_exits_two(tmp_path, capsys):
     # A misspelt "params" must not run the default gas and exit 0.
     config = tmp_path / "typo.json"
@@ -478,6 +467,7 @@ OUT_OF_RANGE = [
     # In range, but at 1e20 J/K floats lie 16,384 J/K apart: the box's 62 J/K
     # of entropy differences round away.
     ("ideal_gas", {"gauge": [1, 1, 1e20]}, "s_star=1e+20"),
+    ("two_level_spin", {"n_particles": 1}, "n_particles"),
 ]
 
 
@@ -550,24 +540,41 @@ _ANY_VALUE = st.one_of(
 )
 
 
-def _shaped_like(default):
-    """Values of the type and shape of a constructor default."""
-    if isinstance(default, str):
-        return st.text(max_size=4)
-    if isinstance(default, tuple):
-        return st.tuples(*map(_shaped_like, default)).map(list)
+GOLDEN_FIXTURE = os.path.join(os.path.dirname(__file__), "golden", "fixture.json")
+
+
+def _shaped(shape):
+    """Values of the type and shape of a declared param shape, in its range
+    or not.  A string may be the golden fixture's path, so that the fixture
+    kind runs too."""
+    if isinstance(shape, list):
+        return st.tuples(*map(_shaped, shape)).map(list)
+    if shape[0] is str:
+        return st.one_of(st.text(max_size=4), st.just(GOLDEN_FIXTURE))
     return _SCALARS
+
+
+def _fits(value, shape) -> bool:
+    """Whether a JSON value has a declared param shape: a list of one value
+    per element shape, or a value of the leaf's type (a float leaf takes any
+    number, and no leaf a bool) in its closed range."""
+    if isinstance(shape, list):
+        return (isinstance(value, list) and len(value) == len(shape)
+                and all(map(_fits, value, shape)))
+    kind, low, high = shape
+    types = (int, float) if kind is float else kind
+    return (isinstance(value, types) and not isinstance(value, bool)
+            and (low is None or low <= value <= high))
 
 
 _MODEL_SPECS = st.one_of(*(
     st.fixed_dictionaries({
         "kind": st.just(kind),
         "params": st.fixed_dictionaries({}, optional={
-            name: st.one_of(_shaped_like(p.default), _ANY_VALUE)
-            for name, p in inspect.signature(constructor).parameters.items()
+            name: st.one_of(_shaped(shape), _ANY_VALUE) for name, shape in shapes.items()
         }),
     })
-    for kind, constructor in (("ideal_gas", ideal_gas), ("two_level_spin", two_level_spin))
+    for kind, (_, shapes, _) in MODEL_KINDS.items()
 ))
 
 
@@ -575,13 +582,45 @@ _MODEL_SPECS = st.one_of(*(
 @settings(max_examples=200, deadline=None)
 def test_cli_survives_any_model_params(model):
     config = {"model": model, "sample_counts": {"axiom_samples": 5}}
+    err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")
         with open(path, "w") as fh:
             json.dump(config, fh)
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(["check-axioms", "--config", path])
     assert code in (0, 1, 2)
+    shapes = MODEL_KINDS[model["kind"]][1]
+    misfits = [name for name, value in model["params"].items() if not _fits(value, shapes[name])]
+    if misfits:
+        assert code == 2
+        assert any(re.search(rf"\b{name}\b", err.getvalue()) for name in misfits)
+
+
+_README_TYPES = {float: "number", int: "integer", str: "string"}
+
+
+def _table_rows(kind, name, shape):
+    """README's params table rows of one param, one per leaf of its shape."""
+    if isinstance(shape, list):
+        for i, item in enumerate(shape):
+            yield from _table_rows(kind, f"{name}[{i}]", item)
+        return
+    type_, low, high = shape
+    span = "" if low is None else f"[{low:g}, {high:g}] "
+    yield f"| `{kind}` | `{name}` | {_README_TYPES[type_]} | {span}|"
+
+
+def test_readme_params_table_matches_model_kinds():
+    rows = [
+        row
+        for kind, (_, shapes, _) in MODEL_KINDS.items()
+        for name, shape in shapes.items()
+        for row in _table_rows(kind, name, shape)
+    ]
+    table = "\n".join(["| kind | param | type | range |", "| --- | --- | --- | --- |", *rows])
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        assert table + "\n" in fh.read()
 
 
 @pytest.mark.parametrize("config, flags", [
@@ -598,6 +637,12 @@ def test_cli_survives_any_model_params(model):
     ({"tolerances": {"mutual_eq": 1e-12}}, []),
     ({}, ["--tolerance", "zb_residual=inf"]),
     ({"model": {"kind": "fixture", "params": {"path": 0}}}, []),
+    ({"model": {"kind": "fixture", "params": {"path": GOLDEN_FIXTURE, "paht": "other.json"}}},
+     []),
+    ({"model": {"kind": []}}, []),
+    ({"model": {"kind": {}}}, []),
+    ({"model": {"kind": "ideal_gas", "mutation": ["break_splitting"]}}, []),
+    ({"model": {"kind": "ideal_gas", "mutation": False}}, []),
     ({"model": {"kind": "ideal_gas", "params": {"n": "x"}}}, []),
     ({"model": {"kind": "ideal_gas", "params": {"c_v_hat": "x"}}}, []),
     ({"model": {"kind": "ideal_gas", "params": {"box": 5}}}, []),
@@ -697,14 +742,3 @@ def test_cli_tolerance_override_recorded(tmp_path):
     assert code == 0
     parsed = json.loads(out_path.read_text())
     assert parsed["config"]["tolerances"]["lambda_tol"] == 1e-8
-
-
-def test_cli_env_config_dir(tmp_path, monkeypatch):
-    config = tmp_path / "default.json"
-    config.write_text(json.dumps({"model": {"kind": "ideal_gas"}, "seed": 23}))
-    monkeypatch.setenv("ENTROKIT_CONFIG_DIR", str(tmp_path))
-    out_path = tmp_path / "r.json"
-    code = main(["check-axioms", "--out", str(out_path)])
-    assert code == 0
-    parsed = json.loads(out_path.read_text())
-    assert parsed["config"]["seed"] == 23
