@@ -221,8 +221,9 @@ def _first_witness(judge, rows: list) -> tuple[int, Optional[tuple]]:
 def check_reflexivity(rel, *, samples: int = DEFAULT_SAMPLES, seed=0) -> CheckResult:
     rng = random.Random(seed)
     states = list(rel.elements) if rel.mode == "finite" else rel.sample(rng, samples)
-    fwd, bwd = _ask(rel, states, states)
-    bad = [x for x, f, b in zip(states, fwd, bwd) if not (f and b)]
+    # x ≼ x is its own converse, so each state is asked about once.
+    fwd, _ = _ask(rel, states, states, converse=False)
+    bad = [x for x, f in zip(states, fwd) if not f]
     return verdict("reflexivity", not bad, bad, samples_used=len(states))
 
 
@@ -255,8 +256,13 @@ def _first_intransitive(elems: list, rows: list[int]) -> Optional[tuple]:
     Row i is the bitset of the j with elems[i] ≼ elems[j].  For each x ≼ y,
     taken as the set bits of x's row from the lowest, rows[y] & ~rows[x]
     holds the z with y ≼ z but not x ≼ z; its lowest bit is the first z.
+    A row equal to one already found transitive is skipped.
     """
+    seen = set()
     for x, row in zip(elems, rows):
+        if row in seen:
+            continue
+        seen.add(row)
         not_row, bits = ~row, row
         while bits:
             low = bits & -bits

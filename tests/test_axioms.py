@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -23,6 +24,7 @@ from entrokit.axioms import (
     verdict,
 )
 from entrokit.catalog import chain_fixture, ideal_gas, two_level_spin
+from entrokit.cli import main
 from entrokit.core import (
     Access,
     AccessibilityRelation,
@@ -99,6 +101,22 @@ def test_reflexivity_missing_diagonal_fails():
 def test_reflexivity_empty_universe_vacuously_passes():
     rel = finite_relation([], [])
     assert check_reflexivity(rel).passed
+
+
+def test_finite_reflexivity_asks_leq_once_per_element(monkeypatch):
+    # x ≼ x is its own converse, so each element is asked about once.
+    calls = []
+    leq = AccessibilityRelation.leq
+
+    def counting_leq(self, x, y):
+        calls.append((x, y))
+        return leq(self, x, y)
+
+    monkeypatch.setattr(AccessibilityRelation, "leq", counting_leq)
+    fixture = chain_fixture(7)
+    result = check_reflexivity(fixture.relation())
+    assert result.passed and result.samples_used == 7
+    assert calls == [(x, x) for x in fixture.ids]
 
 
 # -- transitivity ------------------------------------------------------------
@@ -680,6 +698,59 @@ def test_comparison_scan_matches_accessible_reference(rel):
     assert result.samples_used == used
     assert len(calls) <= 2 * used
 
+
+def _total_preorders(n: int, seed: int) -> tuple[list, dict]:
+    """A total preorder on ``n`` shuffled states over about n/3 random
+    levels (x precedes y exactly when level(x) <= level(y)), as the states
+    and the pairs of three variants: intact, a cover pair dropped, and a
+    closure pair reversed.  Equal levels give equal rows, which
+    ``_finite_relations`` rarely draws."""
+    rng = random.Random(seed)
+    states = rng.sample(range(n), n)
+    level = {s: rng.randrange(n // 3) for s in states}
+    pairs = [(a, b) for a in states for b in states if level[a] <= level[b]]
+    steps = sorted(set(level.values()))
+    above = dict(zip(steps, steps[1:]))  # the next occupied level up
+    cover = rng.choice([(a, b) for a, b in pairs if level[b] == above.get(level[a])])
+    closure = rng.choice([(a, c) for a, c in pairs if level[c] > above.get(level[a], n)])
+    return states, {
+        "intact": pairs,
+        "cover_dropped": [p for p in pairs if p != cover],
+        "closure_reversed": [p if p != closure else closure[::-1] for p in pairs],
+    }
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_transitivity_and_comparison_on_total_preorders_with_repeated_rows(seed):
+    n = 60
+    states, variants = _total_preorders(n, seed)
+    for variant, pairs in variants.items():
+        rel = finite_relation(states, pairs)
+        assert len(set(rel.rows)) < n // 2
+        transitivity, comparison = check_transitivity(rel), check_comparison(rel)
+        expected = cubic_transitivity_witness(rel)
+        assert transitivity.witnesses == ([] if expected is None else [expected])
+        assert transitivity.samples_used == n ** 3
+        expected, used = accessible_comparison_witness(rel)
+        assert comparison.witnesses == ([] if expected is None else [expected])
+        assert comparison.samples_used == used
+        if variant == "cover_dropped":
+            assert comparison.failed
+        else:
+            # Reversing a closure pair keeps every pair comparable.
+            assert comparison.passed
+            assert transitivity.passed == (variant == "intact")
+
+
+
+@pytest.mark.parametrize("variant, code", [("intact", 0), ("cover_dropped", 1)])
+def test_check_axioms_cli_on_a_total_preorder_at_the_cap(tmp_path, variant, code):
+    # End to end on the largest universe transitivity still scans.
+    states, variants = _total_preorders(TRANSITIVITY_CAP, 1)
+    fixture, config = tmp_path / "preorder.json", tmp_path / "config.json"
+    fixture.write_text(json.dumps({"states": states, "pairs": variants[variant]}))
+    config.write_text(json.dumps({"model": {"kind": "fixture", "params": {"path": str(fixture)}}}))
+    assert main(["check-axioms", "--config", str(config), "--out", str(tmp_path / "r.json")]) == code
 
 # -- n1/n2 ---------------------------------------------------------------------
 
