@@ -599,7 +599,9 @@ def load_fixture(path) -> FinitePreorderFixture:
         raise ParseError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    except OSError as exc:
+    # A file that is not UTF-8, or an integer longer than int() takes,
+    # raises a ValueError that is no JSONDecodeError.
+    except (OSError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict) or "states" not in raw or "pairs" not in raw:
         raise ParseError(f"{path}: fixture needs 'states' and 'pairs' keys")
@@ -634,10 +636,10 @@ def load_fixture(path) -> FinitePreorderFixture:
 # Model kinds
 # ---------------------------------------------------------------------------
 
-# The shape of a param a config gives as JSON is a (type, low, high) leaf, a
+# The shape of a value a config gives as JSON is a (type, low, high) leaf, a
 # value of that type in the closed range [low, high] (a float leaf takes any
-# JSON number, and a string leaf has no range), or a list of shapes, one per
-# element.
+# JSON number, and a string or dict leaf has no range), a list of shapes, one
+# per element, or a dict of shapes, a JSON object with only those keys.
 _POSITIVE = (float, PARAM_MIN, PARAM_MAX)
 _NAME = (str, None, None)
 

@@ -60,10 +60,10 @@ def _load_config(args) -> SuiteConfig:
             raise ConfigError(
                 f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
             ) from exc
-        except OSError as exc:
+        # A file that is not UTF-8, or an integer longer than int() takes,
+        # raises a ValueError that is no JSONDecodeError.
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError("config must be a JSON object")
 
     # Overrides are merged while the config is built, so SuiteConfig
     # validates them exactly as it validates the file's own values.
@@ -76,9 +76,8 @@ def _load_config(args) -> SuiteConfig:
             overrides[name] = float(value)
         except ValueError as exc:
             raise ConfigError(f"tolerance {name!r} needs a number, got {value!r}") from exc
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    return SuiteConfig.from_dict(raw, SUBCOMMAND_SUITES[args.command], overrides)
+    config = SuiteConfig.from_dict(raw, SUBCOMMAND_SUITES[args.command], overrides)
+    return config if args.seed is None else config.replace(seed=args.seed)
 
 
 def main(argv=None) -> int:

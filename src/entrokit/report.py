@@ -32,7 +32,9 @@ from .axioms import (
     verdict,
 )
 from .catalog import (
+    _POSITIVE,
     MODEL_KINDS,
+    PARAM_MAX,
     R_GAS,
     FinitePreorderFixture,
     IdealGasEngine,
@@ -121,6 +123,20 @@ DEFAULT_SAMPLE_COUNTS = {
 PAIRED_COUNTS = ("grid_nu", "grid_nv", "probe_pairs", "polygonals_per_pair")
 
 
+# The shape of each value a config gives as JSON (shapes as in
+# ``catalog.MODEL_KINDS``).  The model spec is checked against its kind's
+# row when the model is built.
+CONFIG_SHAPE = {
+    "model": (dict, None, None),
+    "seed": (int, None, None),
+    "tolerances": dict.fromkeys(DEFAULT_TOLERANCES, _POSITIVE),
+    "sample_counts": {
+        name: (int, 2 if name in PAIRED_COUNTS else 1, PARAM_MAX)
+        for name in DEFAULT_SAMPLE_COUNTS
+    },
+}
+
+
 class SuiteConfig(Record):
     def __init__(self, model: dict, suites: tuple[str, ...], seed: int = 0,
                  tolerances: dict = None, sample_counts: dict = None):
@@ -132,22 +148,10 @@ class SuiteConfig(Record):
         for s in self.suites:
             if s not in SUITES:
                 raise ConfigError(f"unknown suite {s!r}; known: {SUITES}")
-        for name, value in self.tolerances.items():
-            if name not in DEFAULT_TOLERANCES:
-                raise ConfigError(f"unknown tolerance {name!r}")
-            if not (_is_a(value, (int, float)) and math.isfinite(value) and value > 0):
-                raise ConfigError(
-                    f"tolerance {name!r} must be positive and finite, got {value!r}"
-                )
-        for name, value in self.sample_counts.items():
-            if name not in DEFAULT_SAMPLE_COUNTS:
-                raise ConfigError(f"unknown sample count {name!r}")
-            if not (_is_a(value, int) and value > 0):
-                raise ConfigError(f"sample count {name!r} must be a positive int")
-            if name in PAIRED_COUNTS and value < 2:
-                raise ConfigError(f"sample count {name!r} must be at least 2, got {value}")
-        if not _is_a(self.seed, int):
-            raise ConfigError("seed must be an integer")
+        _check_shape("config", {
+            "model": model, "seed": seed,
+            "tolerances": self.tolerances, "sample_counts": self.sample_counts,
+        }, CONFIG_SHAPE)
 
     def tol(self, name: str) -> float:
         return self.tolerances.get(name, DEFAULT_TOLERANCES[name])
@@ -161,17 +165,13 @@ class SuiteConfig(Record):
     ) -> "SuiteConfig":
         """Build a config for ``suites`` from its JSON form;
         ``tolerance_overrides`` take precedence over the file's tolerances."""
-        if not isinstance(raw, dict):
-            raise ConfigError("config must be a JSON object")
-        unknown = set(raw) - {"model", "seed", "tolerances", "sample_counts"}
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        _check_shape("config", raw, CONFIG_SHAPE)
         return cls(
             model=raw.get("model", {"kind": "ideal_gas"}),
             suites=suites,
             seed=raw.get("seed", 0),
-            tolerances={**_json_object(raw, "tolerances"), **(tolerance_overrides or {})},
-            sample_counts=_json_object(raw, "sample_counts"),
+            tolerances={**raw.get("tolerances", {}), **(tolerance_overrides or {})},
+            sample_counts=dict(raw.get("sample_counts", {})),
         )
 
     def to_dict(self) -> dict:
@@ -184,25 +184,20 @@ class SuiteConfig(Record):
         }
 
 
-def _is_a(value, types) -> bool:
-    """isinstance, except that JSON's true and false are not numbers."""
-    return isinstance(value, types) and not isinstance(value, bool)
-
-
-def _json_object(raw: dict, key: str) -> dict:
-    value = raw.get(key, {})
-    if not isinstance(value, dict):
-        raise ConfigError(f"{key} must be a JSON object, got {value!r}")
-    return dict(value)
-
-
-_TYPE_NAMES = {float: "a number", int: "an integer", str: "a string"}
+_TYPE_NAMES = {float: "a number", int: "an integer", str: "a string", dict: "a JSON object"}
 
 
 def _check_shape(name: str, value, shape):
-    """Raise ConfigError naming the param unless a JSON value has its
-    declared shape (see ``catalog.MODEL_KINDS``); JSON's true and false are
-    not numbers, and NaN and infinities lie in no range."""
+    """Raise ConfigError naming the value unless a JSON value has its
+    declared shape (see ``catalog.MODEL_KINDS`` and ``CONFIG_SHAPE``); JSON's
+    true and false are not numbers, and NaN and infinities lie in no range."""
+    if isinstance(shape, dict):
+        _check_shape(name, value, (dict, None, None))
+        for key, item in value.items():
+            if key not in shape:
+                raise ConfigError(f"{name} has unknown key {key!r}; known: {list(shape)}")
+            _check_shape(f"{name}[{key!r}]", item, shape[key])
+        return
     if isinstance(shape, list):
         if not (isinstance(value, list) and len(value) == len(shape)):
             raise ConfigError(f"{name} must be a list of {len(shape)}, got {json.dumps(value)}")
@@ -210,7 +205,8 @@ def _check_shape(name: str, value, shape):
             _check_shape(f"{name}[{i}]", item, item_shape)
         return
     kind, low, high = shape
-    if not (_is_a(value, (int, float) if kind is float else kind)
+    types = (int, float) if kind is float else kind
+    if not (isinstance(value, types) and not isinstance(value, bool)
             and (low is None or low <= value <= high)):
         span = "" if low is None else f" in [{low:g}, {high:g}]"
         raise ConfigError(f"{name} must be {_TYPE_NAMES[kind]}{span}, got {json.dumps(value)}")
@@ -219,7 +215,7 @@ def _check_shape(name: str, value, shape):
 def build_target(model_spec: dict):
     """Instantiate the configured model or fixture from its kind's row of
     ``MODEL_KINDS``, applying a mutation if the config plants one."""
-    if not isinstance(model_spec, dict) or "kind" not in model_spec:
+    if "kind" not in model_spec:
         raise ConfigError("model spec needs a 'kind'")
     unknown = set(model_spec) - {"kind", "params", "mutation"}
     if unknown:
@@ -230,17 +226,11 @@ def build_target(model_spec: dict):
         raise ConfigError(f"unknown model kind {kind!r}; known: {list(MODEL_KINDS)}")
     constructor, shapes, required = MODEL_KINDS[kind]
     params = model_spec.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("model params must be a JSON object")
+    _check_shape(f"{kind} params", params, shapes)
     bad = f"bad params for model kind {kind!r}"
-    unknown = sorted(set(params) - set(shapes))
-    if unknown:
-        raise ConfigError(f"{bad}: unknown params {unknown}; known: {list(shapes)}")
     missing = [name for name in required if name not in params]
     if missing:
         raise ConfigError(f"{bad}: missing params {missing}")
-    for name, value in params.items():
-        _check_shape(f"{bad}: {name}", value, shapes[name])
     try:
         target = constructor(**params)
     except DomainError as exc:

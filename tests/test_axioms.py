@@ -761,6 +761,25 @@ def test_n1_n2_gas_passes(gas, gas_rel, rng):
     assert check_n1_n2(gas_rel, gamma, noneq, samples=100, seed=8).passed
 
 
+def test_n1_n2_asks_reflexivity_once_per_state(gas, gas_rel, rng, monkeypatch):
+    # N1(a)'s x ≼ x is its own converse, so its query asks no converse.
+    calls = []
+    ask = axioms_module._ask
+
+    def recording_ask(rel, xs, ys, converse=True):
+        calls.append((list(xs), list(ys), converse))
+        return ask(rel, xs, ys, converse)
+
+    monkeypatch.setattr(axioms_module, "_ask", recording_ask)
+    e = gas.process_engine
+    gamma = e.gamma_grid()
+    noneq = [e.sample_nonequilibrium(rng) for _ in range(3)]
+    assert check_n1_n2(gas_rel, gamma, noneq, samples=20, seed=8).passed
+    xs, ys, converse = calls[0]
+    assert xs == ys == [*gamma, *noneq]
+    assert converse is False
+
+
 def test_n1_n2_unsandwiched_state_fails(gas, gas_rel):
     e = gas.process_engine
     gamma = e.gamma_grid()

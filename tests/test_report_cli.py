@@ -17,6 +17,9 @@ from entrokit.errors import ConfigError, EngineError
 from entrokit.catalog import MODEL_KINDS, ideal_gas
 from entrokit.interpolation import entropy_from_accessibility
 from entrokit.report import (
+    CONFIG_SHAPE,
+    DEFAULT_SAMPLE_COUNTS,
+    DEFAULT_TOLERANCES,
     SUITES,
     SuiteConfig,
     _grid_and_refs,
@@ -533,6 +536,8 @@ _SCALARS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.integers(min_value=-10**6, max_value=10**6),
     st.sampled_from([0, -1, 0.0, -0.0]),
+    # The edges of the declared ranges, and values just past them.
+    st.sampled_from([1, 2, 1.5, 1e-100, 1e-101, 1e100, 1e101, 10**100, 10**400]),
 )
 _ANY_VALUE = st.one_of(
     _SCALARS, st.text(max_size=4), st.lists(_SCALARS, max_size=4),
@@ -543,21 +548,44 @@ _ANY_VALUE = st.one_of(
 GOLDEN_FIXTURE = os.path.join(os.path.dirname(__file__), "golden", "fixture.json")
 
 
-def _shaped(shape):
-    """Values of the type and shape of a declared param shape, in its range
-    or not.  A string may be the golden fixture's path, so that the fixture
-    kind runs too."""
+def _shaped(shape, fitting=False):
+    """Values of the type and shape of a declared shape, in its range or
+    not, or only fitting ones.  An object draws any of the declared keys,
+    and where misfits are drawn, each of its shape or of any other, and
+    sometimes a key it does not declare.  A string may be the golden
+    fixture's path, so that the fixture kind runs too."""
+    if isinstance(shape, dict):
+        declared = st.fixed_dictionaries({}, optional={
+            key: _shaped(item, fitting) if fitting else st.one_of(_shaped(item), _ANY_VALUE)
+            for key, item in shape.items()
+        })
+        if fitting:
+            return declared
+        unknown = st.dictionaries(st.sampled_from(["bogus", "suites"]), _SCALARS, max_size=1)
+        return st.tuples(declared, unknown).map(lambda parts: {**parts[0], **parts[1]})
     if isinstance(shape, list):
-        return st.tuples(*map(_shaped, shape)).map(list)
-    if shape[0] is str:
+        return st.tuples(*(_shaped(item, fitting) for item in shape)).map(list)
+    kind, low, high = shape
+    if kind is str:
         return st.one_of(st.text(max_size=4), st.just(GOLDEN_FIXTURE))
-    return _SCALARS
+    if kind is dict:
+        return st.dictionaries(st.text(max_size=4), _SCALARS, max_size=2)
+    if low is None:
+        in_range = st.integers() if kind is int else st.floats(allow_nan=False, allow_infinity=False)
+    else:
+        in_range = st.floats(low, high) if kind is float else st.integers(low, int(high))
+    return in_range if fitting else st.one_of(in_range, _SCALARS)
 
 
 def _fits(value, shape) -> bool:
-    """Whether a JSON value has a declared param shape: a list of one value
-    per element shape, or a value of the leaf's type (a float leaf takes any
-    number, and no leaf a bool) in its closed range."""
+    """Whether a JSON value has a declared shape: an object of declared keys
+    each with a value of its shape, a list of one value per element shape,
+    or a value of the leaf's type (a float leaf takes any number, and no
+    leaf a bool) in its closed range."""
+    if isinstance(shape, dict):
+        return isinstance(value, dict) and all(
+            key in shape and _fits(item, shape[key]) for key, item in value.items()
+        )
     if isinstance(shape, list):
         return (isinstance(value, list) and len(value) == len(shape)
                 and all(map(_fits, value, shape)))
@@ -597,7 +625,31 @@ def test_cli_survives_any_model_params(model):
         assert any(re.search(rf"\b{name}\b", err.getvalue()) for name in misfits)
 
 
-_README_TYPES = {float: "number", int: "integer", str: "string"}
+def _misfit_keys(value: dict, shape: dict) -> list:
+    """The innermost keys under which a JSON object misfits a dict shape."""
+    keys = []
+    for key, item in value.items():
+        inner = shape.get(key)
+        if isinstance(inner, dict) and isinstance(item, dict):
+            keys += _misfit_keys(item, inner)
+        elif inner is None or not _fits(item, inner):
+            keys.append(key)
+    return keys
+
+
+@given(config=st.one_of(_shaped(CONFIG_SHAPE, fitting=True), _shaped(CONFIG_SHAPE)))
+@settings(max_examples=300, deadline=None)
+def test_from_dict_accepts_exactly_the_config_shape(config):
+    # Judged, never run: an accepted count may be as large as 1e100.
+    if _fits(config, CONFIG_SHAPE):
+        SuiteConfig.from_dict(config)
+        return
+    with pytest.raises(ConfigError) as info:
+        SuiteConfig.from_dict(config)
+    assert any(repr(key) in str(info.value) for key in _misfit_keys(config, CONFIG_SHAPE))
+
+
+_README_TYPES = {float: "number", int: "integer", str: "string", dict: "object"}
 
 
 def _table_rows(kind, name, shape):
@@ -611,6 +663,24 @@ def _table_rows(kind, name, shape):
     yield f"| `{kind}` | `{name}` | {_README_TYPES[type_]} | {span}|"
 
 
+CONFIG_DEFAULTS = {
+    "model": {"kind": "ideal_gas"}, "seed": 0,
+    "tolerances": DEFAULT_TOLERANCES, "sample_counts": DEFAULT_SAMPLE_COUNTS,
+}
+
+
+def _config_rows(name, shape, default):
+    """README's config table rows of one config key, one per leaf of its
+    shape, an object's leaves named ``key.name``."""
+    if isinstance(shape, dict):
+        for key, item in shape.items():
+            yield from _config_rows(f"{name}.{key}", item, default[key])
+        return
+    type_, low, high = shape
+    span = "" if low is None else f"[{low:g}, {high:g}] "
+    yield f"| `{name}` | {_README_TYPES[type_]} | {span}| `{json.dumps(default)}` |"
+
+
 def test_readme_params_table_matches_model_kinds():
     rows = [
         row
@@ -619,8 +689,18 @@ def test_readme_params_table_matches_model_kinds():
         for row in _table_rows(kind, name, shape)
     ]
     table = "\n".join(["| kind | param | type | range |", "| --- | --- | --- | --- |", *rows])
+    config_rows = [
+        row
+        for key, shape in CONFIG_SHAPE.items()
+        for row in _config_rows(key, shape, CONFIG_DEFAULTS[key])
+    ]
+    config_table = "\n".join(
+        ["| name | type | range | default |", "| --- | --- | --- | --- |", *config_rows]
+    )
     with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
-        assert table + "\n" in fh.read()
+        readme = fh.read()
+    assert table + "\n" in readme
+    assert config_table + "\n" in readme
 
 
 @pytest.mark.parametrize("config, flags", [
@@ -658,6 +738,58 @@ def test_cli_mistyped_config_exits_two(tmp_path, capsys, config, flags):
     code = main(["check-axioms", "--config", str(path), "--out", str(out_path), *flags])
     assert code == 2
     assert capsys.readouterr().err.startswith("config error:")
+    assert not out_path.exists()
+
+
+# A config value that misfits its declared shape, and the key the error
+# message must name.  The NaN tolerance, a paired count of 1, an unknown
+# config key and an unknown param are named in tests of their own.
+NAMED_MISFITS = [
+    # math.isfinite raised OverflowError on this one: exit 1 with a traceback.
+    ({"tolerances": {"ly_residual": 10**400}}, "ly_residual"),
+    ({"tolerances": {"ly_residual": 1e-101}}, "ly_residual"),
+    ({"tolerances": {"ly_residual": 1e101}}, "ly_residual"),
+    ({"tolerances": {"lambda_tol": 0}}, "lambda_tol"),
+    ({"tolerances": {"lambda_tol": -1}}, "lambda_tol"),
+    ({"tolerances": [1e-6]}, "tolerances"),
+    ({"tolerances": {"bogus": 1e-6}}, "bogus"),
+    ({"sample_counts": {"loops": True}}, "loops"),
+    ({"sample_counts": {"loops": 1.5}}, "loops"),
+    ({"sample_counts": {"loops": 0}}, "loops"),
+    ({"sample_counts": {"bogus": 5}}, "bogus"),
+    ({"seed": 1.5}, "seed"),
+]
+
+
+@pytest.mark.parametrize("config, key", NAMED_MISFITS)
+def test_cli_misfit_config_value_exits_two_naming_it(tmp_path, capsys, config, key):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out_path = tmp_path / "r.json"
+    code = main(["check-axioms", "--config", str(path), "--out", str(out_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and repr(key) in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("content", [
+    # No UTF-8.
+    b"\xff\xfe{}",
+    # An integer longer than int() takes from a string.
+    b'{"seed": 1' + b"0" * 5000 + b"}",
+])
+@pytest.mark.parametrize("kind", ["config", "fixture"])
+def test_cli_unreadable_json_file_exits_two(tmp_path, capsys, content, kind):
+    bad = path = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    if kind == "fixture":
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"model": {"kind": "fixture", "params": {"path": str(bad)}}}))
+    out_path = tmp_path / "r.json"
+    code = main(["check-axioms", "--config", str(path), "--out", str(out_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"config error: {bad}:")
     assert not out_path.exists()
 
 
