@@ -621,12 +621,14 @@ def load_fixture(path) -> FinitePreorderFixture:
             raise ParseError(f"{path}: duplicate state id {sid!r}")
         index[sid] = len(index)
     rows = [0] * len(index)
+    bits = [1 << j for j in range(len(index))]
     for i, pair in enumerate(raw["pairs"]):
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        # JSON gives no tuples, and a two-key object would unpack to its keys.
+        if type(pair) is not list or len(pair) != 2:
             raise ParseError(f"{path}: pair #{i} is not a two-element list: {pair!r}")
         a, b = pair
         try:
-            rows[index[a]] |= 1 << index[b]
+            rows[index[a]] |= bits[index[b]]
         except (KeyError, TypeError):  # TypeError: an array or object names no state
             raise ParseError(f"{path}: pair #{i} references unknown state: {pair!r}") from None
     return FinitePreorderFixture(list(index), rows)

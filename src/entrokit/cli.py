@@ -1,9 +1,9 @@
 """Command-line entry point.
 
-Subcommands select suites; a JSON config selects the model and overrides
+A command selects suites; a JSON config selects the model and overrides
 tolerances or sample counts.  Exit codes are a stable contract: 0 all checks
-pass, 1 at least one check failed (the report is still written), 2 config or
-parse error, 3 output I/O error.
+pass, 1 at least one check failed (the report is still written), 2 usage,
+config or parse error, 3 output I/O error.
 """
 
 from __future__ import annotations
@@ -27,25 +27,24 @@ SUBCOMMAND_SUITES = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # The command is a positional, so the flags are accepted on either side.
     parser = argparse.ArgumentParser(
         prog="entrokit",
         description="Run verification suites for entropy constructions "
                     "over accessibility relations.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in SUBCOMMAND_SUITES:
-        p = sub.add_parser(name, help=f"run the {name} suite(s)")
-        p.add_argument("--config", help="path to a JSON suite config")
-        p.add_argument("--seed", type=int, help="override the sampling seed")
-        p.add_argument(
-            "--format", choices=("json", "csv", "text"), default="json",
-            help="output format (json is canonical)",
-        )
-        p.add_argument("--out", help="write the report here instead of stdout")
-        p.add_argument(
-            "--tolerance", action="append", default=[], metavar="NAME=VALUE",
-            help="override a named tolerance (repeatable)",
-        )
+    parser.add_argument("command", choices=SUBCOMMAND_SUITES, help="the suite(s) to run")
+    parser.add_argument("--config", help="path to a JSON suite config")
+    parser.add_argument("--seed", type=int, help="override the sampling seed")
+    parser.add_argument(
+        "--format", choices=("json", "csv", "text"), default="json",
+        help="output format (json is canonical)",
+    )
+    parser.add_argument("--out", help="write the report here instead of stdout")
+    parser.add_argument(
+        "--tolerance", action="append", default=[], metavar="NAME=VALUE",
+        help="override a named tolerance (repeatable)",
+    )
     return parser
 
 

@@ -394,16 +394,41 @@ def test_load_fixture_rows_match_the_pair_set(drawn):
     assert {(ids[i], ids[j]) for i in range(n) for j in range(n) if fixture.rows[i] >> j & 1} == pairs
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_load_fixture_sets_row_bits_above_one_machine_word(tmp_path, seed):
+    # A shuffled total preorder on 200 states: most row bits sit above bit 63.
+    rng = random.Random(seed)
+    ids = list(range(200))
+    rng.shuffle(ids)
+    level = {x: rng.randrange(60) for x in ids}
+    pairs = [(a, b) for a in ids for b in ids if level[a] <= level[b]]
+    rng.shuffle(pairs)
+    path = tmp_path / "total.json"
+    path.write_text(json.dumps({"states": ids, "pairs": [list(p) for p in pairs]}))
+    fixture = load_fixture(path)
+    assert fixture.ids == ids
+    assert fixture.rows == rows_from_pairs(ids, pairs)
+    assert max(fixture.rows).bit_length() == 200
+    rel = fixture.relation()
+    assert check_transitivity(rel).passed
+    assert check_comparison(rel).passed
+
+
 @given(drawn=_fixture_files(), data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_load_fixture_rejects_each_malformed_input(drawn, data):
     raw, ids, _ = drawn
     known = [*ids, *({"id": x} for x in ids)]
+    # A two-key object of known ids is no list either, though it would
+    # unpack to its keys; JSON keys are strings, so it takes two string ids.
+    names = [x for x in ids if isinstance(x, str)]
     at = data.draw(st.integers(0, len(raw["pairs"])))
-    flaw = data.draw(st.sampled_from(
-        ["keys", "non-list pair", "length", "unknown id", "duplicate id", "array id",
-         "array member"] if ids else ["keys", "non-list pair", "length", "unknown id"]
-    ))
+    flaws = ["keys", "non-list pair", "length", "unknown id"]
+    if ids:
+        flaws += ["duplicate id", "array id", "array member"]
+    if len(names) >= 2:
+        flaws.append("object pair")
+    flaw = data.draw(st.sampled_from(flaws))
     if flaw == "keys":
         del raw[data.draw(st.sampled_from(["states", "pairs"]))]
         expected = "fixture needs 'states' and 'pairs' keys"
@@ -416,6 +441,7 @@ def test_load_fixture_rejects_each_malformed_input(drawn, data):
     else:
         pair = {
             "non-list pair": data.draw(st.one_of(st.integers(), st.text(max_size=2))),
+            "object pair": dict.fromkeys(names[:2], 0),
             "length": [ids[0] if ids else 0] * data.draw(st.sampled_from([0, 1, 3])),
             "unknown id": [ids[0] if ids else 0, "not-an-id"],
             "array member": [[ids[0]] if ids else [0], ids[0] if ids else 0],

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from entrokit import mutants as mutants_module
 from entrokit import report as report_module
-from entrokit.cli import main
+from entrokit.cli import SUBCOMMAND_SUITES, build_parser, main
 from entrokit.errors import ConfigError, EngineError
 from entrokit.catalog import MODEL_KINDS, ideal_gas
 from entrokit.interpolation import entropy_from_accessibility
@@ -382,6 +382,44 @@ def test_cli_default_run_exits_zero(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "aggregate: PASS" in out
+
+
+@pytest.mark.parametrize("name", list(SUBCOMMAND_SUITES))
+def test_cli_parses_each_command_and_every_flag(name):
+    args = build_parser().parse_args([
+        name, "--config", "c.json", "--seed", "3", "--format", "csv", "--out", "r.csv",
+        "--tolerance", "ly_residual=1e-3",
+    ])
+    assert (args.command, args.config, args.seed, args.format, args.out, args.tolerance) == (
+        name, "c.json", 3, "csv", "r.csv", ["ly_residual=1e-3"])
+
+
+def test_cli_flag_defaults():
+    args = build_parser().parse_args(["all"])
+    assert (args.config, args.seed, args.format, args.out, args.tolerance) == (
+        None, None, "json", None, [])
+
+
+@pytest.mark.parametrize("argv", [[], ["no-such-command"], ["all", "--no-such-flag"],
+                                  ["all", "--format", "xml"], ["all", "--seed", "x"]])
+def test_cli_usage_errors_exit_two(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: entrokit")
+
+
+def test_cli_help_exits_zero_naming_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert all(name in out for name in SUBCOMMAND_SUITES)
+
+
+def test_cli_accepts_flags_before_the_command():
+    args = build_parser().parse_args(["--seed", "3", "check-axioms", "--format", "csv"])
+    assert (args.command, args.seed, args.format) == ("check-axioms", 3, "csv")
 
 
 def test_cli_mutant_config_exits_one(tmp_path, capsys):
