@@ -683,21 +683,3 @@ def discrete_spin_fixture(n_particles: int = 12) -> FinitePreorderFixture:
     level = [math.comb(n_particles, k) for k in ids]
     rows = [sum(1 << b for b in ids if level[a] <= level[b]) for a in ids]
     return FinitePreorderFixture(ids, rows)
-
-
-def random_closed_dag_fixture(n: int, seed: int = 0, density: float = 0.05) -> FinitePreorderFixture:
-    """A random DAG closed under reflexivity and transitivity."""
-    rng = random.Random(seed)
-    # reach[i] is the bitset of the states i reaches.
-    reach = [1 << i for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < density:
-                reach[i] |= 1 << j
-    # Warshall closure: whoever reaches k reaches all that k reaches.
-    for k in range(n):
-        bit = 1 << k
-        for i in range(n):
-            if reach[i] & bit:
-                reach[i] |= reach[k]
-    return FinitePreorderFixture(list(range(n)), reach)

@@ -358,11 +358,11 @@ class AccessibilityRelation:
         False both ways.  The values of a tuple of states with unit factors
         are kept for as long as the relation is handed an equal tuple, as a
         bisection or a run of sandwich bounds does.  A row with a copy
-        ``scale_state`` refuses raises as it does.  A query with a part the
-        batch cannot take (composite states, states that span several
-        composition tags or entropy tolerances, or factors other than 1
-        whose states' model has no ``scaled_entropies`` or that span several
-        models) asks ``leq`` row by row of the copies ``scale_state`` builds.
+        ``scale_state`` refuses raises as it does.  A part holds single
+        states of one space: a composite state, or states of several
+        spaces, raise DomainError, and factors other than 1 on a model
+        without ``scaled_entropies`` raise CapabilityError as
+        ``scale_state`` does on a model without copies.
         """
         if self.mode != "induced":
             raise CapabilityError("batched queries need an induced relation")
@@ -376,17 +376,9 @@ class AccessibilityRelation:
             raise DomainError("leq_many needs the same number of rows in every part")
         n = rows.pop() if rows else 1
         parts = [(states, ts if isinstance(ts, list) else [ts] * n) for states, ts in parts]
-        xs, ys = parts[:len(xs)], parts[len(xs):]
-        batch = self._leq_many_batched(xs, ys, n, converse)
-        if batch is not None:
-            return batch
-        fwd, bwd = [], []
-        for i in range(n):
-            x, y = self._row(xs, i), self._row(ys, i)
-            fwd.append(self.leq(x, y))
-            if converse:
-                bwd.append(self.leq(y, x))
-        return fwd, bwd if converse else None
+        if n == 0:
+            return [], [] if converse else None
+        return self._leq_many_batched(parts[:len(xs)], parts[len(xs):], n, converse)
 
     def _row(self, parts, i: int) -> StateLike:
         """Row i of one side of ``leq_many``: the copies ``scale_state``
@@ -401,14 +393,9 @@ class AccessibilityRelation:
         return copies[0] if len(copies) == 1 else composite_state(copies)
 
     def _leq_many_batched(self, xs, ys, n: int, converse: bool):
-        """``leq_many`` from the parts' columns; None where a part is one
-        the batch cannot take."""
-        sides = []
-        for parts in (xs, ys):
-            columns = [self._part_columns(states, ts, n) for states, ts in parts]
-            if None in columns:
-                return None
-            sides.append(columns)
+        """``leq_many`` of n rows from the parts' columns."""
+        sides = [[self._part_columns(states, ts, n) for states, ts in parts]
+                 for parts in (xs, ys)]
         # A value is not finite for a copy scale_state refuses; building the
         # row's copies then raises as scale_state does.
         values = [c[0] for c in sides[0] + sides[1]]
@@ -447,12 +434,11 @@ class AccessibilityRelation:
 
     def _part_columns(self, states, ts: list[float], n: int):
         """Per row of one part: oracle value and amount, each a list, and
-        the part's entropy atol and composition tag; None unless the
-        part is made of single states with one tag and one atol whose owners
-        can evaluate its copies in a batch.  Owners are resolved once per
-        space, and a space no model owns raises.  Unit factors read the
-        states' values through ``oracle_entropy``, which raises where a
-        state is malformed; other factors through ``scaled_entropies``."""
+        the part's entropy atol and composition tag, read from the one
+        model that owns the part's space; a space no model owns raises.
+        Unit factors read the states' values through ``oracle_entropy``,
+        which raises where a state is malformed; other factors through
+        ``scaled_entropies``."""
         unit = ts.count(1.0) == n
         if unit and isinstance(states, tuple) and self._last_unit[0] == states:
             return self._last_unit[1]
@@ -464,33 +450,24 @@ class AccessibilityRelation:
             position = {key: k for k, key in enumerate(first)}
             distinct = list(first.values())
             inv = list(map(position.__getitem__, map(id, states)))
-        if not all(isinstance(state, State) for state in distinct):
-            return None
-        owners = {
-            space_id: self._resolve(space_id)
-            for space_id in dict.fromkeys(state.space_id for state in distinct)
-        }
-        models = list({id(m): m for m, _ in owners.values()}.values())
-        tags = {space.composition_tag for _, space in owners.values()}
-        atols = {m.entropy_atol for m in models}
-        if len(tags) != 1 or len(atols) != 1:
-            return None
+        spaces = {state.space_id if isinstance(state, State) else None for state in distinct}
+        if len(spaces) != 1 or None in spaces:
+            raise DomainError("a leq_many part must hold single states of one space")
+        model, space = self._resolve(spaces.pop())
         if unit:
-            oracles = {space_id: m.oracle_entropy for space_id, (m, _) in owners.items()}
-            values = [oracles[x.space_id](x) for x in distinct]
+            values = [model.oracle_entropy(x) for x in distinct]
             values = list(map(values.__getitem__, inv))
-        elif len(models) > 1 or models[0].scaled_entropies is None:
-            return None
+        elif model.scaled_entropies is None:
+            raise CapabilityError(f"model {model.id!r} does not support scaled copies")
         else:
-            values = models[0].scaled_entropies(distinct, inv, ts)
+            values = model.scaled_entropies(distinct, inv, ts)
         scales = [state.scale for state in distinct]
         # An amount is t * scale, and t * 1.0 is t.
         if scales.count(1.0) == len(scales):
             amounts = ts
         else:
             amounts = list(map(mul, ts, map(scales.__getitem__, inv)))
-        (tag,), (atol,) = tags, atols
-        columns = (values, amounts, atol, tag)
+        columns = (values, amounts, model.entropy_atol, space.composition_tag)
         if unit and isinstance(states, tuple):
             self._last_unit = (states, columns)
         return columns

@@ -156,7 +156,7 @@ def _plant_oracle_defect(model: ModelSystem, defect) -> None:
         scales = [t * states[k].scale for k, t in zip(index, ts)]
         return list(map(defect, base_scaled(states, index, ts), scales))
 
-    model.scaled_entropies = scaled if base_scaled else None
+    model.scaled_entropies = scaled
 
 
 def _break_transitivity(fixture: FinitePreorderFixture) -> FinitePreorderFixture:

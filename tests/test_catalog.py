@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 from entrokit.catalog import (
     K_BOLTZMANN,
+    FinitePreorderFixture,
     chain_fixture,
     ideal_gas,
     load_fixture,
-    random_closed_dag_fixture,
     two_level_spin,
 )
 from entrokit.axioms import check_comparison, check_reflexivity, check_transitivity
@@ -315,6 +315,24 @@ def test_chain_fixture_passes_order_axioms():
     assert check_reflexivity(rel).passed
     assert check_transitivity(rel).passed
     assert check_comparison(rel).passed
+
+
+def random_closed_dag_fixture(n: int, seed: int = 0, density: float = 0.05) -> FinitePreorderFixture:
+    """A random DAG closed under reflexivity and transitivity."""
+    rng = random.Random(seed)
+    # reach[i] is the bitset of the states i reaches.
+    reach = [1 << i for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                reach[i] |= 1 << j
+    # Warshall closure: whoever reaches k reaches all that k reaches.
+    for k in range(n):
+        bit = 1 << k
+        for i in range(n):
+            if reach[i] & bit:
+                reach[i] |= reach[k]
+    return FinitePreorderFixture(list(range(n)), reach)
 
 
 def test_random_dag_closure_passes_reflexivity_and_transitivity():

@@ -443,8 +443,8 @@ def test_unit_values_that_are_not_finite_are_read_from_the_oracle(gas, gas_rel):
 
 def test_leq_many_shapes(gas, gas_rel):
     x = gas.process_engine.state(1000.0, 0.02)
-    fwd, bwd = gas_rel.leq_many([([], 1.0)], [(x, [])])
-    assert fwd == bwd == []
+    assert gas_rel.leq_many([([], 1.0)], [(x, [])]) == ([], [])
+    assert gas_rel.leq_many([([], 1.0)], [(x, [])], converse=False) == ([], None)
     # No per-row part: one row, what leq asks.
     y = gas.process_engine.state(2000.0, 0.03)
     assert gas_rel.leq_many([(x, 1.0)], [(y, 1.0)]) == ([True], [False])
@@ -457,6 +457,20 @@ def test_leq_many_shapes(gas, gas_rel):
         gas_rel.leq_many([([x, x], 1.0)], [(x, [1.0, 1.0, 1.0])])
     with pytest.raises(CapabilityError):
         AccessibilityRelation.finite([1], [0b1]).leq_many([([1], 1.0)], [([1], 1.0)])
+
+
+def test_leq_many_refuses_parts_the_batch_cannot_take(gas, gas_rel, spin):
+    # One path: a part holds single states of one space, and factors other
+    # than 1 need the model's scaled_entropies.
+    x, y = gas.process_engine.state(1000.0, 0.02), gas.process_engine.state(2000.0, 0.03)
+    s = spin.process_engine.sample_state(random.Random(3))
+    rel = composite_relation([gas_rel, spin.relation()])
+    with pytest.raises(DomainError, match="single states of one space"):
+        rel.leq_many([([x, s], 1.0)], [([x, s], 1.0)])
+    with pytest.raises(DomainError, match="single states of one space"):
+        gas_rel.leq_many([([composite_state([x, y])], 1.0)], [([x], 1.0)])
+    with pytest.raises(CapabilityError, match="does not support scaled copies"):
+        spin.relation().leq_many([(s, 0.5)], [(s, 0.5)])
 
 
 def test_leq_many_matches_amounts_within_rounding(gas, gas_rel):

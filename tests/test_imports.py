@@ -16,7 +16,9 @@ with ``ast``:
 It also keeps the runtime free of dependencies: importing the command line
 loads no numpy, and ``pyproject.toml`` declares none.  And it keeps start-up
 free of generated code: no module imports ``dataclasses`` or ``inspect``, and
-importing the command line loads neither.
+importing the command line loads neither.  And it keeps the induced order on
+one path: ``leq_many`` and its batch ask no ``leq``, and ``_part_columns``
+hands no part back as None.
 """
 
 import ast
@@ -224,6 +226,58 @@ def test_axioms_mention_no_fenced_name():
     # queries, but the batched entropy arithmetic stays in core.py.
     breaches = fence_breaches((PACKAGE / "axioms.py").read_text(), relation=None)
     assert not breaches, "\n".join(breaches)
+
+
+# One path for induced order queries: the batch answers every row of
+# ``leq_many``, and no part is handed back to be asked row by row.
+BATCH_PATH = ("leq_many", "_leq_many_batched", "_part_columns")
+
+
+def scalar_fallbacks(source: str) -> list[str]:
+    """``function: leq()`` for each call of ``leq`` in a ``BATCH_PATH``
+    function, and ``_part_columns: return None`` for each of its returns
+    of None."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.FunctionDef) and node.name in BATCH_PATH):
+            continue
+        for item in ast.walk(node):
+            func = item.func if isinstance(item, ast.Call) else None
+            if getattr(func, "attr", getattr(func, "id", None)) == "leq":
+                found.append(f"{node.name}: leq()")
+            if (
+                node.name == "_part_columns"
+                and isinstance(item, ast.Return)
+                and (item.value is None
+                     or isinstance(item.value, ast.Constant) and item.value.value is None)
+            ):
+                found.append(f"{node.name}: return None")
+    return found
+
+
+def test_scalar_fallbacks_are_found():
+    source = (
+        "class R:\n"
+        "    def leq_many(self, xs, ys):\n"
+        "        return self._leq_many_batched(xs, ys) or [self.leq(x, y) for x, y in xs]\n"
+        "    def _part_columns(self, states):\n"
+        "        if not states:\n"
+        "            return None\n"
+        "        if len(states) > 1:\n"
+        "            return\n"
+        "        return leq(states, states)\n"
+        "    def other(self, x):\n"
+        "        return self.leq(x, x) or None\n"
+    )
+    assert scalar_fallbacks(source) == [
+        "leq_many: leq()", "_part_columns: return None", "_part_columns: return None",
+        "_part_columns: leq()",
+    ]
+
+
+def test_leq_many_has_one_path():
+    found = scalar_fallbacks((PACKAGE / "core.py").read_text())
+    assert not found, "\n".join(found)
 
 
 # Every knob a user can set is read, and every knob read is one a user can

@@ -506,11 +506,13 @@ def test_leq_mixtures_keeps_compositions_apart():
     rel = AccessibilityRelation.induced([gas, other])
     e = gas.process_engine
     x0, x1 = e.state(600.0, 0.006), e.state(9000.0, 0.09)
-    ys = (other.process_engine.state(3000.0, 0.03), e.state(3000.0, 0.03))
-    expected = _per_element(rel, gas, x0, x1, [0.5, 0.5], ys)
+    y_other, y_gas = other.process_engine.state(3000.0, 0.03), e.state(3000.0, 0.03)
+    expected = [_per_element(rel, gas, x0, x1, [0.5], (y,)) for y in (y_other, y_gas)]
     calls = _count_hook_calls(gas)
-    assert _outcome(_mixtures, rel, x0, x1, [0.5, 0.5], ys) == expected
-    assert expected[0][0] is expected[1][0] is False  # two gases never compare
+    # Each y in its own part: a part holds the states of one model.
+    for y, want in zip((y_other, y_gas), expected):
+        assert _outcome(_mixtures, rel, x0, x1, [0.5], (y,)) == want
+    assert expected[0] == ([False], [False])  # two gases never compare
     assert calls
 
 
