@@ -178,7 +178,7 @@ def _scan(rng, n: int, draws: Sequence[tuple], judge) -> tuple[Optional[tuple], 
         column = list(zip(*(flat[j + m::width] for m in range(k))))
         columns.append(column if strict is None else _ordered(source, column, strict))
         j += k
-    rows = [tuple(s for item in row for s in item) for row in zip(*columns) if None not in row]
+    rows = [sum(row, ()) for row in zip(*columns) if None not in row]
     found, witness = _first_witness(judge, rows)
     return witness, found + (witness is not None)
 

@@ -15,6 +15,7 @@ import json
 import math
 import random
 from math import lgamma
+from typing import Optional
 
 from .core import (
     AccessibilityRelation,
@@ -79,20 +80,26 @@ class _EngineBase:
         return self.sample_states(rng, 1)[0]
 
     def _delta_s(self, a, b) -> float:
-        sa = sum(self.oracle_entropy(p) for p in parts_of(a))
-        sb = sum(self.oracle_entropy(p) for p in parts_of(b))
+        sa = sum(map(self.oracle_entropy, parts_of(a)))
+        sb = sum(map(self.oracle_entropy, parts_of(b)))
         return sb - sa
+
+    def _permitted(self, a, b) -> tuple[Optional[ProcessRecord], float]:
+        """The weight process from a to b, or None where nature refuses it
+        because it would lower entropy; and its entropy change."""
+        ds = self._delta_s(a, b)
+        return (None if ds < -REVERSIBLE_DS_TOL else self._record(a, b, ds)), ds
 
     def weight_process(self, a, b) -> ProcessRecord:
         """A weight process from a to b; nature refuses entropy decreases."""
-        ds = self._delta_s(a, b)
-        if ds < -REVERSIBLE_DS_TOL:
+        rec, ds = self._permitted(a, b)
+        if rec is None:
             raise EngineError(
                 "nature refuses: the requested weight process would lower entropy "
                 f"by {-ds:.3e} J/K",
                 witness=(a, b),
             )
-        return self._record(a, b, ds)
+        return rec
 
     def _oriented_process(self, a, b, cutoff: float):
         """The weight process from a to b (ALONG) where its entropy change is
@@ -107,8 +114,8 @@ class _EngineBase:
     @staticmethod
     def _record(a, b, ds: float) -> ProcessRecord:
         sigma = ds if ds >= REVERSIBLE_DS_TOL else 0.0
-        ea = sum(p.energy for p in parts_of(a))
-        eb = sum(p.energy for p in parts_of(b))
+        ea = sum([p.energy for p in parts_of(a)])
+        eb = sum([p.energy for p in parts_of(b)])
         return ProcessRecord(a, b, work_done=ea - eb, sigma=sigma)
 
     def connect_polygonal(self, a, b, rng: random.Random, legs: int = None) -> WeightPolygonal:
@@ -202,7 +209,7 @@ class IdealGasEngine(_EngineBase):
 
     def oracle_entropy(self, state: State) -> float:
         u, v, deficit = state.coords
-        n = self.n_eff(state)
+        n = self.n0 * state.scale
         s_eq = n * R_GAS * (
             self.cv * math.log(u / (n * self.u_star))
             + math.log(v / (n * self.v_star))
@@ -331,11 +338,7 @@ class IdealGasEngine(_EngineBase):
         u, v, _ = start.coords
         u2 = u * math.exp(rng.uniform(-0.5, 0.5))
         deficit = 0.0 if rng.random() < 0.5 else rng.uniform(0.0, 0.5)
-        candidate = self.state(u2, v, deficit)
-        try:
-            return self.weight_process(start, candidate)
-        except EngineError:
-            return None
+        return self._permitted(start, self.state(u2, v, deficit))[0]
 
     def random_weight_processes(self, n: int, rng: random.Random) -> list[ProcessRecord]:
         records = []

@@ -182,8 +182,8 @@ class ModelSystem:
 
     The oracle entropy is ground truth used by the engine ("nature") and by
     verification code; entropy-construction algorithms must not call it.
-    ``scaled_entropies`` maps a list of the model's states, a list of
-    indices into it and a list of factors to the list of oracle entropies of
+    ``scaled_entropies`` maps a sequence of the model's states, a sequence
+    of indices into it and a list of factors to the list of oracle entropies of
     each ``ts[i]``-scaled copy of ``states[index[i]]``, bit for bit as
     ``oracle_entropy(scale_state(s, t))`` gives it, and to a value that is
     not finite for a copy ``scale_state`` refuses (a factor or copy scale
@@ -445,28 +445,33 @@ class AccessibilityRelation:
         if isinstance(states, State):
             distinct, inv = [states], [0] * n
         else:
-            # Distinct by identity: the rows of a query repeat state objects.
-            first = {id(state): state for state in states}
-            position = {key: k for k, key in enumerate(first)}
-            distinct = list(first.values())
-            inv = list(map(position.__getitem__, map(id, states)))
+            # Distinct by identity: the rows of a query may repeat state
+            # objects; a part that repeats none is read as given (inv None).
+            first = dict(zip(map(id, states), states))
+            if len(first) == n:
+                distinct, inv = states, None
+            else:
+                position = {key: k for k, key in enumerate(first)}
+                distinct = list(first.values())
+                inv = list(map(position.__getitem__, map(id, states)))
         spaces = {state.space_id if isinstance(state, State) else None for state in distinct}
         if len(spaces) != 1 or None in spaces:
             raise DomainError("a leq_many part must hold single states of one space")
         model, space = self._resolve(spaces.pop())
         if unit:
-            values = [model.oracle_entropy(x) for x in distinct]
-            values = list(map(values.__getitem__, inv))
+            values = list(map(model.oracle_entropy, distinct))
+            if inv is not None:
+                values = list(map(values.__getitem__, inv))
         elif model.scaled_entropies is None:
             raise CapabilityError(f"model {model.id!r} does not support scaled copies")
         else:
-            values = model.scaled_entropies(distinct, inv, ts)
+            values = model.scaled_entropies(distinct, range(n) if inv is None else inv, ts)
         scales = [state.scale for state in distinct]
         # An amount is t * scale, and t * 1.0 is t.
         if scales.count(1.0) == len(scales):
             amounts = ts
         else:
-            amounts = list(map(mul, ts, map(scales.__getitem__, inv)))
+            amounts = list(map(mul, ts, scales if inv is None else map(scales.__getitem__, inv)))
         columns = (values, amounts, model.entropy_atol, space.composition_tag)
         if unit and isinstance(states, tuple):
             self._last_unit = (states, columns)

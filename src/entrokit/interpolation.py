@@ -87,12 +87,14 @@ def find_lambda(
         fwd, bwd = rel.leq_many([(x0, [1.0 - m for m in mid]), (x1, mid)], [(ys, 1.0)])
         lo = [m if f else a for f, m, a in zip(fwd, mid, lo)]
         hi = [b if f else m for f, m, b in zip(fwd, mid, hi)]
+        # Brackets start as [0, 1] and halve exactly: all reach tol at once.
+        closed = hi[0] - lo[0] <= tol
         for i in open_:
             if fwd[i] and bwd[i]:
                 lams[i] = mid[i]
-            elif hi[i] - lo[i] <= tol:
+            elif closed:
                 lams[i] = 0.5 * (lo[i] + hi[i])
-        open_ = [i for i in open_ if lams[i] is None]
+        open_ = [] if closed else [i for i in open_ if lams[i] is None]
     if open_:
         raise NumericError(
             f"bisection did not reach tolerance {tol} in {max_iter} iterations"

@@ -420,9 +420,12 @@ def test_unit_values_are_the_oracles_bit_for_bit(mutation):
     calls = []
     hook = gas.scaled_entropies
     gas.scaled_entropies = lambda *args: calls.append(list(args[-1])) or hook(*args)
-    values = gas.relation()._part_columns(states, [1.0] * len(states), len(states))[0]
+    rel = gas.relation()
+    # No repeated object, some repeated objects, and one object in every row.
+    for part in (states, states + states[::3], [states[-1]] * 7):
+        values = rel._part_columns(part, [1.0] * len(part), len(part))[0]
+        assert [v.hex() for v in values] == [gas.oracle_entropy(s).hex() for s in part]
     assert calls == []  # unit factors ask the oracle, not the hook
-    assert [v.hex() for v in values] == [gas.oracle_entropy(s).hex() for s in states]
 
 
 def test_unit_values_that_are_not_finite_are_read_from_the_oracle(gas, gas_rel):

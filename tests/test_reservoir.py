@@ -8,6 +8,7 @@ from entrokit.core import ProcessRecord, StateKind, states_equal
 from entrokit.errors import (
     DegenerateProbeError,
     DomainError,
+    EngineError,
     PreconditionError,
 )
 from entrokit.mutants import mutate_model
@@ -309,6 +310,30 @@ def test_pmm2_not_applicable_for_bounded_model(spin, rng):
     ses = spin.process_engine.sample_state(rng)
     result = check_pmm2(spin, ses, attempts=10)
     assert result.status is CheckStatus.NOT_APPLICABLE
+
+
+def test_a_refused_fixed_region_process_builds_no_exception(monkeypatch):
+    e = ideal_gas().process_engine
+    start = e.state(1000.0, 0.02)
+    candidates, raised = [], []
+    build = e.state
+    monkeypatch.setattr(e, "state", lambda *args: candidates.append(build(*args)) or candidates[-1])
+    init = EngineError.__init__
+    monkeypatch.setattr(EngineError, "__init__",
+                        lambda self, *args, **kw: raised.append(1) or init(self, *args, **kw))
+    rng = random.Random(3)
+    records = [e.attempt_process_at_fixed_region(start, rng) for _ in range(20)]
+    assert len(candidates) == 20
+    refused = [c for c, rec in zip(candidates, records) if rec is None]
+    assert 0 < len(refused) < 20
+    assert all(rec.final is c for c, rec in zip(candidates, records) if rec is not None)
+    assert raised == []  # a refusal returns None without building an EngineError
+    # The weight process between the same pair still raises, with the pair.
+    for candidate in refused:
+        with pytest.raises(EngineError, match="nature refuses") as info:
+            e.weight_process(start, candidate)
+        assert info.value.witness == (start, candidate)
+    assert len(raised) == len(refused)
 
 
 def test_pmm2_entropy_blind_engine_fails(rng):
