@@ -7,7 +7,9 @@ them.  The matrix runs a battery of the checks that ``entrokit all`` emits,
 under the same names, on the intact ideal gas and on every mutant (and the
 finite-relation checks on a chain fixture), then compares the set of newly
 failing checks against the declaration; any difference, in either
-direction, is a finding about the checks themselves.
+direction, is a finding about the checks themselves.  The model battery is
+the report's own: ``run_model_checks`` calls ``report.axiom_checks`` and
+``report.theorem_checks`` with the smaller counts declared here.
 """
 
 from __future__ import annotations
@@ -21,12 +23,7 @@ from .axioms import (
     CheckResult,
     CheckStatus,
     check_comparison,
-    check_consistency,
-    check_n1_n2,
     check_reflexivity,
-    check_scaling_invariance,
-    check_splitting,
-    check_stability,
     check_transitivity,
 )
 from .catalog import FinitePreorderFixture, chain_fixture, ideal_gas
@@ -34,10 +31,8 @@ from .core import AccessibilityRelation, ModelSystem, states_equal
 from .energy import check_path_independence
 from .errors import CapabilityError, DomainError
 from .reservoir import (
+    BENCH_RESERVOIR,
     Reservoir,
-    check_entropy_nondecrease,
-    check_lower_bound,
-    check_pmm2,
     check_reservoir_independence,
     reference_reservoir,
 )
@@ -186,32 +181,29 @@ def _break_transitivity(fixture: FinitePreorderFixture) -> FinitePreorderFixture
 # The coverage matrix
 # ---------------------------------------------------------------------------
 
+# The matrix's model battery's sample counts, by check name (see
+# ``report.axiom_checks`` and ``report.theorem_checks``): smaller than the
+# report's, since it runs seven times.
+AXIOM_COUNTS = {"reflexivity": 120, "transitivity": 120, "consistency": 60, "comparison": 120,
+                "scaling_invariance": 40, "splitting": 40, "stability": 40,
+                "nonequilibrium": 10, "n1_n2": 60}
+THEOREM_COUNTS = {"lower_bound": 20, "entropy_nondecrease": 30, "pmm2": 200}
+
+
 def run_model_checks(
     model: ModelSystem,
     reservoir: Reservoir,
     *,
     seed: int = 0,
 ) -> list[CheckResult]:
-    """The full battery used by the coverage matrix for parametric models."""
-    samples = 120  # shared out among the sampled checks
+    """The coverage matrix's battery for parametric models: the report's
+    axiom checks at ``seed``, path and reservoir independence, then its
+    theorem checks at ``seed + 10``, at the counts above, every sample drawn
+    from one ``Random(seed)``."""
+    from .report import axiom_checks, theorem_checks  # report imports this module
     rng = random.Random(seed)
-    rel = model.relation()
     engine = model.process_engine
-    results = [
-        check_reflexivity(rel, samples=samples, seed=seed),
-        check_transitivity(rel, samples=samples, seed=seed + 1),
-        check_consistency(rel, rel, samples=samples // 2, seed=seed + 2),
-        check_scaling_invariance(rel, samples=samples // 3, seed=seed + 3),
-        check_splitting(rel, samples=samples // 3, seed=seed + 4),
-        check_stability(rel, samples=samples // 3, seed=seed + 5),
-        check_comparison(rel, samples=samples, seed=seed + 6),
-    ]
-    gamma = engine.gamma_grid()
-    try:
-        noneq = [engine.sample_nonequilibrium(rng) for _ in range(10)]
-    except CapabilityError:
-        noneq = []
-    results.append(check_n1_n2(rel, gamma, noneq, samples=samples // 2, seed=seed + 7))
+    results = axiom_checks(model, rng, seed, AXIOM_COUNTS)
 
     drawn = engine.sample_states(rng, 10)
     pairs = list(zip(drawn[::2], drawn[1::2]))
@@ -225,22 +217,7 @@ def run_model_checks(
             [reservoir, honest, reference_reservoir().reservoir],
         )
     )
-
-    results.append(
-        check_lower_bound(
-            model,
-            tuple(engine.sample_states(rng, 2)),
-            reservoir,
-            n_irr=20,
-            seed=seed + 10,
-        )
-    )
-    results.append(
-        check_entropy_nondecrease(model, engine.random_weight_processes(30, rng))
-    )
-    ses = engine.sample_state(rng)
-    results.append(check_pmm2(model, ses, attempts=200, seed=seed + 11))
-    return results
+    return results + theorem_checks(model, reservoir, rng, seed + 10, THEOREM_COUNTS)
 
 
 def run_fixture_checks(fixture: FinitePreorderFixture) -> list[CheckResult]:
@@ -272,12 +249,11 @@ class MatrixWorkers:
     def __init__(self, seed: int):
         self.seed = seed
         base_model = ideal_gas()
-        base_reservoir = Reservoir(id="bench-300", temperature=300.0)
         # (mutation, model, reservoir), the intact gas's under None.
-        self.batteries = [(None, base_model, base_reservoir)] + [
-            (mutation, base_model, mutate_model(base_reservoir, mutation))
+        self.batteries = [(None, base_model, BENCH_RESERVOIR)] + [
+            (mutation, base_model, mutate_model(BENCH_RESERVOIR, mutation))
             if mutation == "wrong_reservoir_temperature"
-            else (mutation, mutate_model(base_model, mutation), base_reservoir)
+            else (mutation, mutate_model(base_model, mutation), BENCH_RESERVOIR)
             for mutation in MUTATIONS if mutation != "break_transitivity"
         ]
         self._children: list[tuple[int, int]] = []  # (pid, reply pipe)

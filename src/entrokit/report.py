@@ -72,6 +72,7 @@ from .pfaffian import (
     sample_box_coords,
 )
 from .reservoir import (
+    BENCH_RESERVOIR,
     BOOKKEEPING_TOL,
     CARNOT_REL_TOL,
     NONDECREASE_ZERO,
@@ -288,6 +289,52 @@ class Report(Record):
 SuiteOutput = tuple[list[CheckResult], dict]
 
 
+# The model battery.  The ``axioms`` and ``theorems`` suites, the mutation
+# matrix (``mutants.run_model_checks``) and the acceptance test all run these
+# two functions; they differ only in their seeds and in ``counts``, which
+# holds each check's sample count under its check name.
+def axiom_checks(model: ModelSystem, rng, seed: int, counts: dict) -> list[CheckResult]:
+    """The order axioms on a model, the sampled checks at ``seed`` + 0 to
+    + 7; ``n1_n2`` probes ``counts["nonequilibrium"]`` states drawn from
+    ``rng``, or none where the model has no nonequilibrium family."""
+    rel = model.relation()
+    engine = model.process_engine
+    results = [
+        check_reflexivity(rel, samples=counts["reflexivity"], seed=seed),
+        check_transitivity(rel, samples=counts["transitivity"], seed=seed + 1),
+        check_consistency(rel, rel, samples=counts["consistency"], seed=seed + 2),
+        check_scaling_invariance(rel, samples=counts["scaling_invariance"], seed=seed + 3),
+        check_splitting(rel, samples=counts["splitting"], seed=seed + 4),
+        check_stability(rel, samples=counts["stability"], seed=seed + 5),
+        check_comparison(rel, samples=counts["comparison"], seed=seed + 6),
+    ]
+    gamma = engine.gamma_grid()
+    try:
+        noneq = [engine.sample_nonequilibrium(rng) for _ in range(counts["nonequilibrium"])]
+    except CapabilityError:
+        noneq = []
+    results.append(check_n1_n2(rel, gamma, noneq, samples=counts["n1_n2"], seed=seed + 7))
+    return results
+
+
+def theorem_checks(model: ModelSystem, reservoir: Reservoir, rng, seed: int, counts: dict,
+                   zero_tol: float = NONDECREASE_ZERO) -> list[CheckResult]:
+    """The reservoir theorems on a model: the lower bound at ``seed`` and
+    PMM2 at ``seed`` + 1, on states and weight processes drawn from ``rng``."""
+    engine = model.process_engine
+    return [
+        check_lower_bound(
+            model, tuple(engine.sample_states(rng, 2)), reservoir,
+            n_irr=counts["lower_bound"], seed=seed,
+        ),
+        check_entropy_nondecrease(
+            model, engine.random_weight_processes(counts["entropy_nondecrease"], rng),
+            zero_tol=zero_tol,
+        ),
+        check_pmm2(model, engine.sample_state(rng), attempts=counts["pmm2"], seed=seed + 1),
+    ]
+
+
 def suite_axioms(target, config: SuiteConfig, memo: dict) -> SuiteOutput:
     seed = config.seed
     n = config.count("axiom_samples")
@@ -303,26 +350,11 @@ def suite_axioms(target, config: SuiteConfig, memo: dict) -> SuiteOutput:
             check_comparison(rel, samples=n, seed=seed + 6),
             not_applicable("n1_n2", "fixture declares no equilibrium partition"),
         ], {}
-    model = target
-    rel = model.relation()
-    engine = model.process_engine
-    rng = random.Random(seed + 70)
-    results = [
-        check_reflexivity(rel, samples=n, seed=seed),
-        check_transitivity(rel, samples=max(n, 500), seed=seed + 1),
-        check_consistency(rel, rel, samples=n, seed=seed + 2),
-        check_scaling_invariance(rel, samples=max(20, n // 2), seed=seed + 3),
-        check_splitting(rel, samples=max(20, n // 2), seed=seed + 4),
-        check_stability(rel, samples=max(20, n // 2), seed=seed + 5),
-        check_comparison(rel, samples=n, seed=seed + 6),
-    ]
-    gamma = engine.gamma_grid()
-    try:
-        noneq = [engine.sample_nonequilibrium(rng) for _ in range(15)]
-    except CapabilityError:
-        noneq = []
-    results.append(check_n1_n2(rel, gamma, noneq, samples=n, seed=seed + 7))
-    return results, {}
+    half = max(20, n // 2)
+    counts = {"reflexivity": n, "transitivity": max(n, 500), "consistency": n, "comparison": n,
+              "scaling_invariance": half, "splitting": half, "stability": half,
+              "nonequilibrium": 15, "n1_n2": n}
+    return axiom_checks(target, random.Random(seed + 70), seed, counts), {}
 
 
 def suite_energy(target, config: SuiteConfig, memo: dict) -> SuiteOutput:
@@ -441,7 +473,6 @@ def suite_zb(target, config: SuiteConfig, memo: dict) -> SuiteOutput:
     engine = model.process_engine
     rng = random.Random(config.seed + 300)
     r0 = reference_reservoir()
-    bench = Reservoir(id="bench-300", temperature=300.0)
     results = []
     summary: dict = {}
 
@@ -498,7 +529,7 @@ def suite_zb(target, config: SuiteConfig, memo: dict) -> SuiteOutput:
         drawn = engine.sample_states(rng, 2 * config.count("carnot_pairs"))
         pairs = list(zip(drawn[::2], drawn[1::2]))
         results.append(
-            check_carnot_agreement(model, pairs, bench, rel_tol=config.tol("carnot_rel"))
+            check_carnot_agreement(model, pairs, BENCH_RESERVOIR, rel_tol=config.tol("carnot_rel"))
         )
     except CapabilityError as exc:
         results.append(not_applicable("carnot_agreement", str(exc)))
@@ -527,33 +558,20 @@ def suite_zb(target, config: SuiteConfig, memo: dict) -> SuiteOutput:
 def suite_theorems(target, config: SuiteConfig, memo: dict) -> SuiteOutput:
     if isinstance(target, FinitePreorderFixture):
         return [not_applicable("lower_bound", "fixtures carry no process engine")], {}
-    model = target
-    engine = model.process_engine
     seed = config.seed
-    rng = random.Random(seed + 400)
-    bench = Reservoir(id="bench-300", temperature=300.0)
-    results = [
-        check_lower_bound(
-            model,
-            tuple(engine.sample_states(rng, 2)),
-            bench,
-            n_irr=config.count("irr_draws"),
-            seed=seed + 401,
-        ),
-        check_entropy_nondecrease(
-            model,
-            engine.random_weight_processes(config.count("weight_processes"), rng),
-            zero_tol=config.tol("nondecrease_zero"),
-        ),
-        check_pmm2(
-            model, engine.sample_state(rng),
-            attempts=config.count("pmm2_attempts"), seed=seed + 402,
-        ),
-    ]
+    counts = {
+        "lower_bound": config.count("irr_draws"),
+        "entropy_nondecrease": config.count("weight_processes"),
+        "pmm2": config.count("pmm2_attempts"),
+    }
+    results = theorem_checks(
+        target, BENCH_RESERVOIR, random.Random(seed + 400), seed + 401, counts,
+        zero_tol=config.tol("nondecrease_zero"),
+    )
     try:
         results.append(
             derive_assumptions_from_comparability(
-                model, bench, samples=25, seed=seed + 403,
+                target, BENCH_RESERVOIR, samples=25, seed=seed + 403,
                 sigma_tol=config.tol("bookkeeping"),
             )
         )

@@ -60,6 +60,11 @@ class Reservoir(FrozenRecord):
         return self.temperature * d_entropy
 
 
+# The 300 K reservoir that the report's theorem and Carnot checks and the
+# mutation matrix's batteries run against.  Frozen, so one instance serves all.
+BENCH_RESERVOIR = Reservoir(id="bench-300", temperature=300.0)
+
+
 class ReferenceReservoir(FrozenRecord):
     """The reservoir that pins the temperature scale, at exactly 273.16 K."""
 

@@ -8,17 +8,7 @@ import time
 
 import pytest
 
-from entrokit.axioms import (
-    CheckStatus,
-    check_comparison,
-    check_consistency,
-    check_n1_n2,
-    check_reflexivity,
-    check_scaling_invariance,
-    check_splitting,
-    check_stability,
-    check_transitivity,
-)
+from entrokit.axioms import CheckStatus
 from entrokit.catalog import ideal_gas, two_level_spin
 from entrokit.energy import check_path_independence
 from entrokit.interpolation import (
@@ -26,7 +16,7 @@ from entrokit.interpolation import (
     affine_match,
     entropy_from_accessibility,
 )
-from entrokit.mutants import mutation_matrix
+from entrokit.mutants import AXIOM_COUNTS, mutation_matrix
 from entrokit.pfaffian import (
     QuasistaticPath,
     check_integrating_factor,
@@ -45,7 +35,7 @@ from entrokit.reservoir import (
     run_reversible_swp,
     temperature_of,
 )
-from entrokit.report import SuiteConfig, emit, run
+from entrokit.report import SuiteConfig, axiom_checks, emit, run
 
 
 def _verdict(number: int, description: str, ok: bool):
@@ -193,27 +183,11 @@ def test_criterion_07_entropy_nondecrease(gas):
 
 
 def test_criterion_09_axioms_and_mutation_matrix(gas, spin):
-    results = []
-    for model in (gas, spin):
-        rel = model.relation()
-        engine = model.process_engine
-        rng = random.Random(209)
-        results += [
-            check_reflexivity(rel, samples=200, seed=209),
-            check_transitivity(rel, samples=200, seed=210),
-            check_consistency(rel, rel, samples=200, seed=211),
-            check_scaling_invariance(rel, samples=200, seed=212),
-            check_splitting(rel, samples=200, seed=213),
-            check_stability(rel, samples=200, seed=214),
-            check_comparison(rel, samples=200, seed=215),
-            check_n1_n2(
-                rel,
-                engine.gamma_grid(),
-                [engine.sample_nonequilibrium(rng) for _ in range(10)],
-                samples=200,
-                seed=216,
-            ),
-        ]
+    # The report's axiom battery, every sampled check at 200 states.
+    counts = {**dict.fromkeys(AXIOM_COUNTS, 200), "nonequilibrium": 10}
+    results = [
+        r for model in (gas, spin) for r in axiom_checks(model, random.Random(209), 209, counts)
+    ]
     axioms_ok = all(not r.failed for r in results)
     matrix = mutation_matrix(seed=209)
     ok = axioms_ok and matrix["ok"]

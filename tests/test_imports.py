@@ -18,7 +18,9 @@ loads no numpy, and ``pyproject.toml`` declares none.  And it keeps start-up
 free of generated code: no module imports ``dataclasses`` or ``inspect``, and
 importing the command line loads neither.  And it keeps the induced order on
 one path: ``leq_many`` and its batch ask no ``leq``, and ``_part_columns``
-hands no part back as None.
+hands no part back as None.  And it keeps one model battery: the checks that
+only a model battery runs are named nowhere in the package but in
+``report.axiom_checks`` and ``report.theorem_checks``.
 """
 
 import ast
@@ -277,6 +279,64 @@ def test_scalar_fallbacks_are_found():
 
 def test_leq_many_has_one_path():
     found = scalar_fallbacks((PACKAGE / "core.py").read_text())
+    assert not found, "\n".join(found)
+
+
+# One model battery: the report's suites, the mutation matrix and the
+# acceptance test all run the checks assembled in ``ASSEMBLY``, so the checks
+# that no fixture branch runs are named nowhere else.
+ASSEMBLY = ("axiom_checks", "theorem_checks")
+MODEL_BATTERY_CHECKS = {
+    "check_consistency", "check_n1_n2", "check_lower_bound", "check_entropy_nondecrease",
+    "check_pmm2",
+}
+
+
+def stray_battery_checks(source: str) -> list[str]:
+    """``function: check`` for each ``MODEL_BATTERY_CHECKS`` name the source
+    reads (bare or as an attribute) outside every ``ASSEMBLY`` function,
+    with ``<module>`` for a read at top level."""
+    found = []
+
+    def visit(node, scopes):
+        for child in ast.iter_child_nodes(node):
+            name = getattr(child, "id", None) or getattr(child, "attr", None)
+            if isinstance(child, ast.FunctionDef):
+                visit(child, scopes + (child.name,))
+                continue
+            if name in MODEL_BATTERY_CHECKS and not set(scopes) & set(ASSEMBLY):
+                found.append(f"{scopes[-1] if scopes else '<module>'}: {name}")
+            visit(child, scopes)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_stray_battery_checks_are_found():
+    source = (
+        "from .axioms import check_consistency\n"
+        "def axiom_checks(rel):\n"
+        "    def draw():\n"
+        "        return check_n1_n2(rel)\n"
+        "    return [check_consistency(rel, rel), draw()]\n"
+        "def run_model_checks(model, rel):\n"
+        "    results = axiom_checks(rel) + [reservoir.check_pmm2(model)]\n"
+        "    checks = [check_lower_bound]\n"
+        "    return results + [check(model) for check in checks]\n"
+        "check_entropy_nondecrease(None)\n"
+    )
+    assert stray_battery_checks(source) == [
+        "run_model_checks: check_pmm2", "run_model_checks: check_lower_bound",
+        "<module>: check_entropy_nondecrease",
+    ]
+
+
+def test_model_battery_checks_are_named_only_in_the_assembly():
+    found = [
+        f"{path.stem}.{entry}"
+        for path in ALL_MODULES
+        for entry in stray_battery_checks(path.read_text())
+    ]
     assert not found, "\n".join(found)
 
 

@@ -1,9 +1,11 @@
+import ast
 import hashlib
 import json
 import math
 import os
 import random
 import select
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,9 +24,16 @@ from entrokit.core import composite_relation
 from entrokit.energy import check_path_independence
 from entrokit import mutants as mutants_module
 from entrokit.errors import CapabilityError, DomainError, EngineError
-from entrokit.mutants import MUTATIONS, mutate_model, mutation_matrix, run_model_checks
+from entrokit.mutants import (
+    AXIOM_COUNTS,
+    MUTATIONS,
+    THEOREM_COUNTS,
+    mutate_model,
+    mutation_matrix,
+    run_model_checks,
+)
 from entrokit.report import SUITES, SuiteConfig, run
-from entrokit.reservoir import Reservoir, reference_reservoir, temperature_of
+from entrokit.reservoir import BENCH_RESERVOIR, Reservoir, reference_reservoir, temperature_of
 from test_core import rows_from_pairs
 from test_interpolation import _GAS_PARAMS, _U, _V
 
@@ -224,6 +233,77 @@ def test_matrix_serializes(tmp_path):
     assert len(parsed["mutants"]) == len(MUTATIONS)
 
 
+# The batteries, read from the source without running them: the functions
+# that assemble them, and those that call the assembly with their counts.
+_SOURCES = {
+    module: ast.parse((Path(mutants_module.__file__).parent / f"{module}.py").read_text())
+    for module in ("report", "mutants")
+}
+
+
+def _function(module: str, name: str) -> ast.FunctionDef:
+    return next(
+        node for node in ast.walk(_SOURCES[module])
+        if isinstance(node, ast.FunctionDef) and node.name == name
+    )
+
+
+def _counts_read(module: str, name: str) -> set[str]:
+    """The keys the function reads as ``counts["<key>"]``."""
+    return {
+        node.slice.value for node in ast.walk(_function(module, name))
+        if isinstance(node, ast.Subscript)
+        and getattr(node.value, "id", None) == "counts"
+        and isinstance(node.slice, ast.Constant)
+    }
+
+
+def _counts_declared(module: str, name: str) -> set[str]:
+    """The keys of the dict literal the function assigns to ``counts``."""
+    (table,) = [
+        node.value for node in ast.walk(_function(module, name))
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "counts"
+    ]
+    return {key.value for key in table.keys}
+
+
+def _called(*functions: ast.FunctionDef) -> set[str]:
+    """The bare names the functions call."""
+    return {
+        node.func.id for fn in functions for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+
+
+def test_every_battery_declares_exactly_the_counts_the_assembly_reads():
+    # A count the assembly does not read is a stale knob; one it reads that
+    # a battery lacks is a KeyError.  Criterion 09 takes AXIOM_COUNTS' keys.
+    axioms = _counts_read("report", "axiom_checks")
+    theorems = _counts_read("report", "theorem_checks")
+    assert "nonequilibrium" in axioms and len(theorems) == 3
+    assert set(AXIOM_COUNTS) == _counts_declared("report", "suite_axioms") == axioms
+    assert set(THEOREM_COUNTS) == _counts_declared("report", "suite_theorems") == theorems
+
+
+def test_every_expected_failure_is_a_check_its_battery_runs():
+    # Each check is named after its function: check_<name> emits <name>.
+    model = _function("mutants", "run_model_checks")
+    assembly = [_function("report", name) for name in ("axiom_checks", "theorem_checks")]
+    assert {"axiom_checks", "theorem_checks"} <= _called(model)
+    runs = {
+        battery: {
+            name.removeprefix("check_") for name in _called(*functions) if name.startswith("check_")
+        }
+        for battery, functions in (
+            ("model", [model, *assembly]),
+            ("fixture", [_function("mutants", "run_fixture_checks")]),
+        )
+    }
+    for mutation, expected in MUTATIONS.items():
+        battery = "fixture" if mutation == "break_transitivity" else "model"
+        assert expected <= runs[battery], mutation
+
+
 def _emitted(model: dict, suites) -> tuple[set[str], dict]:
     """The check names a run emits, and its summaries."""
     report = run(SuiteConfig(model=model, suites=suites, seed=1))
@@ -260,7 +340,7 @@ def _battery_leq_calls(model, monkeypatch) -> int:
     cls, calls = type(model.relation()), []
     leq = cls.leq
     monkeypatch.setattr(cls, "leq", lambda rel, x, y: calls.append(1) or leq(rel, x, y))
-    run_model_checks(model, Reservoir(id="bench-300", temperature=300.0), seed=1)
+    run_model_checks(model, BENCH_RESERVOIR, seed=1)
     monkeypatch.undo()
     return len(calls)
 

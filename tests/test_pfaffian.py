@@ -11,7 +11,7 @@ from entrokit.errors import CapabilityError, DomainError
 from entrokit.interpolation import affine_match
 from entrokit.quadrature import line_integral
 from entrokit.report import SuiteConfig, suite_caratheodory
-from entrokit.reservoir import Reservoir, check_carnot_agreement
+from entrokit.reservoir import BENCH_RESERVOIR, check_carnot_agreement
 from entrokit.pfaffian import (
     QuasistaticPath,
     check_integrating_factor,
@@ -233,9 +233,8 @@ def test_one_equation_of_state_feeds_both_quasistatic_routes():
     model = ModelSystem(engine)
     drawn = engine.sample_states(random.Random(11), 20)
     pairs = list(zip(drawn[::2], drawn[1::2]))
-    bench = Reservoir(id="bench-300", temperature=300.0)
-    assert check_carnot_agreement(gas, pairs, bench).passed
-    assert check_carnot_agreement(model, pairs, bench).failed
+    assert check_carnot_agreement(gas, pairs, BENCH_RESERVOIR).passed
+    assert check_carnot_agreement(model, pairs, BENCH_RESERVOIR).failed
     results, _ = suite_caratheodory(model, SuiteConfig.from_dict({"seed": 1}), {})
     failed = {r.check_name for r in results if r.failed}
     assert {"quasistatic_work_closed_form", "pfaffian_form"} <= failed
