@@ -183,7 +183,7 @@ def _break_transitivity(fixture: FinitePreorderFixture) -> FinitePreorderFixture
 
 # The matrix's model battery's sample counts, by check name (see
 # ``report.axiom_checks`` and ``report.theorem_checks``): smaller than the
-# report's, since it runs seven times.
+# report's, since it runs on six models.
 AXIOM_COUNTS = {"reflexivity": 120, "transitivity": 120, "consistency": 60, "comparison": 120,
                 "scaling_invariance": 40, "splitting": 40, "stability": 40,
                 "nonequilibrium": 10, "n1_n2": 60}
@@ -192,32 +192,29 @@ THEOREM_COUNTS = {"lower_bound": 20, "entropy_nondecrease": 30, "pmm2": 200}
 
 def run_model_checks(
     model: ModelSystem,
-    reservoir: Reservoir,
+    reservoirs: list[Reservoir],
     *,
     seed: int = 0,
-) -> list[CheckResult]:
-    """The coverage matrix's battery for parametric models: the report's
-    axiom checks at ``seed``, path and reservoir independence, then its
-    theorem checks at ``seed + 10``, at the counts above, every sample drawn
-    from one ``Random(seed)``."""
+) -> list[list[CheckResult]]:
+    """The coverage matrix's battery for parametric models, one per
+    reservoir: the report's axiom checks at ``seed``, path and reservoir
+    independence, then its theorem checks at ``seed + 10``, at the counts
+    above, every sample drawn from one ``Random(seed)``.  Only the two
+    checks that read a reservoir run once per reservoir."""
     from .report import axiom_checks, theorem_checks  # report imports this module
     rng = random.Random(seed)
     engine = model.process_engine
-    results = axiom_checks(model, rng, seed, AXIOM_COUNTS)
+    shared = axiom_checks(model, rng, seed, AXIOM_COUNTS)
 
     drawn = engine.sample_states(rng, 10)
     pairs = list(zip(drawn[::2], drawn[1::2]))
-    results.append(check_path_independence(model, pairs, k=4, seed=seed + 8))
+    shared.append(check_path_independence(model, pairs, k=4, seed=seed + 8))
 
-    honest = Reservoir(id="aux-600", temperature=600.0)
-    results.append(
-        check_reservoir_independence(
-            model,
-            tuple(engine.sample_states(rng, 2)),
-            [reservoir, honest, reference_reservoir().reservoir],
-        )
-    )
-    return results + theorem_checks(model, reservoir, rng, seed + 10, THEOREM_COUNTS)
+    pair = tuple(engine.sample_states(rng, 2))
+    others = [Reservoir(id="aux-600", temperature=600.0), reference_reservoir().reservoir]
+    independence = [check_reservoir_independence(model, pair, [r, *others]) for r in reservoirs]
+    theorems = theorem_checks(model, reservoirs, rng, seed + 10, THEOREM_COUNTS)
+    return [[*shared, check, *rest] for check, rest in zip(independence, theorems)]
 
 
 def run_fixture_checks(fixture: FinitePreorderFixture) -> list[CheckResult]:
@@ -234,34 +231,36 @@ def _statuses(results: list[CheckResult]) -> dict[str, str]:
 
 
 class MatrixWorkers:
-    """The matrix's seven model batteries (the intact gas's, then the model
-    mutants' in ``MUTATIONS`` order) and min(usable CPUs, 7) - 1 forked
-    workers (none where os.fork is missing), which take batteries from a
-    queue and run them until it is empty.  Pass it to ``mutation_matrix``
-    with the same seed, or ``close`` it.
+    """The matrix's six model tasks (the intact gas, for the baseline and the
+    reservoir mutant, then the model mutants in ``MUTATIONS`` order) and
+    min(usable CPUs, 6) - 1 forked workers (none where os.fork is missing),
+    which take tasks from a queue and run them until it is empty.  Pass it
+    to ``mutation_matrix`` with the same seed, or ``close`` it.
 
-    The queue is an os.pipe holding one byte per battery index but the
-    baseline's, written and closed before any fork: each os.read(queue, 1)
-    takes one whole index, and an empty queue reads as EOF.  A worker pipes
-    back the statuses of the batteries it took, or its exception, and leaves
-    through os._exit (no stdio flush, no atexit)."""
+    The queue is an os.pipe holding one byte per task index but 0, written
+    and closed before any fork: each os.read(queue, 1) takes one whole
+    index, and an empty queue reads as EOF.  A worker pipes back the
+    statuses of the batteries it ran, or its exception, and leaves through
+    os._exit (no stdio flush, no atexit)."""
 
     def __init__(self, seed: int):
         self.seed = seed
         base_model = ideal_gas()
-        # (mutation, model, reservoir), the intact gas's under None.
-        self.batteries = [(None, base_model, BENCH_RESERVOIR)] + [
-            (mutation, base_model, mutate_model(BENCH_RESERVOIR, mutation))
-            if mutation == "wrong_reservoir_temperature"
-            else (mutation, mutate_model(base_model, mutation), BENCH_RESERVOIR)
-            for mutation in MUTATIONS if mutation != "break_transitivity"
+        hotter = mutate_model(BENCH_RESERVOIR, "wrong_reservoir_temperature")
+        # (model, {mutation: reservoir}), the intact gas's battery under None.
+        self.tasks = [
+            (base_model, {None: BENCH_RESERVOIR, "wrong_reservoir_temperature": hotter})
+        ] + [
+            (mutate_model(base_model, mutation), {mutation: BENCH_RESERVOIR})
+            for mutation in MUTATIONS
+            if mutation not in ("break_transitivity", "wrong_reservoir_temperature")
         ]
         self._children: list[tuple[int, int]] = []  # (pid, reply pipe)
         self._queue, fill = os.pipe()
-        os.write(fill, bytes(range(1, len(self.batteries))))
+        os.write(fill, bytes(range(1, len(self.tasks))))
         os.close(fill)
         usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-        workers = min(usable, len(self.batteries)) - 1 if hasattr(os, "fork") else 0
+        workers = min(usable, len(self.tasks)) - 1 if hasattr(os, "fork") else 0
         try:
             for _ in range(workers):
                 self._fork()
@@ -269,12 +268,13 @@ class MatrixWorkers:
             self.close()
             raise
 
-    def _run(self, index: int) -> dict[str, str]:
-        _, model, reservoir = self.batteries[index]
-        return _statuses(run_model_checks(model, reservoir, seed=self.seed))
+    def _run(self, index: int) -> dict:
+        model, reservoirs = self.tasks[index]
+        batteries = run_model_checks(model, list(reservoirs.values()), seed=self.seed)
+        return dict(zip(reservoirs, map(_statuses, batteries)))
 
     def _take(self):
-        """The next queued battery index, or None once the queue is empty."""
+        """The next queued task index, or None once the queue is empty."""
         byte = os.read(self._queue, 1)
         return byte[0] if byte else None
 
@@ -293,7 +293,7 @@ class MatrixWorkers:
                 try:
                     done = {}
                     while (index := self._take()) is not None:
-                        done[index] = self._run(index)
+                        done.update(self._run(index))
                     reply = (None, done)
                 except BaseException as exc:
                     reply = (exc, None)
@@ -309,15 +309,14 @@ class MatrixWorkers:
         self._children.append((pid, read_end))
 
     def finish(self) -> dict:
-        """Each battery's statuses by its mutation.  This process runs the
-        baseline's battery and every battery still queued, then reaps the
-        workers and takes theirs; an exception raised here comes first, then
-        a worker's (an unpicklable one as a RuntimeError)."""
-        statuses = {}
+        """Each battery's statuses by its mutation.  This process runs task 0
+        and every task still queued, then reaps the workers and takes their
+        batteries; an exception raised here comes first, then a worker's (an
+        unpicklable one as a RuntimeError)."""
         try:
-            statuses[0] = self._run(0)
+            statuses = self._run(0)
             while (index := self._take()) is not None:
-                statuses[index] = self._run(index)
+                statuses.update(self._run(index))
         finally:
             replies = self.close()
         if replies:
@@ -327,10 +326,10 @@ class MatrixWorkers:
             if exc is not None:
                 raise exc
             statuses.update(done)
-        return {mutation: statuses[index] for index, (mutation, _, _) in enumerate(self.batteries)}
+        return statuses
 
     def close(self) -> list[bytes]:
-        """Empty the queue, so each worker stops after its current battery,
+        """Empty the queue, so each worker stops after its current task,
         then read every worker's reply and reap it.  Returns the replies;
         a second call does nothing."""
         if self._queue is not None:

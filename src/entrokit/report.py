@@ -291,8 +291,8 @@ SuiteOutput = tuple[list[CheckResult], dict]
 
 # The model battery.  The ``axioms`` and ``theorems`` suites, the mutation
 # matrix (``mutants.run_model_checks``) and the acceptance test all run these
-# two functions; they differ only in their seeds and in ``counts``, which
-# holds each check's sample count under its check name.
+# two functions; they differ only in their seeds, reservoirs and ``counts``,
+# which holds each check's sample count under its check name.
 def axiom_checks(model: ModelSystem, rng, seed: int, counts: dict) -> list[CheckResult]:
     """The order axioms on a model, the sampled checks at ``seed`` + 0 to
     + 7; ``n1_n2`` probes ``counts["nonequilibrium"]`` states drawn from
@@ -317,22 +317,23 @@ def axiom_checks(model: ModelSystem, rng, seed: int, counts: dict) -> list[Check
     return results
 
 
-def theorem_checks(model: ModelSystem, reservoir: Reservoir, rng, seed: int, counts: dict,
-                   zero_tol: float = NONDECREASE_ZERO) -> list[CheckResult]:
-    """The reservoir theorems on a model: the lower bound at ``seed`` and
-    PMM2 at ``seed`` + 1, on states and weight processes drawn from ``rng``."""
+def theorem_checks(model: ModelSystem, reservoirs: list[Reservoir], rng, seed: int,
+                   counts: dict, zero_tol: float = NONDECREASE_ZERO) -> list[list[CheckResult]]:
+    """The reservoir theorems on a model, one list per reservoir: the lower
+    bound against it at ``seed``, then entropy nondecrease and PMM2 at
+    ``seed`` + 1, run once for all, on states drawn from ``rng``."""
     engine = model.process_engine
-    return [
-        check_lower_bound(
-            model, tuple(engine.sample_states(rng, 2)), reservoir,
-            n_irr=counts["lower_bound"], seed=seed,
-        ),
+    pair = tuple(engine.sample_states(rng, 2))
+    bounds = [check_lower_bound(model, pair, r, n_irr=counts["lower_bound"], seed=seed)
+              for r in reservoirs]
+    shared = [
         check_entropy_nondecrease(
             model, engine.random_weight_processes(counts["entropy_nondecrease"], rng),
             zero_tol=zero_tol,
         ),
         check_pmm2(model, engine.sample_state(rng), attempts=counts["pmm2"], seed=seed + 1),
     ]
+    return [[bound, *shared] for bound in bounds]
 
 
 def suite_axioms(target, config: SuiteConfig, memo: dict) -> SuiteOutput:
@@ -564,8 +565,8 @@ def suite_theorems(target, config: SuiteConfig, memo: dict) -> SuiteOutput:
         "entropy_nondecrease": config.count("weight_processes"),
         "pmm2": config.count("pmm2_attempts"),
     }
-    results = theorem_checks(
-        target, BENCH_RESERVOIR, random.Random(seed + 400), seed + 401, counts,
+    [results] = theorem_checks(
+        target, [BENCH_RESERVOIR], random.Random(seed + 400), seed + 401, counts,
         zero_tol=config.tol("nondecrease_zero"),
     )
     try:

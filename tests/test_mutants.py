@@ -23,6 +23,7 @@ from entrokit.cli import SUBCOMMAND_SUITES
 from entrokit.core import composite_relation
 from entrokit.energy import check_path_independence
 from entrokit import mutants as mutants_module
+from entrokit import reservoir as reservoir_module
 from entrokit.errors import CapabilityError, DomainError, EngineError
 from entrokit.mutants import (
     AXIOM_COUNTS,
@@ -32,8 +33,17 @@ from entrokit.mutants import (
     mutation_matrix,
     run_model_checks,
 )
-from entrokit.report import SUITES, SuiteConfig, run
-from entrokit.reservoir import BENCH_RESERVOIR, Reservoir, reference_reservoir, temperature_of
+from entrokit.report import SUITES, SuiteConfig, axiom_checks, run
+from entrokit.reservoir import (
+    BENCH_RESERVOIR,
+    Reservoir,
+    check_entropy_nondecrease,
+    check_lower_bound,
+    check_pmm2,
+    check_reservoir_independence,
+    reference_reservoir,
+    temperature_of,
+)
 from test_core import rows_from_pairs
 from test_interpolation import _GAS_PARAMS, _U, _V
 
@@ -340,9 +350,104 @@ def _battery_leq_calls(model, monkeypatch) -> int:
     cls, calls = type(model.relation()), []
     leq = cls.leq
     monkeypatch.setattr(cls, "leq", lambda rel, x, y: calls.append(1) or leq(rel, x, y))
-    run_model_checks(model, BENCH_RESERVOIR, seed=1)
+    run_model_checks(model, [BENCH_RESERVOIR], seed=1)
     monkeypatch.undo()
     return len(calls)
+
+
+def one_reservoir_battery(model, reservoir, seed):
+    """The matrix's model battery for one reservoir, every check run for it
+    alone, kept as the reference for ``run_model_checks``, which runs the
+    checks that read no reservoir once for all of its reservoirs."""
+    rng = random.Random(seed)
+    engine = model.process_engine
+    results = axiom_checks(model, rng, seed, AXIOM_COUNTS)
+    drawn = engine.sample_states(rng, 10)
+    pairs = list(zip(drawn[::2], drawn[1::2]))
+    results.append(check_path_independence(model, pairs, k=4, seed=seed + 8))
+    others = [Reservoir(id="aux-600", temperature=600.0), reference_reservoir().reservoir]
+    results.append(check_reservoir_independence(
+        model, tuple(engine.sample_states(rng, 2)), [reservoir, *others]))
+    results.append(check_lower_bound(
+        model, tuple(engine.sample_states(rng, 2)), reservoir,
+        n_irr=THEOREM_COUNTS["lower_bound"], seed=seed + 10,
+    ))
+    results.append(check_entropy_nondecrease(
+        model, engine.random_weight_processes(THEOREM_COUNTS["entropy_nondecrease"], rng)))
+    results.append(check_pmm2(
+        model, engine.sample_state(rng), attempts=THEOREM_COUNTS["pmm2"], seed=seed + 11))
+    return results
+
+
+def _recording_weight_processes(monkeypatch) -> list:
+    """Each standard weight process the reservoir checks run from now on:
+    its kind, end states, reservoir class and drain."""
+    calls = []
+    for name in ("run_reversible_swp", "run_irreversible_swp"):
+        def recording(model, a1, a2, r, *args, run=getattr(reservoir_module, name), name=name):
+            rec = run(model, a1, a2, r, *args)
+            calls.append((name, repr(a1), repr(a2), type(r).__name__, rec.delta_e_r))
+            return rec
+
+        monkeypatch.setattr(reservoir_module, name, recording)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [0, 1, 209])
+def test_the_intact_gas_task_gives_each_reservoir_its_own_battery(seed, monkeypatch):
+    # Task 0 runs the intact gas once for the baseline and for the reservoir
+    # mutant; each battery must be the one its reservoir would get alone.  A
+    # passing check's record holds no pair or drain, so the weight processes
+    # run for them are compared too.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    workers = mutants_module.MatrixWorkers(seed)
+    workers.close()
+    model, reservoirs = workers.tasks[0]
+    assert list(reservoirs) == [None, "wrong_reservoir_temperature"]
+    assert reservoirs[None] is BENCH_RESERVOIR
+    processes = _recording_weight_processes(monkeypatch)
+    batteries = run_model_checks(model, list(reservoirs.values()), seed=seed)
+    shared_processes = sorted(processes)
+    processes.clear()
+    assert len(batteries) == 2
+    for battery, reservoir in zip(batteries, reservoirs.values()):
+        reference = one_reservoir_battery(ideal_gas(), reservoir, seed)
+        assert [r.to_dict() for r in battery] == [r.to_dict() for r in reference]
+    assert shared_processes == sorted(processes)
+
+
+def test_the_intact_gas_task_runs_in_this_process(monkeypatch, tmp_path):
+    # CI's traced gas-all run counts mutants.batteries in this process only,
+    # so this process must run at least one battery.  The one worker two
+    # usable CPUs give takes a task before this process asks for any; were
+    # task 0 queued, the worker would take it first.
+    parent, battery = os.getpid(), mutants_module.run_model_checks
+    log = tmp_path / "calls.txt"
+    taken, took = os.pipe()
+
+    def recording(model, reservoirs, **kwargs):
+        if os.getpid() != parent:
+            os.write(took, b".")
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {len(reservoirs)}\n")
+        return battery(model, reservoirs, **kwargs)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(mutants_module, "run_model_checks", recording)
+    workers = mutants_module.MatrixWorkers(0)
+    try:
+        assert select.select([taken], [], [], 60)[0] == [taken], "the worker took no task"
+        assert mutation_matrix(seed=0, workers=workers)["ok"]
+    finally:
+        workers.close()
+        os.close(taken)
+        os.close(took)
+    calls = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+    assert len(calls) == 6
+    assert [pid for pid, reservoirs in calls if reservoirs == 2] == [parent], (
+        "task 0 (the intact gas) ran in a worker: this process would run no battery, "
+        "and the traced gas-all run's mutants.batteries would read 0"
+    )
 
 
 @pytest.mark.parametrize("mutation", ["composite_max", "strict_only_comparison"])
@@ -380,12 +485,12 @@ def test_mutation_matrix_forks_a_worker_per_usable_cpu(monkeypatch):
     forks, fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     mutation_matrix(seed=0)
-    assert len(forks) == min(_usable_cpus(), 7) - 1
+    assert len(forks) == min(_usable_cpus(), 6) - 1
 
 
 @pytest.mark.parametrize("cpus", [2, 3, 16])
 def test_mutation_matrix_is_the_same_for_any_worker_count(cpus, monkeypatch):
-    # 16 CPUs give six workers, the most seven batteries use, on any machine.
+    # 16 CPUs give five workers, the most six tasks use, on any machine.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     payload = json.dumps(mutation_matrix(seed=0), sort_keys=True).encode()
     assert hashlib.sha256(payload).hexdigest() == MATRIX_SHA256

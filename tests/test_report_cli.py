@@ -205,7 +205,7 @@ def test_run_calls_every_suite_through_its_module_attribute(monkeypatch, tmp_pat
     assert report.aggregate_pass
     assert list(report.suite_results) == list(SUITES)
     calls = Counter(log.read_text().splitlines())
-    assert calls == {**{f"suite_{s}": 1 for s in SUITES}, "batteries": 7}
+    assert calls == {**{f"suite_{s}": 1 for s in SUITES}, "batteries": 6}
 
 
 # -- the matrix's workers ---------------------------------------------------------------
@@ -252,17 +252,17 @@ def test_a_suite_that_raises_leaves_no_matrix_worker(planted, monkeypatch, capsy
 @pytest.mark.parametrize("kind", ["ideal_gas", "two_level_spin"])
 def test_all_is_the_same_for_any_cpu_count(kind, monkeypatch):
     # The matrix's workers start with the run, one per usable CPU beyond
-    # this process's, up to six; with one usable CPU nothing is forked.
+    # this process's, up to five; with one usable CPU nothing is forked.
     config = SuiteConfig(model={"kind": kind}, suites=SUITES, seed=2)
     forks, fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     payloads = set()
-    for cpus in (1, 2, 3, 16):
+    for cpus in (1, 2, 3, 6, 7, 16):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)),
                             raising=False)
         forks.clear()
         payloads.add(emit(run(config), "json"))
-        assert len(forks) == min(cpus, 7) - 1
+        assert len(forks) == min(cpus, 6) - 1
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
     assert len(payloads) == 1
