@@ -193,28 +193,36 @@ class SandwichBounds(FrozenRecord):
 
 def sandwich_bounds(
     rel: AccessibilityRelation,
-    x: State,
+    xs: Sequence[State],
     gamma: Sequence[State],
     table: EntropyTable,
-) -> SandwichBounds:
-    """Tightest equilibrium entropy bracket around x over the sampled grid,
-    from one ``leq_many`` query of x against the grid's tabled states.
+) -> list[SandwichBounds]:
+    """Tightest equilibrium entropy bracket around each x over the sampled
+    grid, from one ``leq_many`` query of every x against the grid's tabled
+    states, whose table values are read once.
 
     A missing side is reported as a violation of the sandwich requirement,
     not raised: that outcome is itself a finding.
     """
     if not gamma:
         raise DomainError("sandwich bounds need a non-empty equilibrium grid")
-    members = tuple(g for g in gamma if g in table.entries)
-    x_to_g, g_to_x = rel.leq_many([(x, 1.0)], [(members, 1.0)])
-    below = [table.entries[g] for g, ok in zip(members, g_to_x) if ok]
-    above = [table.entries[g] for g, ok in zip(members, x_to_g) if ok]
-    s_minus = max(below) if below else None
-    s_plus = min(above) if above else None
-    if s_minus is None or s_plus is None:
-        side = "lower" if s_minus is None else "upper"
-        return SandwichBounds(
-            s_minus, s_plus, False,
-            message=f"no {side} equilibrium state found: sandwich requirement violated",
-        )
-    return SandwichBounds(s_minus, s_plus, True)
+    tabled = [(g, s) for g in gamma if (s := table.entries.get(g)) is not None]
+    members, values = tuple(g for g, _ in tabled), [s for _, s in tabled]
+    n = len(members)
+    rows_x = [x for x in xs for _ in range(n)]
+    x_to_g, g_to_x = rel.leq_many([(rows_x, 1.0)], [(members * len(xs), 1.0)])
+    results = []
+    for i in range(len(xs)):
+        below = [v for v, ok in zip(values, g_to_x[i * n:(i + 1) * n]) if ok]
+        above = [v for v, ok in zip(values, x_to_g[i * n:(i + 1) * n]) if ok]
+        s_minus = max(below) if below else None
+        s_plus = min(above) if above else None
+        if s_minus is None or s_plus is None:
+            side = "lower" if s_minus is None else "upper"
+            results.append(SandwichBounds(
+                s_minus, s_plus, False,
+                message=f"no {side} equilibrium state found: sandwich requirement violated",
+            ))
+        else:
+            results.append(SandwichBounds(s_minus, s_plus, True))
+    return results

@@ -4,11 +4,14 @@ Each mutation plants one defect and declares exactly which checks must fail
 because of it.  Every defect is planted here, on a copy of its target; the
 modules that define models, relations and reservoirs carry no hooks for
 them.  The matrix runs a battery of the checks that ``entrokit all`` emits,
-under the same names, on the intact ideal gas and on every mutant (and the
-finite-relation checks on a chain fixture), then compares the set of newly
+under the same names, on the intact ideal gas (and the finite-relation
+checks on a chain fixture and its mutant), then compares each mutant's newly
 failing checks against the declaration; any difference, in either
-direction, is a finding about the checks themselves.  The model battery is
-the report's own: ``run_model_checks`` calls ``report.axiom_checks`` and
+direction, is a finding about the checks themselves.  A model mutant runs
+only the checks that read the part of the gas its defect replaces
+(``REPLACES`` and ``READS``); every other check cannot see the defect, so
+its status is the intact gas's.  The model battery is the report's own:
+``run_model_checks`` calls ``report.axiom_checks`` and
 ``report.theorem_checks`` with the smaller counts declared here.
 """
 
@@ -47,6 +50,36 @@ MUTATIONS = {
     "noisy_work": frozenset({"path_independence"}),
     "wrong_reservoir_temperature": frozenset({"reservoir_independence"}),
     "strict_only_comparison": frozenset({"stability"}),
+}
+
+# The part of the ideal gas each model mutation replaces: its relation, its
+# oracle (``ModelSystem.oracle_entropy`` and ``scaled_entropies``), its
+# engine's polygonals (``connect_polygonal``) or the reservoir.
+# ``break_transitivity`` plants its defect in a fixture, whose battery runs
+# in full.
+REPLACES = {
+    "break_scaling": "oracle",
+    "break_splitting": "oracle",
+    "composite_max": "relation",
+    "noisy_work": "polygonals",
+    "wrong_reservoir_temperature": "reservoir",
+    "strict_only_comparison": "relation",
+}
+
+# The parts of the gas each check of the model battery reads, in battery
+# order.  The axiom checks read the relation and, through it, the oracle;
+# entropy nondecrease reads the oracle on its weight processes
+# (``reservoir._oracle_delta``); PMM2 reads none.
+_AXIOM_READS = frozenset({"relation", "oracle"})
+READS = {
+    "reflexivity": _AXIOM_READS, "transitivity": _AXIOM_READS, "consistency": _AXIOM_READS,
+    "scaling_invariance": _AXIOM_READS, "splitting": _AXIOM_READS, "stability": _AXIOM_READS,
+    "comparison": _AXIOM_READS, "n1_n2": _AXIOM_READS,
+    "path_independence": frozenset({"polygonals"}),
+    "reservoir_independence": frozenset({"reservoir"}),
+    "lower_bound": frozenset({"reservoir"}),
+    "entropy_nondecrease": frozenset({"oracle"}),
+    "pmm2": frozenset(),
 }
 
 MutationTarget = Union[ModelSystem, FinitePreorderFixture, Reservoir]
@@ -192,29 +225,34 @@ THEOREM_COUNTS = {"lower_bound": 20, "entropy_nondecrease": 30, "pmm2": 200}
 
 def run_model_checks(
     model: ModelSystem,
-    reservoirs: list[Reservoir],
+    reservoir: Reservoir,
     *,
     seed: int = 0,
-) -> list[list[CheckResult]]:
-    """The coverage matrix's battery for parametric models, one per
-    reservoir: the report's axiom checks at ``seed``, path and reservoir
-    independence, then its theorem checks at ``seed + 10``, at the counts
-    above, every sample drawn from one ``Random(seed)``.  Only the two
-    checks that read a reservoir run once per reservoir."""
+    part: str | None = None,
+) -> list[CheckResult]:
+    """The coverage matrix's battery for parametric models: the report's
+    axiom checks at ``seed``, path and reservoir independence, then its
+    theorem checks at ``seed + 10``, at the counts above, every sample
+    drawn from one ``Random(seed)``.  Given the ``part`` of the gas a
+    mutation replaces, only the checks that read it (``READS``) run; every
+    draw is still made, in the same order, so each check that runs sees
+    the samples it sees in the full battery."""
     from .report import axiom_checks, theorem_checks  # report imports this module
+    runs = [name for name, parts in READS.items() if part is None or part in parts]
     rng = random.Random(seed)
     engine = model.process_engine
-    shared = axiom_checks(model, rng, seed, AXIOM_COUNTS)
+    results = axiom_checks(model, rng, seed, AXIOM_COUNTS, runs)
 
     drawn = engine.sample_states(rng, 10)
-    pairs = list(zip(drawn[::2], drawn[1::2]))
-    shared.append(check_path_independence(model, pairs, k=4, seed=seed + 8))
+    if "path_independence" in runs:
+        pairs = list(zip(drawn[::2], drawn[1::2]))
+        results.append(check_path_independence(model, pairs, k=4, seed=seed + 8))
 
     pair = tuple(engine.sample_states(rng, 2))
-    others = [Reservoir(id="aux-600", temperature=600.0), reference_reservoir().reservoir]
-    independence = [check_reservoir_independence(model, pair, [r, *others]) for r in reservoirs]
-    theorems = theorem_checks(model, reservoirs, rng, seed + 10, THEOREM_COUNTS)
-    return [[*shared, check, *rest] for check, rest in zip(independence, theorems)]
+    if "reservoir_independence" in runs:
+        others = [Reservoir(id="aux-600", temperature=600.0), reference_reservoir().reservoir]
+        results.append(check_reservoir_independence(model, pair, [reservoir, *others]))
+    return results + theorem_checks(model, reservoir, rng, seed + 10, THEOREM_COUNTS, runs=runs)
 
 
 def run_fixture_checks(fixture: FinitePreorderFixture) -> list[CheckResult]:
@@ -235,7 +273,9 @@ class MatrixWorkers:
     reservoir mutant, then the model mutants in ``MUTATIONS`` order) and
     min(usable CPUs, 6) - 1 forked workers (none where os.fork is missing),
     which take tasks from a queue and run them until it is empty.  Pass it
-    to ``mutation_matrix`` with the same seed, or ``close`` it.
+    to ``mutation_matrix`` with the same seed, or ``close`` it.  A mutant's
+    battery holds only the checks that read the part it replaces; the
+    intact gas's holds every check.
 
     The queue is an os.pipe holding one byte per task index but 0, written
     and closed before any fork: each os.read(queue, 1) takes one whole
@@ -269,9 +309,13 @@ class MatrixWorkers:
             raise
 
     def _run(self, index: int) -> dict:
+        # The intact gas, under None, replaces no part.
         model, reservoirs = self.tasks[index]
-        batteries = run_model_checks(model, list(reservoirs.values()), seed=self.seed)
-        return dict(zip(reservoirs, map(_statuses, batteries)))
+        return {
+            mutation: _statuses(run_model_checks(
+                model, reservoir, seed=self.seed, part=REPLACES.get(mutation)))
+            for mutation, reservoir in reservoirs.items()
+        }
 
     def _take(self):
         """The next queued task index, or None once the queue is empty."""
@@ -349,10 +393,11 @@ class MatrixWorkers:
 def mutation_matrix(*, seed: int = 0, workers: MatrixWorkers | None = None) -> dict:
     """Run every mutation against the intact baseline and compare the newly
     failing checks with its entry in ``MUTATIONS``.  The result is plain
-    data: the report's ``mutation_matrix`` summary, statuses as strings.
-    The model batteries run in ``workers`` (started here when none are
-    given), which may have run most of them already; the fixture ones run
-    here."""
+    data: the report's ``mutation_matrix`` summary, statuses as strings; a
+    model mutant's statuses are the intact gas's but for the checks its
+    battery ran.  The model batteries run in ``workers`` (started here when
+    none are given), which may have run most of them already; the fixture
+    ones run here."""
     if workers is None:
         workers = MatrixWorkers(seed)
     elif workers.seed != seed:
@@ -365,8 +410,8 @@ def mutation_matrix(*, seed: int = 0, workers: MatrixWorkers | None = None) -> d
         run_fixture_checks(mutate_model(base_fixture, "break_transitivity")))
     mutants = []
     for mutation, expected in MUTATIONS.items():
-        statuses = statuses_of[mutation]
         baseline = baseline_fixture if mutation == "break_transitivity" else baseline_model
+        statuses = {**baseline, **statuses_of[mutation]}
         newly_failed = sorted(
             name for name, status in statuses.items()
             if status == CheckStatus.FAIL and baseline[name] != CheckStatus.FAIL

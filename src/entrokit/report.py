@@ -291,49 +291,55 @@ SuiteOutput = tuple[list[CheckResult], dict]
 
 # The model battery.  The ``axioms`` and ``theorems`` suites, the mutation
 # matrix (``mutants.run_model_checks``) and the acceptance test all run these
-# two functions; they differ only in their seeds, reservoirs and ``counts``,
-# which holds each check's sample count under its check name.
-def axiom_checks(model: ModelSystem, rng, seed: int, counts: dict) -> list[CheckResult]:
+# two functions; they differ only in their seeds, reservoir and ``counts``,
+# which holds each check's sample count under its check name.  Every draw
+# from ``rng`` is made whatever ``runs`` holds, so the checks it names (all
+# where it is None) see the samples they see in the full battery.
+def axiom_checks(model: ModelSystem, rng, seed: int, counts: dict,
+                 runs=None) -> list[CheckResult]:
     """The order axioms on a model, the sampled checks at ``seed`` + 0 to
     + 7; ``n1_n2`` probes ``counts["nonequilibrium"]`` states drawn from
     ``rng``, or none where the model has no nonequilibrium family."""
     rel = model.relation()
     engine = model.process_engine
-    results = [
-        check_reflexivity(rel, samples=counts["reflexivity"], seed=seed),
-        check_transitivity(rel, samples=counts["transitivity"], seed=seed + 1),
-        check_consistency(rel, rel, samples=counts["consistency"], seed=seed + 2),
-        check_scaling_invariance(rel, samples=counts["scaling_invariance"], seed=seed + 3),
-        check_splitting(rel, samples=counts["splitting"], seed=seed + 4),
-        check_stability(rel, samples=counts["stability"], seed=seed + 5),
-        check_comparison(rel, samples=counts["comparison"], seed=seed + 6),
-    ]
     gamma = engine.gamma_grid()
     try:
         noneq = [engine.sample_nonequilibrium(rng) for _ in range(counts["nonequilibrium"])]
     except CapabilityError:
         noneq = []
-    results.append(check_n1_n2(rel, gamma, noneq, samples=counts["n1_n2"], seed=seed + 7))
-    return results
+    checks = {
+        "reflexivity": lambda: check_reflexivity(rel, samples=counts["reflexivity"], seed=seed),
+        "transitivity": lambda: check_transitivity(
+            rel, samples=counts["transitivity"], seed=seed + 1),
+        "consistency": lambda: check_consistency(
+            rel, rel, samples=counts["consistency"], seed=seed + 2),
+        "scaling_invariance": lambda: check_scaling_invariance(
+            rel, samples=counts["scaling_invariance"], seed=seed + 3),
+        "splitting": lambda: check_splitting(rel, samples=counts["splitting"], seed=seed + 4),
+        "stability": lambda: check_stability(rel, samples=counts["stability"], seed=seed + 5),
+        "comparison": lambda: check_comparison(rel, samples=counts["comparison"], seed=seed + 6),
+        "n1_n2": lambda: check_n1_n2(rel, gamma, noneq, samples=counts["n1_n2"], seed=seed + 7),
+    }
+    return [check() for name, check in checks.items() if runs is None or name in runs]
 
 
-def theorem_checks(model: ModelSystem, reservoirs: list[Reservoir], rng, seed: int,
-                   counts: dict, zero_tol: float = NONDECREASE_ZERO) -> list[list[CheckResult]]:
-    """The reservoir theorems on a model, one list per reservoir: the lower
-    bound against it at ``seed``, then entropy nondecrease and PMM2 at
-    ``seed`` + 1, run once for all, on states drawn from ``rng``."""
+def theorem_checks(model: ModelSystem, reservoir: Reservoir, rng, seed: int, counts: dict,
+                   zero_tol: float = NONDECREASE_ZERO, runs=None) -> list[CheckResult]:
+    """The reservoir theorems on a model: the lower bound against the
+    reservoir at ``seed``, then entropy nondecrease and PMM2 at ``seed`` +
+    1, on states drawn from ``rng``."""
     engine = model.process_engine
     pair = tuple(engine.sample_states(rng, 2))
-    bounds = [check_lower_bound(model, pair, r, n_irr=counts["lower_bound"], seed=seed)
-              for r in reservoirs]
-    shared = [
-        check_entropy_nondecrease(
-            model, engine.random_weight_processes(counts["entropy_nondecrease"], rng),
-            zero_tol=zero_tol,
-        ),
-        check_pmm2(model, engine.sample_state(rng), attempts=counts["pmm2"], seed=seed + 1),
-    ]
-    return [[bound, *shared] for bound in bounds]
+    processes = engine.random_weight_processes(counts["entropy_nondecrease"], rng)
+    ses = engine.sample_state(rng)
+    checks = {
+        "lower_bound": lambda: check_lower_bound(
+            model, pair, reservoir, n_irr=counts["lower_bound"], seed=seed),
+        "entropy_nondecrease": lambda: check_entropy_nondecrease(
+            model, processes, zero_tol=zero_tol),
+        "pmm2": lambda: check_pmm2(model, ses, attempts=counts["pmm2"], seed=seed + 1),
+    }
+    return [check() for name, check in checks.items() if runs is None or name in runs]
 
 
 def suite_axioms(target, config: SuiteConfig, memo: dict) -> SuiteOutput:
@@ -429,12 +435,9 @@ def suite_ly(target, config: SuiteConfig, memo: dict) -> SuiteOutput:
     engine = model.process_engine
     rng = random.Random(config.seed + 200)
     bad = []
-    tested = 0
     try:
-        for _ in range(10):
-            x = engine.sample_nonequilibrium(rng)
-            tested += 1
-            bounds = sandwich_bounds(rel, x, grid, table)
+        xs = [engine.sample_nonequilibrium(rng) for _ in range(10)]
+        for x, bounds in zip(xs, sandwich_bounds(rel, xs, grid, table)):
             s_x = model.oracle_entropy(x)
             a, b = fit.a, fit.b
             if not bounds.ok:
@@ -443,7 +446,7 @@ def suite_ly(target, config: SuiteConfig, memo: dict) -> SuiteOutput:
                 a * bounds.s_minus + b - 1e-6 <= s_x <= a * bounds.s_plus + b + 1e-6
             ):
                 bad.append((x, bounds.s_minus, bounds.s_plus, s_x))
-        results.append(verdict("ly_sandwich_bounds", not bad, bad, samples_used=tested))
+        results.append(verdict("ly_sandwich_bounds", not bad, bad, samples_used=len(xs)))
     except CapabilityError:
         results.append(
             not_applicable("ly_sandwich_bounds", "model has no nonequilibrium family")
@@ -565,8 +568,8 @@ def suite_theorems(target, config: SuiteConfig, memo: dict) -> SuiteOutput:
         "entropy_nondecrease": config.count("weight_processes"),
         "pmm2": config.count("pmm2_attempts"),
     }
-    [results] = theorem_checks(
-        target, [BENCH_RESERVOIR], random.Random(seed + 400), seed + 401, counts,
+    results = theorem_checks(
+        target, BENCH_RESERVOIR, random.Random(seed + 400), seed + 401, counts,
         zero_tol=config.tol("nondecrease_zero"),
     )
     try:

@@ -292,7 +292,7 @@ def test_sandwich_equilibrium_state_collapses(setup):
     gas, rel, grid, refs = setup
     table = entropy_from_accessibility(rel, refs, grid, tol=1e-9)
     x = grid[37]
-    bounds = sandwich_bounds(rel, x, grid, table)
+    [bounds] = sandwich_bounds(rel, [x], grid, table)
     assert bounds.ok
     assert bounds.s_minus == pytest.approx(table.entries[x], abs=1e-6)
     assert bounds.s_plus == pytest.approx(table.entries[x], abs=1e-6)
@@ -304,8 +304,8 @@ def test_sandwich_brackets_oracle_and_narrows(setup):
     x = e.state(3000.0, 0.02, deficit=0.8)
     coarse = entropy_from_accessibility(rel, refs, e.grid(6, 6), tol=1e-9)
     fine = entropy_from_accessibility(rel, refs, e.grid(16, 16), tol=1e-9)
-    b_coarse = sandwich_bounds(rel, x, list(coarse.entries), coarse)
-    b_fine = sandwich_bounds(rel, x, list(fine.entries), fine)
+    [b_coarse] = sandwich_bounds(rel, [x], list(coarse.entries), coarse)
+    [b_fine] = sandwich_bounds(rel, [x], list(fine.entries), fine)
     assert b_coarse.ok and b_fine.ok
     assert b_coarse.s_minus <= b_fine.s_minus + 1e-6
     assert b_fine.s_plus <= b_coarse.s_plus + 1e-6
@@ -326,9 +326,16 @@ def test_sandwich_violation_reported_not_raised(setup):
     stranded = e.state(
         600.0, 0.006, deficit=gas.oracle_entropy(base) - lowest + 5.0
     )
-    bounds = sandwich_bounds(rel, stranded, grid, table)
+    x = grid[37]
+    bounds, at_grid = sandwich_bounds(rel, [stranded, x], grid, table)
     assert not bounds.ok
     assert "lower" in bounds.message
+    assert at_grid == sandwich_bounds(rel, [x], grid, table)[0] and at_grid.ok
+    # A grid with no tabled state brackets nothing, and no state asks nothing.
+    untabled = [e.state(700.0, 0.007)]
+    assert [b.message for b in sandwich_bounds(rel, [x, stranded], untabled, table)] == [
+        "no lower equilibrium state found: sandwich requirement violated"] * 2
+    assert sandwich_bounds(rel, [], grid, table) == []
 
 
 def test_sandwich_bounds_ask_no_scalar_leq(setup, monkeypatch):
@@ -340,7 +347,7 @@ def test_sandwich_bounds_ask_no_scalar_leq(setup, monkeypatch):
     monkeypatch.setattr(
         AccessibilityRelation, "leq", lambda r, a, b: asked.append((a, b)) or leq(r, a, b)
     )
-    assert sandwich_bounds(rel, x, grid, table).ok
+    assert [b.ok for b in sandwich_bounds(rel, [x, grid[37]], grid, table)] == [True, True]
     assert not asked
 
 
@@ -447,8 +454,9 @@ def test_sandwich_bounds_batched_match_scalar(data, params):
     table = entropy_from_accessibility(rel, refs, grid)
     gamma = grid + pool
     scalar = ScalarRelation.induced([gas])
-    for x in pool:
-        assert sandwich_bounds(rel, x, gamma, table) == sandwich_bounds(scalar, x, gamma, table)
+    batched = sandwich_bounds(rel, pool, gamma, table)
+    assert batched == sandwich_bounds(scalar, pool, gamma, table)
+    assert batched == [sandwich_bounds(scalar, [x], gamma, table)[0] for x in pool]
 
 
 def _per_element(rel, model, x0, x1, lams, ys):

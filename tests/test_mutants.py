@@ -5,6 +5,7 @@ import math
 import os
 import random
 import select
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,8 @@ from entrokit.errors import CapabilityError, DomainError, EngineError
 from entrokit.mutants import (
     AXIOM_COUNTS,
     MUTATIONS,
+    READS,
+    REPLACES,
     THEOREM_COUNTS,
     mutate_model,
     mutation_matrix,
@@ -295,12 +298,13 @@ def test_every_battery_declares_exactly_the_counts_the_assembly_reads():
     assert set(THEOREM_COUNTS) == _counts_declared("report", "suite_theorems") == theorems
 
 
-def test_every_expected_failure_is_a_check_its_battery_runs():
-    # Each check is named after its function: check_<name> emits <name>.
+def _battery_runs() -> dict[str, set[str]]:
+    """The check names each battery runs, read from its source: each check
+    is named after its function, check_<name> emits <name>."""
     model = _function("mutants", "run_model_checks")
     assembly = [_function("report", name) for name in ("axiom_checks", "theorem_checks")]
     assert {"axiom_checks", "theorem_checks"} <= _called(model)
-    runs = {
+    return {
         battery: {
             name.removeprefix("check_") for name in _called(*functions) if name.startswith("check_")
         }
@@ -309,9 +313,49 @@ def test_every_expected_failure_is_a_check_its_battery_runs():
             ("fixture", [_function("mutants", "run_fixture_checks")]),
         )
     }
+
+
+def test_every_expected_failure_is_a_check_its_battery_runs():
+    runs = _battery_runs()
     for mutation, expected in MUTATIONS.items():
         battery = "fixture" if mutation == "break_transitivity" else "model"
         assert expected <= runs[battery], mutation
+
+
+def _declaration_faults(replaces: dict, reads: dict) -> list[str]:
+    """Each way the declarations break the rule that a mutant runs only the
+    checks that read the part it replaces: a model mutation with no part, a
+    part no check reads, or an expected failure of a check that does not
+    read the part."""
+    faults = [f"no part: {m}" for m in MUTATIONS if m != "break_transitivity" and m not in replaces]
+    known = set().union(*reads.values())
+    for mutation, part in replaces.items():
+        if part not in known:
+            faults.append(f"{mutation}: unknown part {part!r}")
+        faults += [
+            f"{mutation}: {check} does not read the {part}"
+            for check in sorted(MUTATIONS[mutation]) if part not in reads.get(check, ())
+        ]
+    return faults
+
+
+def test_each_mutation_replaces_a_part_its_expected_failures_read():
+    # Runs no matrix: the declarations alone.  Every check the model battery
+    # runs declares what it reads, and a planted mismatch is found.
+    assert set(READS) == _battery_runs()["model"]
+    assert set(REPLACES) == set(MUTATIONS) - {"break_transitivity"}
+    assert _declaration_faults(REPLACES, READS) == []
+    assert _declaration_faults({**REPLACES, "noisy_work": "relation"}, READS) == [
+        "noisy_work: path_independence does not read the relation"]
+    assert _declaration_faults({**REPLACES, "break_scaling": "scaling"}, READS) == [
+        "break_scaling: unknown part 'scaling'",
+        "break_scaling: scaling_invariance does not read the scaling",
+    ]
+    scaling_reads_no_oracle = {**READS, "scaling_invariance": frozenset({"relation"})}
+    assert _declaration_faults(REPLACES, scaling_reads_no_oracle) == [
+        "break_scaling: scaling_invariance does not read the oracle"]
+    without_noisy_work = {m: p for m, p in REPLACES.items() if m != "noisy_work"}
+    assert _declaration_faults(without_noisy_work, READS) == ["no part: noisy_work"]
 
 
 def _emitted(model: dict, suites) -> tuple[set[str], dict]:
@@ -350,15 +394,15 @@ def _battery_leq_calls(model, monkeypatch) -> int:
     cls, calls = type(model.relation()), []
     leq = cls.leq
     monkeypatch.setattr(cls, "leq", lambda rel, x, y: calls.append(1) or leq(rel, x, y))
-    run_model_checks(model, [BENCH_RESERVOIR], seed=1)
+    run_model_checks(model, BENCH_RESERVOIR, seed=1)
     monkeypatch.undo()
     return len(calls)
 
 
 def one_reservoir_battery(model, reservoir, seed):
-    """The matrix's model battery for one reservoir, every check run for it
-    alone, kept as the reference for ``run_model_checks``, which runs the
-    checks that read no reservoir once for all of its reservoirs."""
+    """The matrix's model battery, every check written out and run, kept as
+    the reference for ``run_model_checks``, which draws all the samples but
+    runs only the checks that read the part a mutation replaces."""
     rng = random.Random(seed)
     engine = model.process_engine
     results = axiom_checks(model, rng, seed, AXIOM_COUNTS)
@@ -393,27 +437,120 @@ def _recording_weight_processes(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize("seed", [0, 1, 209])
-def test_the_intact_gas_task_gives_each_reservoir_its_own_battery(seed, monkeypatch):
-    # Task 0 runs the intact gas once for the baseline and for the reservoir
-    # mutant; each battery must be the one its reservoir would get alone.  A
-    # passing check's record holds no pair or drain, so the weight processes
-    # run for them are compared too.
+def _check_in_progress():
+    """The emitted check a call is made for: the outermost entrokit frame of
+    a function named check_<name> gives <name>; None outside every check."""
+    name, frame = None, sys._getframe(2)
+    while frame is not None:
+        if (frame.f_code.co_name.startswith("check_")
+                and frame.f_globals.get("__name__", "").startswith("entrokit.")):
+            name = frame.f_code.co_name.removeprefix("check_")
+        frame = frame.f_back
+    return name
+
+
+def _recording(fn, readers: set):
+    """``fn``, adding the check in progress to ``readers`` at each call."""
+    def recorded(*args, **kwargs):
+        readers.add(_check_in_progress())
+        return fn(*args, **kwargs)
+    return recorded
+
+
+def _record_replaced(mutant, source, monkeypatch) -> set:
+    """The set that will hold each check that calls what ``mutant`` replaced
+    in ``source``: the attributes of the model or of its engine that are not
+    the source's.  A replaced ``relation`` is recorded at the order queries
+    of the class it builds, as every query goes through ``leq_many``."""
+    readers = set()
+    for owner, original in ((mutant, source), (mutant.process_engine, source.process_engine)):
+        for name, value in list(vars(owner).items()):
+            if name == "process_engine" or vars(original).get(name) is value:
+                continue
+            if name == "relation":
+                cls = type(value())
+                monkeypatch.setattr(cls, "leq_many", _recording(cls.leq_many, readers))
+            else:
+                monkeypatch.setattr(owner, name, _recording(value, readers))
+    return readers
+
+
+def _matrix_tasks(seed, monkeypatch) -> mutants_module.MatrixWorkers:
+    """The matrix's tasks at ``seed``, with no worker to run them."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     workers = mutants_module.MatrixWorkers(seed)
     workers.close()
+    return workers
+
+
+@pytest.mark.parametrize("seed", [0, 1, 209])
+def test_the_intact_gas_task_gives_each_reservoir_its_own_battery(seed, monkeypatch):
+    # Task 0 runs the intact gas for the baseline and for the reservoir
+    # mutant.  The baseline's battery must be the reference on its reservoir;
+    # the mutant's, the reference on the miscalibrated reservoir less the
+    # checks that read no reservoir, whose records must equal the baseline's.
+    # Only the checks it runs may call the miscalibrated reservoir.  A passing
+    # check's record holds no pair or drain, so the weight processes run for
+    # the batteries are compared too.
+    workers = _matrix_tasks(seed, monkeypatch)
     model, reservoirs = workers.tasks[0]
     assert list(reservoirs) == [None, "wrong_reservoir_temperature"]
     assert reservoirs[None] is BENCH_RESERVOIR
+    hotter = reservoirs["wrong_reservoir_temperature"]
+    batteries = {}
+
+    def keeping(model, reservoir, **kwargs):
+        batteries[kwargs["part"]] = run_model_checks(model, reservoir, **kwargs)
+        return batteries[kwargs["part"]]
+
+    monkeypatch.setattr(mutants_module, "run_model_checks", keeping)
     processes = _recording_weight_processes(monkeypatch)
-    batteries = run_model_checks(model, list(reservoirs.values()), seed=seed)
-    shared_processes = sorted(processes)
+    readers = set()
+    drain = type(hotter).delta_energy_for_delta_entropy
+    monkeypatch.setattr(type(hotter), "delta_energy_for_delta_entropy",
+                        _recording(drain, readers))
+    workers._run(0)
+    task_processes = sorted(processes)
     processes.clear()
-    assert len(batteries) == 2
-    for battery, reservoir in zip(batteries, reservoirs.values()):
-        reference = one_reservoir_battery(ideal_gas(), reservoir, seed)
-        assert [r.to_dict() for r in battery] == [r.to_dict() for r in reference]
-    assert shared_processes == sorted(processes)
+    assert list(batteries) == [None, "reservoir"]
+    runs = {r.check_name for r in batteries["reservoir"]}
+    assert runs == {"reservoir_independence", "lower_bound"}
+
+    reference = one_reservoir_battery(ideal_gas(), BENCH_RESERVOIR, seed)
+    assert [r.to_dict() for r in batteries[None]] == [r.to_dict() for r in reference]
+    readers.clear()
+    hot = one_reservoir_battery(ideal_gas(), hotter, seed)
+    assert readers and readers <= runs
+    assert [r.to_dict() for r in batteries["reservoir"]] == [
+        r.to_dict() for r in hot if r.check_name in runs]
+    assert [r.to_dict() for r in hot if r.check_name not in runs] == [
+        r.to_dict() for r in reference if r.check_name not in runs]
+    assert task_processes == sorted(processes)
+
+
+MODEL_MUTATIONS = [m for m, part in REPLACES.items() if part != "reservoir"]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 209])
+@pytest.mark.parametrize("mutation", MODEL_MUTATIONS)
+def test_a_mutant_task_runs_every_check_that_reads_what_it_replaces(mutation, seed,
+                                                                     monkeypatch):
+    # Every check a mutant's task skips gives the intact gas's record at
+    # these seeds, so record equality cannot tell a sound sharing from a
+    # task that runs just the expected failures.  What the mutant replaced
+    # records the checks that call it, in the full reference battery; each
+    # must be one its task runs.
+    workers = _matrix_tasks(seed, monkeypatch)
+    (index,) = [i for i, (_, reservoirs) in enumerate(workers.tasks) if mutation in reservoirs]
+    mutant = workers.tasks[index][0]
+    runs = set(workers._run(index)[mutation])
+    intact = {r.check_name: r.to_dict()
+              for r in one_reservoir_battery(ideal_gas(), BENCH_RESERVOIR, seed)}
+    readers = _record_replaced(mutant, workers.tasks[0][0], monkeypatch)
+    battery = one_reservoir_battery(mutant, BENCH_RESERVOIR, seed)
+    assert readers and readers <= runs, sorted(readers - runs, key=str)
+    assert [r.check_name for r in battery if r.check_name not in runs
+            and r.to_dict() != intact[r.check_name]] == []
 
 
 def test_the_intact_gas_task_runs_in_this_process(monkeypatch, tmp_path):
@@ -425,12 +562,12 @@ def test_the_intact_gas_task_runs_in_this_process(monkeypatch, tmp_path):
     log = tmp_path / "calls.txt"
     taken, took = os.pipe()
 
-    def recording(model, reservoirs, **kwargs):
+    def recording(model, reservoir, **kwargs):
         if os.getpid() != parent:
             os.write(took, b".")
         with open(log, "a") as fh:
-            fh.write(f"{os.getpid()} {len(reservoirs)}\n")
-        return battery(model, reservoirs, **kwargs)
+            fh.write(f"{os.getpid()} {kwargs['part']}\n")
+        return battery(model, reservoir, **kwargs)
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(mutants_module, "run_model_checks", recording)
@@ -442,9 +579,10 @@ def test_the_intact_gas_task_runs_in_this_process(monkeypatch, tmp_path):
         workers.close()
         os.close(taken)
         os.close(took)
-    calls = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
-    assert len(calls) == 6
-    assert [pid for pid, reservoirs in calls if reservoirs == 2] == [parent], (
+    calls = [line.split() for line in log.read_text().splitlines()]
+    assert len(calls) == 7
+    # Task 0's batteries: the intact gas's (every part) and the reservoir mutant's.
+    assert [int(pid) for pid, part in calls if part in ("None", "reservoir")] == [parent] * 2, (
         "task 0 (the intact gas) ran in a worker: this process would run no battery, "
         "and the traced gas-all run's mutants.batteries would read 0"
     )

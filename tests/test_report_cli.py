@@ -205,7 +205,7 @@ def test_run_calls_every_suite_through_its_module_attribute(monkeypatch, tmp_pat
     assert report.aggregate_pass
     assert list(report.suite_results) == list(SUITES)
     calls = Counter(log.read_text().splitlines())
-    assert calls == {**{f"suite_{s}": 1 for s in SUITES}, "batteries": 6}
+    assert calls == {**{f"suite_{s}": 1 for s in SUITES}, "batteries": 7}
 
 
 # -- the matrix's workers ---------------------------------------------------------------
